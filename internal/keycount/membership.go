@@ -15,9 +15,10 @@ import (
 // crash-leave) while the dataflow keeps running. Scripted migrations route
 // through the membership controller's schedule broadcast (so the move set
 // stays canonical across leader failovers), preload consults the live-roster
-// initial assignment, and -auto attaches the cluster autoscaler as a
-// telemetry plane multiplexed onto the same control bus — the membership
-// leader turns its load windows into standby admissions and drain-leaves.
+// initial assignment, and -auto hands the membership controller the
+// autoscaler's telemetry half (load deltas over the same control bus, behind
+// the same failure detector) — the membership leader turns the cluster-wide
+// load windows into standby admissions and drain-leaves.
 // Only whole-cluster -recover stays rejected: recovery inside a membership
 // run is per-member (crash-leave).
 func runMembership(cfg RunConfig) (harness.Result, error) {
@@ -66,7 +67,6 @@ func runMembership(cfg RunConfig) (harness.Result, error) {
 	if cfg.Auto != nil {
 		meter = core.NewLoadMeter(totalWorkers, cfg.LogBins)
 		cfg.Params.Meter = meter
-		cfg.Auto.Meter = meter
 	}
 
 	exec := dataflow.NewExecution(dataflow.Config{Workers: cfg.Workers, Mesh: mesh})
@@ -101,50 +101,37 @@ func runMembership(cfg RunConfig) (harness.Result, error) {
 	}
 	bins := 1 << uint(cfg.LogBins)
 
-	// With -auto the two control planes share the mesh control channel
-	// through a mux: autoscaler kinds below 10, membership at and above.
-	var memBus plan.ControlBus = mesh
+	// In membership mode -auto is telemetry-only: bin moves must route through
+	// the membership plane, so no AutoController (and no policy) runs.
 	var autoscale *plan.MembershipAutoscale
-	var auto *plan.AutoController
 	if cfg.Auto != nil {
-		mux := plan.NewBusMux(mesh)
-		memBus = mux.Membership()
-		// In membership mode the autoscaler is telemetry-only: bin moves must
-		// route through the membership plane, so its policy is forced Static
-		// and it never drives the control inputs (nil handles).
-		cfg.Auto.Policy = plan.Static{}
-		cfg.Auto.Cluster = &plan.ClusterOptions{
-			Bus:            mux.Auto(),
-			Procs:          procs,
-			Proc:           proc,
-			WorkersPerProc: cfg.Workers,
-			Logf:           cfg.Cluster.Logf,
-		}
-		auto = plan.NewAutoController(nil, probe, plan.Initial(bins, totalWorkers), *cfg.Auto)
 		autoscale = &plan.MembershipAutoscale{
-			Auto:     auto,
-			HotRecs:  cfg.ScaleOutAbove,
-			ColdRecs: cfg.ScaleInBelow,
-			Sustain:  cfg.ScaleSustain,
-			Cost:     cfg.Auto.Cost,
+			Meter:       meter,
+			SampleEvery: cfg.Auto.SampleEvery,
+			HotRecs:     cfg.ScaleOutAbove,
+			ColdRecs:    cfg.ScaleInBelow,
+			Sustain:     cfg.ScaleSustain,
+			Cost:        cfg.Auto.Cost,
 		}
 	}
 
 	fab := harness.ClusterFabric{Execution: exec, Mesh: mesh}
 	mc := plan.NewMembershipController(plan.MembershipOptions{
-		Bus:            memBus,
-		Fabric:         fab,
-		Frontier:       probe.Frontier,
-		Procs:          procs,
-		Proc:           proc,
-		WorkersPerProc: cfg.Workers,
-		Bins:           bins,
-		InitialActive:  initialActive,
-		CheckpointDir:  cfg.CheckpointDir,
-		Slack:          cfg.MembershipSlack,
-		TickEvery:      cfg.EpochEvery,
-		Autoscale:      autoscale,
-		Logf:           cfg.Cluster.Logf,
+		ClusterOptions: plan.ClusterOptions{
+			Bus:            mesh,
+			Procs:          procs,
+			Proc:           proc,
+			WorkersPerProc: cfg.Workers,
+			Liveness:       plan.Liveness{TickEvery: cfg.EpochEvery},
+			Logf:           cfg.Cluster.Logf,
+		},
+		Fabric:        fab,
+		Frontier:      probe.Frontier,
+		Bins:          bins,
+		InitialActive: initialActive,
+		CheckpointDir: cfg.CheckpointDir,
+		Slack:         cfg.MembershipSlack,
+		Autoscale:     autoscale,
 	})
 	// Manifests record the roster live at each checkpoint epoch, so a
 	// checkpoint taken after a death completes (and restores) without the
@@ -211,7 +198,9 @@ func runMembership(cfg RunConfig) (harness.Result, error) {
 		CrashAt:         cfg.CrashAt,
 		CheckpointDir:   cfg.CheckpointDir,
 	})
-	res.FinishAdaptive(auto, meter)
+	if meter != nil {
+		res.Load = meter.Snapshot(nil)
+	}
 	ckpt.Finish(&res)
 	return res, err
 }

@@ -67,8 +67,9 @@ type RunConfig struct {
 	// CheckpointDir; incompatible with Recover (crash recovery is per-member,
 	// inside the run). Scripted migrations ride the membership schedule
 	// broadcast, Preload consults the live-roster initial assignment, and
-	// Auto attaches the autoscaler as a telemetry plane whose load windows
-	// drive join/leave (see ScaleOutAbove/ScaleInBelow).
+	// Auto contributes only its meter, sampling cadence and cost model: the
+	// membership controller runs the load telemetry itself and its windows
+	// drive join/leave (see ScaleOutAbove/ScaleInBelow); no policy runs.
 	Membership bool
 	// LeaveAt makes this process request drain-leave once its drive loop
 	// passes that epoch (with Membership).
@@ -142,6 +143,7 @@ func Run(cfg RunConfig) (harness.Result, error) {
 				Procs:          procs,
 				Proc:           proc,
 				WorkersPerProc: cfg.Workers,
+				Liveness:       plan.Liveness{TickEvery: cfg.EpochEvery},
 				Logf:           cfg.Cluster.Logf,
 			}
 		}

@@ -98,6 +98,7 @@ func Run(cfg RunConfig) (harness.Result, error) {
 				Procs:          procs,
 				Proc:           proc,
 				WorkersPerProc: cfg.Workers,
+				Liveness:       plan.Liveness{TickEvery: cfg.EpochEvery},
 				Logf:           cfg.Cluster.Logf,
 			}
 		}

@@ -89,14 +89,12 @@ type AutoController struct {
 	opts    AutoOptions
 	current Assignment
 
-	ticks    int
 	cooldown int // idle ticks still owed before the next decision
 
-	// source is what gets sampled: the meter itself, or the merged
-	// cluster-wide view in cluster mode.
-	source            loadSource
-	prev, cur, window *core.LoadSnapshot
-	windowSeq         uint64 // completed sampling windows (see WindowSeq)
+	// sampler cuts the load source (the meter itself, or the merged
+	// cluster-wide view in cluster mode) into sampling windows; its cluster
+	// field is the distributed control plane state (nil single-process).
+	*sampler
 
 	// lastHot and stability track how long the same worker has been the
 	// window's hottest (consecutive sampling windows); the cost model's
@@ -104,9 +102,7 @@ type AutoController struct {
 	lastHot   int
 	stability int
 
-	// cluster is the distributed control plane state (nil single-process).
-	cluster *clusterState
-	decBuf  []byte
+	decBuf []byte // decision frame scratch (cluster mode)
 
 	// dmu guards decisions and current: both are written on the ticking
 	// goroutine (and, in cluster mode, by mirrored remote decisions on bus
@@ -119,6 +115,43 @@ type AutoController struct {
 // *core.ClusterLoadView both qualify.
 type loadSource interface {
 	Snapshot(into *core.LoadSnapshot) *core.LoadSnapshot
+}
+
+// sampler is the telemetry half of the control loop, shared by the
+// AutoController and the membership autoscaler: every `every` ticks it
+// broadcasts the local load increments (cluster mode) and cuts a new window
+// from the source. window is the newest completed window and prev the
+// cumulative snapshot it was cut from; both are reused by the next sample.
+type sampler struct {
+	every, ticks      int
+	cluster           *clusterState // nil single-process
+	source            loadSource
+	prev, cur, window *core.LoadSnapshot
+}
+
+func newSampler(meter *core.LoadMeter, cluster *clusterState, every int) *sampler {
+	s := &sampler{every: every, cluster: cluster, source: meter}
+	if cluster != nil {
+		s.source = cluster.view
+	}
+	// Seed the previous snapshot so the first window is a true delta.
+	s.prev = s.source.Snapshot(nil)
+	return s
+}
+
+// tick counts one driver tick and reports whether it completed a window.
+func (s *sampler) tick() bool {
+	s.ticks++
+	if s.ticks%s.every != 0 {
+		return false
+	}
+	if s.cluster != nil {
+		s.cluster.sample()
+	}
+	s.cur = s.source.Snapshot(s.cur)
+	s.window = s.cur.Delta(s.prev, s.window)
+	s.prev, s.cur = s.cur, s.prev
+	return true
 }
 
 // NewAutoController returns an auto controller over the given control
@@ -139,18 +172,18 @@ func NewAutoController(handles []*dataflow.InputHandle[core.Move], probe *datafl
 		Controller: NewController(handles, probe),
 		opts:       opts,
 		current:    append(Assignment(nil), initial...),
-		source:     opts.Meter,
 		lastHot:    -1,
 	}
-	if opts.Cluster != nil {
-		a.cluster = newClusterState(opts.Meter, *opts.Cluster)
-		a.source = a.cluster.view
-		// Registering the handler also drains any control frames that beat
-		// us here, so no peer's telemetry or decision is ever lost.
-		opts.Cluster.Bus.SetControlHandler(a.onControl)
+	if c := opts.Cluster; c != nil {
+		det := newDetector(*c, opts.SampleEvery)
+		cs := newClusterState(opts.Meter, det, c.WorkersPerProc)
+		cs.mirror = a.mirror
+		det.telemetry = cs.onControl
+		a.sampler = newSampler(opts.Meter, cs, opts.SampleEvery)
+		det.start()
+	} else {
+		a.sampler = newSampler(opts.Meter, nil, opts.SampleEvery)
 	}
-	// Seed the previous snapshot so the first window is a true delta.
-	a.prev = a.source.Snapshot(nil)
 	return a
 }
 
@@ -161,17 +194,7 @@ func (a *AutoController) Tick(now core.Time) {
 	if a.Idle() && a.cooldown > 0 {
 		a.cooldown--
 	}
-	a.ticks++
-	if a.ticks%a.opts.SampleEvery == 0 {
-		if a.cluster != nil {
-			// Broadcast this window's local row increments first (the delta
-			// is also our heartbeat), then sample the merged view.
-			a.cluster.sample()
-		}
-		a.cur = a.source.Snapshot(a.cur)
-		a.window = a.cur.Delta(a.prev, a.window)
-		a.prev, a.cur = a.cur, a.prev
-		a.windowSeq++
+	if a.sampler.tick() {
 		a.observeStability()
 		lead := true
 		if a.cluster != nil {
@@ -179,8 +202,8 @@ func (a *AutoController) Tick(now core.Time) {
 			// frontier proves its predecessor's moves have drained, and no
 			// leader until every live peer's telemetry has reached the view —
 			// a window of mostly-local rows reads as a phantom imbalance.
-			lead = a.cluster.elect(now) && a.cluster.mayDecide(a.probe.Frontier()) &&
-				a.cluster.covered()
+			a.cluster.det.tick()
+			lead = a.cluster.mayLead(now, a.probe.Frontier()) && a.cluster.covered()
 		}
 		if lead && a.Idle() && a.cooldown == 0 {
 			a.decide(now)
@@ -272,34 +295,22 @@ func (a *AutoController) record(d Decision, assign Assignment) {
 	a.dmu.Unlock()
 	if a.cluster != nil {
 		a.decBuf = appendDecisionFrame(a.decBuf[:0], d, assign)
-		a.cluster.opts.Bus.BroadcastControl(a.decBuf)
+		a.cluster.det.broadcast(a.decBuf)
 	}
 	if a.opts.OnDecision != nil {
 		a.opts.OnDecision(d)
 	}
 }
 
-// WindowSeq counts the sampling windows completed so far; a consumer on the
-// ticking goroutine can use a change in it as "a fresh window is available".
-// Like Window, it must only be read from the goroutine that calls Tick.
-func (a *AutoController) WindowSeq() uint64 { return a.windowSeq }
-
-// Window returns the newest completed sampling window and the cumulative
-// snapshot it was cut from (nil before the first window). Ticking-goroutine
-// only; the returned snapshots are reused by the next sample.
-func (a *AutoController) Window() (window, cumulative *core.LoadSnapshot) {
-	return a.window, a.prev
-}
-
-// TelemetryCovered reports whether, in cluster mode, every live peer's load
-// telemetry has reached the merged view for the current window (always true
-// single-process). A window missing a peer's rows reads as a phantom
-// imbalance, so consumers should skip it.
-func (a *AutoController) TelemetryCovered() bool {
-	if a.cluster == nil {
-		return true
+// mirror records a decision a remote leader broadcast, together with the
+// assignment it installed. Runs on the bus's serialized handler context.
+func (a *AutoController) mirror(d Decision, assign Assignment) {
+	a.dmu.Lock()
+	defer a.dmu.Unlock()
+	if !d.Declined && len(assign) == len(a.current) {
+		copy(a.current, assign)
 	}
-	return a.cluster.covered()
+	a.decisions = append(a.decisions, d)
 }
 
 // Decisions returns the reconfigurations issued so far.

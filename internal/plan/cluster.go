@@ -11,26 +11,18 @@ import (
 // own LoadMeter rows on the same cadence and broadcasts the increments as
 // core.LoadDelta frames over the mesh control channel; each process folds
 // the deltas it receives into a core.ClusterLoadView, so all of them
-// converge on the same worker×bin load matrix. Exactly one process — the
-// lowest-index one believed alive — acts on that matrix: it runs the policy
-// and cost model and issues plans through its own Controller, whose control
-// moves broadcast to every worker in the cluster (bin ownership is a pure
-// function of the move set, so a single sender suffices). Deltas double as
-// heartbeats: a process that misses SuspectAfter consecutive sampling
-// windows is suspected dead and the next index takes over — but a fresh
+// converge on the same worker×bin load matrix. Exactly one process acts on
+// that matrix: the leader the shared detector elects (liveness.go) runs the
+// policy and cost model and issues plans through its own Controller, whose
+// control moves broadcast to every worker in the cluster (bin ownership is a
+// pure function of the move set, so a single sender suffices). A fresh
 // leader may not decide until the frontier passes its takeover epoch, which
 // proves every move the previous leader issued has fully applied, so a
 // takeover can never interleave a conflicting plan with a dying one.
 
-// ControlBus is the cluster control channel the AutoController piggybacks
-// on: broadcast to every peer, receive from all of them serialized.
-// *dataflow.Mesh implements it; tests substitute in-memory buses.
-type ControlBus interface {
-	BroadcastControl(payload []byte)
-	SetControlHandler(h func(from int, payload []byte))
-}
-
-// ClusterOptions extends AutoOptions to a multi-process cluster.
+// ClusterOptions places a process in a multi-process cluster's control plane:
+// the channel, the roster and the failure detector. AutoOptions.Cluster takes
+// it for the fixed-roster autoscaler and MembershipOptions embeds it.
 type ClusterOptions struct {
 	// Bus is the control channel (required).
 	Bus ControlBus
@@ -39,10 +31,10 @@ type ClusterOptions struct {
 	// process p owns meter rows [p*WorkersPerProc, (p+1)*WorkersPerProc).
 	Procs, Proc    int
 	WorkersPerProc int
-	// SuspectAfter is the number of consecutive local sampling windows
-	// without a heartbeat from a peer before it is suspected dead (default
-	// 4). Election reacts within roughly SuspectAfter×SampleEvery epochs.
-	SuspectAfter int
+	// Liveness configures the failure detector. Its window is one sampling
+	// interval for the autoscaler (election reacts within roughly
+	// SuspectAfter×SampleEvery epochs) and one tick under membership.
+	Liveness Liveness
 	// OnLeadership observes leadership transitions of this process
 	// (instrumentation; called on the ticking goroutine).
 	OnLeadership func(leader bool, epoch core.Time)
@@ -50,35 +42,24 @@ type ClusterOptions struct {
 	Logf func(format string, args ...any)
 }
 
-func (o *ClusterOptions) defaults() {
-	if o.SuspectAfter <= 0 {
-		o.SuspectAfter = 4
-	}
-}
-
-func (o *ClusterOptions) logf(format string, args ...any) {
-	if o.Logf != nil {
-		o.Logf(format, args...)
-	}
-}
-
-// Control-plane payload kinds (first byte of every frame on the bus).
+// Telemetry payload kinds (first byte of every frame on the bus; below
+// kindBeat, see liveness.go).
 const (
-	ctrlKindLoad     byte = 1 // core.LoadDelta heartbeat
+	ctrlKindLoad     byte = 1 // core.LoadDelta
 	ctrlKindDecision byte = 2 // leader decision, mirrored by followers
 )
 
-// clusterState is the per-process half of the distributed control plane.
-// The ticking goroutine owns sampling, election and decisions; transport
-// receive goroutines (serialized by the bus) own inbound merge and
-// mirroring. The two sides meet only through atomics and the
-// AutoController's dmu.
+// clusterState is the per-process telemetry half of the distributed control
+// plane: it broadcasts the local load increments and folds the peers' into
+// the cluster-wide view. The ticking goroutine owns sampling; transport
+// receive goroutines (serialized by the bus) own the inbound merge. Who is
+// alive and who leads is the detector's business, not this struct's.
 type clusterState struct {
-	opts ClusterOptions
+	det  *detector
 	view *core.ClusterLoadView
 
 	meter      *core.LoadMeter
-	firstLocal int
+	firstLocal int // this process's meter rows start here, one per outDelta row
 
 	// Outgoing delta state (ticking goroutine only): previous cumulative
 	// row values, so each broadcast carries increments.
@@ -87,54 +68,46 @@ type clusterState struct {
 	rowRecs, rowNanos   []uint64
 	outDelta            core.LoadDelta
 	outBuf              []byte
-	leader, everLed     bool
-	takeoverEpoch       core.Time // fresh leader may not decide until frontier passes this
-	takeoverGuard       bool
-	lastLeader          int
 
-	// samples counts local sampling windows; lastHeard[q] is the samples
-	// value when process q was last heard from. Written on the ticking
-	// goroutine (samples, own row) and transport goroutines (peer rows).
-	samples   atomic.Int64
-	lastHeard []atomic.Int64
+	// Takeover guard (ticking goroutine only): a fresh leader may not decide
+	// until the frontier passes takeoverEpoch.
+	takeoverEpoch core.Time
+	takeoverGuard bool
+
 	// heard[q] latches once any load delta from process q has been folded
 	// into the view, so the leader can tell "no telemetry yet" apart from
 	// "quiet window" and defer decisions until the view covers the cluster.
 	heard []atomic.Bool
+
+	// mirror, when set, receives every decision frame a remote leader
+	// broadcast (the AutoController records it; telemetry-only users leave
+	// it nil).
+	mirror func(d Decision, assign Assignment)
 
 	// Inbound decode state (bus-serialized handler only).
 	inDelta core.LoadDelta
 	lastSeq []uint64 // highest delta seq folded per origin
 }
 
-func newClusterState(meter *core.LoadMeter, opts ClusterOptions) *clusterState {
-	if opts.Bus == nil {
-		panic("plan: ClusterOptions needs a Bus")
+func newClusterState(meter *core.LoadMeter, det *detector, workersPerProc int) *clusterState {
+	if workersPerProc <= 0 || det.procs*workersPerProc != meter.Workers() {
+		panic("plan: the cluster's worker layout does not match the meter")
 	}
-	if opts.Procs < 2 || opts.Proc < 0 || opts.Proc >= opts.Procs {
-		panic("plan: ClusterOptions process index out of range")
-	}
-	if opts.WorkersPerProc <= 0 || opts.Procs*opts.WorkersPerProc != meter.Workers() {
-		panic("plan: ClusterOptions worker layout does not match the meter")
-	}
-	opts.defaults()
-	first := opts.Proc * opts.WorkersPerProc
+	first := det.proc * workersPerProc
 	cs := &clusterState{
-		opts:       opts,
-		view:       core.NewClusterLoadView(meter, first, opts.WorkersPerProc),
+		det:        det,
+		view:       core.NewClusterLoadView(meter, first, workersPerProc),
 		meter:      meter,
 		firstLocal: first,
 		rowRecs:    make([]uint64, meter.Bins()),
 		rowNanos:   make([]uint64, meter.Bins()),
-		lastHeard:  make([]atomic.Int64, opts.Procs),
-		heard:      make([]atomic.Bool, opts.Procs),
-		lastSeq:    make([]uint64, opts.Procs),
-		lastLeader: -1,
+		heard:      make([]atomic.Bool, det.procs),
+		lastSeq:    make([]uint64, det.procs),
 	}
-	cs.prevRecs = make([][]uint64, opts.WorkersPerProc)
-	cs.prevNanos = make([][]uint64, opts.WorkersPerProc)
-	cs.outDelta.Rows = make([]core.LoadDeltaRow, opts.WorkersPerProc)
-	for r := 0; r < opts.WorkersPerProc; r++ {
+	cs.prevRecs = make([][]uint64, workersPerProc)
+	cs.prevNanos = make([][]uint64, workersPerProc)
+	cs.outDelta.Rows = make([]core.LoadDeltaRow, workersPerProc)
+	for r := 0; r < workersPerProc; r++ {
 		cs.prevRecs[r] = make([]uint64, meter.Bins())
 		cs.prevNanos[r] = make([]uint64, meter.Bins())
 		cs.outDelta.Rows[r] = core.LoadDeltaRow{
@@ -145,18 +118,17 @@ func newClusterState(meter *core.LoadMeter, opts ClusterOptions) *clusterState {
 	return cs
 }
 
-// sample broadcasts this window's local row increments (always, even when
-// empty: the delta is also the heartbeat) and advances the local sample
-// clock. Ticking goroutine only.
+// sample broadcasts this window's local row increments, even when empty, so
+// peers' coverage latches set on the first window. Ticking goroutine only.
 func (cs *clusterState) sample() {
 	bins := cs.meter.Bins()
 	cs.seq++
 	d := &cs.outDelta
-	d.Proc = cs.opts.Proc
+	d.Proc = cs.det.proc
 	d.Seq = cs.seq
 	d.FirstWorker = cs.firstLocal
 	d.Bins = bins
-	for r := 0; r < cs.opts.WorkersPerProc; r++ {
+	for r := range d.Rows {
 		cs.meter.ReadRow(cs.firstLocal+r, cs.rowRecs, cs.rowNanos)
 		for b := 0; b < bins; b++ {
 			d.Rows[r].Recs[b] = cs.rowRecs[b] - cs.prevRecs[r][b]
@@ -167,64 +139,7 @@ func (cs *clusterState) sample() {
 	}
 	cs.outBuf = append(cs.outBuf[:0], ctrlKindLoad)
 	cs.outBuf = core.AppendLoadDelta(cs.outBuf, d)
-	cs.opts.Bus.BroadcastControl(cs.outBuf)
-	n := cs.samples.Add(1)
-	cs.lastHeard[cs.opts.Proc].Store(n)
-}
-
-// leaderIndex returns the lowest process index not currently suspected.
-// This process is never suspected of itself, so the scan always terminates
-// at cs.opts.Proc.
-func (cs *clusterState) leaderIndex() int {
-	n := cs.samples.Load()
-	for q := 0; q < cs.opts.Procs; q++ {
-		if q == cs.opts.Proc {
-			return q
-		}
-		if n-cs.lastHeard[q].Load() <= int64(cs.opts.SuspectAfter) {
-			return q
-		}
-	}
-	return cs.opts.Proc
-}
-
-// elect re-evaluates leadership at a sampling boundary and returns whether
-// this process currently leads. Acquiring leadership any way other than
-// being process 0 at startup arms the takeover guard: no decision until the
-// frontier passes the takeover epoch, proving every move a previous leader
-// issued (necessarily at an earlier epoch) has been applied cluster-wide.
-func (cs *clusterState) elect(now core.Time) bool {
-	idx := cs.leaderIndex()
-	if cs.lastLeader >= 0 && idx != cs.lastLeader {
-		cs.opts.logf("megaphone: process %d: cluster controller is now process %d (was %d) at epoch %d",
-			cs.opts.Proc, idx, cs.lastLeader, now)
-	}
-	cs.lastLeader = idx
-	lead := idx == cs.opts.Proc
-	switch {
-	case lead && !cs.leader:
-		if cs.opts.Proc == 0 && !cs.everLed {
-			// Process 0's startup leadership has no predecessor whose
-			// in-flight plan could conflict; decide freely.
-		} else {
-			cs.takeoverEpoch = now
-			cs.takeoverGuard = true
-			cs.opts.logf("megaphone: process %d assumed cluster-controller leadership at epoch %d",
-				cs.opts.Proc, now)
-		}
-		cs.everLed = true
-		if cs.opts.OnLeadership != nil {
-			cs.opts.OnLeadership(true, now)
-		}
-	case !lead && cs.leader:
-		cs.opts.logf("megaphone: process %d ceded cluster-controller leadership at epoch %d",
-			cs.opts.Proc, now)
-		if cs.opts.OnLeadership != nil {
-			cs.opts.OnLeadership(false, now)
-		}
-	}
-	cs.leader = lead
-	return lead
+	cs.det.broadcast(cs.outBuf)
 }
 
 // covered reports whether the merged view spans the whole cluster: every
@@ -233,30 +148,29 @@ func (cs *clusterState) elect(now core.Time) bool {
 // rendered from it would chase a phantom imbalance — the decision defers to
 // the next sampling boundary instead.
 func (cs *clusterState) covered() bool {
-	n := cs.samples.Load()
-	for q := 0; q < cs.opts.Procs; q++ {
-		if q == cs.opts.Proc || cs.heard[q].Load() {
-			continue
-		}
-		if n-cs.lastHeard[q].Load() <= int64(cs.opts.SuspectAfter) {
+	for q := 0; q < cs.det.procs; q++ {
+		if q != cs.det.proc && !cs.heard[q].Load() && !cs.det.suspected(q) {
 			return false
 		}
 	}
 	return true
 }
 
-// mayDecide reports whether the takeover guard (if armed) has cleared:
-// frontier strictly past the takeover epoch, or an empty frontier (the
-// dataflow drained, nothing can be in flight).
-func (cs *clusterState) mayDecide(frontier core.Time) bool {
-	if !cs.takeoverGuard {
-		return true
+// mayLead runs the election at a sampling boundary and reports whether this
+// process leads and is clear to decide. Taking over arms the guard: no
+// decision until the frontier is strictly past the takeover epoch (or empty:
+// the dataflow drained, nothing can be in flight), proving every move a
+// previous leader issued, necessarily at an earlier epoch, has been applied
+// cluster-wide.
+func (cs *clusterState) mayLead(now, frontier core.Time) bool {
+	lead, tookOver := cs.det.elect(now, nil)
+	if tookOver {
+		cs.takeoverEpoch, cs.takeoverGuard = now, true
 	}
-	if frontier == core.None || frontier > cs.takeoverEpoch {
+	if cs.takeoverGuard && (frontier == core.None || frontier > cs.takeoverEpoch) {
 		cs.takeoverGuard = false
-		return true
 	}
-	return false
+	return lead && !cs.takeoverGuard
 }
 
 // appendDecisionFrame encodes a leader decision (issued or declined) for
@@ -337,51 +251,39 @@ func parseDecisionFrame(data []byte) (Decision, Assignment, error) {
 	return d, assign, nil
 }
 
-// onControl handles one inbound control frame. Runs on the bus's serialized
-// handler context, never on the ticking goroutine.
-func (a *AutoController) onControl(from int, payload []byte) {
-	cs := a.cluster
-	if len(payload) == 0 {
-		cs.opts.logf("megaphone: process %d: empty control frame from %d", cs.opts.Proc, from)
-		return
-	}
+// onControl handles one inbound telemetry-plane frame. Runs on the bus's
+// serialized handler context, never on the ticking goroutine.
+func (cs *clusterState) onControl(from int, payload []byte) {
 	switch payload[0] {
 	case ctrlKindLoad:
 		d := &cs.inDelta
 		if err := core.DecodeLoadDelta(payload[1:], d); err != nil {
-			cs.opts.logf("megaphone: process %d: dropping control frame from %d: %v", cs.opts.Proc, from, err)
+			cs.det.logf("megaphone: process %d: dropping control frame from %d: %v", cs.det.proc, from, err)
 			return
 		}
-		if d.Proc < 0 || d.Proc >= cs.opts.Procs {
-			cs.opts.logf("megaphone: process %d: load delta claims origin %d of %d", cs.opts.Proc, d.Proc, cs.opts.Procs)
+		if d.Proc < 0 || d.Proc >= cs.det.procs {
+			cs.det.logf("megaphone: process %d: load delta claims origin %d of %d", cs.det.proc, d.Proc, cs.det.procs)
 			return
 		}
 		if d.Seq <= cs.lastSeq[d.Proc] {
 			return // duplicate or stale (transport is exactly-once; belt and braces)
 		}
 		if err := cs.view.Apply(d); err != nil {
-			cs.opts.logf("megaphone: process %d: dropping load delta from %d: %v", cs.opts.Proc, from, err)
+			cs.det.logf("megaphone: process %d: dropping load delta from %d: %v", cs.det.proc, from, err)
 			return
 		}
 		cs.lastSeq[d.Proc] = d.Seq
-		cs.lastHeard[d.Proc].Store(cs.samples.Load())
 		cs.heard[d.Proc].Store(true)
 	case ctrlKindDecision:
 		d, assign, err := parseDecisionFrame(payload[1:])
 		if err != nil {
-			cs.opts.logf("megaphone: process %d: dropping decision frame from %d: %v", cs.opts.Proc, from, err)
+			cs.det.logf("megaphone: process %d: dropping decision frame from %d: %v", cs.det.proc, from, err)
 			return
 		}
-		if d.Origin == cs.opts.Proc {
-			return // our own broadcast echoed back through a relay; impossible today
+		if cs.mirror != nil && d.Origin != cs.det.proc {
+			cs.mirror(d, assign)
 		}
-		a.dmu.Lock()
-		if !d.Declined && len(assign) == len(a.current) {
-			copy(a.current, assign)
-		}
-		a.decisions = append(a.decisions, d)
-		a.dmu.Unlock()
 	default:
-		cs.opts.logf("megaphone: process %d: unknown control payload kind %d from %d", cs.opts.Proc, payload[0], from)
+		cs.det.logf("megaphone: process %d: unknown control payload kind %d from %d", cs.det.proc, payload[0], from)
 	}
 }

@@ -12,73 +12,6 @@ import (
 	"megaphone/internal/plan"
 )
 
-// fakeHub wires N fakeBus endpoints into an in-memory cluster control
-// channel with the same contract as dataflow.Mesh: per-receiver serialized
-// handlers, frames buffered until the handler registers, broadcast never
-// loops back to the sender. Delivery runs synchronously on the sender's
-// goroutine, which both preserves per-sender FIFO (the seq-dedup in the
-// control plane assumes it) and maximizes cross-goroutine shared-state
-// traffic for the race detector.
-type fakeHub struct {
-	buses []*fakeBus
-}
-
-type fakeBus struct {
-	hub  *fakeHub
-	proc int
-
-	mu      sync.Mutex
-	handler func(from int, payload []byte)
-	pending []fakeFrame
-	// dead simulates a crashed process: its outbound frames vanish.
-	dead atomic.Bool
-}
-
-type fakeFrame struct {
-	from    int
-	payload []byte
-}
-
-func newFakeHub(procs int) *fakeHub {
-	h := &fakeHub{}
-	for p := 0; p < procs; p++ {
-		h.buses = append(h.buses, &fakeBus{hub: h, proc: p})
-	}
-	return h
-}
-
-func (b *fakeBus) BroadcastControl(payload []byte) {
-	if b.dead.Load() {
-		return
-	}
-	cp := append([]byte(nil), payload...)
-	for _, peer := range b.hub.buses {
-		if peer.proc != b.proc {
-			peer.deliver(b.proc, cp)
-		}
-	}
-}
-
-func (b *fakeBus) deliver(from int, payload []byte) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.handler == nil {
-		b.pending = append(b.pending, fakeFrame{from: from, payload: payload})
-		return
-	}
-	b.handler(from, payload)
-}
-
-func (b *fakeBus) SetControlHandler(h func(from int, payload []byte)) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.handler = h
-	for _, f := range b.pending {
-		h(f.from, f.payload)
-	}
-	b.pending = nil
-}
-
 // miniProc is one simulated cluster process: its own two-worker execution
 // (so its probe and control stream are real) plus an AutoController whose
 // ClusterOptions ride the fake hub.
@@ -89,7 +22,7 @@ type miniProc struct {
 	probe   *dataflow.Probe
 }
 
-func startMiniProc(t *testing.T, hub *fakeHub, proc, procs, workersPerProc, logBins int, onLead func(lead bool, epoch core.Time)) *miniProc {
+func startMiniProc(t *testing.T, hub *plan.FakeHub, proc, procs, workersPerProc, logBins int, tickEvery time.Duration, onLead func(lead bool, epoch core.Time)) *miniProc {
 	t.Helper()
 	bins := 1 << logBins
 	meter := core.NewLoadMeter(procs*workersPerProc, logBins)
@@ -122,11 +55,11 @@ func startMiniProc(t *testing.T, hub *fakeHub, proc, procs, workersPerProc, logB
 		SampleEvery: 10,
 		Cooldown:    20,
 		Cluster: &plan.ClusterOptions{
-			Bus:            hub.buses[proc],
+			Bus:            hub.Buses[proc],
 			Procs:          procs,
 			Proc:           proc,
 			WorkersPerProc: workersPerProc,
-			SuspectAfter:   3,
+			Liveness:       plan.Liveness{TickEvery: tickEvery, SuspectAfter: 3},
 			OnLeadership:   onLead,
 			Logf:           t.Logf,
 		},
@@ -200,7 +133,7 @@ func (mp *miniProc) abandon() {
 // delivery and assertions all overlap.
 func TestClusterControllerElectionFailover(t *testing.T) {
 	const procs, workersPerProc, logBins = 3, 2, 2
-	hub := newFakeHub(procs)
+	hub := plan.NewFakeHub(procs)
 
 	type leadEvent struct {
 		proc  int
@@ -219,15 +152,17 @@ func TestClusterControllerElectionFailover(t *testing.T) {
 
 	var mps [procs]*miniProc
 	for p := 0; p < procs; p++ {
-		mps[p] = startMiniProc(t, hub, p, procs, workersPerProc, logBins, onLead(p))
+		mps[p] = startMiniProc(t, hub, p, procs, workersPerProc, logBins, 2*time.Millisecond, onLead(p))
 	}
 
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 
-	// Keep the live processes' epoch clocks within ~1.5 sampling windows of
-	// each other: failure detection counts local samples since a peer's last
-	// heartbeat, so an artificially starved goroutine must not read as dead.
+	// The loops below run unpaced, thousands of epochs a second, and the
+	// scheduler is free to starve any of them: liveness windows are 20 ms of
+	// wall clock (10 samples x 2 ms), so neither reads as a death. The pacing
+	// only keeps a starved process's epoch counter from falling so far behind
+	// that the test's epoch-based assertions lose meaning.
 	var epochs [procs]atomic.Int64
 	var alive [procs]atomic.Bool
 	for p := range alive {
@@ -266,7 +201,7 @@ func TestClusterControllerElectionFailover(t *testing.T) {
 		defer wg.Done()
 		mps[0].run(stop, func(e core.Time) bool {
 			if len(mps[0].auto.Decisions()) > 0 {
-				hub.buses[0].dead.Store(true)
+				hub.Buses[0].Dead.Store(true)
 				alive[0].Store(false)
 				died.Store(true)
 				return true
@@ -367,8 +302,8 @@ func TestClusterControllerCoverageGate(t *testing.T) {
 	// its third sample — so the always-moving policy must stay muzzled
 	// until epoch 40, when suspicion finally stands in for telemetry.
 	t.Run("suspicion", func(t *testing.T) {
-		hub := newFakeHub(procs)
-		mp := startMiniProc(t, hub, 0, procs, workersPerProc, logBins, nil)
+		hub := plan.NewFakeHub(procs)
+		mp := startMiniProc(t, hub, 0, procs, workersPerProc, logBins, 0, nil)
 		e := core.Time(1)
 		for ; e <= 39; e++ {
 			mp.tick(e)
@@ -396,10 +331,10 @@ func TestClusterControllerCoverageGate(t *testing.T) {
 	// their first load deltas reach process 0 before its own first sampling
 	// boundary — the first decision then lands at the first possible epoch.
 	t.Run("telemetry", func(t *testing.T) {
-		hub := newFakeHub(procs)
+		hub := plan.NewFakeHub(procs)
 		var mps [procs]*miniProc
 		for p := 0; p < procs; p++ {
-			mps[p] = startMiniProc(t, hub, p, procs, workersPerProc, logBins, nil)
+			mps[p] = startMiniProc(t, hub, p, procs, workersPerProc, logBins, 0, nil)
 		}
 		for e := core.Time(1); e <= 10; e++ {
 			mps[1].tick(e)

@@ -17,9 +17,9 @@ import (
 // join (an absent roster slot comes up and is admitted), drain-leave (a
 // member migrates its bins away and departs cleanly), and crash-leave (a
 // member is declared dead and its bins are rebuilt from the latest complete
-// checkpoint). The leader (lowest live index, heartbeat-elected exactly like
-// the autoscaler's control plane in cluster.go) decides each transition and
-// broadcasts it with a commit epoch chosen a margin ahead of the present;
+// checkpoint). The leader (the lowest live member, elected by the process's
+// one failure detector, liveness.go) decides each transition and broadcasts
+// it with a commit epoch chosen a margin ahead of the present;
 // every member applies the transition when its drive loop reaches that epoch,
 // so membership changes commit at frontier-aligned epoch boundaries exactly
 // like bin migrations do.
@@ -115,30 +115,25 @@ type Fabric interface {
 
 // MembershipOptions configures a MembershipController.
 type MembershipOptions struct {
-	// Bus is the cluster control channel (required). With *dataflow.Mesh it
-	// reaches joined-but-not-yet-active peers too, which admission needs.
-	Bus ControlBus
+	// ClusterOptions names the control channel (with *dataflow.Mesh it reaches
+	// joined-but-not-yet-active peers too, which admission needs), the fixed
+	// roster (Procs slots of WorkersPerProc workers each, this process at
+	// index Proc) and the failure detector, whose window here is one tick.
+	ClusterOptions
 	// Fabric is the runtime the barriers drive (required).
 	Fabric Fabric
 	// Frontier reports the probe frontier of the local process (required):
 	// the barrier's quiescence condition reads it.
 	Frontier func() core.Time
-	// Procs, Proc, WorkersPerProc describe the fixed roster: Procs slots of
-	// WorkersPerProc workers each, this process at index Proc.
-	Procs, Proc    int
-	WorkersPerProc int
 	// Bins is the operator's total bin count (the assignment mirror's size).
 	Bins int
 	// InitialActive marks the roster slots live at start (nil = all). A
 	// process whose own slot is false is a late joiner.
 	InitialActive []bool
-	// SuspectAfter is the number of consecutive local heartbeat windows
-	// without a beat from a member before it is suspected (default 4);
-	// DeathAfter is how many further windows until a suspected member is
-	// declared dead (default SuspectAfter). Suspicion only pauses
-	// leadership; declaration is irreversible.
-	SuspectAfter int
-	DeathAfter   int
+	// DeathAfter is how many further liveness windows of silence until a
+	// suspected member is declared dead (default Liveness.SuspectAfter).
+	// Suspicion only pauses leadership; declaration is irreversible.
+	DeathAfter int
 	// Margin is the number of epochs between a decision and its commit
 	// epoch; it must exceed the control-plane latency measured in epochs,
 	// and a decision arriving at a member whose loop has already passed the
@@ -150,41 +145,30 @@ type MembershipOptions struct {
 	CheckpointDir string
 	// BarrierTimeout bounds one membership barrier (default 60s).
 	BarrierTimeout time.Duration
-	// Slack multiplies SuspectAfter, DeathAfter and Margin after
+	// Slack multiplies Liveness.SuspectAfter, DeathAfter and Margin after
 	// defaulting: one jitter-tolerance knob for environments where
 	// scheduling latency is large relative to the tick interval
 	// (race-instrumented fixtures, single-core CI machines). Default 1.
 	Slack int
-	// TickEvery, when positive, is the wall-clock floor between heartbeat
-	// window advances: Tick always broadcasts a beat, but the suspicion
-	// clock moves at most once per TickEvery. Without the floor a drive
-	// loop catching up after a stall (a barrier, crash replay) bursts
-	// through epochs in microseconds and suspects every peer before their
-	// beats can cross the network. Real drivers pass their epoch interval;
-	// zero (the default) advances on every Tick, which suits tests that
-	// step virtual time.
-	TickEvery time.Duration
 	// Autoscale, when non-nil, drives elasticity from load telemetry: a
 	// registered standby is admitted only when the cluster is saturated, and
 	// the coldest member is drain-left on sustained underload. Without it a
 	// Hello is admitted as soon as the leader is free to decide.
 	Autoscale *MembershipAutoscale
-	// Logf, when non-nil, receives membership lifecycle messages.
-	Logf func(format string, args ...any)
 }
 
-// MembershipAutoscale closes the elasticity loop: the membership leader reads
-// the autoscaler's cluster-wide load windows (the two planes share the mesh
-// control channel through a BusMux) and turns sustained saturation into a
-// standby admission and sustained underload into a drain-leave of the coldest
-// member, with the scale-out priced by the migrate-or-not cost model.
+// MembershipAutoscale closes the elasticity loop: the membership controller
+// runs the autoscaler's telemetry half itself (load deltas exchanged over the
+// same bus, behind the same detector) and its leader turns sustained
+// saturation into a standby admission and sustained underload into a
+// drain-leave of the coldest member, with the scale-out priced by the
+// migrate-or-not cost model. Bin moves still route through the membership
+// plane only.
 type MembershipAutoscale struct {
-	// Auto is the cluster autoscale controller on the mux'd auto plane
-	// (required). The membership controller ticks it, so the drive loop only
-	// ever calls MembershipController.Tick. Its policy should be Static: in
-	// membership mode bin moves must route through the membership plane, and
-	// the controller is wanted purely for its converged load telemetry.
-	Auto *AutoController
+	// Meter is the load source (required); SampleEvery is the number of ticks
+	// per telemetry window (default 250, as AutoOptions).
+	Meter       *core.LoadMeter
+	SampleEvery int
 	// HotRecs is the mean records per live worker per sampling window above
 	// which the cluster counts as saturated (0 disables scale-out).
 	HotRecs uint64
@@ -205,6 +189,9 @@ type MembershipAutoscale struct {
 }
 
 func (as *MembershipAutoscale) defaults() {
+	if as.SampleEvery <= 0 {
+		as.SampleEvery = 250
+	}
 	if as.Sustain <= 0 {
 		as.Sustain = 3
 	}
@@ -214,11 +201,9 @@ func (as *MembershipAutoscale) defaults() {
 }
 
 func (o *MembershipOptions) defaults() {
-	if o.SuspectAfter <= 0 {
-		o.SuspectAfter = 4
-	}
+	o.Liveness.defaults()
 	if o.DeathAfter <= 0 {
-		o.DeathAfter = o.SuspectAfter
+		o.DeathAfter = o.Liveness.SuspectAfter
 	}
 	if o.Margin <= 0 {
 		o.Margin = 8
@@ -227,23 +212,16 @@ func (o *MembershipOptions) defaults() {
 		o.BarrierTimeout = 60 * time.Second
 	}
 	if o.Slack > 1 {
-		o.SuspectAfter *= o.Slack
+		o.Liveness.SuspectAfter *= o.Slack
 		o.DeathAfter *= o.Slack
 		o.Margin *= core.Time(o.Slack)
 	}
 }
 
-func (o *MembershipOptions) logf(format string, args ...any) {
-	if o.Logf != nil {
-		o.Logf(format, args...)
-	}
-}
-
-// Membership control-plane payload kinds. They live above the autoscaler's
-// kinds (1, 2) so the two planes can share one mesh control channel through a
-// BusMux (see mux.go), which routes inbound frames by this first byte.
+// Membership control-plane payload kinds. They live above kindBeat (and the
+// telemetry kinds below it), so the detector's dispatcher can route inbound
+// frames by this first byte.
 const (
-	memKindBeat      byte = 10 // heartbeat
 	memKindHello     byte = 11 // joiner asks for admission
 	memKindLeaveReq  byte = 12 // member asks to drain out
 	memKindDecision  byte = 13 // leader's transition decision
@@ -320,10 +298,13 @@ type scriptedMig struct {
 // MembershipController runs one process's half of the membership protocol.
 // The drive loop owns Tick, NextCommit, RunBarrier, CommitDrain, MovesAt and
 // Covered; the bus's serialized handler owns inbound frames. The two sides
-// meet under mu (barrier collections, decisions) and a few atomics
-// (heartbeat clocks).
+// meet under mu (barrier collections, decisions) and the detector's atomics.
 type MembershipController struct {
 	opts MembershipOptions
+	// det is the process's failure detector and election. loads is the
+	// autoscaler's telemetry half (nil without Autoscale); it shares det.
+	det   *detector
+	loads *sampler
 
 	mu   sync.Mutex
 	cond *sync.Cond
@@ -356,42 +337,30 @@ type MembershipController struct {
 	deadGone   []bool
 	everActive []bool // slots that were ever live (drained-silent detection)
 
-	// Autoscale state: the last consumed telemetry window and the streak
-	// counters behind the Sustain gate.
-	asWindowSeq           uint64
+	// Autoscale state: whether a telemetry window completed since the last
+	// evaluation (ticking goroutine only), and the streak counters behind
+	// the Sustain gate.
+	freshWindow           bool
 	hotStreak, coldStreak int
 
 	joinDecision *Transition // joiner side: our own admission
 
-	// Heartbeat clocks, as in clusterState: ticks counts local windows,
-	// lastHeard[q] the ticks value when q last spoke, tickNano the wall
-	// clock of the last window advance (TickEvery pacing).
-	ticks     atomic.Int64
-	tickNano  atomic.Int64
-	lastTick  atomic.Int64
-	lastHeard []atomic.Int64
-	leader    bool
-	everLed   bool
-	guardTill core.Time // fresh leader: no decision until the loop passes this
+	lastTick  atomic.Int64 // the drive loop's epoch at its latest Tick
+	guardTill core.Time    // fresh leader: no decision until the loop passes this
 
 	// Barrier collections, keyed by commit epoch (a fast peer may report for
 	// a barrier this process has not entered yet).
 	ready   map[core.Time]map[int]*barSnap
 	invs    map[core.Time]map[int]*invSnap
 	resetOK map[core.Time]map[int]bool
-
-	beatBuf []byte
 }
 
 // NewMembershipController validates the options, seeds the timeline from the
-// initial membership, and registers the bus handler (taking sole ownership of
-// the bus: membership cannot share it with the autoscaler's control plane).
+// initial membership, and registers the detector's dispatcher on the bus with
+// the membership plane (and, with Autoscale, the telemetry plane) attached.
 func NewMembershipController(opts MembershipOptions) *MembershipController {
-	if opts.Bus == nil || opts.Fabric == nil || opts.Frontier == nil {
-		panic("plan: MembershipOptions needs Bus, Fabric and Frontier")
-	}
-	if opts.Procs < 2 || opts.Proc < 0 || opts.Proc >= opts.Procs {
-		panic("plan: MembershipOptions process index out of range")
+	if opts.Fabric == nil || opts.Frontier == nil {
+		panic("plan: MembershipOptions needs Fabric and Frontier")
 	}
 	if opts.WorkersPerProc <= 0 || opts.Bins <= 0 {
 		panic("plan: MembershipOptions needs WorkersPerProc and Bins")
@@ -400,8 +369,8 @@ func NewMembershipController(opts MembershipOptions) *MembershipController {
 		panic("plan: MembershipOptions.InitialActive length does not match Procs")
 	}
 	if opts.Autoscale != nil {
-		if opts.Autoscale.Auto == nil {
-			panic("plan: MembershipAutoscale needs the cluster AutoController for telemetry")
+		if opts.Autoscale.Meter == nil {
+			panic("plan: MembershipAutoscale needs a LoadMeter for telemetry")
 		}
 		opts.Autoscale.defaults()
 	}
@@ -410,8 +379,8 @@ func NewMembershipController(opts MembershipOptions) *MembershipController {
 		opts:      opts,
 		helloFrom: -1,
 		leaveFrom: -1,
+		det:       newDetector(opts.ClusterOptions, 1),
 		deadGone:  make([]bool, opts.Procs),
-		lastHeard: make([]atomic.Int64, opts.Procs),
 		ready:     make(map[core.Time]map[int]*barSnap),
 		invs:      make(map[core.Time]map[int]*invSnap),
 		resetOK:   make(map[core.Time]map[int]bool),
@@ -433,7 +402,13 @@ func NewMembershipController(opts MembershipOptions) *MembershipController {
 		mc.assign = Rebalance(opts.Bins, mc.liveWorkers(live))
 	}
 	mc.resident = append(Assignment(nil), mc.assign...)
-	opts.Bus.SetControlHandler(mc.onControl)
+	mc.det.membership = mc.onControl
+	if as := opts.Autoscale; as != nil {
+		cs := newClusterState(as.Meter, mc.det, opts.WorkersPerProc)
+		mc.det.telemetry = cs.onControl
+		mc.loads = newSampler(as.Meter, cs, as.SampleEvery)
+	}
+	mc.det.start()
 	return mc
 }
 
@@ -503,18 +478,6 @@ func (mc *MembershipController) activeAt(e core.Time) []bool {
 	return mc.timeline[0].active
 }
 
-// participants lists the processes active at epoch e, ascending.
-func (mc *MembershipController) participants(e core.Time) []int {
-	act := mc.activeAt(e)
-	var out []int
-	for p, a := range act {
-		if a {
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
 // Covered returns the global input slots (worker indices) this process
 // drives at epoch e: its own workers' slots, plus a deterministic share of
 // the slots belonging to inactive roster processes — every member computes
@@ -527,12 +490,7 @@ func (mc *MembershipController) Covered(e core.Time) []int {
 	if !act[mc.opts.Proc] {
 		return nil
 	}
-	live := make([]int, 0, mc.opts.Procs)
-	for p, a := range act {
-		if a {
-			live = append(live, p)
-		}
-	}
+	live := participantsOf(act)
 	w := mc.opts.WorkersPerProc
 	var out []int
 	for p, a := range act {
@@ -556,12 +514,7 @@ func (mc *MembershipController) Covered(e core.Time) []int {
 func (mc *MembershipController) ReplaySlots(e core.Time) []int {
 	mc.mu.Lock()
 	defer mc.mu.Unlock()
-	live := make([]int, 0, mc.opts.Procs)
-	for p, a := range mc.activeAt(e) {
-		if a {
-			live = append(live, p)
-		}
-	}
+	live := participantsOf(mc.activeAt(e))
 	var out []int
 	total := mc.opts.Procs * mc.opts.WorkersPerProc
 	for g := 0; g < total; g++ {
@@ -644,32 +597,15 @@ func (mc *MembershipController) residentAtLocked(t core.Time) Assignment {
 	return out
 }
 
-// Tick runs once per drive-loop epoch: it broadcasts the heartbeat, advances
-// the suspicion clock, ticks the attached autoscaler (when configured), and —
-// on the leader — decides any pending transition, due scripted migration, or
-// elasticity action.
+// Tick runs once per drive-loop epoch: it samples the telemetry plane (when
+// configured), advances the detector, and — on the leader — decides any
+// pending transition, due scripted migration, or elasticity action.
 func (mc *MembershipController) Tick(now core.Time) {
-	if as := mc.opts.Autoscale; as != nil {
-		// The auto plane samples and converges telemetry on the same drive
-		// goroutine; its policy is Static in membership mode, so it never
-		// issues moves of its own.
-		as.Auto.Tick(now)
-	}
 	mc.lastTick.Store(int64(now))
-	mc.beatBuf = append(mc.beatBuf[:0], memKindBeat)
-	mc.opts.Bus.BroadcastControl(mc.beatBuf)
-	advance := true
-	if d := int64(mc.opts.TickEvery); d > 0 {
-		nano := time.Now().UnixNano()
-		advance = nano-mc.tickNano.Load() >= d
-		if advance {
-			mc.tickNano.Store(nano)
-		}
+	if mc.loads != nil && mc.loads.tick() {
+		mc.freshWindow = true
 	}
-	if advance {
-		n := mc.ticks.Add(1)
-		mc.lastHeard[mc.opts.Proc].Store(n)
-	}
+	mc.det.tick()
 
 	mc.mu.Lock()
 	defer mc.mu.Unlock()
@@ -683,7 +619,14 @@ func (mc *MembershipController) Tick(now core.Time) {
 	if mc.leaveFrom >= 0 && !mc.active[mc.leaveFrom] {
 		mc.leaveFrom = -1
 	}
-	if !mc.electLocked(now) {
+	// A process that acquires leadership mid-run must wait Margin epochs
+	// before deciding, so a dying leader's in-flight decision either surfaces
+	// (it was broadcast) or never happened.
+	lead, tookOver := mc.det.elect(now, func(q int) bool { return mc.active[q] && !mc.deadGone[q] })
+	if tookOver {
+		mc.guardTill = now + mc.opts.Margin
+	}
+	if !lead {
 		return
 	}
 	if mc.pending != nil || now < mc.settleAt || now < mc.guardTill {
@@ -712,74 +655,32 @@ func (mc *MembershipController) Tick(now core.Time) {
 	}
 }
 
-// suspected reports whether member q has missed more than SuspectAfter
-// heartbeat windows (never true of the local process).
-func (mc *MembershipController) suspected(q int) bool {
-	if q == mc.opts.Proc {
-		return false
-	}
-	return mc.ticks.Load()-mc.lastHeard[q].Load() > int64(mc.opts.SuspectAfter)
-}
-
-// electLocked re-evaluates leadership: lowest unsuspected current member. A
-// process that acquires leadership mid-run (not process 0 at startup) must
-// wait Margin epochs before deciding, so a dying leader's in-flight decision
-// either surfaces (it was broadcast) or never happened.
-func (mc *MembershipController) electLocked(now core.Time) bool {
-	lead := false
-	for q := 0; q < mc.opts.Procs; q++ {
-		if !mc.active[q] || mc.deadGone[q] {
-			continue
-		}
-		if q == mc.opts.Proc {
-			lead = true
-		}
-		if q == mc.opts.Proc || !mc.suspected(q) {
-			lead = lead && q == mc.opts.Proc
-			break
-		}
-	}
-	if lead && !mc.leader {
-		if !(mc.opts.Proc == 0 && !mc.everLed) {
-			mc.guardTill = now + mc.opts.Margin
-			mc.opts.logf("megaphone: process %d assumed membership leadership at epoch %d", mc.opts.Proc, now)
-		}
-		mc.everLed = true
-	}
-	mc.leader = lead
-	return lead
-}
-
-// deadCandidateLocked returns a member to declare dead: silent for
+// deadCandidateLocked returns a member to declare dead: silent for more than
 // SuspectAfter+DeathAfter windows, not already retired, and either active or
 // once-active (a drain-leaver that went silent before its goodbye still holds
 // capabilities that wedge the frontier; only a crash declaration with its
 // barrier can clear them).
 func (mc *MembershipController) deadCandidateLocked() int {
-	n := mc.ticks.Load()
+	death := int64(mc.opts.Liveness.SuspectAfter + mc.opts.DeathAfter)
 	for q := 0; q < mc.opts.Procs; q++ {
-		if q == mc.opts.Proc || mc.deadGone[q] || !mc.everActive[q] {
-			continue
-		}
-		if n-mc.lastHeard[q].Load() > int64(mc.opts.SuspectAfter+mc.opts.DeathAfter) {
+		if !mc.deadGone[q] && mc.everActive[q] && mc.det.silentFor(q) > death {
 			return q
 		}
 	}
 	return -1
 }
 
-// RequestLeave asks the leader to drain this process out. Idempotent; the
-// decision arrives like any other and the drive loop commits it at its epoch.
+// RequestLeave asks the leader to drain this process out. The request is
+// recorded here as every peer records it on receipt, so whichever process
+// leads, now or after a failover, decides it. Idempotent; the decision
+// arrives like any other and the drive loop commits it at its epoch.
 func (mc *MembershipController) RequestLeave() {
 	mc.mu.Lock()
-	self := mc.leader
-	if self && mc.leaveFrom < 0 {
+	if mc.leaveFrom < 0 {
 		mc.leaveFrom = mc.opts.Proc
 	}
 	mc.mu.Unlock()
-	if !self {
-		mc.opts.Bus.BroadcastControl([]byte{memKindLeaveReq})
-	}
+	mc.det.broadcast([]byte{memKindLeaveReq})
 }
 
 // AwaitAdmission is the joiner's entry point: broadcast the admission request
@@ -790,7 +691,7 @@ func (mc *MembershipController) AwaitAdmission() (*Transition, error) {
 	if !mc.Joiner() {
 		panic("plan: AwaitAdmission on a process that is not a joiner")
 	}
-	mc.opts.Bus.BroadcastControl([]byte{memKindHello})
+	mc.det.broadcast([]byte{memKindHello})
 	deadline := time.Now().Add(mc.opts.BarrierTimeout)
 	mc.mu.Lock()
 	defer mc.mu.Unlock()
@@ -807,7 +708,7 @@ func (mc *MembershipController) AwaitAdmission() (*Transition, error) {
 // frontier past the commit epoch), so per-peer FIFO guarantees every dataflow
 // frame it ever sent is already delivered.
 func (mc *MembershipController) Goodbye() {
-	mc.opts.Bus.BroadcastControl([]byte{memKindGoodbye})
+	mc.det.broadcast([]byte{memKindGoodbye})
 }
 
 // waitLocked waits on the condition variable with a deadline; returns false
@@ -850,11 +751,9 @@ func (mc *MembershipController) decideJoinLocked(now core.Time, slot int) {
 	after[slot] = true
 	tr := &Transition{Kind: TransitionJoin, Slot: slot, Epoch: commit, MemEpoch: mc.memEpoch + 1}
 	seed := Diff(Initial(mc.opts.Bins, mc.opts.Procs*mc.opts.WorkersPerProc), mc.resident)
-	rebalEpoch := commit + mc.opts.Margin
-	target := Rebalance(mc.opts.Bins, mc.liveWorkers(participantsOf(after)))
-	rebal := Diff(mc.resident, target)
+	rebal := Diff(mc.resident, Rebalance(mc.opts.Bins, mc.liveWorkers(participantsOf(after))))
 	mc.helloFrom = -1
-	mc.broadcastDecisionLocked(tr, after, [][2]any{{commit, seed}, {rebalEpoch, rebal}}, target)
+	mc.broadcastDecisionLocked(tr, []timedMoves{{commit, seed}, {commit + mc.opts.Margin, rebal}})
 }
 
 // decideDrainLocked renders and broadcasts the departure of `slot`: its bins
@@ -864,9 +763,8 @@ func (mc *MembershipController) decideDrainLocked(now core.Time, slot int) {
 	after := append([]bool(nil), mc.active...)
 	after[slot] = false
 	tr := &Transition{Kind: TransitionDrain, Slot: slot, Epoch: commit, MemEpoch: mc.memEpoch + 1}
-	moves, target := mc.reassignLocked(slot, after)
 	mc.leaveFrom = -1
-	mc.broadcastDecisionLocked(tr, after, [][2]any{{commit, moves}}, target)
+	mc.broadcastDecisionLocked(tr, []timedMoves{{commit, mc.reassignLocked(slot, after)}})
 }
 
 // decideCrashLocked declares `slot` dead, provided a complete checkpoint
@@ -889,11 +787,11 @@ func (mc *MembershipController) decideCrashLocked(now core.Time, slot int) {
 		panic(fmt.Sprintf("plan: scanning %s for a checkpoint to restore process %d from: %v", mc.opts.CheckpointDir, slot, err))
 	}
 	if !ok {
-		mc.opts.logf("megaphone: process %d is dead but no complete checkpoint exists yet; deferring declaration", slot)
+		mc.det.logf("megaphone: process %d is dead but no complete checkpoint exists yet; deferring declaration", slot)
 		return
 	}
 	if ckpt < mc.residencyFloor {
-		mc.opts.logf("megaphone: process %d is dead but the latest complete checkpoint (epoch %d) predates this leader's admission (epoch %d); deferring declaration",
+		mc.det.logf("megaphone: process %d is dead but the latest complete checkpoint (epoch %d) predates this leader's admission (epoch %d); deferring declaration",
 			slot, ckpt, mc.residencyFloor)
 		return
 	}
@@ -901,11 +799,11 @@ func (mc *MembershipController) decideCrashLocked(now core.Time, slot int) {
 	after := append([]bool(nil), mc.active...)
 	after[slot] = false
 	tr := &Transition{Kind: TransitionCrash, Slot: slot, Epoch: commit, MemEpoch: mc.memEpoch + 1, Ckpt: ckpt}
-	moves, target := mc.crashReassignLocked(slot, after, ckpt, commit)
+	moves := mc.crashReassignLocked(slot, after, ckpt, commit)
 	for _, m := range moves {
 		tr.DeadBins = append(tr.DeadBins, m.Bin)
 	}
-	mc.broadcastDecisionLocked(tr, after, [][2]any{{commit, moves}}, target)
+	mc.broadcastDecisionLocked(tr, []timedMoves{{commit, moves}})
 }
 
 // crashReassignLocked classifies the bins lost with `slot` and renders their
@@ -919,7 +817,7 @@ func (mc *MembershipController) decideCrashLocked(now core.Time, slot int) {
 // bin's owner-at-commit: the engine only executes a restore at a worker that
 // did not already own the bin, so restoring in place would silently keep the
 // live (possibly incomplete) state while the replay double-applied on top.
-func (mc *MembershipController) crashReassignLocked(slot int, after []bool, ckpt, commit core.Time) ([]core.Move, Assignment) {
+func (mc *MembershipController) crashReassignLocked(slot int, after []bool, ckpt, commit core.Time) []core.Move {
 	w := mc.opts.WorkersPerProc
 	lost := make([]bool, len(mc.assign))
 	for b, owner := range mc.resident {
@@ -953,7 +851,6 @@ func (mc *MembershipController) crashReassignLocked(slot int, after []bool, ckpt
 		}
 	}
 	lw := mc.liveWorkers(participantsOf(after))
-	target := append(Assignment(nil), mc.assign...)
 	var moves []core.Move
 	i := 0
 	for b := range lost {
@@ -967,38 +864,29 @@ func (mc *MembershipController) crashReassignLocked(slot int, after []bool, ckpt
 				// A single surviving worker already owning the bin: the
 				// restore could never execute. Leave the bin on its live
 				// state (only reachable in 1-worker-per-process fixtures).
-				mc.opts.logf("megaphone: bin %d survives on the only remaining worker %d; skipping its restore", b, nw)
+				mc.det.logf("megaphone: bin %d survives on the only remaining worker %d; skipping its restore", b, nw)
 				continue
 			}
 			nw = lw[i%len(lw)]
 			i++
 		}
-		target[b] = nw
 		moves = append(moves, core.RestoreMove(b, nw, ckpt))
 	}
-	return moves, target
+	return moves
 }
 
 // reassignLocked computes the moves that take slot's bins away round-robin
 // onto the remaining members' workers (the drain-leave path; only called
-// with an empty injection queue, so mirror and residency agree). Returns the
-// moves and the post-transition assignment.
-func (mc *MembershipController) reassignLocked(slot int, after []bool) ([]core.Move, Assignment) {
-	w := mc.opts.WorkersPerProc
+// with an empty injection queue, so mirror and residency agree).
+func (mc *MembershipController) reassignLocked(slot int, after []bool) []core.Move {
 	lw := mc.liveWorkers(participantsOf(after))
-	target := append(Assignment(nil), mc.assign...)
 	var moves []core.Move
-	i := 0
 	for b, owner := range mc.assign {
-		if owner/w != slot {
-			continue
+		if owner/mc.opts.WorkersPerProc == slot {
+			moves = append(moves, core.Move{Bin: b, Worker: lw[len(moves)%len(lw)]})
 		}
-		nw := lw[i%len(lw)]
-		i++
-		target[b] = nw
-		moves = append(moves, core.Move{Bin: b, Worker: nw})
 	}
-	return moves, target
+	return moves
 }
 
 // decideScriptedLocked renders the next due scripted migration (if any) into
@@ -1034,7 +922,7 @@ func (mc *MembershipController) decideScriptedLocked(now core.Time) bool {
 		// migration its predecessor already decided was a no-op.
 		mc.broadcastMigrationLocked(sm.seq, schedule)
 		if len(schedule) > 0 {
-			mc.opts.logf("megaphone: process %d issued scripted migration %d: %d steps over epochs [%d, %d]",
+			mc.det.logf("megaphone: process %d issued scripted migration %d: %d steps over epochs [%d, %d]",
 				mc.opts.Proc, sm.seq, len(schedule), commit, at-1)
 			return true
 		}
@@ -1052,15 +940,13 @@ func (mc *MembershipController) autoscaleLocked(now core.Time) {
 	if as == nil {
 		return
 	}
-	seq := as.Auto.WindowSeq()
-	if seq == mc.asWindowSeq || !as.Auto.TelemetryCovered() {
+	// A window missing a live peer's rows reads as a phantom imbalance: wait
+	// for the next one.
+	if !mc.freshWindow || !mc.loads.cluster.covered() {
 		return
 	}
-	mc.asWindowSeq = seq
-	window, cumulative := as.Auto.Window()
-	if window == nil {
-		return
-	}
+	mc.freshWindow = false
+	window, cumulative := mc.loads.window, mc.loads.prev
 	live := participantsOf(mc.active)
 	lw := mc.liveWorkers(live)
 	var total uint64
@@ -1086,13 +972,13 @@ func (mc *MembershipController) autoscaleLocked(now core.Time) {
 		if as.Cost != nil {
 			tgt := Rebalance(mc.opts.Bins, mc.liveWorkers(participantsOf(after)))
 			if v := as.Cost.Evaluate(mc.assign, tgt, window, cumulative, mc.hotStreak); !v.Migrate {
-				mc.opts.logf("megaphone: process %d: saturation sustained but the cost model declined admitting standby %d (%s: volume %d, gain %d)",
+				mc.det.logf("megaphone: process %d: saturation sustained but the cost model declined admitting standby %d (%s: volume %d, gain %d)",
 					mc.opts.Proc, slot, v.Reason, v.VolumeRecs, v.GainNanos)
 				mc.hotStreak = 0
 				return
 			}
 		}
-		mc.opts.logf("megaphone: process %d: cluster saturated for %d windows (mean %d recs/worker ≥ %d); admitting standby %d",
+		mc.det.logf("megaphone: process %d: cluster saturated for %d windows (mean %d recs/worker ≥ %d); admitting standby %d",
 			mc.opts.Proc, mc.hotStreak, mean, as.HotRecs, slot)
 		mc.hotStreak, mc.coldStreak = 0, 0
 		mc.decideJoinLocked(now, slot)
@@ -1107,7 +993,7 @@ func (mc *MembershipController) autoscaleLocked(now core.Time) {
 				coldest, coldRecs = p, recs
 			}
 		}
-		mc.opts.logf("megaphone: process %d: cluster underloaded for %d windows (mean %d recs/worker ≤ %d); drain-leaving coldest member %d (%d recs)",
+		mc.det.logf("megaphone: process %d: cluster underloaded for %d windows (mean %d recs/worker ≤ %d); drain-leaving coldest member %d (%d recs)",
 			mc.opts.Proc, mc.coldStreak, mean, as.ColdRecs, coldest, coldRecs)
 		mc.hotStreak, mc.coldStreak = 0, 0
 		mc.decideDrainLocked(now, coldest)
@@ -1124,44 +1010,8 @@ func participantsOf(active []bool) []int {
 	return out
 }
 
-// broadcastDecisionLocked encodes, broadcasts, and locally applies one
-// decision. schedule pairs are (epoch, moves).
-func (mc *MembershipController) broadcastDecisionLocked(tr *Transition, after []bool, schedule [][2]any, target Assignment) {
-	buf := []byte{memKindDecision}
-	buf = binenc.AppendUvarint(buf, uint64(tr.Kind))
-	buf = binenc.AppendUvarint(buf, uint64(tr.Slot))
-	buf = binenc.AppendUvarint(buf, uint64(tr.Epoch))
-	buf = binenc.AppendUvarint(buf, tr.MemEpoch)
-	buf = binenc.AppendUvarint(buf, uint64(tr.Ckpt))
-	buf = binenc.AppendUvarint(buf, uint64(len(schedule)))
-	for _, se := range schedule {
-		buf = binenc.AppendUvarint(buf, uint64(se[0].(core.Time)))
-		moves := se[1].([]core.Move)
-		buf = binenc.AppendUvarint(buf, uint64(len(moves)))
-		for i := range moves {
-			buf = moves[i].AppendBinaryRec(buf)
-		}
-	}
-	mc.opts.Bus.BroadcastControl(buf)
-	mc.opts.logf("megaphone: process %d decided %v of process %d at epoch %d (membership epoch %d, checkpoint %d)",
-		mc.opts.Proc, tr.Kind, tr.Slot, tr.Epoch, tr.MemEpoch, tr.Ckpt)
-	mc.applyDecisionLocked(tr, scheduleOf(schedule))
-	_ = target
-}
-
-func scheduleOf(schedule [][2]any) []timedMoves {
-	var out []timedMoves
-	for _, se := range schedule {
-		out = append(out, timedMoves{epoch: se[0].(core.Time), moves: se[1].([]core.Move)})
-	}
-	return out
-}
-
-// broadcastMigrationLocked encodes and broadcasts a rendered migration
-// schedule, then applies it locally.
-func (mc *MembershipController) broadcastMigrationLocked(seq uint64, schedule []timedMoves) {
-	buf := []byte{memKindMigration}
-	buf = binenc.AppendUvarint(buf, seq)
+// appendSchedule encodes a [count]{[epoch][nmoves][moves]} move schedule.
+func appendSchedule(buf []byte, schedule []timedMoves) []byte {
 	buf = binenc.AppendUvarint(buf, uint64(len(schedule)))
 	for _, tm := range schedule {
 		buf = binenc.AppendUvarint(buf, uint64(tm.epoch))
@@ -1170,7 +1020,29 @@ func (mc *MembershipController) broadcastMigrationLocked(seq uint64, schedule []
 			buf = tm.moves[i].AppendBinaryRec(buf)
 		}
 	}
-	mc.opts.Bus.BroadcastControl(buf)
+	return buf
+}
+
+// broadcastDecisionLocked encodes, broadcasts, and locally applies one
+// decision.
+func (mc *MembershipController) broadcastDecisionLocked(tr *Transition, schedule []timedMoves) {
+	buf := []byte{memKindDecision}
+	buf = binenc.AppendUvarint(buf, uint64(tr.Kind))
+	buf = binenc.AppendUvarint(buf, uint64(tr.Slot))
+	buf = binenc.AppendUvarint(buf, uint64(tr.Epoch))
+	buf = binenc.AppendUvarint(buf, tr.MemEpoch)
+	buf = binenc.AppendUvarint(buf, uint64(tr.Ckpt))
+	mc.det.broadcast(appendSchedule(buf, schedule))
+	mc.det.logf("megaphone: process %d decided %v of process %d at epoch %d (membership epoch %d, checkpoint %d)",
+		mc.opts.Proc, tr.Kind, tr.Slot, tr.Epoch, tr.MemEpoch, tr.Ckpt)
+	mc.applyDecisionLocked(tr, schedule)
+}
+
+// broadcastMigrationLocked encodes and broadcasts a rendered migration
+// schedule, then applies it locally.
+func (mc *MembershipController) broadcastMigrationLocked(seq uint64, schedule []timedMoves) {
+	buf := binenc.AppendUvarint([]byte{memKindMigration}, seq)
+	mc.det.broadcast(appendSchedule(buf, schedule))
 	mc.applyMigrationLocked(seq, schedule)
 }
 
@@ -1244,7 +1116,7 @@ func (mc *MembershipController) applyDecisionLocked(tr *Transition, schedule []t
 	case TransitionJoin:
 		// The joiner starts its heartbeat clock now; give it a fresh window.
 		mc.everActive[tr.Slot] = true
-		mc.lastHeard[tr.Slot].Store(mc.ticks.Load())
+		mc.det.heardFrom(tr.Slot)
 		if tr.Slot == mc.opts.Proc {
 			// Our own admission: the seed moves replay the leader's resident
 			// assignment over the operator's built-in initial one, so that is
@@ -1353,7 +1225,7 @@ func (mc *MembershipController) RunBarrier(tr *Transition) BarrierResult {
 	parts := func() []int {
 		mc.mu.Lock()
 		defer mc.mu.Unlock()
-		return mc.participants(tr.Epoch)
+		return participantsOf(mc.activeAt(tr.Epoch))
 	}()
 	joining := tr.Kind == TransitionJoin && tr.Slot == mc.opts.Proc
 
@@ -1367,10 +1239,9 @@ func (mc *MembershipController) RunBarrier(tr *Transition) BarrierResult {
 	for tries := 0; ; tries++ {
 		snap := mc.reportReady(tr, joining)
 		cur := mc.collectReady(tr.Epoch, snap)
-		if ok, cut := barrierQuiesced(parts, cur, tr); ok {
+		if ok, _ := barrierQuiesced(parts, cur, tr); ok {
 			if prevEqual(stable, cur, parts) {
 				stable = cur
-				_ = cut
 				break
 			}
 			stable = cur
@@ -1409,21 +1280,12 @@ func (mc *MembershipController) RunBarrier(tr *Transition) BarrierResult {
 	mc.opts.Fabric.ResetProgress(others)
 	if tr.Kind == TransitionJoin {
 		mc.opts.Fabric.Activate(tr.Slot)
-		mc.lastHeard[tr.Slot].Store(mc.ticks.Load())
 	}
 
 	// Phase 4: wait for every participant's reset before resuming workers.
-	mc.opts.Bus.BroadcastControl(binenc.AppendUvarint([]byte{memKindDone}, uint64(tr.Epoch)))
+	mc.det.broadcast(binenc.AppendUvarint([]byte{memKindDone}, uint64(tr.Epoch)))
 	mc.awaitResetDone(tr.Epoch, parts, deadline)
 	mc.opts.Fabric.Resume()
-
-	// Every participant just proved liveness through the barrier's frame
-	// exchange; restart their heartbeat windows so the post-barrier
-	// catch-up burst cannot suspect them over pre-barrier silence.
-	n := mc.ticks.Load()
-	for _, p := range parts {
-		mc.lastHeard[p].Store(n)
-	}
 
 	res := BarrierResult{Cut: cut}
 	mc.mu.Lock()
@@ -1440,7 +1302,7 @@ func (mc *MembershipController) RunBarrier(tr *Transition) BarrierResult {
 	delete(mc.invs, tr.Epoch)
 	delete(mc.resetOK, tr.Epoch)
 	mc.mu.Unlock()
-	mc.opts.logf("megaphone: process %d: %v barrier at epoch %d complete (cut %d, membership epoch %d)",
+	mc.det.logf("megaphone: process %d: %v barrier at epoch %d complete (cut %d, membership epoch %d)",
 		mc.opts.Proc, tr.Kind, tr.Epoch, cut, tr.MemEpoch)
 	return res
 }
@@ -1487,7 +1349,7 @@ func (mc *MembershipController) reportReady(tr *Transition, joining bool) *barSn
 	buf := []byte{memKindReady}
 	buf = binenc.AppendUvarint(buf, uint64(tr.Epoch))
 	buf = appendSnap(buf, f, sent, recv)
-	mc.opts.Bus.BroadcastControl(buf)
+	mc.det.broadcast(buf)
 	return &barSnap{frontier: f, sent: sent, recv: recv}
 }
 
@@ -1586,7 +1448,7 @@ func (mc *MembershipController) broadcastInventory(epoch core.Time, snap *barSna
 		buf = binenc.AppendUvarint(buf, uint64(b))
 	}
 	buf = inv.AppendWire(buf)
-	mc.opts.Bus.BroadcastControl(buf)
+	mc.det.broadcast(buf)
 }
 
 // collectInventories waits for every other participant's inventory, verifies
@@ -1657,16 +1519,21 @@ func appendSnap(buf []byte, f core.Time, sent, recv []uint64) []byte {
 	return buf
 }
 
-func parseSnap(data []byte) (*barSnap, []byte, error) {
+// parseSnap decodes a quiescence report; its counters must span the roster
+// (the barrier indexes them by process).
+func parseSnap(data []byte, procs int) (*barSnap, []byte, error) {
 	f, data, err := binenc.Uvarint(data)
 	if err != nil {
 		return nil, nil, err
 	}
-	n64, data, err := binenc.Count(data, 1)
+	n64, data, err := binenc.Count(data, 2)
 	if err != nil {
 		return nil, nil, err
 	}
 	n := int(n64)
+	if n != procs {
+		return nil, nil, fmt.Errorf("frame counters for %d processes, roster has %d", n, procs)
+	}
 	s := &barSnap{frontier: core.Time(f), sent: make([]uint64, n), recv: make([]uint64, n)}
 	for i := 0; i < n; i++ {
 		if s.sent[i], data, err = binenc.Uvarint(data); err != nil {
@@ -1681,22 +1548,42 @@ func parseSnap(data []byte) (*barSnap, []byte, error) {
 	return s, data, nil
 }
 
+// parseInventory decodes a hold inventory (sans kind byte and epoch).
+func parseInventory(data []byte, procs int) (*invSnap, error) {
+	s, data, err := parseSnap(data, procs)
+	if err != nil {
+		return nil, err
+	}
+	nb, data, err := binenc.Count(data, 2)
+	if err != nil {
+		return nil, err
+	}
+	is := &invSnap{barSnap: *s, bounds: make(map[int]core.Time, nb)}
+	for i := uint64(0); i < nb; i++ {
+		var w, b uint64
+		if w, data, err = binenc.Uvarint(data); err != nil {
+			return nil, err
+		}
+		if b, data, err = binenc.Uvarint(data); err != nil {
+			return nil, err
+		}
+		is.bounds[int(w)] = core.Time(b)
+	}
+	return is, is.batch.DecodeWire(data)
+}
+
 // onControl handles one inbound membership frame. Runs on the bus's
-// serialized handler context.
+// serialized handler context. A frame that does not parse, or that names a
+// slot, bin or worker outside the roster, is logged and dropped: one flipped
+// bit on the control channel must not kill a survivor, and a barrier frame
+// lost this way surfaces as the barrier's own timeout.
 func (mc *MembershipController) onControl(from int, payload []byte) {
-	if len(payload) == 0 {
-		return
-	}
 	kind, body := payload[0], payload[1:]
-	if kind == memKindBeat {
-		mc.lastHeard[from].Store(mc.ticks.Load())
-		return
-	}
 	mc.mu.Lock()
 	defer mc.mu.Unlock()
+	var err error
 	switch kind {
 	case memKindHello:
-		mc.lastHeard[from].Store(mc.ticks.Load())
 		if !mc.active[from] && !mc.deadGone[from] {
 			mc.helloFrom = from
 		}
@@ -1708,109 +1595,109 @@ func (mc *MembershipController) onControl(from int, payload []byte) {
 		if mc.active[from] || !mc.deadGone[from] {
 			mc.deadGone[from] = true
 			mc.opts.Fabric.RetirePeer(from)
-			mc.opts.logf("megaphone: process %d: process %d said goodbye; retired", mc.opts.Proc, from)
+			mc.det.logf("megaphone: process %d: process %d said goodbye; retired", mc.opts.Proc, from)
 		}
 	case memKindDecision:
-		tr, schedule, err := parseDecision(body)
-		if err != nil {
-			panic(fmt.Sprintf("plan: process %d: corrupt membership decision from %d: %v", mc.opts.Proc, from, err))
-		}
-		mc.applyDecisionLocked(tr, schedule)
-	case memKindMigration:
-		seq, rest, err := binenc.Uvarint(body)
+		var tr *Transition
 		var schedule []timedMoves
-		if err == nil {
-			schedule, _, err = parseSchedule(rest)
+		if tr, schedule, err = mc.parseDecision(body); err == nil {
+			mc.applyDecisionLocked(tr, schedule)
 		}
-		if err != nil {
-			panic(fmt.Sprintf("plan: process %d: corrupt migration schedule from %d: %v", mc.opts.Proc, from, err))
+	case memKindMigration:
+		var seq uint64
+		var schedule []timedMoves
+		if seq, body, err = binenc.Uvarint(body); err == nil {
+			if schedule, err = mc.parseSchedule(body); err == nil {
+				mc.applyMigrationLocked(seq, schedule)
+			}
 		}
-		mc.applyMigrationLocked(seq, schedule)
 	case memKindReady, memKindInv, memKindDone:
-		e, rest, err := binenc.Uvarint(body)
-		if err != nil {
-			panic(fmt.Sprintf("plan: process %d: corrupt membership barrier frame from %d: %v", mc.opts.Proc, from, err))
-		}
-		epoch := core.Time(e)
-		switch kind {
-		case memKindReady:
-			s, _, err := parseSnap(rest)
-			if err != nil {
-				panic(fmt.Sprintf("plan: process %d: corrupt barrier ready frame from %d: %v", mc.opts.Proc, from, err))
-			}
-			if mc.ready[epoch] == nil {
-				mc.ready[epoch] = make(map[int]*barSnap)
-			}
-			mc.ready[epoch][from] = s
-		case memKindInv:
-			s, rest2, err := parseSnap(rest)
-			if err != nil {
-				panic(fmt.Sprintf("plan: process %d: corrupt barrier inventory frame from %d: %v", mc.opts.Proc, from, err))
-			}
-			is := &invSnap{barSnap: *s}
-			nb, rest2, err := binenc.Count(rest2, 2)
-			if err != nil {
-				panic(fmt.Sprintf("plan: process %d: corrupt barrier inventory bounds from %d: %v", mc.opts.Proc, from, err))
-			}
-			is.bounds = make(map[int]core.Time, nb)
-			for i := uint64(0); i < nb; i++ {
-				var w, b uint64
-				if w, rest2, err = binenc.Uvarint(rest2); err == nil {
-					b, rest2, err = binenc.Uvarint(rest2)
-				}
-				if err != nil {
-					panic(fmt.Sprintf("plan: process %d: corrupt barrier inventory bounds from %d: %v", mc.opts.Proc, from, err))
-				}
-				is.bounds[int(w)] = core.Time(b)
-			}
-			if err := is.batch.DecodeWire(rest2); err != nil {
-				panic(fmt.Sprintf("plan: process %d: corrupt barrier inventory batch from %d: %v", mc.opts.Proc, from, err))
-			}
-			if mc.invs[epoch] == nil {
-				mc.invs[epoch] = make(map[int]*invSnap)
-			}
-			mc.invs[epoch][from] = is
-		case memKindDone:
-			if mc.resetOK[epoch] == nil {
-				mc.resetOK[epoch] = make(map[int]bool)
-			}
-			mc.resetOK[epoch][from] = true
-		}
-		mc.cond.Broadcast()
+		err = mc.onBarrierLocked(kind, from, body)
 	default:
-		mc.opts.logf("megaphone: process %d: unknown membership payload kind %d from %d", mc.opts.Proc, kind, from)
+		err = fmt.Errorf("unknown payload kind")
+	}
+	if err != nil {
+		mc.det.logf("megaphone: process %d: dropping membership frame (kind %d) from %d: %v", mc.opts.Proc, kind, from, err)
 	}
 }
 
-// parseSchedule decodes a [count]{[epoch][nmoves][moves]} move schedule, as
-// appended by both decision and migration frames.
-func parseSchedule(data []byte) ([]timedMoves, []byte, error) {
-	ns, data, err := binenc.Uvarint(data)
+// onBarrierLocked files one barrier frame under its commit epoch and wakes
+// the barrier waiting on it.
+func (mc *MembershipController) onBarrierLocked(kind byte, from int, body []byte) error {
+	e, rest, err := binenc.Uvarint(body)
 	if err != nil {
-		return nil, nil, err
+		return err
+	}
+	epoch := core.Time(e)
+	switch kind {
+	case memKindReady:
+		s, _, err := parseSnap(rest, mc.opts.Procs)
+		if err != nil {
+			return err
+		}
+		if mc.ready[epoch] == nil {
+			mc.ready[epoch] = make(map[int]*barSnap)
+		}
+		mc.ready[epoch][from] = s
+	case memKindInv:
+		is, err := parseInventory(rest, mc.opts.Procs)
+		if err != nil {
+			return err
+		}
+		if mc.invs[epoch] == nil {
+			mc.invs[epoch] = make(map[int]*invSnap)
+		}
+		mc.invs[epoch][from] = is
+	case memKindDone:
+		if mc.resetOK[epoch] == nil {
+			mc.resetOK[epoch] = make(map[int]bool)
+		}
+		mc.resetOK[epoch][from] = true
+	}
+	mc.cond.Broadcast()
+	return nil
+}
+
+// parseSchedule decodes a [count]{[epoch][nmoves][moves]} move schedule, as
+// appended by both decision and migration frames. It rejects a move outside
+// the bin or worker space (the mirror and the reconciliation index by both)
+// and epoch 0, which no schedule holds: each starts a margin past a tick.
+func (mc *MembershipController) parseSchedule(data []byte) ([]timedMoves, error) {
+	workers := mc.opts.Procs * mc.opts.WorkersPerProc
+	ns, data, err := binenc.Count(data, 2)
+	if err != nil {
+		return nil, err
 	}
 	var schedule []timedMoves
 	for s := uint64(0); s < ns; s++ {
 		var e, nm uint64
 		if e, data, err = binenc.Uvarint(data); err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		if nm, data, err = binenc.Uvarint(data); err != nil {
-			return nil, nil, err
+		if nm, data, err = binenc.Count(data, 3); err != nil {
+			return nil, err
+		}
+		if e == 0 {
+			return nil, fmt.Errorf("schedule step at epoch 0")
 		}
 		tm := timedMoves{epoch: core.Time(e), moves: make([]core.Move, nm)}
 		for i := range tm.moves {
-			if data, err = tm.moves[i].DecodeBinaryRec(data); err != nil {
-				return nil, nil, err
+			m := &tm.moves[i]
+			if data, err = m.DecodeBinaryRec(data); err != nil {
+				return nil, err
+			}
+			if !m.IsCheckpoint() && (m.Bin < 0 || m.Bin >= mc.opts.Bins || m.Worker < 0 || m.Worker >= workers) {
+				return nil, fmt.Errorf("move of bin %d to worker %d outside %d bins x %d workers", m.Bin, m.Worker, mc.opts.Bins, workers)
 			}
 		}
 		schedule = append(schedule, tm)
 	}
-	return schedule, data, nil
+	return schedule, nil
 }
 
-// parseDecision decodes a decision frame (sans kind byte).
-func parseDecision(data []byte) (*Transition, []timedMoves, error) {
+// parseDecision decodes a decision frame (sans kind byte), rejecting a
+// transition kind or roster slot that does not exist.
+func (mc *MembershipController) parseDecision(data []byte) (*Transition, []timedMoves, error) {
 	var k, slot, epoch, mem, ckpt uint64
 	var err error
 	if k, data, err = binenc.Uvarint(data); err != nil {
@@ -1829,7 +1716,10 @@ func parseDecision(data []byte) (*Transition, []timedMoves, error) {
 		return nil, nil, err
 	}
 	tr := &Transition{Kind: TransitionKind(k), Slot: int(slot), Epoch: core.Time(epoch), MemEpoch: mem, Ckpt: core.Time(ckpt)}
-	schedule, _, err := parseSchedule(data)
+	if tr.Kind < TransitionJoin || tr.Kind > TransitionCrash || tr.Slot < 0 || tr.Slot >= mc.opts.Procs || tr.Epoch == 0 {
+		return nil, nil, fmt.Errorf("%v of slot %d in a roster of %d committing at epoch %d", tr.Kind, tr.Slot, mc.opts.Procs, tr.Epoch)
+	}
+	schedule, err := mc.parseSchedule(data)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -167,28 +167,24 @@ func writeFakeCheckpoint(t *testing.T, dir string, epoch core.Time, workers int)
 }
 
 type memCluster struct {
-	hub  *fakeHub
+	hub  *plan.FakeHub
 	fabs []*fakeFabric
 	mcs  []*plan.MembershipController
 }
 
 func newMemCluster(t *testing.T, procs, wpp, bins int, initialActive []bool, mutate func(p int, o *plan.MembershipOptions)) *memCluster {
 	t.Helper()
-	c := &memCluster{hub: newFakeHub(procs)}
+	c := &memCluster{hub: plan.NewFakeHub(procs)}
 	for p := 0; p < procs; p++ {
 		fab := newFakeFabric(p, procs)
 		opts := plan.MembershipOptions{
-			Bus:            c.hub.buses[p],
+			ClusterOptions: plan.ClusterOptions{Bus: c.hub.Buses[p], Procs: procs, Proc: p, WorkersPerProc: wpp, Logf: t.Logf},
 			Fabric:         fab,
 			Frontier:       fab.Frontier,
-			Procs:          procs,
-			Proc:           p,
-			WorkersPerProc: wpp,
 			Bins:           bins,
 			InitialActive:  initialActive,
 			Margin:         4,
 			BarrierTimeout: 20 * time.Second,
-			Logf:           t.Logf,
 		}
 		if mutate != nil {
 			mutate(p, &opts)
@@ -518,7 +514,7 @@ func TestMembershipCrashProtocol(t *testing.T) {
 	const procs, wpp, bins = 3, 2, 8
 	dir := t.TempDir()
 	c := newMemCluster(t, procs, wpp, bins, nil, func(p int, o *plan.MembershipOptions) {
-		o.SuspectAfter = 2
+		o.Liveness.SuspectAfter = 2
 		o.DeathAfter = 2
 		o.CheckpointDir = dir
 	})
@@ -652,7 +648,7 @@ func TestMembershipDeathBoundary(t *testing.T) {
 		dir := t.TempDir()
 		writeFakeCheckpoint(t, dir, 1, procs*wpp)
 		return newMemCluster(t, procs, wpp, bins, nil, func(p int, o *plan.MembershipOptions) {
-			o.SuspectAfter = suspectAfter
+			o.Liveness.SuspectAfter = suspectAfter
 			o.DeathAfter = deathAfter
 			o.Margin = margin
 			o.CheckpointDir = dir

@@ -6,53 +6,60 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
 
 	"megaphone/internal/core"
 	"megaphone/internal/progress"
 )
 
 // nopBus satisfies ControlBus for tests that only exercise the local half of
-// the control plane (heartbeat clocks, election) and never need delivery.
+// the control plane (window clock, election) and never need delivery.
 type nopBus struct{}
 
 func (nopBus) BroadcastControl([]byte)             {}
 func (nopBus) SetControlHandler(func(int, []byte)) {}
 
-// newSuspectState builds a clusterState for process `proc` of a three-process
-// roster, so leaderIndex scans real lower-indexed peers.
-func newSuspectState(proc, suspectAfter int) *clusterState {
-	const procs, wpp, logBins = 3, 2, 2
-	meter := core.NewLoadMeter(procs*wpp, logBins)
-	return newClusterState(meter, ClusterOptions{
-		Bus:            nopBus{},
-		Procs:          procs,
-		Proc:           proc,
-		WorkersPerProc: wpp,
-		SuspectAfter:   suspectAfter,
-	})
+// stepClock is the injected wall clock: it moves only when a test says so.
+type stepClock struct{ nano int64 }
+
+func (c *stepClock) now() int64              { return c.nano }
+func (c *stepClock) advance(d time.Duration) { c.nano += int64(d) }
+
+const testWindow = 10 * time.Millisecond
+
+// newTestDetector builds the detector of process `proc` in a three-process
+// roster, with one tick per window paced by the returned stepped clock.
+func newTestDetector(bus ControlBus, proc, suspectAfter int) (*detector, *stepClock) {
+	clk := &stepClock{nano: int64(time.Hour)}
+	return newDetector(ClusterOptions{Bus: bus, Procs: 3, Proc: proc,
+		Liveness: Liveness{TickEvery: testWindow, SuspectAfter: suspectAfter, now: clk.now}}, 1), clk
 }
 
-// heard simulates the inbound fold path of a load delta from process q: the
-// handler stores the current local sample clock (cluster.go onControl).
-func heard(cs *clusterState, q int) {
-	cs.lastHeard[q].Store(cs.samples.Load())
-	cs.heard[q].Store(true)
+// window steps the clock one full window and ticks the detector across it.
+func window(d *detector, clk *stepClock) {
+	clk.advance(testWindow)
+	d.tick()
+}
+
+func leaderOf(d *detector) int {
+	d.elect(0, nil)
+	return d.lastLeader
 }
 
 // TestSuspicionNeverWithRegularBeats pins the healthy side of the suspicion
-// boundary: a peer heard from at least once every SuspectAfter-1 sampling
-// windows is never suspected, so leadership never strays from it.
+// boundary: a peer heard from at least once every SuspectAfter-1 windows is
+// never suspected, so leadership never strays from it.
 func TestSuspicionNeverWithRegularBeats(t *testing.T) {
 	const suspectAfter = 4
-	cs := newSuspectState(2, suspectAfter)
+	d, clk := newTestDetector(nopBus{}, 2, suspectAfter)
 	for w := 1; w <= 12*suspectAfter; w++ {
-		cs.sample()
+		window(d, clk)
 		if w%(suspectAfter-1) == 0 {
-			heard(cs, 0)
-			heard(cs, 1)
+			d.heardFrom(0)
+			d.heardFrom(1)
 		}
-		if got := cs.leaderIndex(); got != 0 {
-			t.Fatalf("window %d: leaderIndex = %d; a peer beating every %d windows must never be suspected",
+		if got := leaderOf(d); got != 0 {
+			t.Fatalf("window %d: leader = %d; a peer beating every %d windows must never be suspected",
 				w, got, suspectAfter-1)
 		}
 	}
@@ -63,21 +70,18 @@ func TestSuspicionNeverWithRegularBeats(t *testing.T) {
 // next one (silence strictly greater than SuspectAfter windows).
 func TestSuspicionBoundaryExact(t *testing.T) {
 	const suspectAfter = 4
-	cs := newSuspectState(2, suspectAfter)
-	heard(cs, 0) // last sign of life at sample clock 0
-	heard(cs, 1)
+	d, clk := newTestDetector(nopBus{}, 2, suspectAfter)
 	for w := 1; w <= suspectAfter; w++ {
-		cs.sample()
-		heard(cs, 1) // peer 1 stays chatty; only peer 0 goes silent
-		if got := cs.leaderIndex(); got != 0 {
-			t.Fatalf("window %d of %d: peer 0 suspected one window early (leaderIndex = %d)",
-				w, suspectAfter, got)
+		window(d, clk)
+		d.heardFrom(1) // peer 1 stays chatty; only peer 0 goes silent
+		if got := leaderOf(d); got != 0 {
+			t.Fatalf("window %d of %d: peer 0 suspected one window early (leader = %d)", w, suspectAfter, got)
 		}
 	}
-	cs.sample()
-	heard(cs, 1)
-	if got := cs.leaderIndex(); got != 1 {
-		t.Fatalf("window %d: peer 0 still unsuspected after more than SuspectAfter silent windows (leaderIndex = %d)",
+	window(d, clk)
+	d.heardFrom(1)
+	if got := leaderOf(d); got != 1 {
+		t.Fatalf("window %d: peer 0 still unsuspected after more than SuspectAfter silent windows (leader = %d)",
 			suspectAfter+1, got)
 	}
 }
@@ -86,50 +90,129 @@ func TestSuspicionBoundaryExact(t *testing.T) {
 // resumes its heartbeat is unsuspected at once and takes leadership back.
 func TestSuspicionLateBeatUnsuspects(t *testing.T) {
 	const suspectAfter = 3
-	cs := newSuspectState(2, suspectAfter)
+	d, clk := newTestDetector(nopBus{}, 2, suspectAfter)
 	for w := 1; w <= suspectAfter+2; w++ {
-		cs.sample()
-		heard(cs, 1)
+		window(d, clk)
+		d.heardFrom(1)
 	}
-	if got := cs.leaderIndex(); got != 1 {
-		t.Fatalf("setup: peer 0 should be suspected (leaderIndex = %d)", got)
+	if got := leaderOf(d); got != 1 {
+		t.Fatalf("setup: peer 0 should be suspected (leader = %d)", got)
 	}
-	heard(cs, 0) // the late beat
-	if got := cs.leaderIndex(); got != 0 {
-		t.Fatalf("after a late beat peer 0 must be unsuspected (leaderIndex = %d)", got)
+	d.heardFrom(0) // the late beat
+	if got := leaderOf(d); got != 0 {
+		t.Fatalf("after a late beat peer 0 must be unsuspected (leader = %d)", got)
 	}
 	// And suspicion re-arms from the new clock, not the old one.
 	for w := 1; w <= suspectAfter; w++ {
-		cs.sample()
-		heard(cs, 1)
-		if got := cs.leaderIndex(); got != 0 {
-			t.Fatalf("window %d after recovery: suspicion re-armed early (leaderIndex = %d)", w, got)
+		window(d, clk)
+		d.heardFrom(1)
+		if got := leaderOf(d); got != 0 {
+			t.Fatalf("window %d after recovery: suspicion re-armed early (leader = %d)", w, got)
 		}
 	}
-	cs.sample()
-	heard(cs, 1)
-	if got := cs.leaderIndex(); got != 1 {
-		t.Fatalf("suspicion did not re-arm after recovery (leaderIndex = %d)", got)
+	window(d, clk)
+	d.heardFrom(1)
+	if got := leaderOf(d); got != 1 {
+		t.Fatalf("suspicion did not re-arm after recovery (leader = %d)", got)
 	}
 }
 
 // TestSuspicionCoverageGate pins covered(): a silent peer that never sent
 // telemetry blocks coverage until its silence exceeds the suspect window.
 func TestSuspicionCoverageGate(t *testing.T) {
-	const suspectAfter = 4
-	cs := newSuspectState(0, suspectAfter)
-	heard(cs, 1)
+	const suspectAfter, wpp, logBins = 4, 2, 2
+	d, clk := newTestDetector(nopBus{}, 0, suspectAfter)
+	cs := newClusterState(core.NewLoadMeter(3*wpp, logBins), d, wpp)
+	cs.heard[1].Store(true)
 	for w := 1; w <= suspectAfter; w++ {
-		cs.sample()
-		heard(cs, 1)
+		window(d, clk)
 		if cs.covered() {
 			t.Fatalf("window %d: covered with peer 2 unheard and not yet suspect", w)
 		}
 	}
-	cs.sample()
-	heard(cs, 1)
+	window(d, clk)
 	if !cs.covered() {
 		t.Fatal("peer 2 silent past the suspect window must count as covered (suspicion stands in for telemetry)")
+	}
+}
+
+// TestSuspicionIgnoresLocalTickSkew is the interleaving that used to read as
+// death: this process ticks many times (a drive loop bursting through epochs,
+// or simply running ahead) while a starved peer says nothing for
+// SuspectAfter-1 windows of wall time. Only wall time may count against the
+// peer, however many local ticks elapse.
+func TestSuspicionIgnoresLocalTickSkew(t *testing.T) {
+	const suspectAfter = 4
+	d, clk := newTestDetector(nopBus{}, 2, suspectAfter)
+	window(d, clk)
+	d.heardFrom(0)
+	d.heardFrom(1)
+	for w := 1; w < suspectAfter; w++ {
+		for i := 0; i < 1000; i++ { // a thousand local ticks inside one window
+			d.tick()
+			clk.advance(testWindow / 1000)
+		}
+		if d.suspected(0) || d.suspected(1) {
+			t.Fatalf("after %d windows of wall time (%d local ticks) a peer is suspected: local ticks counted as silence",
+				w, 1000*w)
+		}
+	}
+	// A stall ends in one window, not one per missed tick: after ten windows'
+	// worth of wall time in a single step the counter moves once.
+	before := d.windows.Load()
+	clk.advance(10 * testWindow)
+	for i := 0; i < 100; i++ {
+		d.tick()
+	}
+	if got := d.windows.Load() - before; got != 1 {
+		t.Fatalf("a stalled loop catching up advanced %d windows; want exactly 1", got)
+	}
+}
+
+// TestElectionThreeProcsZeroDies runs the failover schedule deterministically:
+// three detectors on one fake hub step a shared clock window by window,
+// process 0 dies, and process 1 leads while 2 never does, on every window of
+// the schedule, because 1 keeps beating.
+func TestElectionThreeProcsZeroDies(t *testing.T) {
+	const procs, suspectAfter = 3, 3
+	clk := &stepClock{nano: int64(time.Hour)}
+	buses := NewFakeHub(procs).Buses
+	var dets [procs]*detector
+	led := make([][]bool, procs)
+	for p := range dets {
+		p := p
+		dets[p] = newDetector(ClusterOptions{Bus: buses[p], Procs: procs, Proc: p, Logf: t.Logf,
+			Liveness:     Liveness{TickEvery: testWindow, SuspectAfter: suspectAfter, now: clk.now},
+			OnLeadership: func(lead bool, _ core.Time) { led[p] = append(led[p], lead) }}, 1)
+		dets[p].start()
+	}
+	alive := []bool{true, true, true}
+	for w := 1; w <= 6*suspectAfter; w++ {
+		if w == suspectAfter {
+			alive[0] = false
+			buses[0].Dead.Store(true)
+		}
+		clk.advance(testWindow)
+		// Tick in the worst order for process 2: it advances its window
+		// before the live lower-index peers have beaten in this one.
+		for _, p := range []int{2, 1, 0} {
+			if alive[p] {
+				dets[p].tick()
+				dets[p].elect(core.Time(w), nil)
+			}
+		}
+		if dets[2].leader {
+			t.Fatalf("window %d: process 2 leads while process 1 is alive and beating", w)
+		}
+		if w < suspectAfter && !dets[0].leader {
+			t.Fatalf("window %d: process 0 does not lead at startup", w)
+		}
+	}
+	if !dets[1].leader {
+		t.Fatal("process 1 never took over from the dead process 0")
+	}
+	if len(led[1]) != 1 || !led[1][0] || len(led[2]) != 0 {
+		t.Fatalf("leadership edges: process 1 %v (want one assume), process 2 %v (want none)", led[1], led[2])
 	}
 }
 
@@ -178,18 +261,14 @@ func writeManifests(t *testing.T, dir string, epoch core.Time, peers int, worker
 func newDeclTicker(t *testing.T, dir string) *MembershipController {
 	t.Helper()
 	return NewMembershipController(MembershipOptions{
-		Bus:            nopBus{},
-		Fabric:         nullFabric{},
-		Frontier:       func() core.Time { return core.None },
-		Procs:          3,
-		Proc:           1,
-		WorkersPerProc: 2,
-		Bins:           8,
-		SuspectAfter:   2,
-		DeathAfter:     2,
-		Margin:         3,
-		CheckpointDir:  dir,
-		Logf:           t.Logf,
+		ClusterOptions: ClusterOptions{Bus: nopBus{}, Procs: 3, Proc: 1, WorkersPerProc: 2,
+			Liveness: Liveness{SuspectAfter: 2}, Logf: t.Logf},
+		Fabric:        nullFabric{},
+		Frontier:      func() core.Time { return core.None },
+		Bins:          8,
+		DeathAfter:    2,
+		Margin:        3,
+		CheckpointDir: dir,
 	})
 }
 

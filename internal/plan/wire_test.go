@@ -74,7 +74,7 @@ func TestAutoControllerCostGateDeclines(t *testing.T) {
 			Cost:   &CostModel{MigrateNanosPerRec: 1 << 40}, // any volume is ruinous
 		},
 		current: Initial(1<<logBins, workers),
-		source:  meter,
+		sampler: &sampler{source: meter},
 		lastHot: -1,
 	}
 	a.opts.defaults()
