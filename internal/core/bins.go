@@ -118,7 +118,8 @@ func (b *binsHolder[R, S]) getOrCreate(bin int, newState func() *S) *BinState[R,
 	return s
 }
 
-// StateBytes reports the number of occupied bins, for instrumentation.
+// occupied reports the number of bins present on this worker, for
+// instrumentation (Handle.Bins).
 func (b *binsHolder[R, S]) occupied() int {
 	n := 0
 	for _, s := range b.data {

@@ -114,18 +114,18 @@ func mergeEither[A, B any](w *dataflow.Worker, name string, s1 dataflow.Stream[A
 	dataflow.Connect(b, s2, dataflow.Pipeline[B]{})
 	outs := b.Build(func(c *dataflow.OpCtx) {
 		dataflow.ForEachBatch(c, 0, func(t Time, data []A) {
-			out := make([]Either[A, B], len(data))
-			for i, a := range data {
-				out[i] = Left[A, B](a)
+			out := dataflow.NewBatch[Either[A, B]](c, len(data))
+			for _, a := range data {
+				out.Recs = append(out.Recs, Left[A, B](a))
 			}
-			dataflow.SendBatch(c, 0, t, out)
+			dataflow.SendOwned(c, 0, t, out)
 		})
 		dataflow.ForEachBatch(c, 1, func(t Time, data []B) {
-			out := make([]Either[A, B], len(data))
-			for i, b := range data {
-				out[i] = Right[A, B](b)
+			out := dataflow.NewBatch[Either[A, B]](c, len(data))
+			for _, b := range data {
+				out.Recs = append(out.Recs, Right[A, B](b))
 			}
-			dataflow.SendBatch(c, 0, t, out)
+			dataflow.SendOwned(c, 0, t, out)
 		})
 	})
 	return dataflow.Typed[Either[A, B]](outs[0])

@@ -186,6 +186,7 @@ func Operator[R, S, O any](
 		cfg:   cfg,
 		ops:   ops,
 		bins:  bins,
+		w:     w,
 		index: w.Index(),
 		peers: w.Peers(),
 		probe: func() *dataflow.Probe { return probe },
@@ -205,13 +206,15 @@ func Operator[R, S, O any](
 	stateOut := dataflow.Typed[StateMsg](fouts[1])
 
 	s := &sOp[R, S, O]{
-		cfg:     cfg,
-		ops:     ops,
-		bins:    bins,
-		index:   w.Index(),
-		pending: make(map[Time][]routed[R]),
-		h:       handle,
+		cfg:   cfg,
+		ops:   ops,
+		bins:  bins,
+		w:     w,
+		index: w.Index(),
+		h:     handle,
 	}
+	s.notif.s = s
+	s.emit = s.emitOne
 	if cfg.Meter != nil {
 		if cfg.Meter.Bins() != 1<<uint(cfg.LogBins) {
 			panic(fmt.Sprintf("megaphone: meter has %d bins, operator %q has %d",
@@ -348,6 +351,7 @@ type fOp[R, S, O any] struct {
 	cfg   Config
 	ops   Ops[R, S, O]
 	bins  *binsHolder[R, S]
+	w     *dataflow.Worker
 	index int
 	peers int
 	probe func() *dataflow.Probe
@@ -358,10 +362,9 @@ type fOp[R, S, O any] struct {
 	pendingCfg configHeap // configs not yet final (time in advance of control frontier)
 	installed  configHeap // final configs awaiting state movement
 
-	buffered map[Time][]R // data records whose routing is not yet determined
-	bufTimes binTimeHeap  // heap of buffered times (bin unused)
+	staged deferred[R] // kept data batches whose routing is not yet determined
 
-	routedBuf []routed[R] // reusable envelope buffer (see route)
+	payloadLen int // length of the last bin payload encoded (see encodeBin)
 }
 
 const (
@@ -419,25 +422,21 @@ func (f *fOp[R, S, O]) schedule(c *dataflow.OpCtx) {
 		heap.Push(&f.installed, pc)
 	}
 
-	// 3. Route data. Records whose time is in advance of the control
-	// frontier are buffered: their configuration could still change.
-	if f.buffered == nil {
-		f.buffered = make(map[Time][]R)
-	}
-	dataflow.ForEachBatch(c, fData, func(t Time, data []R) {
+	// 3. Route data. Batches whose time is in advance of the control
+	// frontier are kept as they are: their configuration could still change.
+	dataflow.TakeEachBatch(c, fData, func(t Time, b dataflow.Batch[R]) {
 		if t < ctl {
-			f.route(c, t, data)
+			f.route(c, t, b.Recs)
+			b.Release(f.w)
 			return
 		}
-		if _, ok := f.buffered[t]; !ok {
-			heap.Push(&f.bufTimes, binTime{time: t})
-		}
-		f.buffered[t] = append(f.buffered[t], data...)
+		f.staged.push(t, b)
 	})
-	for len(f.bufTimes) > 0 && f.bufTimes[0].time < ctl {
-		t := heap.Pop(&f.bufTimes).(binTime).time
-		f.route(c, t, f.buffered[t])
-		delete(f.buffered, t)
+	for f.staged.head() < ctl {
+		t := f.staged.head()
+		b := f.staged.pop()
+		f.route(c, t, b.Recs)
+		b.Release(f.w)
 	}
 
 	// 4. Execute installed migrations once the S output frontier has
@@ -451,10 +450,10 @@ func (f *fOp[R, S, O]) schedule(c *dataflow.OpCtx) {
 		f.execute(c, mg)
 	}
 
-	// 5. Maintain capability holds: the data output covers buffered
-	// records; the state output covers pending and installed migrations.
-	if len(f.bufTimes) > 0 {
-		c.Hold(fOutData, f.bufTimes[0].time)
+	// 5. Maintain capability holds: the data output covers staged
+	// batches; the state output covers pending and installed migrations.
+	if t := f.staged.head(); t != None {
+		c.Hold(fOutData, t)
 	} else {
 		c.DropHold(fOutData)
 	}
@@ -472,28 +471,38 @@ func (f *fOp[R, S, O]) schedule(c *dataflow.OpCtx) {
 	}
 }
 
-// route sends records at a routable time to their configured workers. The
-// envelope buffer is reused across calls: the data output's only edge
-// carries an ExchangeTo pact, whose partitions never alias their input.
-// Bins that were never migrated — every bin at steady state before the
-// first migration — resolve through the initial-assignment table without
+// route sends records at a routable time to their configured workers,
+// annotating them into an envelope from the worker's free list that is sent
+// as it is. Bins that were never migrated — every bin at steady state before
+// the first migration — resolve through the initial-assignment table without
 // touching the history.
+//
+//megalint:hotpath
 func (f *fOp[R, S, O]) route(c *dataflow.OpCtx, t Time, data []R) {
-	if cap(f.routedBuf) < len(data) {
-		f.routedBuf = make([]routed[R], len(data))
-	}
-	all := f.routedBuf[:len(data)]
+	out := dataflow.NewBatch[routed[R]](c, len(data))
 	logBins := f.cfg.LogBins
 	peers := f.peers
-	for i, r := range data {
+	for _, r := range data {
 		bin := BinOf(f.ops.Hash(r), logBins)
 		to := bin % peers // InitialWorker, inlined
 		if len(f.hist[bin]) > 0 {
 			to = f.ownerAt(bin, t)
 		}
-		all[i] = routed[R]{To: int32(to), Bin: int32(bin), Rec: r}
+		out.Recs = append(out.Recs, routed[R]{To: int32(to), Bin: int32(bin), Rec: r})
 	}
-	dataflow.SendBatch(c, fOutData, t, all)
+	dataflow.SendOwned(c, fOutData, t, out)
+}
+
+// encodeBin serializes one bin for shipment into a buffer of its own, sized
+// from the operator's previous payload: the bins of one operator are near
+// equal, so the encode neither grows by doubling nor overshoots by much.
+func (f *fOp[R, S, O]) encodeBin(b *BinState[R, S]) []byte {
+	payload, err := f.cfg.Transfer.EncodeBin(b, make([]byte, 0, f.payloadLen+f.payloadLen/8))
+	if err != nil {
+		panic(err)
+	}
+	f.payloadLen = len(payload)
+	return payload
 }
 
 // execute performs the state movement of one installed configuration: for
@@ -547,11 +556,7 @@ func (f *fOp[R, S, O]) execute(c *dataflow.OpCtx, mg pendingConfig) {
 				if isDirect(f.cfg.Transfer) {
 					msgs = append(msgs, StateMsg{Bin: m.Bin, To: m.Worker, Last: true, Dir: b})
 				} else {
-					payload, err := f.cfg.Transfer.EncodeBin(b, nil)
-					if err != nil {
-						panic(err)
-					}
-					msgs = appendChunks(msgs, m.Bin, m.Worker, payload, f.cfg.ChunkBytes)
+					msgs = appendChunks(msgs, m.Bin, m.Worker, f.encodeBin(b), f.cfg.ChunkBytes)
 				}
 				f.h.migrated[f.index]++
 			}
@@ -591,10 +596,7 @@ func (f *fOp[R, S, O]) restoreFromCheckpoint(msgs []StateMsg, bins []int, ckpt, 
 			panic(fmt.Sprintf("megaphone: operator %q: decoding restored bin %d: %v", f.cfg.Name, b, err))
 		}
 		if bin.clampPending(at) {
-			payload, err = f.cfg.Transfer.EncodeBin(bin, nil)
-			if err != nil {
-				panic(err)
-			}
+			payload = f.encodeBin(bin)
 		}
 		msgs = appendChunks(msgs, b, f.index, payload, f.cfg.ChunkBytes)
 	}
@@ -626,7 +628,7 @@ func (f *fOp[R, S, O]) checkpoint(t Time) {
 		ck.reportError(t, f.index, err)
 		return
 	}
-	var payload []byte
+	payload := make([]byte, 0, f.payloadLen+f.payloadLen/8)
 	var msgs []StateMsg
 	for b := 0; b < nbins; b++ {
 		if asn[b] != f.index {
@@ -641,6 +643,7 @@ func (f *fOp[R, S, O]) checkpoint(t Time) {
 			w.Abort()
 			panic(err)
 		}
+		f.payloadLen = len(payload)
 		msgs = appendChunks(msgs[:0], b, f.index, payload, f.cfg.ChunkBytes)
 		if err := w.WriteBin(msgs); err != nil {
 			w.Abort()
@@ -658,21 +661,15 @@ func (f *fOp[R, S, O]) checkpoint(t Time) {
 }
 
 // purge implements the crash-barrier deferred-work purge for F (see
-// dataflow.OpBuilder.OnPurge): every buffered data record waits at a time at
-// or above the control frontier, which at a quiesced crash barrier is at or
-// above the cut, so all of them are discarded — the barrier's replay
+// dataflow.OpBuilder.OnPurge): every staged data batch waits at a time at or
+// above the control frontier, which at a quiesced crash barrier is at or
+// above the cut, so all of them are released — the barrier's replay
 // re-injects their epochs from the deterministic source. Pending and
 // installed configurations are kept: control commands are injected
 // identically by every live process, so the survivors' own copies complete
 // each batch.
 func (f *fOp[R, S, O]) purge(cut Time) []dataflow.Time {
-	for t := range f.buffered {
-		if t < cut {
-			panic(fmt.Sprintf("megaphone: operator %q: buffered data at %v below purge cut %v (not quiesced?)", f.cfg.Name, t, cut))
-		}
-		delete(f.buffered, t)
-	}
-	f.bufTimes = f.bufTimes[:0]
+	f.staged.purge(f.w, cut, f.cfg.Name+"-F")
 	stateHold := None
 	if len(f.pendingCfg) > 0 {
 		stateHold = f.pendingCfg[0].time
@@ -683,21 +680,13 @@ func (f *fOp[R, S, O]) purge(cut Time) []dataflow.Time {
 	return []dataflow.Time{None, stateHold}
 }
 
-// purge implements the crash-barrier deferred-work purge for S: deferred
-// data records (all at times at or above the cut — earlier times completed
-// and were applied before the barrier quiesced) are discarded for replay.
+// purge implements the crash-barrier deferred-work purge for S: staged
+// data batches (all at times at or above the cut — earlier times completed
+// and were applied before the barrier quiesced) are released for replay.
 // The notification heap survives: pending post-dated records are bin state,
 // not unapplied input, and migrate or restore with their bin.
 func (s *sOp[R, S, O]) purge(cut Time) []dataflow.Time {
-	for t, recs := range s.pending {
-		if t < cut {
-			panic(fmt.Sprintf("megaphone: operator %q: deferred data at %v below purge cut %v (not quiesced?)", s.cfg.Name, t, cut))
-		}
-		clear(recs)
-		s.free = append(s.free, recs[:0])
-		delete(s.pending, t)
-	}
-	s.dataTimes = s.dataTimes[:0]
+	s.staged.purge(s.w, cut, s.cfg.Name+"-S")
 	hold := None
 	if nt, ok := s.notifyHead(); ok {
 		hold = nt
@@ -747,17 +736,27 @@ type sOp[R, S, O any] struct {
 	cfg   Config
 	ops   Ops[R, S, O]
 	bins  *binsHolder[R, S]
+	w     *dataflow.Worker
 	index int
 	h     *Handle[R, S, O]
 
-	pending   map[Time][]routed[R] // data deferred until its time completes
-	dataTimes binTimeHeap          // heap of deferred times (bin unused)
-	applied   Time                 // bound of the latest schedule: all data below it is folded in
-	notify    binTimeHeap          // (time, bin) index into per-bin pending heaps
-	chunks    chunkAssembler       // reassembles chunked migration payloads
+	staged  deferred[routed[R]] // kept data batches, deferred until their time completes
+	applied Time                // bound of the latest schedule: all data below it is folded in
+	notify  binTimeHeap         // (time, bin) index into per-bin pending heaps
+	chunks  chunkAssembler      // reassembles chunked migration payloads
 
-	free      [][]routed[R] // drained per-time buffers, recycled by ingestion
 	replayBuf []TimedRec[R] // reusable scratch for popPendingAt
+
+	// The emission path of processTime, set up once so that applying a time
+	// allocates nothing: emit (the func handed to every Fold) appends to out,
+	// an envelope taken from the worker's free list at the time's first
+	// emission and sent as it is; notif is the one Notificator.
+	c        *dataflow.OpCtx // the scheduling processTime runs in
+	out      dataflow.Batch[O]
+	emitting bool // out is live
+	outLen   int  // what the previous time emitted: the next envelope's size on a free-list miss
+	emit     func(O)
+	notif    Notificator[R, S, O]
 
 	// Load metering (nil meter disables it). mCount accumulates this
 	// processTime call's per-bin application counts; mTouched lists the bins
@@ -800,18 +799,9 @@ func (s *sOp[R, S, O]) schedule(c *dataflow.OpCtx) {
 		}
 	})
 
-	// 2. Defer data until its time is not in advance of both frontiers.
-	dataflow.ForEachBatch(c, sData, func(t Time, data []routed[R]) {
-		recs, ok := s.pending[t]
-		if !ok {
-			heap.Push(&s.dataTimes, binTime{time: t})
-			if n := len(s.free); n > 0 {
-				recs = s.free[n-1]
-				s.free = s.free[:n-1]
-			}
-		}
-		s.pending[t] = append(recs, data...)
-	})
+	// 2. Defer data until its time is not in advance of both frontiers: the
+	// batches are kept, not copied.
+	dataflow.TakeEachBatch(c, sData, s.staged.push)
 
 	bound := c.Frontier(sData)
 	if sf := c.Frontier(sState); sf < bound {
@@ -822,10 +812,7 @@ func (s *sOp[R, S, O]) schedule(c *dataflow.OpCtx) {
 	// 3. Apply complete times in timestamp order: first replayed pending
 	// records, then fresh data, per time.
 	for {
-		t := None
-		if len(s.dataTimes) > 0 {
-			t = s.dataTimes[0].time
-		}
+		t := s.staged.head()
 		if nt, ok := s.notifyHead(); ok && nt < t {
 			t = nt
 		}
@@ -836,10 +823,7 @@ func (s *sOp[R, S, O]) schedule(c *dataflow.OpCtx) {
 	}
 
 	// 4. Hold the output at the earliest deferred work.
-	holdAt := None
-	if len(s.dataTimes) > 0 {
-		holdAt = s.dataTimes[0].time
-	}
+	holdAt := s.staged.head()
 	if nt, ok := s.notifyHead(); ok && nt < holdAt {
 		holdAt = nt
 	}
@@ -866,20 +850,30 @@ func (s *sOp[R, S, O]) notifyHead() (Time, bool) {
 	return 0, false
 }
 
-// processTime applies all work at time t: replayed pending records of every
-// bin notified at t, then deferred data records at t. One Notificator is
-// reused across the whole time (it is only valid during each Fold call),
-// and the output buffer is sized once for the expected emission volume.
-func (s *sOp[R, S, O]) processTime(c *dataflow.OpCtx, t Time) {
-	var out []O
-	hint := len(s.pending[t])
-	emit := func(o O) {
-		if out == nil {
-			out = make([]O, 0, hint+1)
-		}
-		out = append(out, o)
+// emitOne is the emit func of every Fold call: it appends to the current
+// time's output batch, taking the envelope on the first emission so that a
+// time that emits nothing touches no free list.
+//
+//megalint:hotpath
+func (s *sOp[R, S, O]) emitOne(o O) {
+	if !s.emitting {
+		s.out = dataflow.NewBatch[O](s.c, s.outLen)
+		s.emitting = true
 	}
-	n := &Notificator[R, S, O]{s: s, now: t}
+	s.out.Recs = append(s.out.Recs, o)
+}
+
+// processTime applies all work at time t: replayed pending records of every
+// bin notified at t, then the staged data batches at t, folded straight out
+// of the envelopes they arrived in. The Notificator and the emit func are
+// the operator's own (they are only valid during each Fold call), and the
+// emissions accumulate in one pooled envelope that is sent as it is.
+//
+//megalint:hotpath
+func (s *sOp[R, S, O]) processTime(c *dataflow.OpCtx, t Time) {
+	s.c = c
+	n := &s.notif
+	n.now = t
 
 	var meterStart time.Time
 	if s.meter != nil {
@@ -903,18 +897,17 @@ func (s *sOp[R, S, O]) processTime(c *dataflow.OpCtx, t Time) {
 			s.h.OnApply(t, bt.bin, s.index)
 		}
 		for _, tr := range recs {
-			s.ops.Fold(t, tr.Rec, b.State, n, emit)
+			s.ops.Fold(t, tr.Rec, b.State, n, s.emit)
 		}
 		if ht, ok := b.headPending(); ok {
+			//megalint:allow hotalloc the notification index is a container/heap: re-indexing a bin with more post-dated records boxes one entry; only operators that schedule records pay it
 			heap.Push(&s.notify, binTime{time: ht, bin: bt.bin})
 		}
 	}
 
-	if len(s.dataTimes) > 0 && s.dataTimes[0].time == t {
-		heap.Pop(&s.dataTimes)
-		recs := s.pending[t]
-		delete(s.pending, t)
-		for _, rr := range recs {
+	for s.staged.head() == t {
+		batch := s.staged.pop()
+		for _, rr := range batch.Recs {
 			bin := int(rr.Bin)
 			b := s.bins.getOrCreate(bin, s.ops.NewState)
 			n.bin = bin
@@ -924,15 +917,17 @@ func (s *sOp[R, S, O]) processTime(c *dataflow.OpCtx, t Time) {
 			if s.h.OnApply != nil {
 				s.h.OnApply(t, bin, s.index)
 			}
-			s.ops.Fold(t, rr.Rec, b.State, n, emit)
+			s.ops.Fold(t, rr.Rec, b.State, n, s.emit)
 		}
-		clear(recs)
-		s.free = append(s.free, recs[:0])
+		batch.Release(s.w)
 	}
 
-	if len(out) > 0 {
-		dataflow.SendBatch(c, 0, t, out)
+	if s.emitting {
+		s.outLen = len(s.out.Recs)
+		dataflow.SendOwned(c, 0, t, s.out)
+		s.out, s.emitting = dataflow.Batch[O]{}, false
 	}
+	s.c = nil
 	if s.meter != nil {
 		s.flushMeter(time.Since(meterStart).Nanoseconds())
 	}

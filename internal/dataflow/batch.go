@@ -1,6 +1,11 @@
 package dataflow
 
-import "sync/atomic"
+import (
+	"sync/atomic"
+	"unsafe"
+
+	"megaphone/internal/freelist"
+)
 
 // Batch envelopes make the record buffers flowing along edges recyclable.
 // A batch traveling an edge as `any` is either a raw []T (remote decode,
@@ -18,14 +23,22 @@ import "sync/atomic"
 //     they are borrowed until Send increfs them per enqueue, and released
 //     outright if their destination turns out to be retired.
 //   - Every enqueue (local inbox or remote outMsg) increfs; every consumer
-//     (ForEach after the callback, sendRemote after encoding) releases.
-//     The count reaches zero only when no reference remains, so a buffer is
-//     never recycled while a queue, callback, or encoder can still see it.
+//     releases: ForEach after the callback, sendRemote after encoding, and an
+//     operator that kept its input (TakeEachBatch) whenever it is done with
+//     it — possibly many schedulings later, or from the crash barrier's
+//     purge. The count reaches zero only when no reference remains, so a
+//     buffer is never recycled while a queue, callback, operator or encoder
+//     can still see it.
+//   - An operator that builds its output in an envelope (NewBatch) owns it
+//     with refs=1 and hands that reference to Send.
 //
 // Free lists are per worker and only touched from that worker's goroutine
-// (producers get from their own list, the final releaser puts to its own),
-// so they need no locking; refs is atomic because a broadcast envelope is
-// released concurrently by the workers that consumed it.
+// (producers get from their own list, the final releaser puts to its own) or
+// while the worker is parked in Pause, so they need no locking; refs is
+// atomic because a broadcast envelope is released concurrently by the
+// workers that consumed it. What a free list keeps is decided by
+// internal/freelist's ageing rule, trimmed on the worker's scheduling count
+// (see Worker.trim).
 type batchEnv[T any] struct {
 	s    []T
 	refs atomic.Int32
@@ -40,7 +53,7 @@ type batchEnv[T any] struct {
 // needs no reflection.
 type envPool struct {
 	typ  any
-	free []any // stack of *batchEnv[T] matching typ
+	free freelist.List[any] // of *batchEnv[T] matching typ
 }
 
 // batchRef is the type-erased envelope handle OpCtx.Send and the consumers
@@ -62,53 +75,44 @@ func (e *batchEnv[T]) release(w *Worker) {
 	if e.refs.Add(-1) > 0 {
 		return
 	}
+	var zero T
+	size := int(unsafe.Sizeof(zero))
+	used := len(e.s) * size
 	clear(e.s)
 	e.s = e.s[:0]
-	key := any((*batchEnv[T])(nil))
-	for i := range w.envPools {
-		if p := &w.envPools[i]; p.typ == key {
-			if len(p.free) < envPoolCap {
-				p.free = append(p.free, e)
-			}
-			return
-		}
-	}
-	//megalint:allow hotalloc first release of a new envelope type registers its pool; once per type per worker
-	w.envPools = append(w.envPools, envPool{typ: key, free: []any{e}})
+	w.poolFor(any((*batchEnv[T])(nil))).Put(e, used, cap(e.s)*size)
 }
 
-// envPoolCap bounds each per-type free list; overflow is left to the GC.
-// The bound is sized for saturation: an open-loop driver running past
-// capacity adopts and partitions whole backlogs in one scheduling, so the
-// creation bursts between consumption rounds run to the hundreds of
-// envelopes per edge.
-const envPoolCap = 1024
+// poolFor returns w's free list for the envelope type key names (see
+// envPool.typ), registering it on first use. The pool list is a handful of
+// entries (one per envelope type crossing this worker), so the linear type
+// match stays cheaper than a map.
+//
+//megalint:hotpath
+func (w *Worker) poolFor(key any) *freelist.List[any] {
+	for i := range w.envPools {
+		if p := &w.envPools[i]; p.typ == key {
+			return &p.free
+		}
+	}
+	//megalint:allow hotalloc first use of a new envelope type registers its pool; once per type per worker
+	w.envPools = append(w.envPools, envPool{typ: key, free: freelist.New[any](&w.envRetained)})
+	return &w.envPools[len(w.envPools)-1].free
+}
 
 // getEnv returns an envelope of element type T with capacity for n records
-// and refs=0 (borrowed), reusing w's free list for T when it can. The pool
-// list is a handful of entries (one per envelope type crossing this
-// worker), so the linear type match stays cheaper than a map.
+// and refs=0 (borrowed), reusing w's free list for T when it can.
 //
 //megalint:hotpath
 func getEnv[T any](w *Worker, n int) *batchEnv[T] {
-	key := any((*batchEnv[T])(nil))
-	for i := range w.envPools {
-		p := &w.envPools[i]
-		if p.typ != key {
-			continue
+	if got, ok := w.poolFor(any((*batchEnv[T])(nil))).Get(); ok {
+		e := got.(*batchEnv[T])
+		e.refs.Store(0)
+		if cap(e.s) < n {
+			//megalint:allow hotalloc pool hit with undersized buffer: grows once, then sticks while demand stays this large
+			e.s = make([]T, 0, n)
 		}
-		if last := len(p.free) - 1; last >= 0 {
-			e := p.free[last].(*batchEnv[T])
-			p.free[last] = nil
-			p.free = p.free[:last]
-			e.refs.Store(0)
-			if cap(e.s) < n {
-				//megalint:allow hotalloc pool hit with undersized buffer: grows once, then sticks at high-water capacity
-				e.s = make([]T, 0, n)
-			}
-			return e
-		}
-		break
+		return e
 	}
 	//megalint:allow hotalloc pool miss: the free list is warm at steady state, misses only during ramp-up
 	return &batchEnv[T]{s: make([]T, 0, n)}

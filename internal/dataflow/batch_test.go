@@ -9,7 +9,7 @@ import (
 func pooled(w *Worker) int {
 	n := 0
 	for i := range w.envPools {
-		n += len(w.envPools[i].free)
+		n += w.envPools[i].free.Len()
 	}
 	return n
 }
@@ -22,7 +22,7 @@ func TestEnvelopeRefcountAndPool(t *testing.T) {
 	w := &Worker{}
 
 	// Borrowed envelope: one consumer reference, recycled on release.
-	e := getEnv[uint64](w, 8)
+	e := getEnv[uint64](w, 4)
 	e.s = append(e.s, 1, 2, 3)
 	e.incref()
 	e.release(w)

@@ -24,6 +24,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"megaphone/internal/freelist"
 	"megaphone/internal/progress"
 	"megaphone/internal/timestamp"
 )
@@ -224,7 +225,7 @@ func NewExecution(cfg Config) *Execution {
 			wake:  make(chan struct{}, 1),
 		}
 		if e.mesh != nil {
-			w.coalBuf = make([][]byte, e.mesh.procs)
+			w.coalBuf = make([]freelist.Buf, e.mesh.procs)
 		}
 		w.ctx.w = w
 		e.workers = append(e.workers, w)
@@ -428,6 +429,28 @@ func (e *Execution) AppliedBounds() map[int]Time {
 	return out
 }
 
+// Retained is what one process's recycling pools hold at an instant, in
+// bytes: memory kept for reuse, not memory in use.
+type Retained struct {
+	Envelopes []int64 // per local worker: batch-envelope free lists
+	Scratch   []int64 // per local worker: mesh encode scratch, as of the worker's last trim
+	Transport int64   // the mesh transport's frame-payload pools, all lanes
+}
+
+// Retained snapshots the recycling pools' byte counters. Safe to call from
+// any goroutine while the execution runs.
+func (e *Execution) Retained() Retained {
+	var r Retained
+	for _, w := range e.workers {
+		r.Envelopes = append(r.Envelopes, w.envRetained.Load())
+		r.Scratch = append(r.Scratch, w.scratchRetained.Load())
+	}
+	if e.mesh != nil {
+		r.Transport = e.mesh.tr.PoolBytes()
+	}
+	return r
+}
+
 // ResetProgress rebuilds the local tracker from a summed inventory batch
 // (see progress.Tracker.ResetCounts) and re-dirties every worker.
 func (e *Execution) ResetProgress(b *progress.Batch) {
@@ -487,19 +510,25 @@ type Worker struct {
 	activeQ []*opInstance // FIFO of activated operators
 	ctx     OpCtx         // reusable scheduling context (batch/remote/local scratch)
 
-	wireBuf []byte // reusable cross-process record encode scratch
-	progBuf []byte // reusable cross-process progress frame scratch
+	wireBuf freelist.Buf // reusable cross-process record encode scratch
+	progBuf []byte       // reusable cross-process progress frame scratch
 
 	// Cross-process coalescing state (mesh executions only): per destination
 	// process, encoded records staged during the current scheduling, flushed
 	// as one frame at the scheduling boundary or the size threshold.
 	// coalDirty lists the destinations touched this scheduling.
-	coalBuf   [][]byte
+	coalBuf   []freelist.Buf
 	coalDirty []int
 
 	// Recycled batch envelopes, one free list per element type (see
-	// batch.go). Only this worker's goroutine touches them.
-	envPools []envPool
+	// batch.go). Only this worker's goroutine touches them (or whoever holds
+	// it parked in Pause). scheds counts schedulings since the last trim;
+	// the two counters are what the free lists and the encode scratch hold,
+	// in bytes, readable from any goroutine (Execution.Retained).
+	envPools        []envPool
+	scheds          int
+	envRetained     atomic.Int64
+	scratchRetained atomic.Int64
 
 	pendingWatches []pendingWatch
 }
@@ -670,7 +699,12 @@ func (w *Worker) run() {
 			op.active = false
 			w.schedule(op)
 		}
+		w.scheds += len(w.activeQ)
 		w.activeQ = w.activeQ[:0]
+		if w.scheds >= trimEvery {
+			w.scheds = 0
+			w.trim()
+		}
 		v, idle := tr.Snapshot()
 		if idle {
 			return
@@ -693,6 +727,27 @@ func (w *Worker) run() {
 		case <-w.wake:
 		}
 	}
+}
+
+// trimEvery is the worker's ageing clock: its free lists and encode scratch
+// end an interval (freelist's rule) every trimEvery operator schedulings. A
+// steady dataflow schedules around ten operators per epoch, so an interval
+// spans tens of epochs — every buffer the steady state cycles is taken many
+// times per interval — and the clock stops with the worker: an idle dataflow
+// keeps what it last used.
+const trimEvery = 256
+
+// trim ends an ageing interval for everything this worker recycles. It runs
+// between schedulings, when the coalescing buffers are empty.
+func (w *Worker) trim() {
+	for i := range w.envPools {
+		w.envPools[i].free.Trim()
+	}
+	held := w.wireBuf.Trim()
+	for i := range w.coalBuf {
+		held += w.coalBuf[i].Trim()
+	}
+	w.scratchRetained.Store(int64(held))
 }
 
 // schedule runs one operator's logic with a context exposing its queued
@@ -754,6 +809,11 @@ func (w *Worker) schedule(op *opInstance) {
 	for i := range c.local {
 		w.route(c.local[i])
 	}
+	// The send buffers are reused at their high-water length: drop the batch
+	// references they carried, or a burst's envelopes stay reachable from the
+	// slots a steady state never overwrites after the free lists let them go.
+	clear(c.remote)
+	clear(c.local)
 	c.op = nil
 }
 

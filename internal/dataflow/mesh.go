@@ -583,14 +583,15 @@ func (w *Worker) sendRemote(m outMsg) {
 	if int(edge) >= len(e.edgeCodecs) || e.edgeCodecs[edge].enc == nil {
 		panic(fmt.Sprintf("dataflow: edge %d crosses processes but has no wire codec (connect it with dataflow.Connect)", edge))
 	}
-	rec := e.edgeCodecs[edge].enc(m.msg.data, w.wireBuf[:0])
-	w.wireBuf = rec
+	rec := e.edgeCodecs[edge].enc(m.msg.data, w.wireBuf.B[:0])
+	w.wireBuf.B = rec
+	w.wireBuf.Note(len(rec))
 	releaseAny(w, m.msg.data) // the remote's reference: encoded, copy owned by us
 	dst := m.peer / e.cfg.Workers
-	buf := w.coalBuf[dst]
+	buf := w.coalBuf[dst].B
 	if len(buf) > 0 && len(buf)+len(rec)+4*binary.MaxVarintLen64 > e.mesh.coalesce {
 		w.flushRemote(dst)
-		buf = w.coalBuf[dst]
+		buf = w.coalBuf[dst].B
 	}
 	if len(buf) == 0 {
 		w.coalDirty = append(w.coalDirty, dst)
@@ -600,7 +601,7 @@ func (w *Worker) sendRemote(m outMsg) {
 	buf = binenc.AppendUvarint(buf, uint64(m.msg.time))
 	buf = binenc.AppendUvarint(buf, uint64(len(rec)))
 	buf = append(buf, rec...)
-	w.coalBuf[dst] = buf
+	w.coalBuf[dst].B = buf
 }
 
 // flushRemote ships this worker's coalescing buffer for process dst as one
@@ -611,14 +612,15 @@ func (w *Worker) sendRemote(m outMsg) {
 //
 //megalint:hotpath
 func (w *Worker) flushRemote(dst int) {
-	buf := w.coalBuf[dst]
-	if len(buf) == 0 {
+	cb := &w.coalBuf[dst]
+	if len(cb.B) == 0 {
 		return
 	}
 	e := w.exec
-	e.mesh.tr.SendKeyed(dst, w.local, kindData, buf)
+	e.mesh.tr.SendKeyed(dst, w.local, kindData, cb.B)
 	e.mesh.sentN[dst].Add(1)
-	w.coalBuf[dst] = buf[:0]
+	cb.Note(len(cb.B))
+	cb.B = cb.B[:0]
 }
 
 // flushRemotes flushes every destination staged during the current

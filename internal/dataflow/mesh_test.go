@@ -381,3 +381,73 @@ func TestMeshBroadcastAndFrontier(t *testing.T) {
 		}
 	}
 }
+
+// TestMeshScratchGivesBackALargeFrame: one exchanged batch of megabytes (an
+// all-at-once migration's state, a catch-up backlog) grows the sending
+// worker's encode and coalescing scratch, the lane's frame-payload pool and
+// the receiving connection's read buffer to its size. Once traffic is back
+// to small batches, none of them may keep it.
+func TestMeshScratchGivesBackALargeFrame(t *testing.T) {
+	const large, small, epochs = 1 << 19, 8, 2000
+	meshes := joinLocalMeshes(t, 2)
+	peak := make([]Retained, len(meshes))
+	end := make([]Retained, len(meshes))
+	var wg sync.WaitGroup
+	for p, mesh := range meshes {
+		peak[p].Scratch = make([]int64, 1)
+		wg.Add(1)
+		go func(p int, mesh *Mesh) {
+			defer wg.Done()
+			exec := NewExecution(Config{Workers: 1, Mesh: mesh})
+			var in *InputHandle[uint64]
+			var probe *Probe
+			exec.Build(func(w *Worker) {
+				h, s := NewInput[uint64](w, "in")
+				in = h
+				b := w.NewOp("exchange", 1)
+				Connect(b, s, Exchange[uint64]{Hash: func(k uint64) uint64 { return k }})
+				outs := b.Build(func(c *OpCtx) {
+					ForEachBatch(c, 0, func(t Time, data []uint64) { SendBatch(c, 0, t, data) })
+				})
+				probe = NewProbe(w, Typed[uint64](outs[0]))
+			})
+			exec.Start()
+			for e := 1; e <= epochs; e++ {
+				n := small
+				if e == 1 {
+					n = large
+				}
+				batch := make([]uint64, n)
+				for i := range batch {
+					batch[i] = uint64(i)
+				}
+				in.SendBatchAt(Time(e), batch)
+				in.AdvanceTo(Time(e + 1))
+				for probe.LessThan(Time(e + 1)) {
+					time.Sleep(10 * time.Microsecond)
+				}
+				r := exec.Retained()
+				peak[p].Scratch[0] = max(peak[p].Scratch[0], r.Scratch[0])
+				peak[p].Transport = max(peak[p].Transport, r.Transport)
+			}
+			end[p] = exec.Retained()
+			in.Close()
+			exec.Wait()
+		}(p, mesh)
+	}
+	wg.Wait()
+	for p := range meshes {
+		t.Logf("process %d: scratch %d -> %d bytes, transport pools %d -> %d bytes",
+			p, peak[p].Scratch[0], end[p].Scratch[0], peak[p].Transport, end[p].Transport)
+		if peak[p].Scratch[0] < large*8/4 || peak[p].Transport < large*8/4 {
+			t.Errorf("process %d: the large batch only grew the scratch to %d bytes and the pools to %d: the test no longer exercises them",
+				p, peak[p].Scratch[0], peak[p].Transport)
+		}
+		if end[p].Scratch[0] > 64<<10 {
+			t.Errorf("process %d: encode scratch still holds %d bytes after %d small epochs", p, end[p].Scratch[0], epochs)
+		}
+		if end[p].Transport > 256<<10 {
+			t.Errorf("process %d: frame-payload pools still hold %d bytes after %d small epochs", p, end[p].Transport, epochs)
+		}
+	}
+}

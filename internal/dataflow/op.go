@@ -275,13 +275,20 @@ func (c *OpCtx) Frontier(i int) Time { return c.frontiers[i] }
 func (c *OpCtx) NumQueued(i int) int { return len(c.op.queues[i]) }
 
 // ForEach drains input port i, invoking f once per queued batch. The data
-// argument is the batch the producer sent; it is only valid during the
-// callback — the runtime may recycle the buffer afterwards, so a callee
-// that wants to keep records must copy them out (every forwarding path,
-// SendBatch included, already does).
+// argument is the batch the producer sent, lent for the duration of the
+// callback: the runtime may recycle the buffer afterwards. A callee that
+// wants the records beyond the callback either copies them out (SendBatch
+// does) or drains with TakeEachBatch, which hands it the batch to keep.
 //
 //megalint:hotpath
-func (c *OpCtx) ForEach(i int, f func(t Time, data any)) {
+func (c *OpCtx) ForEach(i int, f func(t Time, data any)) { c.drain(i, false, f) }
+
+// drain is the one input drain: it consumes every batch queued on port i
+// and hands each to f. With keep, the consumer's reference to the batch
+// passes to f (see TakeEachBatch); otherwise it is dropped after f returns.
+//
+//megalint:hotpath
+func (c *OpCtx) drain(i int, keep bool, f func(t Time, data any)) {
 	q := c.op.queues[i]
 	if len(q) == 0 {
 		return
@@ -294,7 +301,9 @@ func (c *OpCtx) ForEach(i int, f func(t Time, data any)) {
 	for _, b := range q {
 		c.batch.Add(loc, b.time, -1)
 		f(b.time, b.data)
-		releaseAny(c.w, b.data)
+		if !keep {
+			releaseAny(c.w, b.data)
+		}
 	}
 	clear(q) // drop batch references before the backing array is reused
 }

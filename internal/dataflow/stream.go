@@ -170,6 +170,72 @@ func Connect[T any](b *OpBuilder, s Stream[T], p Pact[T]) int {
 	return i
 }
 
+// Batch is a batch of records an operator owns: one it built to send
+// (NewBatch, append to Recs, SendOwned) or one it kept from its input
+// (TakeEachBatch). Owning a batch is holding one reference to its envelope,
+// and the owner gives that reference up exactly once, on its worker: to
+// SendOwned, or to Release. A batch that arrived as a raw slice (decoded
+// off the wire) has no envelope; the same calls apply and the garbage
+// collector owns the buffer.
+//
+// The records of a kept batch are shared with every other consumer of the
+// envelope and must not be modified.
+type Batch[T any] struct {
+	Recs []T
+	env  *batchEnv[T]
+}
+
+// NewBatch returns an empty batch with room for n records, drawn from the
+// worker's free list, for the operator to fill and send.
+//
+//megalint:hotpath
+func NewBatch[T any](c *OpCtx, n int) Batch[T] {
+	e := getEnv[T](c.w, n)
+	e.refs.Store(1)
+	return Batch[T]{Recs: e.s, env: e}
+}
+
+// sync points the envelope at what its owner built in Recs (which append
+// may have moved). Only a sole owner may: the envelope of a kept batch that
+// other consumers still hold already has the records, and they are reading
+// it.
+//
+//megalint:hotpath
+func (b Batch[T]) sync() {
+	if b.env.refs.Load() == 1 {
+		b.env.s = b.Recs
+	}
+}
+
+// Release gives the batch up: the owner is done with the records. Called on
+// the owning worker's goroutine, or while that worker is parked in Pause (a
+// purge callback).
+//
+//megalint:hotpath
+func (b Batch[T]) Release(w *Worker) {
+	if b.env != nil {
+		b.sync()
+		b.env.release(w)
+	}
+}
+
+// SendOwned emits an owned batch on output port o at time t without copying
+// it; the batch is the receivers' afterwards. An empty batch is released.
+//
+//megalint:hotpath
+func SendOwned[T any](c *OpCtx, o int, t Time, b Batch[T]) {
+	switch {
+	case len(b.Recs) == 0:
+		b.Release(c.w)
+	case b.env == nil:
+		//megalint:allow hotalloc forwarding a raw wire-decoded slice boxes its header; built and in-process batches carry envelopes
+		c.Send(o, t, b.Recs)
+	default:
+		b.sync()
+		c.Send(o, t, b.env)
+	}
+}
+
 // SendBatch emits a typed batch on output port o at time t. The records are
 // copied into a recycled envelope, so the caller keeps ownership of data
 // and may reuse it immediately — forwarding a slice received from
@@ -180,20 +246,35 @@ func SendBatch[T any](c *OpCtx, o int, t Time, data []T) {
 	if len(data) == 0 {
 		return
 	}
-	env := getEnv[T](c.w, len(data))
-	env.s = append(env.s, data...)
-	env.refs.Store(1)
-	c.Send(o, t, env)
+	b := NewBatch[T](c, len(data))
+	b.Recs = append(b.Recs, data...)
+	SendOwned(c, o, t, b)
 }
 
 // ForEachBatch drains input i, invoking f once per batch with its typed
-// contents. The slice is only valid during the callback; copy records out
-// to retain them.
+// contents. The slice is lent for the duration of the callback; copy
+// records out, or drain with TakeEachBatch, to retain them.
 //
 //megalint:hotpath
 func ForEachBatch[T any](c *OpCtx, i int, f func(t Time, data []T)) {
 	//megalint:allow hotalloc one adapter closure per drain, amortized over the whole batch run
-	c.ForEach(i, func(t Time, data any) { f(t, asBatch[T](data)) })
+	c.drain(i, false, func(t Time, data any) { f(t, asBatch[T](data)) })
+}
+
+// TakeEachBatch drains input i like ForEachBatch, but each batch is f's to
+// keep: f (or whoever it passes the batch to) must Release it or SendOwned
+// it, in this scheduling or a later one.
+//
+//megalint:hotpath
+func TakeEachBatch[T any](c *OpCtx, i int, f func(t Time, b Batch[T])) {
+	//megalint:allow hotalloc one adapter closure per drain, amortized over the whole batch run
+	c.drain(i, true, func(t Time, data any) {
+		if e, ok := data.(*batchEnv[T]); ok {
+			f(t, Batch[T]{Recs: e.s, env: e})
+		} else {
+			f(t, Batch[T]{Recs: data.([]T)})
+		}
+	})
 }
 
 // Output returns output port o of the built streams as a typed stream.

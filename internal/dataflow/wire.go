@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/gob"
 	"fmt"
+	"slices"
 
 	"megaphone/internal/binenc"
 )
@@ -48,11 +49,22 @@ func wireCodecFor[T any]() wireCodec {
 	return wireCodec{enc: encodeWireGob[T], dec: decodeWireGob[T]}
 }
 
+// encodeWireRecs appends the batch record by record. The scratch it appends
+// to is sized by recent batches (see Worker.trim), so a batch far larger
+// than those — an all-at-once migration's state chunks after a stretch of
+// routed records — would regrow it a quarter at a time; instead the first
+// record that outgrows the scratch reserves the rest of the batch at the
+// mean record size so far.
 func encodeWireRecs[T any](data any, buf []byte) []byte {
 	s := asBatch[T](data)
+	start := len(buf)
 	buf = binenc.AppendUvarint(buf, uint64(len(s)))
 	for i := range s {
+		had := cap(buf)
 		buf = any(&s[i]).(wireRec).AppendBinaryRec(buf)
+		if cap(buf) != had && i+1 < len(s) {
+			buf = slices.Grow(buf, (len(buf)-start)/(i+1)*(len(s)-i-1))
+		}
 	}
 	return buf
 }

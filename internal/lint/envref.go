@@ -2,6 +2,7 @@ package lint
 
 import (
 	"go/ast"
+	"go/token"
 	"go/types"
 	"strings"
 )
@@ -24,6 +25,15 @@ import (
 //   - mentioning an expression after it was released is a use-after-free
 //     of a potentially recycled buffer
 //
+// An operator that keeps a batch owns one of those references, and the same
+// rules follow it across the ownership edge: Release and SendOwned give the
+// owner's reference up (so a second one, or a use of the batch afterwards,
+// is the same double release or use-after-free), and the callback handed to
+// TakeEachBatch — the drain that transfers ownership — must on every path
+// either give its batch up or hand it on (store it, pass it to a call); a
+// path that only reads the records keeps a reference nothing will release,
+// and the buffer never returns to the free list.
+//
 // Functions implementing the protocol itself (names containing incref or
 // release) are exempt.
 var EnvRef = &Analyzer{
@@ -45,6 +55,8 @@ func runEnvRef(pass *Pass) error {
 			}
 			ast.Inspect(fd.Body, func(n ast.Node) bool {
 				switch n := n.(type) {
+				case *ast.CallExpr:
+					checkTake(pass, n)
 				case *ast.BlockStmt:
 					checkEnvList(pass, n.List)
 				case *ast.CaseClause:
@@ -74,20 +86,129 @@ func refEvent(stmt ast.Stmt) (kind string, subject ast.Expr) {
 		switch fun.Sel.Name {
 		case "incref":
 			return "incref", fun.X
-		case "release":
+		case "release", "Release":
 			return "release", fun.X
+		case "SendOwned":
+			if len(call.Args) > 0 {
+				return "release", call.Args[len(call.Args)-1]
+			}
 		}
 	case *ast.Ident:
 		if len(call.Args) > 0 {
 			switch fun.Name {
 			case "increfAny":
 				return "incref", call.Args[len(call.Args)-1]
-			case "releaseAny":
+			case "releaseAny", "SendOwned":
 				return "release", call.Args[len(call.Args)-1]
 			}
 		}
 	}
 	return "", nil
+}
+
+// checkTake applies the keep rule to a TakeEachBatch call whose callback is
+// a function literal: the literal's last parameter is a batch it owns.
+func checkTake(pass *Pass, call *ast.CallExpr) {
+	name := ""
+	switch fun := ast.Unparen(call.Fun).(type) {
+	case *ast.Ident:
+		name = fun.Name
+	case *ast.SelectorExpr:
+		name = fun.Sel.Name
+	}
+	if name != "TakeEachBatch" || len(call.Args) == 0 {
+		return
+	}
+	lit, ok := call.Args[len(call.Args)-1].(*ast.FuncLit)
+	if !ok || len(lit.Type.Params.List) == 0 {
+		return
+	}
+	last := lit.Type.Params.List[len(lit.Type.Params.List)-1]
+	if len(last.Names) == 0 {
+		return
+	}
+	k := keep{pass: pass, batch: last.Names[len(last.Names)-1].Name}
+	if !k.walk(lit.Body.List, false) {
+		k.report(lit.Body.Rbrace)
+	}
+}
+
+// keep walks the paths of a taking callback.
+type keep struct {
+	pass     *Pass
+	batch    string
+	reported bool
+}
+
+func (k *keep) report(pos token.Pos) {
+	if !k.reported {
+		k.reported = true
+		k.pass.Reportf(pos, "batch %s kept but never released: this path neither releases it, sends it, nor hands it on", k.batch)
+	}
+}
+
+// walk follows a statement list and reports whether a path reaching its end
+// has disposed of the batch. A return on a path that has not is reported;
+// loops and switches count as disposing if anything inside them does.
+func (k *keep) walk(list []ast.Stmt, disposed bool) bool {
+	for _, stmt := range list {
+		switch s := stmt.(type) {
+		case *ast.ReturnStmt:
+			if !disposed {
+				k.report(s.Pos())
+			}
+			return true // the path ends here
+		case *ast.BlockStmt:
+			disposed = k.walk(s.List, disposed)
+		case *ast.IfStmt:
+			then := k.walk(s.Body.List, disposed)
+			els := disposed
+			switch e := s.Else.(type) {
+			case *ast.BlockStmt:
+				els = k.walk(e.List, disposed)
+			case *ast.IfStmt:
+				els = k.walk([]ast.Stmt{e}, disposed)
+			}
+			disposed = then && els
+		default:
+			disposed = disposed || k.disposes(stmt)
+		}
+	}
+	return disposed
+}
+
+// disposes reports whether the statement gives the batch up (Release,
+// SendOwned) or hands the batch itself — not just its records — to someone
+// else: as a call argument, an assigned value, or a composite-literal field.
+func (k *keep) disposes(stmt ast.Stmt) bool {
+	is := func(e ast.Expr) bool {
+		id, ok := ast.Unparen(e).(*ast.Ident)
+		return ok && id.Name == k.batch
+	}
+	found := false
+	ast.Inspect(stmt, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.CallExpr:
+			if sel, ok := ast.Unparen(n.Fun).(*ast.SelectorExpr); ok && sel.Sel.Name == "Release" && is(sel.X) {
+				found = true
+			}
+			for _, a := range n.Args {
+				found = found || is(a)
+			}
+		case *ast.AssignStmt:
+			for _, r := range n.Rhs {
+				found = found || is(r)
+			}
+		case *ast.KeyValueExpr:
+			found = found || is(n.Value)
+		case *ast.CompositeLit:
+			for _, e := range n.Elts {
+				found = found || is(e)
+			}
+		}
+		return !found
+	})
+	return found
 }
 
 func checkEnvList(pass *Pass, list []ast.Stmt) {

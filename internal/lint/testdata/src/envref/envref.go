@@ -70,3 +70,87 @@ func (q *queue) reassignedIsFresh(env *batchEnv, next *batchEnv) {
 	_ = len(env.s)
 	_ = env
 }
+
+// The ownership edge: an operator that drains with TakeEachBatch owns each
+// batch it is handed — one reference to the envelope — until it gives the
+// batch up (Release, SendOwned) or hands it on.
+
+type Batch struct {
+	Recs []int
+	env  *batchEnv
+}
+
+func (b Batch) Release() {
+	if b.env != nil {
+		b.env.release()
+	}
+}
+
+func SendOwned(port int, b Batch) { b.Release() }
+
+func TakeEachBatch(port int, f func(t int, b Batch)) {}
+
+type stage struct{ kept []Batch }
+
+func (s *stage) push(t int, b Batch) { s.kept = append(s.kept, b) }
+
+// takeGood is the shape of megaphone's F: route and release what is
+// routable now, keep the rest by handing it to the stage.
+func takeGood(s *stage, frontier int, route func([]int)) {
+	TakeEachBatch(0, func(t int, b Batch) {
+		if t < frontier {
+			route(b.Recs)
+			b.Release()
+			return
+		}
+		s.push(t, b)
+	})
+	TakeEachBatch(1, func(t int, b Batch) {
+		s.kept = append(s.kept, b)
+	})
+	TakeEachBatch(2, func(t int, b Batch) {
+		SendOwned(0, b)
+	})
+}
+
+// keptAndForgotten only reads the records: the callback was handed a
+// reference and drops it on the floor, so the buffer never recycles.
+func keptAndForgotten(route func([]int)) {
+	TakeEachBatch(0, func(t int, b Batch) {
+		route(b.Recs)
+	}) // want "batch b kept but never released"
+}
+
+// keptOnOnePath releases on the fast path and forgets the slow one.
+func keptOnOnePath(frontier int, route func([]int)) {
+	TakeEachBatch(0, func(t int, b Batch) {
+		if t >= frontier {
+			return // want "batch b kept but never released"
+		}
+		route(b.Recs)
+		b.Release()
+	})
+}
+
+// givenUpTwice gives the same reference up twice: the second release
+// recycles a buffer whoever took it from the free list is already filling.
+func givenUpTwice(s *stage) {
+	for _, b := range s.kept {
+		b.Release()
+		b.Release() // want "envelope b released twice on this path"
+	}
+}
+
+// sentThenGivenUp is the same bug through the other give-up call.
+func sentThenGivenUp(b Batch) {
+	SendOwned(0, b)
+	b.Release() // want "envelope b released twice on this path"
+}
+
+// usedAfterGivingUp folds out of a batch it no longer owns.
+func usedAfterGivingUp(b Batch, fold func(int)) {
+	b.Release()
+	for _, r := range b.Recs { // want "envelope b used after release"
+		fold(r)
+	}
+}

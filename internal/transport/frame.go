@@ -15,6 +15,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+
+	"megaphone/internal/freelist"
 )
 
 // Frame kinds. Kinds below KindUser are internal to the transport.
@@ -98,7 +100,7 @@ func AppendFrame(buf []byte, kind byte, seq uint64, payload []byte) []byte {
 type FrameReader struct {
 	r   io.Reader
 	max int
-	buf []byte
+	buf freelist.Buf
 	hdr [4]byte
 }
 
@@ -124,10 +126,11 @@ func (fr *FrameReader) Next() (kind byte, seq uint64, payload []byte, err error)
 	if n+4 > fr.max {
 		return 0, 0, nil, ErrFrameTooLarge{Declared: n + 4, Max: fr.max}
 	}
-	if cap(fr.buf) < n {
-		fr.buf = make([]byte, n)
+	if cap(fr.buf.B) < n {
+		fr.buf.B = make([]byte, n)
 	}
-	body := fr.buf[:n]
+	fr.buf.Note(n)
+	body := fr.buf.B[:n]
 	if _, err = io.ReadFull(fr.r, body); err != nil {
 		if err == io.EOF {
 			err = io.ErrUnexpectedEOF
@@ -136,6 +139,12 @@ func (fr *FrameReader) Next() (kind byte, seq uint64, payload []byte, err error)
 	}
 	return body[0], binary.BigEndian.Uint64(body[1:9]), body[9:], nil
 }
+
+// Trim ends an ageing interval for the reader's buffer (freelist's rule): a
+// buffer grown for one large frame — a migration's state — is dropped once
+// two intervals of frames would have fit in half of it. The payload last
+// returned by Next is invalid afterwards, as it is after the next Next.
+func (fr *FrameReader) Trim() { fr.buf.Trim() }
 
 // appendSubFrame appends the encoding of one coalesced sub-frame to buf: a
 // u32 length covering kind+payload, the kind byte, and the payload. The

@@ -11,6 +11,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"megaphone/internal/freelist"
 )
 
 // rejectRetired is the reason payload of a kindReject frame sent to a
@@ -157,11 +159,11 @@ type peer struct {
 	// the cursor instead of memmoving the (potentially large) retained tail
 	// on every ack; the array compacts only when the dead prefix dominates.
 	unackedHead int
-	pool        [][]byte // recycled frame payload buffers
-	sendSeq     uint64   // last assigned outbound sequence number
-	ackedSeq    uint64   // highest outbound seq acked by the peer
-	recvSeq     uint64   // highest contiguous inbound seq received
-	lastAck     uint64   // recvSeq when we last enqueued an ack
+	pool        freelist.List[[]byte] // recycled frame payload buffers; an interval is one ack round
+	sendSeq     uint64                // last assigned outbound sequence number
+	ackedSeq    uint64                // highest outbound seq acked by the peer
+	recvSeq     uint64                // highest contiguous inbound seq received
+	lastAck     uint64                // recvSeq when we last enqueued an ack
 	finRecvd    bool
 	finSeq      uint64 // our FIN's seq (0 until Finish)
 	inFlight    bool   // sender is mid-write on a batch taken from q
@@ -210,7 +212,13 @@ type Transport struct {
 
 	fatalMu  sync.Mutex
 	fatalErr error
+
+	poolBytes atomic.Int64 // what the lanes' payload pools hold
 }
+
+// PoolBytes reports the bytes of frame-payload buffers the lanes' pools
+// hold for reuse.
+func (t *Transport) PoolBytes() int64 { return t.poolBytes.Load() }
 
 // Dial joins the cluster: it binds the local listener, connects to every
 // lower-indexed peer (retrying with backoff while they start), accepts
@@ -240,6 +248,7 @@ func Dial(cfg Config, handler Handler) (*Transport, error) {
 				absent: absent(i),
 				notify: make(chan struct{}, 1),
 				up:     make(chan struct{}),
+				pool:   freelist.New[[]byte](&t.poolBytes),
 			})
 		}
 		t.peers = append(t.peers, ps)
@@ -493,26 +502,24 @@ func (p *peer) poke() {
 //
 //megalint:hotpath
 func (p *peer) getBufLocked(n int) []byte {
-	if l := len(p.pool); l > 0 {
-		buf := p.pool[l-1]
-		p.pool = p.pool[:l-1]
-		if cap(buf) >= n {
-			return buf
-		}
+	if buf, ok := p.pool.Get(); ok && cap(buf) >= n {
+		return buf
 	}
 	//megalint:allow hotalloc pool miss or undersized buffer: the pool is warm at steady state
 	return make([]byte, 0, n)
 }
 
+// putBufLocked recycles a frame's payload buffer. The pool has to cover the
+// whole in-flight window — enqueued, written, awaiting ack — or the enqueue
+// path falls back to the allocator between ack roundtrips; freelist's rule
+// sizes it to exactly that: every buffer of the window is taken again
+// within an ack round or two, while what a burst (an all-at-once migration's
+// state frames, a catch-up backlog) added on top, in count or in buffer
+// size, ages out two ack rounds after the lane last needed it.
+//
 //megalint:hotpath
 func (p *peer) putBufLocked(buf []byte) {
-	// The pool must cover the whole in-flight window — enqueued, written,
-	// awaiting ack — or the enqueue path falls back to the allocator between
-	// ack roundtrips. 8192 buffers bound it at a few MB per lane for typical
-	// frame sizes while absorbing a saturating producer.
-	if len(p.pool) < 8192 {
-		p.pool = append(p.pool, buf[:0])
-	}
+	p.pool.Put(buf[:0], len(buf), cap(buf))
 }
 
 // sendLoop is the lane's single sender goroutine. It alone adopts new
@@ -953,7 +960,10 @@ func (p *peer) recvLoop(io *connIO) {
 	defer p.t.wg.Done()
 	t := p.t
 	fr := NewFrameReader(io.br, t.cfg.MaxFrame)
-	for {
+	for frames := 1; ; frames++ {
+		if frames%t.cfg.AckEvery == 0 {
+			fr.Trim() // the receive side's ack round
+		}
 		kind, seq, payload, err := fr.Next()
 		if err != nil {
 			p.connBroken(io)
@@ -963,6 +973,7 @@ func (p *peer) recvLoop(io *connIO) {
 			if len(payload) == 8 {
 				p.mu.Lock()
 				p.trimUnackedLocked(binary.BigEndian.Uint64(payload))
+				p.pool.Trim()
 				p.mu.Unlock()
 			}
 			continue
