@@ -15,7 +15,6 @@ import (
 	"testing"
 	"time"
 
-	"megaphone/internal/core"
 	"megaphone/internal/keycount"
 	"megaphone/internal/nexmark"
 	"megaphone/internal/plan"
@@ -290,35 +289,6 @@ func BenchmarkFigure20(b *testing.B) {
 				b.ReportMetric(res.Memory.Max()/(1<<20), "peak-heap-MiB")
 				b.ReportMetric(res.Memory.Quantile(0.5)/(1<<20), "p50-heap-MiB")
 			}
-		})
-	}
-}
-
-// BenchmarkMigrationAblationCodec — end-to-end migration latency per
-// transfer codec: gob (reflective baseline) vs the hand-rolled binary
-// codec vs direct pointer handoff (the in-process lower bound — the cost
-// Megaphone pays to model cross-process state movement). The per-bin
-// encode+decode micro-benchmark is keycount.BenchmarkMigrationCodec.
-func BenchmarkMigrationAblationCodec(b *testing.B) {
-	for _, tr := range []struct {
-		name string
-		t    core.Codec
-	}{{"gob", core.TransferGob}, {"binary", core.TransferBinary}, {"direct", core.TransferDirect}} {
-		b.Run(tr.name, func(b *testing.B) {
-			runKeycount(b, keycount.RunConfig{
-				Params: keycount.Params{
-					Variant:  keycount.HashCount,
-					LogBins:  8,
-					Domain:   1 << 21,
-					Transfer: tr.t,
-					Preload:  true,
-				},
-				Workers:   benchWorkers,
-				Rate:      benchRate,
-				Duration:  benchDuration,
-				Strategy:  plan.AllAtOnce,
-				MigrateAt: benchMigrateAt,
-			})
 		})
 	}
 }

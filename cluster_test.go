@@ -16,7 +16,6 @@ import (
 	"testing"
 	"time"
 
-	"megaphone/internal/core"
 	"megaphone/internal/dataflow"
 	"megaphone/internal/harness"
 	"megaphone/internal/keycount"
@@ -240,26 +239,6 @@ func TestClusterNexmarkQ4Equivalence(t *testing.T) {
 	if got, want := clu.canonical(), ref.canonical(); got != want {
 		t.Fatalf("cluster q4 end-of-epoch aggregates differ from single-process run (cluster %d keys, single %d keys)",
 			len(clu.last), len(ref.last))
-	}
-}
-
-// TestClusterRejectsDirectCodec pins the configuration guard: pointer
-// handoff cannot cross process boundaries.
-func TestClusterRejectsDirectCodec(t *testing.T) {
-	cfg := keycount.RunConfig{
-		Params: keycount.Params{
-			Variant:  keycount.HashCount,
-			LogBins:  4,
-			Domain:   1 << 10,
-			Transfer: core.TransferDirect,
-		},
-		Cluster: &dataflow.ClusterSpec{
-			Hosts:   []string{"127.0.0.1:1", "127.0.0.1:2"},
-			Process: 0,
-		},
-	}
-	if _, err := keycount.Run(cfg); err == nil || !strings.Contains(err.Error(), "direct") {
-		t.Fatalf("expected direct-codec rejection, got %v", err)
 	}
 }
 

@@ -20,7 +20,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"megaphone/internal/core"
 	"megaphone/internal/dataflow"
 	"megaphone/internal/harness"
 	"megaphone/internal/keycount"
@@ -29,10 +28,9 @@ import (
 )
 
 type config struct {
-	workers  int
-	quick    bool
-	transfer core.Codec
-	out      io.Writer
+	workers int
+	quick   bool
+	out     io.Writer
 	// cluster, when non-nil, runs every experiment's dataflows across OS
 	// processes: each run joins a fresh mesh, so all processes must execute
 	// the same experiment sequence (same flags apart from -process).
@@ -86,30 +84,17 @@ func main() {
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
 	var (
-		exp      = fs.String("exp", "all", "experiment: table1, fig1, fig5..fig20, skew, autoscale, recovery, codec, or all")
-		workers  = fs.Int("workers", 4, "number of workers")
-		quick    = fs.Bool("quick", false, "shrink durations for a fast pass")
-		transfer = fs.String("transfer", "gob",
-			fmt.Sprintf("migration codec for every experiment: %s", strings.Join(core.CodecNames(), ", ")))
-		hosts = fs.String("hosts", "", "comma-separated host:port list, one per process; runs every experiment across processes (start all processes with identical flags apart from -process)")
-		proc  = fs.Int("process", 0, "this process's index into -hosts")
+		exp     = fs.String("exp", "all", "experiment: table1, fig1, fig5..fig20, skew, autoscale, recovery, or all")
+		workers = fs.Int("workers", 4, "number of workers")
+		quick   = fs.Bool("quick", false, "shrink durations for a fast pass")
+		hosts   = fs.String("hosts", "", "comma-separated host:port list, one per process; runs every experiment across processes (start all processes with identical flags apart from -process)")
+		proc    = fs.Int("process", 0, "this process's index into -hosts")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	codec, err := core.CodecByName(*transfer)
-	if err != nil {
-		return err
-	}
-	c := config{workers: *workers, quick: *quick, transfer: codec, out: out}
+	c := config{workers: *workers, quick: *quick, out: out}
 	if *hosts != "" {
-		// Validate the cluster-incompatible knobs up front, before any
-		// experiment output, so misconfiguration is a clean error rather
-		// than a panic mid-sequence. (codecExp, which iterates all codecs
-		// by design, skips the direct row itself.)
-		if core.IsDirectCodec(codec) {
-			return fmt.Errorf("-transfer direct cannot cross process boundaries; use gob or binary with -hosts")
-		}
 		c.cluster = &dataflow.ClusterSpec{Hosts: strings.Split(*hosts, ","), Process: *proc}
 		c.runSeq = new(atomic.Uint64)
 	}
@@ -117,7 +102,6 @@ func run(args []string, out io.Writer) error {
 	all := map[string]func(config){
 		"table1":    table1,
 		"fig1":      fig1,
-		"codec":     codecExp,
 		"skew":      skewExp,
 		"autoscale": autoscaleExp,
 		"recovery":  recoveryExp,
@@ -169,56 +153,10 @@ func orderKey(n string) int {
 		return 901
 	case "recovery":
 		return 902
-	case "codec":
-		return 999
 	}
 	var x int
 	fmt.Sscanf(n, "fig%d", &x)
 	return x
-}
-
-// codecExp — migration latency per transfer codec: the cost model of
-// Section 3.4 made visible. Direct pointer handoff bounds what any codec
-// could achieve; gob is the reflective baseline; binary is the hand-rolled
-// fast path. Runs all registered codecs regardless of -transfer.
-func codecExp(c config) {
-	header(c, "codec", "migration latency per state-transfer codec (all-at-once, key-count)")
-	fmt.Fprintf(c.out, "%-10s %12s %14s %12s\n", "codec", "duration[s]", "max-latency[ms]", "p99[ms]")
-	for _, name := range core.CodecNames() {
-		codec, err := core.CodecByName(name)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			continue
-		}
-		if c.cluster != nil && core.IsDirectCodec(codec) {
-			// Pointer handoff cannot cross process boundaries; every
-			// process skips this row identically, keeping the cluster's
-			// run sequences in lockstep.
-			fmt.Fprintf(c.out, "%-10s %12s\n", name, "(skipped in cluster mode)")
-			continue
-		}
-		res := c.runKeycount(keycount.RunConfig{
-			Params: keycount.Params{
-				Variant:  keycount.HashCount,
-				LogBins:  8,
-				Domain:   1 << 21,
-				Transfer: codec,
-				Preload:  true,
-			},
-			Workers:   c.workers,
-			Rate:      200_000,
-			Duration:  c.dur(8 * time.Second),
-			Strategy:  plan.AllAtOnce,
-			MigrateAt: c.dur(4 * time.Second),
-		})
-		if len(res.MigrationSpans) > 0 {
-			sp := res.MigrationSpans[0]
-			fmt.Fprintf(c.out, "%-10s %12.3f %14.2f %12.2f\n", name,
-				sp.Duration, sp.MaxLatency, float64(res.Hist.Quantile(0.99))/1e6)
-		} else {
-			fmt.Fprintf(c.out, "%-10s %12s %14s %12s\n", name, "-", "-", "-")
-		}
-	}
 }
 
 func header(c config, name, what string) {
@@ -264,11 +202,10 @@ func fig1(c config) {
 	for _, st := range []plan.Strategy{plan.AllAtOnce, plan.Fluid, plan.Optimized} {
 		res := c.runKeycount(keycount.RunConfig{
 			Params: keycount.Params{
-				Variant:  keycount.HashCount,
-				LogBins:  8,
-				Domain:   1 << 21,
-				Transfer: c.transfer,
-				Preload:  true,
+				Variant: keycount.HashCount,
+				LogBins: 8,
+				Domain:  1 << 21,
+				Preload: true,
 			},
 			Workers:   c.workers,
 			Rate:      200_000,
@@ -288,7 +225,7 @@ func statelessFig(c config, name, q string) {
 	header(c, name, "NEXMark "+q+" (stateless): reconfigurations cause no spike")
 	res := c.runNexmark(nexmark.RunConfig{
 		Query:     q,
-		Params:    nexmark.Params{Impl: nexmark.Megaphone, LogBins: 8, Transfer: c.transfer},
+		Params:    nexmark.Params{Impl: nexmark.Megaphone, LogBins: 8},
 		Workers:   c.workers,
 		Rate:      200_000,
 		Duration:  c.dur(9 * time.Second),
@@ -306,7 +243,7 @@ func queryFig(c config, name, q string, withNative bool) {
 	for _, st := range []plan.Strategy{plan.AllAtOnce, plan.Batched} {
 		res := c.runNexmark(nexmark.RunConfig{
 			Query:     q,
-			Params:    nexmark.Params{Impl: nexmark.Megaphone, LogBins: 8, Transfer: c.transfer},
+			Params:    nexmark.Params{Impl: nexmark.Megaphone, LogBins: 8},
 			Workers:   c.workers,
 			Rate:      200_000,
 			Duration:  c.dur(12 * time.Second),
@@ -342,11 +279,10 @@ func overheadFig(c config, name string, v keycount.Variant, domain int64) {
 	run := func(label string, variant keycount.Variant, bins int) {
 		res := c.runKeycount(keycount.RunConfig{
 			Params: keycount.Params{
-				Variant:  variant,
-				LogBins:  bins,
-				Domain:   domain,
-				Transfer: c.transfer,
-				Preload:  true,
+				Variant: variant,
+				LogBins: bins,
+				Domain:  domain,
+				Preload: true,
 			},
 			Workers:  c.workers,
 			Rate:     200_000,
@@ -372,11 +308,10 @@ func overheadFig(c config, name string, v keycount.Variant, domain int64) {
 func sweepRow(c config, st plan.Strategy, logBins int, domain int64, rate int, label string) {
 	res := c.runKeycount(keycount.RunConfig{
 		Params: keycount.Params{
-			Variant:  keycount.HashCount,
-			LogBins:  logBins,
-			Domain:   domain,
-			Transfer: c.transfer,
-			Preload:  true,
+			Variant: keycount.HashCount,
+			LogBins: logBins,
+			Domain:  domain,
+			Preload: true,
 		},
 		Workers:   c.workers,
 		Rate:      rate,
@@ -463,11 +398,10 @@ func fig19(c config) {
 		for _, r := range rates {
 			cfg := keycount.RunConfig{
 				Params: keycount.Params{
-					Variant:  keycount.HashCount,
-					LogBins:  8,
-					Domain:   1 << 21,
-					Transfer: c.transfer,
-					Preload:  true,
+					Variant: keycount.HashCount,
+					LogBins: 8,
+					Domain:  1 << 21,
+					Preload: true,
 				},
 				Workers:  c.workers,
 				Rate:     r,
@@ -491,11 +425,10 @@ func fig20(c config) {
 	for _, st := range []plan.Strategy{plan.AllAtOnce, plan.Fluid, plan.Batched} {
 		res := c.runKeycount(keycount.RunConfig{
 			Params: keycount.Params{
-				Variant:  keycount.HashCount,
-				LogBins:  8,
-				Domain:   1 << 22,
-				Transfer: c.transfer,
-				Preload:  true,
+				Variant: keycount.HashCount,
+				LogBins: 8,
+				Domain:  1 << 22,
+				Preload: true,
 			},
 			Workers:    c.workers,
 			Rate:       200_000,
@@ -528,11 +461,10 @@ func skewExp(c config) {
 	for _, policy := range []plan.Policy{plan.Static{}, plan.LoadBalance{Hysteresis: 0.1}} {
 		res := c.runKeycount(keycount.RunConfig{
 			Params: keycount.Params{
-				Variant:  keycount.HashCount,
-				LogBins:  8,
-				Domain:   1 << 20,
-				Transfer: c.transfer,
-				Preload:  true,
+				Variant: keycount.HashCount,
+				LogBins: 8,
+				Domain:  1 << 20,
+				Preload: true,
 			},
 			Workers:  c.workers,
 			Rate:     200_000,
@@ -676,7 +608,6 @@ func autoscaleExp(c config) {
 				Variant:      keycount.KeyCount,
 				LogBins:      logBins,
 				Domain:       domain,
-				Transfer:     c.transfer,
 				Preload:      true,
 				ServiceNanos: serviceNanos,
 			},
@@ -752,11 +683,10 @@ func recoveryExp(c config) {
 
 	base := keycount.RunConfig{
 		Params: keycount.Params{
-			Variant:  keycount.HashCount,
-			LogBins:  8,
-			Domain:   1 << 20,
-			Transfer: c.transfer,
-			Preload:  true,
+			Variant: keycount.HashCount,
+			LogBins: 8,
+			Domain:  1 << 20,
+			Preload: true,
 		},
 		Workers:    c.workers,
 		Rate:       200_000,

@@ -20,11 +20,10 @@ func TestRunTable1(t *testing.T) {
 	}
 }
 
-// TestRunErrors: unknown experiments, codecs and flags are rejected.
+// TestRunErrors: unknown experiments and flags are rejected.
 func TestRunErrors(t *testing.T) {
 	for _, args := range [][]string{
 		{"-exp", "fig99"},
-		{"-transfer", "nope"},
 		{"-definitely-not-a-flag"},
 	} {
 		if err := run(args, io.Discard); err == nil {
@@ -34,9 +33,9 @@ func TestRunErrors(t *testing.T) {
 }
 
 // TestOrderKey pins the experiment ordering of -exp all: table first, then
-// figures in numeric order, then the new ablations, codec last.
+// figures in numeric order, then the new ablations.
 func TestOrderKey(t *testing.T) {
-	order := []string{"table1", "fig1", "fig5", "fig12", "fig20", "skew", "autoscale", "recovery", "codec"}
+	order := []string{"table1", "fig1", "fig5", "fig12", "fig20", "skew", "autoscale", "recovery"}
 	for i := 1; i < len(order); i++ {
 		if orderKey(order[i-1]) >= orderKey(order[i]) {
 			t.Errorf("orderKey(%s)=%d not before orderKey(%s)=%d",

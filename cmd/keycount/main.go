@@ -19,7 +19,6 @@ import (
 	"strings"
 	"time"
 
-	"megaphone/internal/core"
 	"megaphone/internal/dataflow"
 	"megaphone/internal/harness"
 	"megaphone/internal/keycount"
@@ -53,12 +52,9 @@ func run(args []string, out io.Writer) error {
 		ccdf      = fs.Bool("ccdf", false, "print per-record latency CCDF")
 		memory    = fs.Bool("memory", false, "print heap series")
 		preload   = fs.Bool("preload", true, "pre-create per-bin state")
-		transfer  = fs.String("transfer", "gob",
-			"migration codec: "+strings.Join(core.CodecNames(), ", "))
-		hosts = fs.String("hosts", "", "comma-separated host:port list, one per process; enables the multi-process runtime (every process runs -workers workers)")
-		proc  = fs.Int("process", 0, "this process's index into -hosts")
-		conns = fs.Int("conns", 2, "with -hosts: connections per peer pair (traffic stripes by sending worker)")
-		dump  = fs.String("dump", "", "write one line per output record to this file (for cross-run output-equivalence checks)")
+		hosts     = fs.String("hosts", "", "comma-separated host:port list, one per process; enables the multi-process runtime (every process runs -workers workers)")
+		proc      = fs.Int("process", 0, "this process's index into -hosts")
+		dump      = fs.String("dump", "", "write one line per output record to this file (for cross-run output-equivalence checks)")
 
 		ckptDir   = fs.String("checkpoint-dir", "", "enable epoch-aligned checkpoints into this directory")
 		ckptEvery = fs.Duration("checkpoint-every", time.Second, "checkpoint cadence (with -checkpoint-dir)")
@@ -76,11 +72,6 @@ func run(args []string, out io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	codec, err := core.CodecByName(*transfer)
-	if err != nil {
-		return err
-	}
-
 	var v keycount.Variant
 	switch *variant {
 	case "hash":
@@ -118,7 +109,6 @@ func run(args []string, out io.Writer) error {
 			Variant:      v,
 			LogBins:      *bins,
 			Domain:       *domain,
-			Transfer:     codec,
 			Preload:      *preload,
 			ServiceNanos: service.Nanoseconds(),
 		},
@@ -143,7 +133,7 @@ func run(args []string, out io.Writer) error {
 		}
 	}
 	if *hosts != "" {
-		cfg.Cluster = &dataflow.ClusterSpec{Hosts: strings.Split(*hosts, ","), Process: *proc, Conns: *conns}
+		cfg.Cluster = &dataflow.ClusterSpec{Hosts: strings.Split(*hosts, ","), Process: *proc}
 	}
 	cfg.CheckpointDir = *ckptDir
 	cfg.CheckpointEvery = *ckptEvery

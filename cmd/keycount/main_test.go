@@ -77,10 +77,8 @@ func TestRunFlagErrors(t *testing.T) {
 		{"-strategy", "nope"},
 		{"-workload", "nope"},
 		{"-auto", "nope"},
-		{"-transfer", "nope"},
 		{"-recover"}, // -recover without -checkpoint-dir
 		{"-checkpoint-dir", "/tmp/x", "-variant", "native-hash"},
-		{"-checkpoint-dir", "/tmp/x", "-transfer", "direct"},
 	} {
 		if err := run(args, io.Discard); err == nil {
 			t.Errorf("run(%v) succeeded, want error", args)

@@ -20,7 +20,6 @@ import (
 	"strings"
 	"time"
 
-	"megaphone/internal/core"
 	"megaphone/internal/dataflow"
 	"megaphone/internal/harness"
 	"megaphone/internal/nexmark"
@@ -52,12 +51,9 @@ func run(args []string, out io.Writer) error {
 		auto      = fs.String("auto", "", "auto-controller policy (load-balance or static); replaces -migrate-at plans")
 		hyst      = fs.Float64("hysteresis", 0.25, "auto-controller rebalance trigger above mean load")
 		cost      = fs.Bool("cost", true, "with -auto, gate migrations on the cost model (decline unprofitable plans)")
-		transfer  = fs.String("transfer", "gob",
-			"migration codec: "+strings.Join(core.CodecNames(), ", "))
-		hosts = fs.String("hosts", "", "comma-separated host:port list, one per process; enables the multi-process runtime (every process runs -workers workers)")
-		proc  = fs.Int("process", 0, "this process's index into -hosts")
-		conns = fs.Int("conns", 2, "with -hosts: connections per peer pair (traffic stripes by sending worker)")
-		dump  = fs.String("dump", "", "write one line per output record to this file (for cross-run output-equivalence checks)")
+		hosts     = fs.String("hosts", "", "comma-separated host:port list, one per process; enables the multi-process runtime (every process runs -workers workers)")
+		proc      = fs.Int("process", 0, "this process's index into -hosts")
+		dump      = fs.String("dump", "", "write one line per output record to this file (for cross-run output-equivalence checks)")
 
 		ckptDir   = fs.String("checkpoint-dir", "", "enable epoch-aligned checkpoints into this directory")
 		ckptEvery = fs.Duration("checkpoint-every", time.Second, "checkpoint cadence (with -checkpoint-dir)")
@@ -80,10 +76,6 @@ func run(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	codec, err := core.CodecByName(*transfer)
-	if err != nil {
-		return err
-	}
 	im := nexmark.Megaphone
 	if *impl == "native" {
 		im = nexmark.Native
@@ -94,7 +86,6 @@ func run(args []string, out io.Writer) error {
 		Params: nexmark.Params{
 			Impl:         im,
 			LogBins:      *bins,
-			Transfer:     codec,
 			WindowEpochs: nexmark.Time(*window),
 		},
 		Gen: nexmark.GenConfig{
@@ -124,7 +115,7 @@ func run(args []string, out io.Writer) error {
 		return fmt.Errorf("-auto requires -impl megaphone")
 	}
 	if *hosts != "" {
-		cfg.Cluster = &dataflow.ClusterSpec{Hosts: strings.Split(*hosts, ","), Process: *proc, Conns: *conns}
+		cfg.Cluster = &dataflow.ClusterSpec{Hosts: strings.Split(*hosts, ","), Process: *proc}
 	}
 	cfg.CheckpointDir = *ckptDir
 	cfg.CheckpointEvery = *ckptEvery

@@ -48,7 +48,6 @@ func TestRunFlagErrors(t *testing.T) {
 	for _, args := range [][]string{
 		{"-definitely-not-a-flag"},
 		{"-strategy", "nope"},
-		{"-transfer", "nope"},
 		{"-auto", "nope"},
 	} {
 		if err := run(args, io.Discard); err == nil {

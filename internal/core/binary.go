@@ -9,11 +9,10 @@ import (
 // This file gives the generic container types of the package — MapState and
 // Either — implementations of the BinaryState/BinaryRec contracts, so that
 // operators built from them (StateMachine word counts, Binary joins) ride
-// the TransferBinary fast path without per-workload code. Support depends
+// the binary payload format without per-workload code. Support depends
 // on the type parameters: scalar keys/values are encoded inline, struct
 // values delegate to their own BinaryRec implementation, and anything else
-// reports incapable via BinaryCapable, which makes the codec fall back to
-// gob for that bin.
+// reports incapable via BinaryCapable, which makes the bin fall back to gob.
 
 // scalarCapable reports whether v's dynamic type has an inline encoding.
 func scalarCapable(v any) bool {

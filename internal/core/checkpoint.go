@@ -200,9 +200,6 @@ func (w *CheckpointWriter) WriteBin(chunks []StateMsg) error {
 	}
 	bm := BinManifest{Bin: chunks[0].Bin}
 	for _, m := range chunks {
-		if m.Dir != nil {
-			return fmt.Errorf("megaphone: direct-transfer bins cannot be checkpointed; use a serializing codec")
-		}
 		buf := w.scratch[:0]
 		buf = binenc.AppendUvarint(buf, uint64(m.Bin))
 		buf = binenc.AppendUvarint(buf, uint64(m.Seq))
@@ -394,7 +391,7 @@ func LoadRestore(dir, op string, epoch Time, peers, first, n int, codec string) 
 			return nil, fmt.Errorf("megaphone: checkpoint was taken with %d workers, recovering with %d: worker counts must match", m.Peers, peers)
 		}
 		if m.Codec != codec {
-			return nil, fmt.Errorf("megaphone: checkpoint was encoded with codec %q, recovering with %q: pass the same -transfer", m.Codec, codec)
+			return nil, fmt.Errorf("megaphone: checkpoint was encoded with codec %q, recovering with %q: the payload format changed between the two builds", m.Codec, codec)
 		}
 		if r.Assignment == nil {
 			r.LogBins = m.LogBins
@@ -423,7 +420,7 @@ func LoadRestore(dir, op string, epoch Time, peers, first, n int, codec string) 
 				return nil, fmt.Errorf("megaphone: checkpoint was taken with %d workers, recovering with %d: worker counts must match", m.Peers, peers)
 			}
 			if m.Codec != codec {
-				return nil, fmt.Errorf("megaphone: checkpoint was encoded with codec %q, recovering with %q: pass the same -transfer", m.Codec, codec)
+				return nil, fmt.Errorf("megaphone: checkpoint was encoded with codec %q, recovering with %q: the payload format changed between the two builds", m.Codec, codec)
 			}
 			r.LogBins = m.LogBins
 			r.Assignment = m.Assignment
@@ -588,11 +585,11 @@ func equalInts(a, b []int) bool {
 	return true
 }
 
-// CodecName resolves the registry name of a (possibly nil) Config.Transfer
-// value, for recording in checkpoint manifests.
+// CodecName resolves the name of a (possibly nil) Config.Transfer value, for
+// recording in checkpoint manifests.
 func CodecName(c Codec) string {
 	if c == nil {
-		return TransferGob.Name()
+		return TransferBinary.Name()
 	}
 	return c.Name()
 }

@@ -242,7 +242,7 @@ func TestLoadRestoreDetectsCorruption(t *testing.T) {
 	if err := os.WriteFile(path, data, 0o666); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadRestore(dir, "test-op", 7, 1, 0, 1, TransferGob.Name()); err == nil ||
+	if _, err := LoadRestore(dir, "test-op", 7, 1, 0, 1, "gob"); err == nil ||
 		!strings.Contains(err.Error(), "codec") {
 		t.Fatalf("codec mismatch not detected: %v", err)
 	}

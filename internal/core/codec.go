@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"encoding/gob"
 	"fmt"
-	"sort"
-	"sync"
 
 	"megaphone/internal/binenc"
 )
@@ -21,8 +19,7 @@ type StateMsg struct {
 	To    int    // destination worker (drives the exchange)
 	Seq   int    // chunk index within the bin's payload
 	Last  bool   // final chunk of this bin
-	Bytes []byte // chunk of the codec-serialized BinState (nil in direct mode)
-	Dir   any    // *BinState[R,S] transferred by pointer in direct mode
+	Bytes []byte // chunk of the codec-serialized BinState
 }
 
 // DefaultChunkBytes bounds the payload of one StateMsg unless overridden by
@@ -31,18 +28,13 @@ type StateMsg struct {
 // allocation in the channel.
 const DefaultChunkBytes = 256 << 10
 
-// Codec serializes bins for migration. A codec is installed per operator
-// via Config.Transfer; every worker of an execution shares the same codec
-// value, so implementations must be safe for concurrent use.
-//
-// Codecs see bins through the type-erased Migratable view rather than the
-// generic *BinState[R, S], which lets them live behind a plain interface
-// value in Config. The built-in codecs are TransferGob (encoding/gob,
-// universal), TransferBinary (hand-rolled varint/fixed-width encoding via
-// the BinaryState/BinaryRec contracts, with gob fallback per bin), and
-// TransferDirect (pointer handoff, in-process only).
+// Codec serializes bins for migration and checkpoints. There is one codec
+// in the tree (TransferBinary, which Config.Transfer == nil selects); the
+// interface remains so a measurement can wrap it in a decorator that counts
+// bins and bytes. Every worker of an execution shares the codec value, so
+// implementations must be safe for concurrent use.
 type Codec interface {
-	// Name identifies the codec in flags, benchmarks, and experiment output.
+	// Name identifies the payload format in checkpoint manifests.
 	Name() string
 	// EncodeBin appends bin's serialized form to buf and returns the
 	// extended slice (buf may be nil).
@@ -53,40 +45,23 @@ type Codec interface {
 	DecodeBin(bin Migratable, data []byte) error
 }
 
-// Transfer is the former name of Codec, kept for existing call sites.
-type Transfer = Codec
-
-// DirectTransfer is implemented by codecs that move bins by pointer instead
-// of serializing them. Only sound inside one process; exists as the
-// ablation baseline for the codec cost.
-type DirectTransfer interface {
-	Codec
-	// Direct reports that bins are handed over without serialization.
-	Direct() bool
-}
-
 // Migratable is the codec-facing, type-erased view of one bin
-// (*BinState[R, S] implements it). Gob methods always work; the binary
-// methods report ok=false when the state or pending-record types do not
-// satisfy the BinaryState/BinaryRec contracts, letting codecs fall back.
+// (*BinState[R, S] implements it), which lets a codec live behind a plain
+// interface value in Config.
 type Migratable interface {
-	// AppendGob appends the encoding/gob serialization (state, then
-	// pending records) to buf.
-	AppendGob(buf []byte) ([]byte, error)
-	// DecodeGob replaces the bin's contents from an AppendGob payload.
-	DecodeGob(data []byte) error
-	// AppendBinary appends the hand-rolled binary serialization to buf, or
-	// returns (buf, false) when the types do not support it.
-	AppendBinary(buf []byte) ([]byte, bool)
-	// DecodeBinary replaces the bin's contents from an AppendBinary
-	// payload, or returns (false, nil) when the types do not support it.
-	DecodeBinary(data []byte) (bool, error)
+	// AppendPayload appends the bin's serialization — a one-byte format tag,
+	// then state and pending records in that format — to buf.
+	AppendPayload(buf []byte) ([]byte, error)
+	// DecodePayload replaces the bin's contents from an AppendPayload
+	// payload.
+	DecodePayload(data []byte) error
 }
 
 // BinaryState is the contract a workload's per-bin state type implements
-// (on its pointer receiver) to opt into the TransferBinary fast path.
-// Implementations encode with the internal/binenc helpers; see
-// keycount.HashState or nexmark's query states for worked examples.
+// (on its pointer receiver) to be shipped in the binary format instead of
+// through the gob fallback. Implementations encode with the internal/binenc
+// helpers; see keycount.HashState or nexmark's query states for worked
+// examples.
 type BinaryState interface {
 	// AppendBinaryState appends the state's encoding to buf.
 	AppendBinaryState(buf []byte) []byte
@@ -131,8 +106,45 @@ func recBinaryCapable[R any]() bool {
 
 // --- Migratable implementation on BinState ---
 
-// AppendGob appends the gob serialization of the bin: state, then pending.
-func (b *BinState[R, S]) AppendGob(buf []byte) ([]byte, error) {
+// Payload format tags: the first byte of every payload records which
+// encoding produced the rest, so a bin whose types lack BinaryState support
+// falls back to gob without ambiguity.
+const (
+	binFormatGob    = 0x00
+	binFormatBinary = 0x01
+)
+
+// AppendPayload implements Migratable: the hand-rolled varint/fixed-width
+// encoding defined by the BinaryState and BinaryRec contracts when the bin's
+// types support it, encoding/gob otherwise. The choice is made per bin from
+// the types (and from whether pending records exist), never by the caller.
+func (b *BinState[R, S]) AppendPayload(buf []byte) ([]byte, error) {
+	if out, ok := b.appendBinary(append(buf, binFormatBinary)); ok {
+		return out, nil
+	}
+	return b.appendGob(append(buf, binFormatGob))
+}
+
+// DecodePayload implements Migratable.
+func (b *BinState[R, S]) DecodePayload(data []byte) error {
+	if len(data) == 0 {
+		return fmt.Errorf("megaphone: empty bin payload")
+	}
+	if b.State == nil {
+		b.State = new(S)
+	}
+	switch data[0] {
+	case binFormatBinary:
+		return b.decodeBinary(data[1:])
+	case binFormatGob:
+		return b.decodeGob(data[1:])
+	default:
+		return fmt.Errorf("megaphone: unknown bin payload format tag %#x", data[0])
+	}
+}
+
+// appendGob appends the gob serialization of the bin: state, then pending.
+func (b *BinState[R, S]) appendGob(buf []byte) ([]byte, error) {
 	w := bytes.NewBuffer(buf)
 	enc := gob.NewEncoder(w)
 	if err := enc.Encode(b.State); err != nil {
@@ -144,12 +156,9 @@ func (b *BinState[R, S]) AppendGob(buf []byte) ([]byte, error) {
 	return w.Bytes(), nil
 }
 
-// DecodeGob replaces the bin's contents from an AppendGob payload.
-func (b *BinState[R, S]) DecodeGob(data []byte) error {
+// decodeGob replaces the bin's contents from an appendGob payload.
+func (b *BinState[R, S]) decodeGob(data []byte) error {
 	dec := gob.NewDecoder(bytes.NewReader(data))
-	if b.State == nil {
-		b.State = new(S)
-	}
 	if err := dec.Decode(b.State); err != nil {
 		return fmt.Errorf("megaphone: decoding bin state: %w", err)
 	}
@@ -160,12 +169,12 @@ func (b *BinState[R, S]) DecodeGob(data []byte) error {
 	return nil
 }
 
-// AppendBinary appends the hand-rolled serialization of the bin: the
+// appendBinary appends the hand-rolled serialization of the bin: the
 // state's BinaryState encoding, then the pending records (count, then
 // time/record pairs in heap order). ok is false when S does not implement
 // BinaryState, or when pending records exist and R does not implement
 // BinaryRec.
-func (b *BinState[R, S]) AppendBinary(buf []byte) ([]byte, bool) {
+func (b *BinState[R, S]) appendBinary(buf []byte) ([]byte, bool) {
 	bs, ok := any(b.State).(BinaryState)
 	if !ok || !capable(bs) {
 		return buf, false
@@ -182,204 +191,72 @@ func (b *BinState[R, S]) AppendBinary(buf []byte) ([]byte, bool) {
 	return buf, true
 }
 
-// DecodeBinary replaces the bin's contents from an AppendBinary payload.
-// The pending records are appended in the order they were encoded, which is
-// the sender's heap order — a valid heap layout, so heap operations resume
-// without re-heapifying.
-func (b *BinState[R, S]) DecodeBinary(data []byte) (bool, error) {
-	if b.State == nil {
-		b.State = new(S)
-	}
+// decodeBinary replaces the bin's contents from an appendBinary payload,
+// which must be consumed exactly. The pending records are appended in the
+// order they were encoded, which is the sender's heap order — a valid heap
+// layout, so heap operations resume without re-heapifying.
+func (b *BinState[R, S]) decodeBinary(data []byte) error {
 	bs, ok := any(b.State).(BinaryState)
 	if !ok || !capable(bs) {
-		return false, nil
+		return fmt.Errorf("megaphone: binary payload for a bin type without BinaryState support")
 	}
 	data, err := bs.DecodeBinaryState(data)
 	if err != nil {
-		return true, fmt.Errorf("megaphone: decoding bin state: %w", err)
+		return fmt.Errorf("megaphone: decoding bin state: %w", err)
 	}
 	n, data, err := binenc.Count(data, 2) // every pending record is >= 2 bytes
 	if err != nil {
-		return true, fmt.Errorf("megaphone: decoding pending count: %w", err)
+		return fmt.Errorf("megaphone: decoding pending count: %w", err)
 	}
-	if n == 0 {
-		b.Pending = nil
-		return true, nil
+	if n > 0 && !recBinaryCapable[R]() {
+		return fmt.Errorf("megaphone: binary payload with pending records for a record type without BinaryRec support")
 	}
-	if !recBinaryCapable[R]() {
-		return false, nil
+	b.Pending = nil
+	if n > 0 {
+		b.Pending = make([]TimedRec[R], n)
 	}
-	pending := make([]TimedRec[R], n)
-	for i := range pending {
+	for i := range b.Pending {
 		var t uint64
 		t, data, err = binenc.Uvarint(data)
 		if err != nil {
-			return true, fmt.Errorf("megaphone: decoding pending time: %w", err)
+			return fmt.Errorf("megaphone: decoding pending time: %w", err)
 		}
-		pending[i].Time = Time(t)
-		data, err = any(&pending[i].Rec).(BinaryRec).DecodeBinaryRec(data)
+		b.Pending[i].Time = Time(t)
+		data, err = any(&b.Pending[i].Rec).(BinaryRec).DecodeBinaryRec(data)
 		if err != nil {
-			return true, fmt.Errorf("megaphone: decoding pending record: %w", err)
+			return fmt.Errorf("megaphone: decoding pending record: %w", err)
 		}
 	}
-	b.Pending = pending
-	return true, nil
-}
-
-// --- Built-in codecs ---
-
-// GobCodec serializes bins with encoding/gob, paying a marshalling and
-// reflection cost proportional to state size — this models the paper's
-// cross-process migrations and is the default.
-type GobCodec struct{}
-
-// Name implements Codec.
-func (GobCodec) Name() string { return "gob" }
-
-// EncodeBin implements Codec.
-func (GobCodec) EncodeBin(bin Migratable, buf []byte) ([]byte, error) {
-	return bin.AppendGob(buf)
-}
-
-// DecodeBin implements Codec.
-func (GobCodec) DecodeBin(bin Migratable, data []byte) error {
-	return bin.DecodeGob(data)
-}
-
-// Payload format tags of BinaryCodec: the first byte of every payload
-// records which encoding produced the rest, so bins whose types lack
-// BinaryState support can fall back to gob per bin without ambiguity.
-const (
-	binFormatGob    = 0x00
-	binFormatBinary = 0x01
-)
-
-// BinaryCodec serializes bins with the hand-rolled varint/fixed-width
-// encoding defined by the BinaryState and BinaryRec contracts, avoiding
-// gob's reflection and type-description overhead on the migration hot path.
-// Bins whose state type does not implement BinaryState (or whose pending
-// records cannot be encoded) fall back to gob, recorded in a one-byte
-// format tag at the head of the payload.
-type BinaryCodec struct{}
-
-// Name implements Codec.
-func (BinaryCodec) Name() string { return "binary" }
-
-// EncodeBin implements Codec.
-func (BinaryCodec) EncodeBin(bin Migratable, buf []byte) ([]byte, error) {
-	if out, ok := bin.AppendBinary(append(buf, binFormatBinary)); ok {
-		return out, nil
+	if len(data) != 0 {
+		return fmt.Errorf("megaphone: %d trailing bytes after bin payload", len(data))
 	}
-	return bin.AppendGob(append(buf, binFormatGob))
+	return nil
 }
 
-// DecodeBin implements Codec.
-func (BinaryCodec) DecodeBin(bin Migratable, data []byte) error {
-	if len(data) == 0 {
-		return fmt.Errorf("megaphone: empty binary-codec payload")
-	}
-	switch data[0] {
-	case binFormatBinary:
-		ok, err := bin.DecodeBinary(data[1:])
-		if err != nil {
-			return err
-		}
-		if !ok {
-			return fmt.Errorf("megaphone: binary payload for a bin type without BinaryState support")
-		}
-		return nil
-	case binFormatGob:
-		return bin.DecodeGob(data[1:])
-	default:
-		return fmt.Errorf("megaphone: unknown binary-codec format tag %#x", data[0])
-	}
+// --- The codec ---
+
+type binaryCodec struct{}
+
+func (binaryCodec) Name() string { return "binary" }
+
+func (binaryCodec) EncodeBin(bin Migratable, buf []byte) ([]byte, error) {
+	return bin.AppendPayload(buf)
 }
 
-// DirectCodec hands the bin over by pointer. It is only sound inside one
-// process and exists as the ablation baseline for the codec cost.
-type DirectCodec struct{}
-
-// Name implements Codec.
-func (DirectCodec) Name() string { return "direct" }
-
-// Direct implements DirectTransfer.
-func (DirectCodec) Direct() bool { return true }
-
-// EncodeBin implements Codec; direct transfer never serializes.
-func (DirectCodec) EncodeBin(Migratable, []byte) ([]byte, error) {
-	return nil, fmt.Errorf("megaphone: direct transfer does not serialize")
+func (binaryCodec) DecodeBin(bin Migratable, data []byte) error {
+	return bin.DecodePayload(data)
 }
 
-// DecodeBin implements Codec; direct transfer never serializes.
-func (DirectCodec) DecodeBin(Migratable, []byte) error {
-	return fmt.Errorf("megaphone: direct transfer does not serialize")
-}
+// TransferBinary is the state codec: what a nil Config.Transfer means, and
+// what a measuring decorator wraps.
+var TransferBinary Codec = binaryCodec{}
 
-// The built-in transfer codecs, usable directly in Config.Transfer.
-var (
-	TransferGob    Codec = GobCodec{}
-	TransferDirect Codec = DirectCodec{}
-	TransferBinary Codec = BinaryCodec{}
-)
-
-// isDirect reports whether codec moves bins by pointer.
-func isDirect(codec Codec) bool {
-	d, ok := codec.(DirectTransfer)
-	return ok && d.Direct()
-}
-
-// IsDirectCodec reports whether codec moves bins by pointer instead of
-// serializing them. Direct codecs are only sound inside one process;
-// cluster drivers use this to reject them up front.
-func IsDirectCodec(codec Codec) bool { return isDirect(codec) }
-
-// --- Codec registry ---
-
-var (
-	codecMu  sync.RWMutex
-	codecReg = map[string]Codec{
-		TransferGob.Name():    TransferGob,
-		TransferDirect.Name(): TransferDirect,
-		TransferBinary.Name(): TransferBinary,
-	}
-)
-
-// RegisterCodec makes a codec selectable by name (e.g. from the
-// experiments driver's -transfer flag). Registering a name twice panics.
-func RegisterCodec(c Codec) {
-	codecMu.Lock()
-	defer codecMu.Unlock()
-	if _, dup := codecReg[c.Name()]; dup {
-		panic(fmt.Sprintf("megaphone: codec %q already registered", c.Name()))
-	}
-	codecReg[c.Name()] = c
-}
-
-// CodecByName resolves a registered codec.
+// CodecByName resolves the codec a checkpoint manifest or a benchmark names.
 func CodecByName(name string) (Codec, error) {
-	codecMu.RLock()
-	defer codecMu.RUnlock()
-	c, ok := codecReg[name]
-	if !ok {
-		return nil, fmt.Errorf("megaphone: unknown transfer codec %q (have %v)", name, codecNamesLocked())
+	if name != TransferBinary.Name() {
+		return nil, fmt.Errorf("megaphone: unknown state codec %q (have %q)", name, TransferBinary.Name())
 	}
-	return c, nil
-}
-
-// CodecNames lists the registered codec names, sorted.
-func CodecNames() []string {
-	codecMu.RLock()
-	defer codecMu.RUnlock()
-	return codecNamesLocked()
-}
-
-func codecNamesLocked() []string {
-	names := make([]string, 0, len(codecReg))
-	for n := range codecReg {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
+	return TransferBinary, nil
 }
 
 // --- Chunking ---

@@ -11,25 +11,36 @@ import (
 	"megaphone/internal/dataflow"
 )
 
-// roundTrip encodes bin under codec and decodes into a fresh bin whose
-// state was produced by newState, returning the reconstruction.
-func roundTrip[R, S any](t *testing.T, codec core.Codec, bin *core.BinState[R, S], newState func() *S) *core.BinState[R, S] {
+// Payload format tags (the first byte of every bin payload).
+const (
+	tagGob    = 0x00
+	tagBinary = 0x01
+)
+
+// roundTrip encodes bin and decodes it into a fresh bin whose state was
+// produced by newState, returning the payload's format tag and the
+// reconstruction.
+func roundTrip[R, S any](t *testing.T, bin *core.BinState[R, S], newState func() *S) (byte, *core.BinState[R, S]) {
 	t.Helper()
-	payload, err := codec.EncodeBin(bin, nil)
+	payload, err := core.TransferBinary.EncodeBin(bin, nil)
 	if err != nil {
-		t.Fatalf("%s: encode: %v", codec.Name(), err)
+		t.Fatalf("encode: %v", err)
 	}
 	got := &core.BinState[R, S]{State: newState()}
-	if err := codec.DecodeBin(got, payload); err != nil {
-		t.Fatalf("%s: decode: %v", codec.Name(), err)
+	if err := core.TransferBinary.DecodeBin(got, payload); err != nil {
+		t.Fatalf("decode: %v", err)
 	}
-	return got
+	return payload[0], got
 }
 
-// TestMapStateCodecEquivalence: for random MapState bins, the gob and
-// binary codecs reconstruct identical state, including empty and large
-// maps.
-func TestMapStateCodecEquivalence(t *testing.T) {
+// tally is a per-key count the binary format has no encoding for (neither a
+// scalar nor a BinaryRec), so bins of MapState[uint64, tally] ship through
+// the gob fallback.
+type tally struct{ N int64 }
+
+// TestMapStateRoundTrip: random MapState bins reconstruct identical state in
+// the binary format, including empty and large maps.
+func TestMapStateRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	sizes := []int{0, 1, 17, 5000}
 	for _, size := range sizes {
@@ -39,70 +50,62 @@ func TestMapStateCodecEquivalence(t *testing.T) {
 		for i := 0; i < size; i++ {
 			bin.State.M[rng.Uint64()] = rng.Int63() - rng.Int63()
 		}
-		newState := func() *core.MapState[uint64, int64] {
+		tag, got := roundTrip(t, bin, func() *core.MapState[uint64, int64] {
 			return &core.MapState[uint64, int64]{M: make(map[uint64]int64)}
+		})
+		if tag != tagBinary {
+			t.Fatalf("size=%d: capable MapState bin fell back (tag %#x)", size, tag)
 		}
-		fromGob := roundTrip(t, core.TransferGob, bin, newState)
-		fromBin := roundTrip(t, core.TransferBinary, bin, newState)
-		if !reflect.DeepEqual(fromGob.State, bin.State) {
-			t.Fatalf("size=%d: gob state mismatch", size)
-		}
-		if !reflect.DeepEqual(fromBin.State, bin.State) {
-			t.Fatalf("size=%d: binary state mismatch", size)
+		if !reflect.DeepEqual(got.State, bin.State) {
+			t.Fatalf("size=%d: state mismatch", size)
 		}
 	}
 }
 
-// TestBinaryCodecUsesBinaryFormat: a capable MapState bin must take the
-// hand-rolled path (payload much smaller than gob's type-described stream),
-// and an incapable state must still round-trip via the per-bin gob
-// fallback.
-func TestBinaryCodecUsesBinaryFormat(t *testing.T) {
-	bin := &core.BinState[core.KV[uint64, int64], core.MapState[uint64, int64]]{
-		State: &core.MapState[uint64, int64]{M: map[uint64]int64{1: 2, 3: 4}},
-	}
-	binPayload, err := core.TransferBinary.EncodeBin(bin, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gobPayload, err := core.TransferGob.EncodeBin(bin, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(binPayload) >= len(gobPayload) {
-		t.Fatalf("binary payload (%d bytes) not smaller than gob (%d bytes): fallback suspected",
-			len(binPayload), len(gobPayload))
-	}
-
-	// A state type with no BinaryState implementation: chan-free struct the
-	// binary path cannot see. It must fall back to gob, transparently.
+// TestFallbackChosenFromType: a state type with no BinaryState
+// implementation, and a MapState instantiation that reports incapable, must
+// round-trip through the per-bin gob fallback, transparently.
+func TestFallbackChosenFromType(t *testing.T) {
 	type opaque struct{ X, Y int }
 	ob := &core.BinState[uint64, opaque]{State: &opaque{X: 7, Y: -9}}
-	got := roundTrip(t, core.TransferBinary, ob, func() *opaque { return new(opaque) })
+	tag, got := roundTrip(t, ob, func() *opaque { return new(opaque) })
+	if tag != tagGob {
+		t.Fatalf("opaque state did not fall back (tag %#x)", tag)
+	}
 	if *got.State != (opaque{X: 7, Y: -9}) {
 		t.Fatalf("fallback round-trip: %+v", got.State)
 	}
+
+	mb := &core.BinState[core.KV[uint64, int64], core.MapState[uint64, tally]]{
+		State: &core.MapState[uint64, tally]{M: map[uint64]tally{3: {N: 4}}},
+	}
+	tag, gotM := roundTrip(t, mb, func() *core.MapState[uint64, tally] { return new(core.MapState[uint64, tally]) })
+	if tag != tagGob || !reflect.DeepEqual(gotM.State, mb.State) {
+		t.Fatalf("incapable MapState: tag %#x, state %+v", tag, gotM.State)
+	}
 }
 
-// TestPendingHeapOrderPreserved: pending post-dated records keep their
-// heap order through both codecs, so notifications fire in time order on
-// the new owner.
+// TestPendingHeapOrderPreserved: pending post-dated records keep their heap
+// order through the fallback (KV is no BinaryRec, so pending records force
+// it even under a capable state), so notifications fire in time order on the
+// new owner. TestEitherBinaryRec is the binary-format twin.
 func TestPendingHeapOrderPreserved(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
-	for _, codec := range []core.Codec{core.TransferGob, core.TransferBinary} {
-		bin := &core.BinState[core.KV[uint64, int64], core.MapState[uint64, int64]]{
-			State: &core.MapState[uint64, int64]{M: map[uint64]int64{}},
-		}
-		for i := 0; i < 300; i++ {
-			tm := core.Time(rng.Intn(40))
-			bin.PushPending(tm, core.KV[uint64, int64]{Key: uint64(i), Val: int64(i)})
-		}
-		got := roundTrip(t, codec, bin, func() *core.MapState[uint64, int64] {
-			return &core.MapState[uint64, int64]{M: map[uint64]int64{}}
-		})
-		if !reflect.DeepEqual(got.Pending, bin.Pending) {
-			t.Fatalf("%s: pending layout changed", codec.Name())
-		}
+	bin := &core.BinState[core.KV[uint64, int64], core.MapState[uint64, int64]]{
+		State: &core.MapState[uint64, int64]{M: map[uint64]int64{}},
+	}
+	for i := 0; i < 300; i++ {
+		tm := core.Time(rng.Intn(40))
+		bin.PushPending(tm, core.KV[uint64, int64]{Key: uint64(i), Val: int64(i)})
+	}
+	tag, got := roundTrip(t, bin, func() *core.MapState[uint64, int64] {
+		return &core.MapState[uint64, int64]{M: map[uint64]int64{}}
+	})
+	if tag != tagGob {
+		t.Fatalf("pending records without BinaryRec did not fall back (tag %#x)", tag)
+	}
+	if !reflect.DeepEqual(got.Pending, bin.Pending) {
+		t.Fatal("pending layout changed")
 	}
 }
 
@@ -159,30 +162,24 @@ func TestEitherBinaryRec(t *testing.T) {
 	}
 }
 
-// TestCodecRegistry: the built-ins resolve by name, unknown names error,
-// and the listing is stable.
-func TestCodecRegistry(t *testing.T) {
-	for _, name := range []string{"gob", "binary", "direct"} {
-		c, err := core.CodecByName(name)
-		if err != nil {
-			t.Fatalf("CodecByName(%q): %v", name, err)
-		}
-		if c.Name() != name {
-			t.Fatalf("CodecByName(%q).Name() = %q", name, c.Name())
-		}
+// TestCodecByName: the one codec resolves by the name checkpoint manifests
+// record; the names of the deleted codecs, like any other, are errors.
+func TestCodecByName(t *testing.T) {
+	c, err := core.CodecByName("binary")
+	if err != nil || c != core.TransferBinary || c.Name() != "binary" {
+		t.Fatalf("CodecByName(binary) = %v, %v", c, err)
 	}
-	if _, err := core.CodecByName("zstd"); err == nil {
-		t.Fatal("unknown codec resolved")
-	}
-	names := core.CodecNames()
-	if len(names) < 3 {
-		t.Fatalf("CodecNames() = %v", names)
+	for _, name := range []string{"gob", "direct", "zstd", ""} {
+		if _, err := core.CodecByName(name); err == nil {
+			t.Fatalf("CodecByName(%q) resolved", name)
+		}
 	}
 }
 
 // TestChunkedMigrationEndToEnd: with a tiny ChunkBytes every migrated bin
 // crosses as many StateMsgs, and the migrated totals still match a
-// reference run (Property 1 under chunking).
+// reference run (Property 1 under chunking) — for a binary-format state type
+// and for one that takes the fallback.
 func TestChunkedMigrationEndToEnd(t *testing.T) {
 	const workers, logBins = 3, 3
 	rng := rand.New(rand.NewSource(77))
@@ -201,31 +198,25 @@ func TestChunkedMigrationEndToEnd(t *testing.T) {
 		}
 		plan[tm] = moves
 	}
-	for _, codec := range []core.Codec{core.TransferGob, core.TransferBinary} {
-		res := runWordCountChunked(t, workers, logBins, inputs, plan, codec, 8 /* bytes: forces chunking */)
+	cfg := core.Config{Name: "count", LogBins: logBins, ChunkBytes: 8 /* bytes: forces chunking */}
+	for name, res := range map[string]wcResult{
+		"binary":   runWordCountCfg(t, workers, inputs, plan, cfg, addInt),
+		"fallback": runWordCountCfg(t, workers, inputs, plan, cfg, addTally),
+	} {
 		for k, want := range expect {
 			if got := res.finals[k]; got != want {
-				t.Errorf("%s: count[%d] = %d, want %d", codec.Name(), k, got, want)
+				t.Errorf("%s: count[%d] = %d, want %d", name, k, got, want)
 			}
 		}
 	}
 }
 
-// runWordCountChunked is runWordCount with an explicit codec and chunk
-// size.
-func runWordCountChunked(t *testing.T, workers, logBins int, inputs [][]kvAt, plan map[core.Time][]core.Move, codec core.Codec, chunkBytes int) wcResult {
-	t.Helper()
-	return runWordCountCfg(t, workers, inputs, plan, core.Config{
-		Name:       "count",
-		LogBins:    logBins,
-		Transfer:   codec,
-		ChunkBytes: chunkBytes,
-	})
-}
+func addInt(st *int64, v int64) int64   { *st += v; return *st }
+func addTally(st *tally, v int64) int64 { st.N += v; return st.N }
 
 // runWordCountCfg runs the migrating word count under an arbitrary core
-// config.
-func runWordCountCfg(t *testing.T, workers int, inputs [][]kvAt, plan map[core.Time][]core.Move, cfg core.Config) wcResult {
+// config, keeping each key's count in a W that add folds a value into.
+func runWordCountCfg[W any](t *testing.T, workers int, inputs [][]kvAt, plan map[core.Time][]core.Move, cfg core.Config, add func(st *W, v int64) int64) wcResult {
 	t.Helper()
 	var mu sync.Mutex
 	res := wcResult{finals: make(map[uint64]int64)}
@@ -240,9 +231,8 @@ func runWordCountCfg(t *testing.T, workers int, inputs [][]kvAt, plan map[core.T
 		dataIns = append(dataIns, in)
 		counts := core.StateMachine(w, cfg, ctlStream, data,
 			func(k uint64) uint64 { return core.Mix64(k) },
-			func(k uint64, v int64, st *int64, emit func(core.KV[uint64, int64])) {
-				*st += v
-				emit(core.KV[uint64, int64]{Key: k, Val: *st})
+			func(k uint64, v int64, st *W, emit func(core.KV[uint64, int64])) {
+				emit(core.KV[uint64, int64]{Key: k, Val: add(st, v)})
 			}, nil)
 		sink := w.NewOp("sink", 0)
 		dataflow.Connect(sink, counts, dataflow.Pipeline[core.KV[uint64, int64]]{})

@@ -58,7 +58,7 @@ func TestRepeatedMigrations(t *testing.T) {
 		}
 		plan[tm] = moves
 	}
-	res := runWordCount(t, workers, logBins, inputs, plan, core.TransferGob)
+	res := runWordCount(t, workers, logBins, inputs, plan)
 	if len(res.finals) != len(expect) {
 		t.Fatalf("key count %d, want %d", len(res.finals), len(expect))
 	}
@@ -118,7 +118,7 @@ func TestSingleWorker(t *testing.T) {
 	}
 	res := runWordCount(t, 1, 2, inputs, map[core.Time][]core.Move{
 		50: {{Bin: 0, Worker: 0}, {Bin: 3, Worker: 0}},
-	}, core.TransferGob)
+	})
 	for k, want := range expect {
 		if res.finals[k] != want {
 			t.Errorf("count[%d] = %d, want %d", k, res.finals[k], want)

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -78,7 +79,7 @@ func TestBinStatePendingHeap(t *testing.T) {
 	}
 }
 
-// TestCodecRoundTrip: gob encode/decode preserves state and pending records.
+// TestCodecRoundTrip: the fallback preserves state and pending records.
 func TestCodecRoundTrip(t *testing.T) {
 	type rec struct {
 		Key uint64
@@ -91,12 +92,15 @@ func TestCodecRoundTrip(t *testing.T) {
 	b.PushPending(7, rec{Key: 1, Val: 2})
 	b.PushPending(3, rec{Key: 9, Val: 4})
 
-	enc, err := TransferGob.EncodeBin(b, nil)
+	enc, err := TransferBinary.EncodeBin(b, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if enc[0] != binFormatGob {
+		t.Fatalf("a state type without BinaryState took format %#x", enc[0])
+	}
 	got := &BinState[rec, state]{State: new(state)}
-	if err := TransferGob.DecodeBin(got, enc); err != nil {
+	if err := TransferBinary.DecodeBin(got, enc); err != nil {
 		t.Fatal(err)
 	}
 	if len(got.State.M) != 2 || got.State.M[1] != 10 || got.State.M[2] != -5 {
@@ -110,21 +114,78 @@ func TestCodecRoundTrip(t *testing.T) {
 	}
 }
 
-// TestCodecEmpty: empty bins round-trip under every serializing codec.
+// TestCodecEmpty: empty bins round-trip in both payload formats.
 func TestCodecEmpty(t *testing.T) {
-	for _, codec := range []Codec{TransferGob, TransferBinary} {
-		b := &BinState[uint64, int]{State: new(int)}
-		enc, err := codec.EncodeBin(b, nil)
+	fb := &BinState[uint64, int]{State: new(int)}
+	enc, err := TransferBinary.EncodeBin(fb, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotF := &BinState[uint64, int]{State: new(int)}
+	if err := TransferBinary.DecodeBin(gotF, enc); err != nil {
+		t.Fatal(err)
+	}
+	if enc[0] != binFormatGob || len(gotF.Pending) != 0 || *gotF.State != 0 {
+		t.Errorf("fallback: empty bin round-trip: tag %#x, %+v", enc[0], gotF)
+	}
+
+	bb := &BinState[uint64, MapState[uint64, uint64]]{State: new(MapState[uint64, uint64])}
+	if enc, err = TransferBinary.EncodeBin(bb, nil); err != nil {
+		t.Fatal(err)
+	}
+	gotB := &BinState[uint64, MapState[uint64, uint64]]{State: new(MapState[uint64, uint64])}
+	if err := TransferBinary.DecodeBin(gotB, enc); err != nil {
+		t.Fatal(err)
+	}
+	if enc[0] != binFormatBinary || len(gotB.Pending) != 0 || len(gotB.State.M) != 0 {
+		t.Errorf("binary: empty bin round-trip: tag %#x, %+v", enc[0], gotB)
+	}
+}
+
+// TestNilTransferIsTheNamedCodec pins "one path": what Config.Transfer == nil
+// means and what CodecByName("binary") returns are the same codec. Each
+// decodes the other's payload to an equal bin, under the same format tag,
+// for a BinaryState type and for a fallback type (map order makes the bytes
+// themselves nondeterministic, so the decoded state is what is compared).
+func TestNilTransferIsTheNamedCodec(t *testing.T) {
+	var cfg Config
+	cfg.defaults()
+	named, err := CodecByName("binary")
+	if err != nil {
+		t.Fatal(err)
+	}
+	type opaque struct{ M map[string]int }
+	capable := &BinState[KV[uint64, int64], MapState[uint64, int64]]{
+		State: &MapState[uint64, int64]{M: map[uint64]int64{1: -1, 2: 20, 3: 300}}}
+	fallback := &BinState[uint64, opaque]{State: &opaque{M: map[string]int{"a": 1, "b": 2}}}
+	fallback.PushPending(9, 4)
+
+	for _, pair := range [][2]Codec{{cfg.Transfer, named}, {named, cfg.Transfer}} {
+		enc, dec := pair[0], pair[1]
+		p, err := enc.EncodeBin(capable, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := &BinState[uint64, int]{State: new(int)}
-		if err := codec.DecodeBin(got, enc); err != nil {
+		gotC := &BinState[KV[uint64, int64], MapState[uint64, int64]]{State: new(MapState[uint64, int64])}
+		if err := dec.DecodeBin(gotC, p); err != nil {
 			t.Fatal(err)
 		}
-		if len(got.Pending) != 0 || *got.State != 0 {
-			t.Errorf("%s: empty bin round-trip: %+v", codec.Name(), got)
+		if p[0] != binFormatBinary || !reflect.DeepEqual(gotC, capable) {
+			t.Errorf("BinaryState type: tag %#x, got %+v want %+v", p[0], gotC, capable)
 		}
+		if p, err = enc.EncodeBin(fallback, nil); err != nil {
+			t.Fatal(err)
+		}
+		gotF := &BinState[uint64, opaque]{State: new(opaque)}
+		if err := dec.DecodeBin(gotF, p); err != nil {
+			t.Fatal(err)
+		}
+		if p[0] != binFormatGob || !reflect.DeepEqual(gotF, fallback) {
+			t.Errorf("fallback type: tag %#x, got %+v want %+v", p[0], gotF, fallback)
+		}
+	}
+	if cfg.Transfer.Name() != named.Name() || CodecName(nil) != named.Name() {
+		t.Errorf("names differ: nil config %q, CodecName(nil) %q, named %q", cfg.Transfer.Name(), CodecName(nil), named.Name())
 	}
 }
 

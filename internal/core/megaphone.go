@@ -16,8 +16,8 @@ type Config struct {
 	// LogBins is the log2 of the number of bins keys are grouped into
 	// (Section 4.2). Fixed at construction; defaults to 8 (256 bins).
 	LogBins int
-	// Transfer selects the codec that serializes migrating bins
-	// (TransferGob by default; see Codec).
+	// Transfer is the codec that serializes migrating bins: nil means
+	// TransferBinary; a non-nil value is a decorator of it (see Codec).
 	Transfer Codec
 	// ChunkBytes bounds the payload of one StateMsg: a bin whose encoding
 	// exceeds it is shipped as multiple chunks instead of one oversized
@@ -30,8 +30,7 @@ type Config struct {
 	// Checkpoint, when set, makes CheckpointMove commands on the control
 	// stream drain every locally-owned bin to Checkpoint.Dir at the
 	// command's epoch — a migration to disk, with the same frontier
-	// alignment. Requires a serializing Transfer codec. nil ignores
-	// checkpoint commands.
+	// alignment. nil ignores checkpoint commands.
 	Checkpoint *CheckpointConfig
 	// Restore, when set, installs a loaded checkpoint before the execution
 	// starts: the recorded assignment seeds every F's routing history and
@@ -49,7 +48,7 @@ func (c *Config) defaults() {
 		c.LogBins = 8
 	}
 	if c.Transfer == nil {
-		c.Transfer = TransferGob
+		c.Transfer = TransferBinary
 	}
 	if c.ChunkBytes == 0 {
 		c.ChunkBytes = DefaultChunkBytes
@@ -166,9 +165,6 @@ func Operator[R, S, O any](
 	handle *Handle[R, S, O],
 ) dataflow.Stream[O] {
 	cfg.defaults()
-	if cfg.Checkpoint != nil && isDirect(cfg.Transfer) {
-		panic(fmt.Sprintf("megaphone: operator %q: checkpointing needs a serializing transfer codec, not direct pointer handoff", cfg.Name))
-	}
 	if handle == nil {
 		handle = &Handle[R, S, O]{}
 	}
@@ -273,9 +269,6 @@ func installRestore[R, S, O any](w *dataflow.Worker, cfg Config, ops Ops[R, S, O
 	}
 	if len(r.Assignment) != 1<<uint(cfg.LogBins) {
 		panic(fmt.Sprintf("megaphone: operator %q: restore assignment covers %d bins, want %d", cfg.Name, len(r.Assignment), 1<<uint(cfg.LogBins)))
-	}
-	if isDirect(cfg.Transfer) {
-		panic(fmt.Sprintf("megaphone: operator %q: restoring needs a serializing transfer codec", cfg.Name))
 	}
 	for b, owner := range r.Assignment {
 		if owner != InitialWorker(b, w.Peers()) {
@@ -553,11 +546,7 @@ func (f *fOp[R, S, O]) execute(c *dataflow.OpCtx, mg pendingConfig) {
 		if old == f.index {
 			b := f.bins.take(m.Bin)
 			if b != nil {
-				if isDirect(f.cfg.Transfer) {
-					msgs = append(msgs, StateMsg{Bin: m.Bin, To: m.Worker, Last: true, Dir: b})
-				} else {
-					msgs = appendChunks(msgs, m.Bin, m.Worker, f.encodeBin(b), f.cfg.ChunkBytes)
-				}
+				msgs = appendChunks(msgs, m.Bin, m.Worker, f.encodeBin(b), f.cfg.ChunkBytes)
 				f.h.migrated[f.index]++
 			}
 		}
@@ -776,18 +765,13 @@ func (s *sOp[R, S, O]) schedule(c *dataflow.OpCtx) {
 	// 1. Install migrated state immediately, reassembling chunked bins.
 	dataflow.ForEachBatch(c, sState, func(t Time, msgs []StateMsg) {
 		for _, m := range msgs {
-			var b *BinState[R, S]
-			if m.Dir != nil {
-				b = m.Dir.(*BinState[R, S])
-			} else {
-				payload, done := s.chunks.add(m)
-				if !done {
-					continue
-				}
-				b = &BinState[R, S]{State: s.ops.NewState()}
-				if err := s.cfg.Transfer.DecodeBin(b, payload); err != nil {
-					panic(err)
-				}
+			payload, done := s.chunks.add(m)
+			if !done {
+				continue
+			}
+			b := &BinState[R, S]{State: s.ops.NewState()}
+			if err := s.cfg.Transfer.DecodeBin(b, payload); err != nil {
+				panic(err)
 			}
 			s.bins.install(m.Bin, b)
 			if s.h.OnInstall != nil {

@@ -24,7 +24,7 @@ type wcResult struct {
 	log    []appEvent
 }
 
-func runWordCount(t *testing.T, workers, logBins int, inputs [][]kvAt, plan map[core.Time][]core.Move, transfer core.Transfer) wcResult {
+func runWordCount(t *testing.T, workers, logBins int, inputs [][]kvAt, plan map[core.Time][]core.Move) wcResult {
 	t.Helper()
 	var mu sync.Mutex
 	res := wcResult{finals: make(map[uint64]int64)}
@@ -45,7 +45,7 @@ func runWordCount(t *testing.T, workers, logBins int, inputs [][]kvAt, plan map[
 		in, data := dataflow.NewInput[core.KV[uint64, int64]](w, "input")
 		dataIns = append(dataIns, in)
 		counts := core.StateMachine(w,
-			core.Config{Name: "count", LogBins: logBins, Transfer: transfer},
+			core.Config{Name: "count", LogBins: logBins},
 			ctlStream, data,
 			func(k uint64) uint64 { return core.Mix64(k) },
 			func(k uint64, v int64, st *int64, emit func(core.KV[uint64, int64])) {
@@ -154,14 +154,18 @@ func TestCorrectnessUnderMigration(t *testing.T) {
 		plan[tm] = moves
 	}
 
-	for _, transfer := range []core.Codec{core.TransferGob, core.TransferBinary, core.TransferDirect} {
-		res := runWordCount(t, workers, logBins, inputs, plan, transfer)
+	// One state type that ships in the binary format, one that takes the
+	// gob fallback.
+	for name, res := range map[string]wcResult{
+		"binary":   runWordCount(t, workers, logBins, inputs, plan),
+		"fallback": runWordCountCfg(t, workers, inputs, plan, core.Config{Name: "count", LogBins: logBins}, addTally),
+	} {
 		if len(res.finals) != len(expect) {
-			t.Fatalf("transfer=%s: got %d keys, want %d", transfer.Name(), len(res.finals), len(expect))
+			t.Fatalf("%s: got %d keys, want %d", name, len(res.finals), len(expect))
 		}
 		for k, want := range expect {
 			if got := res.finals[k]; got != want {
-				t.Errorf("transfer=%s: count[%d] = %d, want %d", transfer.Name(), k, got, want)
+				t.Errorf("%s: count[%d] = %d, want %d", name, k, got, want)
 			}
 		}
 	}
@@ -187,7 +191,7 @@ func TestMigrationProperty(t *testing.T) {
 		90: {{Bin: 1, Worker: 0}, {Bin: 2, Worker: 2}, {Bin: 7, Worker: 1}},
 	}
 
-	res := runWordCount(t, workers, logBins, inputs, plan, core.TransferGob)
+	res := runWordCount(t, workers, logBins, inputs, plan)
 
 	// Reference configuration function.
 	owner := func(bin int, tm core.Time) int {

@@ -38,13 +38,8 @@ func (m *Move) DecodeBinaryRec(data []byte) ([]byte, error) {
 	return data, nil
 }
 
-// AppendBinaryRec implements BinaryRec. Direct-mode messages (Dir set) move
-// bins by pointer and are only sound inside one process; configure a
-// serializing codec (gob or binary) for cluster runs.
+// AppendBinaryRec implements BinaryRec.
 func (m *StateMsg) AppendBinaryRec(buf []byte) []byte {
-	if m.Dir != nil {
-		panic("megaphone: direct-transfer StateMsg cannot cross a process boundary; use -transfer gob or binary in cluster runs")
-	}
 	buf = binenc.AppendUvarint(buf, uint64(m.Bin))
 	buf = binenc.AppendUvarint(buf, uint64(m.To))
 	buf = binenc.AppendUvarint(buf, uint64(m.Seq))
@@ -77,7 +72,7 @@ func (m *StateMsg) DecodeBinaryRec(data []byte) ([]byte, error) {
 	if err != nil {
 		return nil, fmt.Errorf("megaphone: decoding StateMsg payload length: %w", err)
 	}
-	m.Bin, m.To, m.Seq, m.Last, m.Dir = int(bin), int(to), int(seq), last, nil
+	m.Bin, m.To, m.Seq, m.Last = int(bin), int(to), int(seq), last
 	m.Bytes = append([]byte(nil), data[:n]...)
 	return data[n:], nil
 }

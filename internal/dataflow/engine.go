@@ -434,7 +434,7 @@ func (e *Execution) AppliedBounds() map[int]Time {
 type Retained struct {
 	Envelopes []int64 // per local worker: batch-envelope free lists
 	Scratch   []int64 // per local worker: mesh encode scratch, as of the worker's last trim
-	Transport int64   // the mesh transport's frame-payload pools, all lanes
+	Transport int64   // the mesh transport's frame-payload pools, all peers
 }
 
 // Retained snapshots the recycling pools' byte counters. Safe to call from

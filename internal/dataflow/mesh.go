@@ -28,13 +28,6 @@ type ClusterSpec struct {
 	// batch a worker can emit (state migration batches are bounded by the
 	// operator's ChunkBytes).
 	MaxFrame int
-	// Conns is the number of TCP connections per peer process pair
-	// (default 1). Workers stripe their traffic over the connections by
-	// worker index: each worker's progress-before-data order is preserved
-	// on its own lane, and lanes run on separate sockets, send loops, and
-	// receive goroutines, scaling the wire across cores. Every process
-	// must configure the same value.
-	Conns int
 	// CoalesceBytes caps how many encoded batch bytes a worker buffers per
 	// destination process before flushing them as one data frame (default
 	// 128 KiB, clamped under MaxFrame). Buffers also flush at every
@@ -100,12 +93,9 @@ type Mesh struct {
 	exec  *Execution
 	ready chan struct{} // closed at Execution.Start; gates inbound dispatch
 
-	// Per-peer progress decode scratch. Frames from one peer may arrive on
-	// several striped connections whose receive goroutines run concurrently,
-	// so each peer's scratch is guarded by its mutex (uncontended with one
-	// lane; progress decode is far off the data hot path regardless).
-	scratch   []*progress.Batch
-	scratchMu []sync.Mutex
+	// Per-peer progress decode scratch, unguarded: the transport never
+	// overlaps two handler calls for one peer.
+	scratch []*progress.Batch
 
 	// coalesce is the per-destination buffering threshold for outbound data
 	// records (see ClusterSpec.CoalesceBytes).
@@ -189,7 +179,6 @@ func JoinMesh(spec ClusterSpec) (*Mesh, error) {
 	for i := range m.scratch {
 		m.scratch[i] = &progress.Batch{}
 	}
-	m.scratchMu = make([]sync.Mutex, len(spec.Hosts))
 	maxFrame := spec.MaxFrame
 	if maxFrame <= 0 {
 		maxFrame = transport.DefaultMaxFrame
@@ -223,7 +212,6 @@ func JoinMesh(spec ClusterSpec) (*Mesh, error) {
 		ClusterID:       clusterID,
 		MaxFrame:        spec.MaxFrame,
 		DialTimeout:     spec.DialTimeout,
-		Conns:           spec.Conns,
 		Listener:        spec.Listener,
 		Logf:            spec.Logf,
 		Absent:          spec.Absent,
@@ -464,13 +452,9 @@ func (m *Mesh) finish() {
 }
 
 // onFrame dispatches one inbound frame. It runs on a transport receive
-// goroutine; frames from one peer arrive in per-lane FIFO order, so a
+// goroutine; frames from one peer arrive in FIFO order, one at a time, so a
 // worker's progress deltas are always applied before the data they cover
-// (the worker keys both by its index), and its delta batches apply in
-// generation order. Frames from different lanes of one peer may be handled
-// concurrently — safe because the tracker already serializes Apply and
-// cross-worker interleaving is indistinguishable from the cross-process
-// interleaving the tracker tolerates.
+// and its delta batches apply in generation order.
 //
 //megalint:hotpath
 func (m *Mesh) onFrame(from int, kind byte, payload []byte) {
@@ -487,16 +471,11 @@ func (m *Mesh) onFrame(from int, kind byte, payload []byte) {
 				from, theirs, ours))
 		}
 	case kindProgress:
-		m.scratchMu[from].Lock()
 		b := m.scratch[from]
-		err := b.DecodeWire(payload)
-		if err == nil {
-			e.tracker.Apply(b)
-		}
-		m.scratchMu[from].Unlock()
-		if err != nil {
+		if err := b.DecodeWire(payload); err != nil {
 			panic(fmt.Sprintf("dataflow: corrupt progress frame from process %d: %v", from, err))
 		}
+		e.tracker.Apply(b)
 	case kindData:
 		// One data frame carries a run of coalesced records, each
 		// [worker][edge][time][len][payload] with uvarint header fields.
@@ -605,9 +584,7 @@ func (w *Worker) sendRemote(m outMsg) {
 }
 
 // flushRemote ships this worker's coalescing buffer for process dst as one
-// data frame, keyed by the worker's local index so all of the worker's
-// traffic — this frame and the progress broadcast that preceded it — rides
-// one FIFO lane. The transport copies the payload into pooled frame storage,
+// data frame. The transport copies the payload into pooled frame storage,
 // so the buffer is immediately reusable.
 //
 //megalint:hotpath
@@ -617,7 +594,7 @@ func (w *Worker) flushRemote(dst int) {
 		return
 	}
 	e := w.exec
-	e.mesh.tr.SendKeyed(dst, w.local, kindData, cb.B)
+	e.mesh.tr.Send(dst, kindData, cb.B)
 	e.mesh.sentN[dst].Add(1)
 	cb.Note(len(cb.B))
 	cb.B = cb.B[:0]
@@ -635,10 +612,9 @@ func (w *Worker) flushRemotes() {
 }
 
 // broadcastProgress ships one scheduling's (already coalesced) progress
-// batch to every remote process, keyed by the worker's local index. It must
-// run before the scheduling's remote data flush: per-lane FIFO then
-// guarantees every receiver accounts the produced pointstamps before it can
-// observe the messages (data and progress from one worker share a lane).
+// batch to every remote process. It must run before the scheduling's remote
+// data flush: per-peer FIFO then guarantees every receiver accounts the
+// produced pointstamps before it can observe the messages.
 //
 //megalint:hotpath
 func (w *Worker) broadcastProgress(b *progress.Batch) {
@@ -657,7 +633,7 @@ func (w *Worker) broadcastProgress(b *progress.Batch) {
 		if p == e.mesh.proc || !e.mesh.active[p].Load() {
 			continue
 		}
-		e.mesh.tr.SendKeyed(p, w.local, kindProgress, buf)
+		e.mesh.tr.Send(p, kindProgress, buf)
 		e.mesh.sentN[p].Add(1)
 	}
 }

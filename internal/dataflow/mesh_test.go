@@ -128,25 +128,11 @@ func runKeyCountProcess(mesh *Mesh, wpp, epochs int, sink *[]kcOut, mu *sync.Mut
 
 // TestMeshKeyCountEquivalence runs the same keyed computation as one
 // process with 6 workers and as a 3-process x 2-worker cluster over
-// loopback TCP, and requires identical output multisets.
+// loopback TCP, and requires identical output multisets — at the default
+// coalescing threshold, and at a tiny one that splits every scheduling's
+// record batches across many multi-record frames (per-peer FIFO must still
+// keep each worker's progress ahead of its data).
 func TestMeshKeyCountEquivalence(t *testing.T) {
-	testMeshKeyCountEquivalence(t)
-}
-
-// TestMeshKeyCountEquivalenceStriped is the same equivalence check with the
-// cluster side striped over 3 connections per peer pair and a tiny
-// coalescing threshold, so record batches split across many multi-record
-// frames on many lanes. Output must still match the single-process run
-// exactly: per-lane FIFO keyed by sending worker keeps each worker's
-// progress ahead of its data.
-func TestMeshKeyCountEquivalenceStriped(t *testing.T) {
-	testMeshKeyCountEquivalence(t, func(s *ClusterSpec) {
-		s.Conns = 3
-		s.CoalesceBytes = 64
-	})
-}
-
-func testMeshKeyCountEquivalence(t *testing.T, tweaks ...func(*ClusterSpec)) {
 	const procs, wpp, epochs = 3, 2, 40
 
 	// Single-process reference.
@@ -176,23 +162,25 @@ func testMeshKeyCountEquivalence(t *testing.T, tweaks ...func(*ClusterSpec)) {
 	}
 	exec.Wait()
 
-	// Clustered run.
-	meshes := joinLocalMeshes(t, procs, tweaks...)
-	var cluMu sync.Mutex
-	var clu []kcOut
-	var wg sync.WaitGroup
-	for p := 0; p < procs; p++ {
-		wg.Add(1)
-		go func(p int) {
-			defer wg.Done()
-			runKeyCountProcess(meshes[p], wpp, epochs, &clu, &cluMu)
-		}(p)
-	}
-	wg.Wait()
+	// Clustered runs.
+	for _, coalesce := range []int{0, 64} {
+		meshes := joinLocalMeshes(t, procs, func(s *ClusterSpec) { s.CoalesceBytes = coalesce })
+		var cluMu sync.Mutex
+		var clu []kcOut
+		var wg sync.WaitGroup
+		for p := 0; p < procs; p++ {
+			wg.Add(1)
+			go func(p int) {
+				defer wg.Done()
+				runKeyCountProcess(meshes[p], wpp, epochs, &clu, &cluMu)
+			}(p)
+		}
+		wg.Wait()
 
-	if got, want := canonKC(clu), canonKC(ref); got != want {
-		t.Fatalf("cluster output multiset differs from single-process run:\ncluster (%d recs):\n%.2000s\nsingle (%d recs):\n%.2000s",
-			len(clu), got, len(ref), want)
+		if got, want := canonKC(clu), canonKC(ref); got != want {
+			t.Fatalf("CoalesceBytes=%d: cluster output multiset differs from single-process run:\ncluster (%d recs):\n%.2000s\nsingle (%d recs):\n%.2000s",
+				coalesce, len(clu), got, len(ref), want)
+		}
 	}
 }
 
@@ -384,7 +372,7 @@ func TestMeshBroadcastAndFrontier(t *testing.T) {
 
 // TestMeshScratchGivesBackALargeFrame: one exchanged batch of megabytes (an
 // all-at-once migration's state, a catch-up backlog) grows the sending
-// worker's encode and coalescing scratch, the lane's frame-payload pool and
+// worker's encode and coalescing scratch, the session's frame-payload pool and
 // the receiving connection's read buffer to its size. Once traffic is back
 // to small batches, none of them may keep it.
 func TestMeshScratchGivesBackALargeFrame(t *testing.T) {

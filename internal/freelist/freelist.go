@@ -1,11 +1,11 @@
 // Package freelist is the engine's one retention rule for recycled buffers:
 // a free list keeps what recent demand used, not its all-time high-water
-// mark. The worker's batch-envelope pools, the transport lanes' frame
+// mark. The worker's batch-envelope pools, the transport sessions' frame
 // payload pools and the mesh's encode scratch all ride it.
 //
 // The rule is ageing by use over two generations, like sync.Pool's victim
 // cache, but the clock is the owner's own — a worker trims every so many
-// schedulings, a lane every ack round — not the garbage collector's. A
+// schedulings, a session every ack round — not the garbage collector's. A
 // GC-driven pool trims one cycle too late: the collection that runs at the
 // end of a burst still marks the whole burst live and doubles the heap goal
 // over it. Trim drops

@@ -98,9 +98,6 @@ func PlanCheckpoints(workload, dir string, every time.Duration, recover bool,
 	if dir == "" && !recover {
 		return p, duration, nil
 	}
-	if transfer != nil && core.IsDirectCodec(transfer) {
-		return nil, 0, fmt.Errorf("%s: checkpointing requires a serializing transfer codec, not direct", workload)
-	}
 	if recover {
 		if dir == "" {
 			return nil, 0, fmt.Errorf("%s: -recover needs -checkpoint-dir", workload)

@@ -44,7 +44,4 @@ func TestPlanCheckpointsTrimsDuration(t *testing.T) {
 	if _, _, err := harness.PlanCheckpoints("test", "", 0, true, nil, 2, 0, 2, time.Millisecond, time.Second); err == nil {
 		t.Fatal("recover without a dir must fail")
 	}
-	if _, _, err := harness.PlanCheckpoints("test", t.TempDir(), 0, false, core.TransferDirect, 2, 0, 2, time.Millisecond, time.Second); err == nil {
-		t.Fatal("direct codec must be rejected")
-	}
 }

@@ -50,7 +50,7 @@ type Params struct {
 	Variant  Variant
 	LogBins  int             // megaphone bin count (power of two)
 	Domain   int64           // number of distinct keys; must be a power of two
-	Transfer core.Codec      // migration codec (gob when nil)
+	Transfer core.Codec      // state codec (core.TransferBinary when nil)
 	Preload  bool            // pre-create one entry per key before starting
 	Meter    *core.LoadMeter // per-bin load metering (nil disables)
 	// ServiceNanos simulates per-record service time: each worker's fold

@@ -48,10 +48,11 @@ func runMembership(cfg RunConfig) (harness.Result, error) {
 		cfg.EpochEvery = time.Millisecond
 	}
 
-	mesh, procs, proc, err := harness.JoinCluster("keycount", cfg.Cluster, cfg.Transfer, false)
+	mesh, err := dataflow.JoinMesh(*cfg.Cluster)
 	if err != nil {
 		return harness.Result{}, err
 	}
+	procs, proc := mesh.Procs(), mesh.Process()
 	totalWorkers := cfg.Workers * procs
 	firstWorker := proc * cfg.Workers
 

@@ -110,9 +110,14 @@ func Run(cfg RunConfig) (harness.Result, error) {
 		cfg.EpochEvery = time.Millisecond
 	}
 
-	mesh, procs, proc, err := harness.JoinCluster("keycount", cfg.Cluster, cfg.Transfer, cfg.Auto != nil)
-	if err != nil {
-		return harness.Result{}, err
+	var mesh *dataflow.Mesh // nil: the single-process case
+	procs, proc := 1, 0
+	if cfg.Cluster != nil {
+		var err error
+		if mesh, err = dataflow.JoinMesh(*cfg.Cluster); err != nil {
+			return harness.Result{}, err
+		}
+		procs, proc = mesh.Procs(), mesh.Process()
 	}
 	totalWorkers := cfg.Workers * procs
 	firstWorker := proc * cfg.Workers

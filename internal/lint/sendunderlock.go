@@ -8,7 +8,7 @@ import (
 
 // SendUnderLock flags blocking communication while holding a mutex: a
 // channel send (outside a select with a default case) or a call to a
-// transport send method (Send / SendKeyed / BroadcastControl on a type
+// transport send method (Send / BroadcastControl on a type
 // from a package named transport, or on the Mesh) between Lock and Unlock
 // of a sync.Mutex / sync.RWMutex. This is the dispatch/reconnect deadlock
 // class: PR 4's per-peer dispatch mutex serializes inbound frames, and a
@@ -65,7 +65,7 @@ func lockEvent(pass *Pass, call *ast.CallExpr) (op string, recv string) {
 }
 
 // isTransportSend reports whether call is a send on the wire: a method
-// named Send / SendKeyed / BroadcastControl whose receiver type is declared
+// named Send / BroadcastControl whose receiver type is declared
 // in a package named transport, or is the dataflow Mesh (whose sends fan
 // out to the transport).
 func isTransportSend(pass *Pass, call *ast.CallExpr) bool {
@@ -74,7 +74,7 @@ func isTransportSend(pass *Pass, call *ast.CallExpr) bool {
 		return false
 	}
 	switch fun.Sel.Name {
-	case "Send", "SendKeyed", "BroadcastControl":
+	case "Send", "BroadcastControl":
 	default:
 		return false
 	}

@@ -5,5 +5,4 @@ package transport
 
 type Transport struct{}
 
-func (t *Transport) Send(to int, kind byte, payload []byte)           {}
-func (t *Transport) SendKeyed(to, key int, kind byte, payload []byte) {}
+func (t *Transport) Send(to int, kind byte, payload []byte) {}

@@ -11,8 +11,8 @@ import (
 // keep per-bin state that can grow large (open auctions, sliding windows,
 // registration joins), so their migration payloads are the ones where the
 // hand-rolled encoding pays off against gob. The stateless Q1/Q2 and the
-// unbounded-join Q3 migrate MapState-shaped or empty bins, which the core
-// codecs already cover.
+// unbounded-join Q3 migrate MapState-shaped or empty bins, which package
+// core already covers.
 //
 // Q4 and Q8 additionally schedule post-dated records (auction expiries,
 // registration expiries), so their record types — Bid, Auction, Person and

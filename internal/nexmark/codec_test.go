@@ -1,6 +1,8 @@
 package nexmark
 
 import (
+	"bytes"
+	"encoding/gob"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -8,38 +10,33 @@ import (
 	"megaphone/internal/core"
 )
 
-// codecPair runs one bin through gob and binary and checks both reconstruct
-// the original exactly (state and pending layout).
-func codecPair[R, S any](t *testing.T, label string, bin *core.BinState[R, S], newState func() *S) {
-	t.Helper()
-	for _, codec := range []core.Codec{core.TransferGob, core.TransferBinary} {
-		payload, err := codec.EncodeBin(bin, nil)
-		if err != nil {
-			t.Fatalf("%s/%s: encode: %v", label, codec.Name(), err)
-		}
-		got := &core.BinState[R, S]{State: newState()}
-		if err := codec.DecodeBin(got, payload); err != nil {
-			t.Fatalf("%s/%s: decode: %v", label, codec.Name(), err)
-		}
-		if !reflect.DeepEqual(got.State, bin.State) {
-			t.Fatalf("%s/%s: state mismatch\n got %+v\nwant %+v", label, codec.Name(), got.State, bin.State)
-		}
-		if !reflect.DeepEqual(got.Pending, bin.Pending) {
-			t.Fatalf("%s/%s: pending mismatch\n got %+v\nwant %+v", label, codec.Name(), got.Pending, bin.Pending)
-		}
-	}
-}
+// Payload format tags (the first byte of every bin payload).
+const (
+	tagGob    = 0x00
+	tagBinary = 0x01
+)
 
-// requireBinaryFormat asserts the binary codec used its hand-rolled path
-// (format tag 0x01) for this bin rather than falling back to gob.
-func requireBinaryFormat[R, S any](t *testing.T, label string, bin *core.BinState[R, S]) {
+// codecRoundTrip runs one bin through the state codec and checks that the
+// payload carries the wanted format tag and reconstructs the original
+// exactly (state and pending layout).
+func codecRoundTrip[R, S any](t *testing.T, label string, wantTag byte, bin *core.BinState[R, S], newState func() *S) {
 	t.Helper()
 	payload, err := core.TransferBinary.EncodeBin(bin, nil)
 	if err != nil {
 		t.Fatalf("%s: encode: %v", label, err)
 	}
-	if payload[0] != 0x01 {
-		t.Fatalf("%s: fell back to gob (tag %#x) — BinaryState contract broken", label, payload[0])
+	if payload[0] != wantTag {
+		t.Fatalf("%s: payload format tag %#x, want %#x", label, payload[0], wantTag)
+	}
+	got := &core.BinState[R, S]{State: newState()}
+	if err := core.TransferBinary.DecodeBin(got, payload); err != nil {
+		t.Fatalf("%s: decode: %v", label, err)
+	}
+	if !reflect.DeepEqual(got.State, bin.State) {
+		t.Fatalf("%s: state mismatch\n got %+v\nwant %+v", label, got.State, bin.State)
+	}
+	if !reflect.DeepEqual(got.Pending, bin.Pending) {
+		t.Fatalf("%s: pending mismatch\n got %+v\nwant %+v", label, got.Pending, bin.Pending)
 	}
 }
 
@@ -96,8 +93,7 @@ func TestQ4StateCodec(t *testing.T) {
 			bin.PushPending(Time(rng.Intn(100)), core.Left[Bid, Auction](randBid(rng)))
 			bin.PushPending(Time(rng.Intn(100)), core.Right[Bid, Auction](Auction{ID: uint64(i), Closed: true}))
 		}
-		codecPair(t, "q4", bin, newQ4State)
-		requireBinaryFormat(t, "q4", bin)
+		codecRoundTrip(t, "q4", tagBinary, bin, newQ4State)
 	}
 }
 
@@ -114,8 +110,7 @@ func TestQ5StateCodec(t *testing.T) {
 	for i := 0; i < 40; i++ {
 		bin.PushPending(Time(rng.Intn(100)), Bid{Auction: uint64(i)})
 	}
-	codecPair(t, "q5-count", bin, newQ5State)
-	requireBinaryFormat(t, "q5-count", bin)
+	codecRoundTrip(t, "q5-count", tagBinary, bin, newQ5State)
 
 	w := newQ5WinnerState()
 	for i := 0; i < 100; i++ {
@@ -125,8 +120,7 @@ func TestQ5StateCodec(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		wbin.PushPending(Time(rng.Intn(100)), Q5Count{Window: Time(i)})
 	}
-	codecPair(t, "q5-winner", wbin, newQ5WinnerState)
-	requireBinaryFormat(t, "q5-winner", wbin)
+	codecRoundTrip(t, "q5-winner", tagBinary, wbin, newQ5WinnerState)
 }
 
 // TestQ6RingCodec: the per-seller price ring round-trips inside MapState,
@@ -146,8 +140,7 @@ func TestQ6RingCodec(t *testing.T) {
 		s.M[rng.Uint64()%1000] = r
 	}
 	bin := &core.BinState[core.KV[uint64, uint64], core.MapState[uint64, q6Ring]]{State: s}
-	codecPair(t, "q6-avg", bin, newState)
-	requireBinaryFormat(t, "q6-avg", bin)
+	codecRoundTrip(t, "q6-avg", tagBinary, bin, newState)
 }
 
 // TestQ7StateCodec: per-window maxima round-trip with pending window-close
@@ -166,8 +159,7 @@ func TestQ7StateCodec(t *testing.T) {
 	for i := 0; i < 25; i++ {
 		bin.PushPending(Time(rng.Intn(100)), Q7Out{Window: Time(i * 60)})
 	}
-	codecPair(t, "q7", bin, newQ7State)
-	requireBinaryFormat(t, "q7", bin)
+	codecRoundTrip(t, "q7", tagBinary, bin, newQ7State)
 }
 
 // TestQ8StateCodec: recent registrations round-trip with pending expiry
@@ -185,9 +177,24 @@ func TestQ8StateCodec(t *testing.T) {
 			bin.PushPending(Time(rng.Intn(100)), core.Left[Person, Auction](Person{ID: uint64(i)}))
 			bin.PushPending(Time(rng.Intn(100)), core.Right[Person, Auction](randAuction(rng)))
 		}
-		codecPair(t, "q8", bin, newQ8State)
-		requireBinaryFormat(t, "q8", bin)
+		codecRoundTrip(t, "q8", tagBinary, bin, newQ8State)
 	}
+}
+
+// TestQ3StateFallback: q3's join state has no BinaryState implementation, so
+// its bins (and their pending Either records) ride the gob fallback — the
+// path BENCHMARK.json's nx-q3-cluster workload measures.
+func TestQ3StateFallback(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	s := newQ3State()
+	for i := 0; i < 200; i++ {
+		id := rng.Uint64() % 500
+		s.Persons[id] = randPerson(rng, id)
+		s.Auctions[id] = append(s.Auctions[id], randAuction(rng))
+	}
+	bin := &core.BinState[core.Either[Person, Auction], q3State]{State: s}
+	bin.PushPending(9, core.Right[Person, Auction](randAuction(rng)))
+	codecRoundTrip(t, "q3", tagGob, bin, newQ3State)
 }
 
 // TestBinaryPayloadSmaller: on a large q8 bin (the paper's biggest state),
@@ -201,17 +208,82 @@ func TestBinaryPayloadSmaller(t *testing.T) {
 		s.Since[id] = randPerson(rng, id)
 	}
 	bin := &core.BinState[core.Either[Person, Auction], q8State]{State: s}
-	gobP, err := core.TransferGob.EncodeBin(bin, nil)
-	if err != nil {
+	var gobP bytes.Buffer
+	if err := gob.NewEncoder(&gobP).Encode(s); err != nil {
 		t.Fatal(err)
 	}
 	binP, err := core.TransferBinary.EncodeBin(bin, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(binP) >= len(gobP) {
-		t.Fatalf("binary payload %d >= gob payload %d", len(binP), len(gobP))
+	if len(binP) >= gobP.Len() {
+		t.Fatalf("binary payload %d >= gob payload %d", len(binP), gobP.Len())
 	}
 	t.Logf("q8 2000-person bin: gob=%d bytes, binary=%d bytes (%.1f%%)",
-		len(gobP), len(binP), 100*float64(len(binP))/float64(len(gobP)))
+		gobP.Len(), len(binP), 100*float64(len(binP))/float64(gobP.Len()))
+}
+
+// fuzzDecodeBin is the property FuzzDecodeBin checks for one bin type: a
+// binary-format payload either fails to decode or decodes to a bin that
+// re-encodes and decodes to itself. It must never panic, and never allocate
+// from an unchecked count (a giant allocation fails the fuzzer's memory
+// limit).
+func fuzzDecodeBin[R, S any](t *testing.T, data []byte, newState func() *S) {
+	bin := &core.BinState[R, S]{State: newState()}
+	if err := core.TransferBinary.DecodeBin(bin, data); err != nil {
+		return
+	}
+	again, err := core.TransferBinary.EncodeBin(bin, nil)
+	if err != nil {
+		t.Fatalf("re-encoding a decoded bin: %v", err)
+	}
+	back := &core.BinState[R, S]{State: newState()}
+	if err := core.TransferBinary.DecodeBin(back, again); err != nil {
+		t.Fatalf("decoding a re-encoded bin: %v", err)
+	}
+	if !reflect.DeepEqual(back, bin) {
+		t.Fatalf("re-encode round trip changed the bin:\n got %+v\nwant %+v", back, bin)
+	}
+}
+
+// FuzzDecodeBin feeds mutated binary-format payloads to the q4 and q8 state
+// decoders, pending Either records included (the fallback's decoder is the
+// standard library's). Seeds: one valid payload per state type, and
+// truncations of each.
+func FuzzDecodeBin(f *testing.F) {
+	rng := rand.New(rand.NewSource(10))
+	q4 := &core.BinState[core.Either[Bid, Auction], q4State]{State: newQ4State()}
+	for i := 0; i < 3; i++ {
+		a := randAuction(rng)
+		q4.State.Open[a.ID] = a
+		q4.State.Best[a.ID] = rng.Uint64() % 5000
+		q4.State.Stashed[a.ID] = []Bid{randBid(rng)}
+	}
+	q4.PushPending(5, core.Left[Bid, Auction](randBid(rng)))
+	q4.PushPending(3, core.Right[Bid, Auction](Auction{ID: 1, Closed: true}))
+	q8 := &core.BinState[core.Either[Person, Auction], q8State]{State: newQ8State()}
+	for id := uint64(1); id <= 3; id++ {
+		q8.State.Since[id] = randPerson(rng, id)
+	}
+	q8.PushPending(7, core.Left[Person, Auction](Person{ID: 2}))
+	q8.PushPending(4, core.Right[Person, Auction](randAuction(rng)))
+	for _, bin := range []core.Migratable{q4, q8} {
+		p, err := core.TransferBinary.EncodeBin(bin, nil)
+		if err != nil {
+			f.Fatal(err)
+		}
+		if p[0] != tagBinary {
+			f.Fatalf("seed fell back to gob (tag %#x)", p[0])
+		}
+		for _, cut := range []int{len(p), len(p) - 1, len(p) / 2, 2, 1} {
+			f.Add(p[:cut])
+		}
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 || data[0] != tagBinary {
+			return // the gob fallback is not under test
+		}
+		fuzzDecodeBin[core.Either[Bid, Auction]](t, data, newQ4State)
+		fuzzDecodeBin[core.Either[Person, Auction]](t, data, newQ8State)
+	})
 }

@@ -29,11 +29,11 @@ func (i Impl) String() string {
 type Params struct {
 	Impl    Impl
 	LogBins int
-	// Transfer is the migration codec of the Megaphone variants (gob when
-	// nil). The stateful q4–q8 state types and the MapState-backed
-	// aggregation stages implement core.BinaryState, so core.TransferBinary
-	// uses the fast binary encoding for them; bins of other state types
-	// (e.g. q3's join state) transparently fall back to gob per bin.
+	// Transfer is the state codec of the Megaphone variants
+	// (core.TransferBinary when nil). The stateful q4–q8 state types and
+	// the MapState-backed aggregation stages implement core.BinaryState, so
+	// their bins ship in the binary format; bins of other state types
+	// (e.g. q3's join state) fall back to gob per bin.
 	Transfer core.Codec
 	// AuctionMod is Q2's filter modulus.
 	AuctionMod uint64

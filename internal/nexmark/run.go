@@ -66,9 +66,14 @@ func Run(cfg RunConfig) (harness.Result, error) {
 		// the barrier can neither bound nor reconstruct their progress state.
 		return harness.Result{}, fmt.Errorf("nexmark: dynamic membership (absent roster slots) is keycount-only — windowed operators have unbounded, unpurgeable capability holds")
 	}
-	mesh, procs, proc, err := harness.JoinCluster("nexmark", cfg.Cluster, cfg.Params.Transfer, cfg.Auto != nil)
-	if err != nil {
-		return harness.Result{}, err
+	var mesh *dataflow.Mesh // nil: the single-process case
+	procs, proc := 1, 0
+	if cfg.Cluster != nil {
+		var err error
+		if mesh, err = dataflow.JoinMesh(*cfg.Cluster); err != nil {
+			return harness.Result{}, err
+		}
+		procs, proc = mesh.Procs(), mesh.Process()
 	}
 	totalWorkers := cfg.Workers * procs
 	firstWorker := proc * cfg.Workers

@@ -23,19 +23,6 @@ func BenchmarkFrameAppend(b *testing.B) {
 // BenchmarkTransportSendRecv measures end-to-end frame throughput between
 // two transports over loopback TCP: enqueue, frame, write, read, dispatch.
 func BenchmarkTransportSendRecv(b *testing.B) {
-	benchSendRecv(b, 1)
-}
-
-// BenchmarkTransportSendRecvStriped is the same aggregate workload striped
-// over 4 connections per peer pair, with one producer goroutine per lane —
-// the shape the mesh produces, where each worker keys its traffic by its own
-// index. Each lane has its own socket, sender, and receive goroutine, so the
-// stripes scale across cores instead of serializing on one session.
-func BenchmarkTransportSendRecvStriped(b *testing.B) {
-	benchSendRecv(b, 4)
-}
-
-func benchSendRecv(b *testing.B, conns int) {
 	lns := make([]net.Listener, 2)
 	addrs := make([]string, 2)
 	for i := range lns {
@@ -57,7 +44,7 @@ func benchSendRecv(b *testing.B, conns int) {
 			if i == 0 {
 				h = func(from int, kind byte, payload []byte) { received.Add(1) }
 			}
-			tr, err := Dial(Config{Addrs: addrs, Index: i, Listener: lns[i], Conns: conns, DialTimeout: 10 * time.Second}, h)
+			tr, err := Dial(Config{Addrs: addrs, Index: i, Listener: lns[i], DialTimeout: 10 * time.Second}, h)
 			if err != nil {
 				b.Error(err)
 				return
@@ -72,36 +59,22 @@ func benchSendRecv(b *testing.B, conns int) {
 	b.SetBytes(256)
 	b.ReportAllocs()
 	b.ResetTimer()
-	// Each producer paces itself with a bounded in-flight window, the way the
+	// The producer paces itself with a bounded in-flight window, the way the
 	// dataflow above does (it flushes per scheduling round and its peers ack
 	// continuously): an unwindowed loop would measure the allocator growing
 	// multi-million-entry queue arrays, not the wire. The window is large
 	// enough to keep the send loop's coalescing saturated.
 	const window = 4096
-	var sent atomic.Int64
-	var pw sync.WaitGroup
-	for lane := 0; lane < conns; lane++ {
-		n := b.N / conns
-		if lane == 0 {
-			n += b.N % conns
-		}
-		pw.Add(1)
-		go func(lane, n int) {
-			defer pw.Done()
-			payload := make([]byte, 256)
-			for i := 0; i < n; i++ {
-				binary.BigEndian.PutUint64(payload, uint64(i))
-				ts[1].SendKeyed(0, lane, KindUser, payload)
-				if i%256 == 255 {
-					mine := sent.Add(256)
-					for mine-received.Load() > window*int64(conns) {
-						time.Sleep(20 * time.Microsecond)
-					}
-				}
+	payload := make([]byte, 256)
+	for i := 0; i < b.N; i++ {
+		binary.BigEndian.PutUint64(payload, uint64(i))
+		ts[1].Send(0, KindUser, payload)
+		if i%256 == 255 {
+			for int64(i+1)-received.Load() > window {
+				time.Sleep(20 * time.Microsecond)
 			}
-		}(lane, n)
+		}
 	}
-	pw.Wait()
 	for received.Load() < int64(b.N) {
 		time.Sleep(50 * time.Microsecond)
 	}

@@ -37,15 +37,11 @@ const (
 	// Magic opens every handshake payload.
 	Magic uint32 = 0x4d475048 // "MGPH"
 	// Version is the wire protocol version; a handshake with any other
-	// version is rejected. Version 2 added the membership epoch to the
-	// handshake (dynamic membership). Version 3 added batched framing and
-	// multi-connection peers: the hello carries which lane of the peer pair
-	// the connection is, and how many lanes the dialer was configured with
-	// (the counts must agree or the acceptor's stripes would not line up
-	// with the dialer's). Earlier versions are rejected rather than
-	// defaulted so a stale binary cannot silently join with a framing the
-	// rest of the cluster does not speak.
-	Version uint16 = 3
+	// version is rejected rather than defaulted, so a stale binary cannot
+	// silently join with a framing the rest of the cluster does not speak.
+	// Version 4 is batched framing over one connection per peer pair
+	// (version 3 striped a pair over several).
+	Version uint16 = 4
 	// DefaultMaxFrame bounds the total encoded size of one frame unless
 	// Config.MaxFrame overrides it. Oversized frames are rejected on both
 	// sides: Send reports it through the transport's fatal error path (the
@@ -199,33 +195,17 @@ type hello struct {
 	// carried for observability and for the acceptor to admit dials from
 	// peers it has not itself activated yet.
 	MembershipEpoch uint64
-	// Lane identifies which of the peer pair's striped connections this
-	// handshake establishes; Lanes is the dialer's configured connection
-	// count per peer, verified to match the acceptor's (like Procs).
-	Lane  int
-	Lanes int
 }
 
-// appendHello encodes h at the given protocol version (the version argument
-// exists so tests can forge a mismatching handshake). Version 1 emits the
-// legacy 26-byte payload without the membership epoch and version 2 the
-// 34-byte payload without the lane fields, exactly as an old build would, so
-// rejection tests exercise the true old wire formats.
-func appendHello(buf []byte, h hello, version uint16) []byte {
+// appendHello encodes h.
+func appendHello(buf []byte, h hello) []byte {
 	buf = binary.BigEndian.AppendUint32(buf, Magic)
-	buf = binary.BigEndian.AppendUint16(buf, version)
+	buf = binary.BigEndian.AppendUint16(buf, Version)
 	buf = binary.BigEndian.AppendUint64(buf, h.ClusterID)
 	buf = binary.BigEndian.AppendUint16(buf, uint16(h.From))
 	buf = binary.BigEndian.AppendUint16(buf, uint16(h.Procs))
 	buf = binary.BigEndian.AppendUint64(buf, h.RecvSeq)
-	if version >= 2 {
-		buf = binary.BigEndian.AppendUint64(buf, h.MembershipEpoch)
-	}
-	if version >= 3 {
-		buf = binary.BigEndian.AppendUint16(buf, uint16(h.Lane))
-		buf = binary.BigEndian.AppendUint16(buf, uint16(h.Lanes))
-	}
-	return buf
+	return binary.BigEndian.AppendUint64(buf, h.MembershipEpoch)
 }
 
 // parseHello decodes and validates a handshake payload.
@@ -236,19 +216,13 @@ func parseHello(p []byte) (hello, error) {
 	if m := binary.BigEndian.Uint32(p[0:4]); m != Magic {
 		return hello{}, fmt.Errorf("transport: bad handshake magic %#x", m)
 	}
-	// Version is checked before length so an old hello (shorter payloads:
-	// no membership epoch, no lane fields) is reported as the version skew
-	// it is, not as a truncated payload.
+	// Version is checked before length so a hello of another version
+	// (whose payload may be shorter or longer) is reported as the version
+	// skew it is, not as a malformed payload.
 	if v := binary.BigEndian.Uint16(p[4:6]); v != Version {
-		switch v {
-		case 1:
-			return hello{}, fmt.Errorf("transport: protocol version mismatch: peer speaks 1, this build speaks %d (version 1 predates the membership-epoch handshake; upgrade the peer)", Version)
-		case 2:
-			return hello{}, fmt.Errorf("transport: protocol version mismatch: peer speaks 2, this build speaks %d (version 2 predates batched framing and multi-connection peers; upgrade the peer)", Version)
-		}
 		return hello{}, fmt.Errorf("transport: protocol version mismatch: peer speaks %d, this build speaks %d", v, Version)
 	}
-	if len(p) != 4+2+8+2+2+8+8+2+2 {
+	if len(p) != 4+2+8+2+2+8+8 {
 		return hello{}, fmt.Errorf("transport: handshake payload of %d bytes", len(p))
 	}
 	return hello{
@@ -257,7 +231,5 @@ func parseHello(p []byte) (hello, error) {
 		Procs:           int(binary.BigEndian.Uint16(p[16:18])),
 		RecvSeq:         binary.BigEndian.Uint64(p[18:26]),
 		MembershipEpoch: binary.BigEndian.Uint64(p[26:34]),
-		Lane:            int(binary.BigEndian.Uint16(p[34:36])),
-		Lanes:           int(binary.BigEndian.Uint16(p[36:38])),
 	}, nil
 }

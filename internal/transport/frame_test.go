@@ -2,6 +2,7 @@ package transport
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
 	"testing"
@@ -65,8 +66,8 @@ func TestFrameTornReads(t *testing.T) {
 }
 
 func TestHandshakeRoundTrip(t *testing.T) {
-	h := hello{ClusterID: 0xfeedface, From: 3, Procs: 5, RecvSeq: 42, MembershipEpoch: 7, Lane: 2, Lanes: 4}
-	got, err := parseHello(appendHello(nil, h, Version))
+	h := hello{ClusterID: 0xfeedface, From: 3, Procs: 5, RecvSeq: 42, MembershipEpoch: 7}
+	got, err := parseHello(appendHello(nil, h))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,41 +133,30 @@ func TestBatchTornAndMalformed(t *testing.T) {
 	}
 }
 
-// TestHandshakeVersion2Rejected pins the second compatibility break: a
-// version-2 hello — 4 bytes shorter because it predates lane striping — is
-// rejected as the version skew it is.
-func TestHandshakeVersion2Rejected(t *testing.T) {
-	p := appendHello(nil, hello{ClusterID: 1, From: 1, Procs: 2, RecvSeq: 3, MembershipEpoch: 4}, 2)
-	if want := 4 + 2 + 8 + 2 + 2 + 8 + 8; len(p) != want {
-		t.Fatalf("version-2 hello is %d bytes, want %d", len(p), want)
-	}
-	_, err := parseHello(p)
-	if err == nil {
-		t.Fatal("expected rejection of version-2 hello")
-	}
-	for _, sub := range []string{"version mismatch", "batched framing"} {
-		if !bytes.Contains([]byte(err.Error()), []byte(sub)) {
-			t.Fatalf("error %q does not mention %q", err, sub)
-		}
-	}
+// helloAtVersion renders h with another protocol version stamped on it, as
+// a build speaking that version would open its hello.
+func helloAtVersion(h hello, version uint16) []byte {
+	p := appendHello(nil, h)
+	binary.BigEndian.PutUint16(p[4:6], version)
+	return p
 }
 
-// TestHandshakeOldVersionRejected pins the compatibility break: a version-1
-// hello — the true legacy wire format, 8 bytes shorter because it predates
-// the membership epoch — is rejected as a version skew with an error that
-// says so, not misreported as a truncated payload.
-func TestHandshakeOldVersionRejected(t *testing.T) {
-	p := appendHello(nil, hello{ClusterID: 1, From: 1, Procs: 2, RecvSeq: 3}, 1)
-	if want := 4 + 2 + 8 + 2 + 2 + 8; len(p) != want {
-		t.Fatalf("legacy hello is %d bytes, want %d", len(p), want)
-	}
-	_, err := parseHello(p)
-	if err == nil {
-		t.Fatal("expected rejection of version-1 hello")
-	}
-	for _, sub := range []string{"version mismatch", "membership-epoch"} {
-		if !bytes.Contains([]byte(err.Error()), []byte(sub)) {
-			t.Fatalf("error %q does not mention %q", err, sub)
+// TestHandshakeOtherVersionsRejected pins the one version check: a hello
+// carrying any other protocol version — older, newer, or the striping
+// build's 3, whose payload was 4 bytes longer — is rejected as the version
+// skew it is, whatever its length, never misreported as a malformed payload.
+func TestHandshakeOtherVersionsRejected(t *testing.T) {
+	h := hello{ClusterID: 1, From: 1, Procs: 2, RecvSeq: 3, MembershipEpoch: 4}
+	for v := uint16(0); v <= Version+1; v++ {
+		if v == Version {
+			continue
+		}
+		p := helloAtVersion(h, v)
+		for _, payload := range [][]byte{p, p[:26], append(p[:len(p):len(p)], 0, 2, 0, 4)} {
+			_, err := parseHello(payload)
+			if err == nil || !bytes.Contains([]byte(err.Error()), []byte("version mismatch")) {
+				t.Fatalf("version %d hello of %d bytes: got %v, want a version mismatch", v, len(payload), err)
+			}
 		}
 	}
 }
@@ -174,7 +164,7 @@ func TestHandshakeOldVersionRejected(t *testing.T) {
 // TestHandshakeCurrentVersionTruncated: a current-version hello with the
 // membership epoch cut off is a length error, not a crash.
 func TestHandshakeCurrentVersionTruncated(t *testing.T) {
-	p := appendHello(nil, hello{ClusterID: 1, From: 1, Procs: 2, MembershipEpoch: 9}, Version)
+	p := appendHello(nil, hello{ClusterID: 1, From: 1, Procs: 2, MembershipEpoch: 9})
 	for cut := 6; cut < len(p); cut++ {
 		if _, err := parseHello(p[:cut]); err == nil {
 			t.Fatalf("truncation to %d bytes accepted", cut)
@@ -182,16 +172,8 @@ func TestHandshakeCurrentVersionTruncated(t *testing.T) {
 	}
 }
 
-func TestHandshakeVersionMismatch(t *testing.T) {
-	h := hello{ClusterID: 1, From: 1, Procs: 2}
-	_, err := parseHello(appendHello(nil, h, Version+1))
-	if err == nil || !bytes.Contains([]byte(err.Error()), []byte("version mismatch")) {
-		t.Fatalf("expected version mismatch error, got %v", err)
-	}
-}
-
 func TestHandshakeBadMagic(t *testing.T) {
-	p := appendHello(nil, hello{ClusterID: 1, From: 1, Procs: 2}, Version)
+	p := appendHello(nil, hello{ClusterID: 1, From: 1, Procs: 2})
 	p[0] ^= 0xff
 	if _, err := parseHello(p); err == nil {
 		t.Fatal("expected bad magic error")
@@ -240,32 +222,32 @@ func FuzzFrameRoundTrip(f *testing.F) {
 }
 
 func FuzzParseHello(f *testing.F) {
-	f.Add(appendHello(nil, hello{ClusterID: 1, From: 1, Procs: 2, RecvSeq: 3}, Version))
-	f.Add(appendHello(nil, hello{ClusterID: 1, From: 1, Procs: 2, RecvSeq: 3, MembershipEpoch: 12}, Version))
-	f.Add(appendHello(nil, hello{ClusterID: 9, From: 0, Procs: 4, RecvSeq: 8}, 1)) // legacy 26-byte format
+	f.Add(appendHello(nil, hello{ClusterID: 1, From: 1, Procs: 2, RecvSeq: 3}))
+	f.Add(appendHello(nil, hello{ClusterID: 1, From: 1, Procs: 2, RecvSeq: 3, MembershipEpoch: 12}))
+	f.Add(helloAtVersion(hello{ClusterID: 9, From: 0, Procs: 4, RecvSeq: 8}, 3)[:26])
 	f.Fuzz(func(t *testing.T, data []byte) {
 		parseHello(data) // must not panic
 	})
 }
 
-// FuzzHelloRoundTrip: every hello survives encode/decode field-for-field at
-// the current version (membership epoch included), and its version-1
-// rendering is always rejected.
+// FuzzHelloRoundTrip: every hello survives encode/decode field-for-field
+// (membership epoch included), and stamped with the previous version it is
+// always rejected.
 func FuzzHelloRoundTrip(f *testing.F) {
 	f.Add(uint64(1), 1, 2, uint64(3), uint64(4))
 	f.Add(uint64(0xfeedface), 3, 5, uint64(42), uint64(0))
 	f.Fuzz(func(t *testing.T, cluster uint64, from, procs int, recvSeq, memEpoch uint64) {
 		h := hello{ClusterID: cluster, From: from & 0xffff, Procs: procs & 0xffff,
 			RecvSeq: recvSeq, MembershipEpoch: memEpoch}
-		got, err := parseHello(appendHello(nil, h, Version))
+		got, err := parseHello(appendHello(nil, h))
 		if err != nil {
 			t.Fatalf("round trip failed: %v", err)
 		}
 		if got != h {
 			t.Fatalf("round trip mismatch: got %+v, want %+v", got, h)
 		}
-		if _, err := parseHello(appendHello(nil, h, 1)); err == nil {
-			t.Fatal("version-1 rendering accepted")
+		if _, err := parseHello(helloAtVersion(h, Version-1)); err == nil {
+			t.Fatal("previous-version rendering accepted")
 		}
 	})
 }

@@ -43,14 +43,6 @@ type Config struct {
 	// AckEvery is the number of received frames between acknowledgements
 	// (default 64); it bounds how much a sender retains for replay.
 	AckEvery int
-	// Conns is the number of TCP connections ("lanes") per peer pair
-	// (default 1, max 64). Each lane is an independent FIFO exactly-once
-	// session with its own sequence space, acks, and replay retention;
-	// SendKeyed stripes frames over lanes by key, so everything sent under
-	// one key stays FIFO while different keys use different connections
-	// (and different cores) in parallel. Every process must configure the
-	// same count — the handshake verifies it like the peer count.
-	Conns int
 	// Coalesce caps how many payload bytes the send loop packs into one
 	// batch frame (defaultCoalesce if 0, never more than MaxFrame). Frames
 	// larger than the cap travel alone, up to MaxFrame.
@@ -90,12 +82,6 @@ func (c *Config) defaults() {
 	if c.AckEvery <= 0 {
 		c.AckEvery = 64
 	}
-	if c.Conns <= 0 {
-		c.Conns = 1
-	}
-	if c.Conns > 64 {
-		c.Conns = 64
-	}
 	if c.Coalesce <= 0 {
 		c.Coalesce = defaultCoalesce
 	}
@@ -110,11 +96,9 @@ func (c *Config) defaults() {
 }
 
 // Handler receives every user frame (kind >= KindUser), exactly once, in
-// per-lane FIFO order: frames sent under one SendKeyed key arrive in send
-// order, frames from different lanes of the same peer may be handled
-// concurrently (with Conns == 1 this degenerates to the old per-peer FIFO).
-// It runs on the receiving connection's goroutine; the payload is only valid
-// for the duration of the call.
+// per-peer FIFO order; calls for one peer never overlap (calls for different
+// peers do). It runs on the receiving connection's goroutine; the payload is
+// only valid for the duration of the call.
 type Handler func(from int, kind byte, payload []byte)
 
 // frame is one queued or retained outbound frame. data is pool-owned and
@@ -132,21 +116,11 @@ type connIO struct {
 	br *bufio.Reader
 }
 
-// peerSet is everything shared by the striped sessions ("lanes") to one
-// remote process. Lifecycle operations (Retire, the shutdown barrier, the
-// startup wait) apply to every lane; the per-session state lives on each
-// lane's peer.
-type peerSet struct {
-	lanes []*peer
-}
-
-// peer is the state of one lane of one remote process: the outbound queue
-// and retained frames, the live connection, and receive-side bookkeeping.
-// With Conns == 1 a peer is exactly the old one-session-per-process state.
+// peer is the session with one remote process: the outbound queue and
+// retained frames, the live connection, and receive-side bookkeeping.
 type peer struct {
 	t      *Transport
 	index  int
-	lane   int
 	dials  bool // we dial this peer (our index is higher, or we are a joiner)
 	absent bool // roster slot inactive at our startup; may join later
 
@@ -196,13 +170,12 @@ type peer struct {
 	dispatch sync.Mutex
 }
 
-// Transport is one process's endpoint of the cluster mesh: (N-1) * Conns
-// reliable, FIFO, exactly-once frame sessions — Conns striped lanes per peer
-// process.
+// Transport is one process's endpoint of the cluster mesh: N-1 reliable,
+// FIFO, exactly-once frame sessions, one per peer process.
 type Transport struct {
 	cfg      Config
 	handler  Handler
-	peers    []*peerSet
+	peers    []*peer // nil at this process's own index
 	ln       net.Listener
 	memEpoch atomic.Uint64
 
@@ -213,10 +186,10 @@ type Transport struct {
 	fatalMu  sync.Mutex
 	fatalErr error
 
-	poolBytes atomic.Int64 // what the lanes' payload pools hold
+	poolBytes atomic.Int64 // what the sessions' payload pools hold
 }
 
-// PoolBytes reports the bytes of frame-payload buffers the lanes' pools
+// PoolBytes reports the bytes of frame-payload buffers the sessions' pools
 // hold for reuse.
 func (t *Transport) PoolBytes() int64 { return t.poolBytes.Load() }
 
@@ -238,20 +211,15 @@ func Dial(cfg Config, handler Handler) (*Transport, error) {
 			t.peers = append(t.peers, nil)
 			continue
 		}
-		ps := &peerSet{}
-		for l := 0; l < cfg.Conns; l++ {
-			ps.lanes = append(ps.lanes, &peer{
-				t:      t,
-				index:  i,
-				lane:   l,
-				dials:  cfg.Index > i || selfJoiner,
-				absent: absent(i),
-				notify: make(chan struct{}, 1),
-				up:     make(chan struct{}),
-				pool:   freelist.New[[]byte](&t.poolBytes),
-			})
-		}
-		t.peers = append(t.peers, ps)
+		t.peers = append(t.peers, &peer{
+			t:      t,
+			index:  i,
+			dials:  cfg.Index > i || selfJoiner,
+			absent: absent(i),
+			notify: make(chan struct{}, 1),
+			up:     make(chan struct{}),
+			pool:   freelist.New[[]byte](&t.poolBytes),
+		})
 	}
 
 	ln := cfg.Listener
@@ -266,40 +234,35 @@ func Dial(cfg Config, handler Handler) (*Transport, error) {
 	t.wg.Add(1)
 	go t.acceptLoop()
 
-	for _, ps := range t.peers {
-		if ps == nil {
+	for _, p := range t.peers {
+		if p == nil {
 			continue
 		}
-		for _, p := range ps.lanes {
-			t.wg.Add(1)
-			go p.sendLoop()
-			if p.dials && !p.absent {
-				p.mu.Lock()
-				p.startRedialLocked()
-				p.mu.Unlock()
-			}
+		t.wg.Add(1)
+		go p.sendLoop()
+		if p.dials && !p.absent {
+			p.mu.Lock()
+			p.startRedialLocked()
+			p.mu.Unlock()
 		}
 	}
 
 	waited := 0
 	deadline := time.After(cfg.DialTimeout)
-	for _, ps := range t.peers {
-		if ps == nil || ps.lanes[0].absent {
+	for _, p := range t.peers {
+		if p == nil || p.absent {
 			continue
 		}
 		waited++
-		for _, p := range ps.lanes {
-			select {
-			case <-p.up:
-			case <-deadline:
-				t.Close()
-				return nil, fmt.Errorf("transport: process %d: peer %d (lane %d) did not connect within %v",
-					cfg.Index, p.index, p.lane, cfg.DialTimeout)
-			}
+		select {
+		case <-p.up:
+		case <-deadline:
+			t.Close()
+			return nil, fmt.Errorf("transport: process %d: peer %d did not connect within %v",
+				cfg.Index, p.index, cfg.DialTimeout)
 		}
 	}
-	t.logf("transport: process %d/%d connected to %d peers over %d lanes each",
-		cfg.Index, len(cfg.Addrs), waited, cfg.Conns)
+	t.logf("transport: process %d/%d connected to %d peers", cfg.Index, len(cfg.Addrs), waited)
 	return t, nil
 }
 
@@ -325,40 +288,37 @@ func (t *Transport) MembershipEpoch() uint64 { return t.memEpoch.Load() }
 // silently, and the shutdown barriers skip it. Used after a drain-leave FIN
 // or a declared crash death; there is no un-retire.
 func (t *Transport) Retire(i int) {
-	ps := t.peers[i]
-	if ps == nil {
+	p := t.peers[i]
+	if p == nil {
 		return
 	}
-	already := true
-	for _, p := range ps.lanes {
-		p.mu.Lock()
-		already = already && p.retired
-		p.retired = true
-		if p.conn != nil {
-			p.conn.c.Close()
-			p.conn = nil
-		}
-		if p.pending != nil {
-			p.pending.io.c.Close()
-			p.pending = nil
-		}
-		for _, f := range p.q {
-			if f.data != nil {
-				p.putBufLocked(f.data)
-			}
-		}
-		p.q = p.q[:0]
-		for _, f := range p.unacked[p.unackedHead:] {
-			if f.data != nil {
-				p.putBufLocked(f.data)
-			}
-		}
-		p.unacked = p.unacked[:0]
-		p.unackedHead = 0
-		p.mu.Unlock()
-		p.upOnce.Do(func() { close(p.up) })
-		p.poke()
+	p.mu.Lock()
+	already := p.retired
+	p.retired = true
+	if p.conn != nil {
+		p.conn.c.Close()
+		p.conn = nil
 	}
+	if p.pending != nil {
+		p.pending.io.c.Close()
+		p.pending = nil
+	}
+	for _, f := range p.q {
+		if f.data != nil {
+			p.putBufLocked(f.data)
+		}
+	}
+	p.q = p.q[:0]
+	for _, f := range p.unacked[p.unackedHead:] {
+		if f.data != nil {
+			p.putBufLocked(f.data)
+		}
+	}
+	p.unacked = p.unacked[:0]
+	p.unackedHead = 0
+	p.mu.Unlock()
+	p.upOnce.Do(func() { close(p.up) })
+	p.poke()
 	if !already {
 		t.logf("transport: process %d: retired peer %d", t.cfg.Index, i)
 	}
@@ -366,35 +326,27 @@ func (t *Transport) Retire(i int) {
 
 // Retired reports whether peer i has been retired.
 func (t *Transport) Retired(i int) bool {
-	ps := t.peers[i]
-	if ps == nil {
+	p := t.peers[i]
+	if p == nil {
 		return false
 	}
-	p := ps.lanes[0] // Retire flips every lane together
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.retired
 }
 
-// Joined reports whether a session with peer i was ever installed (on any
-// lane — a joiner's lanes come up one dial at a time). An absent roster slot
-// flips to joined when the late process dials in; the mesh's control-plane
-// broadcast uses this to reach a joiner that is connected but not yet an
-// active dataflow participant.
+// Joined reports whether a session with peer i was ever installed. An absent
+// roster slot flips to joined when the late process dials in; the mesh's
+// control-plane broadcast uses this to reach a joiner that is connected but
+// not yet an active dataflow participant.
 func (t *Transport) Joined(i int) bool {
-	ps := t.peers[i]
-	if ps == nil {
+	p := t.peers[i]
+	if p == nil {
 		return false
 	}
-	for _, p := range ps.lanes {
-		p.mu.Lock()
-		ok := p.joined && !p.retired
-		p.mu.Unlock()
-		if ok {
-			return true
-		}
-	}
-	return false
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.joined && !p.retired
 }
 
 func (t *Transport) logf(format string, args ...any) {
@@ -432,21 +384,6 @@ func (t *Transport) isClosed() bool {
 //
 //megalint:hotpath
 func (t *Transport) Send(to int, kind byte, payload []byte) {
-	t.sendLane(to, 0, kind, payload)
-}
-
-// SendKeyed enqueues one user frame to a peer process on the lane selected
-// by key (key modulo the configured connection count). Frames sharing a key
-// are delivered in send order; frames under different keys may be reordered
-// relative to each other. With Conns == 1 SendKeyed is Send.
-//
-//megalint:hotpath
-func (t *Transport) SendKeyed(to, key int, kind byte, payload []byte) {
-	t.sendLane(to, key, kind, payload)
-}
-
-//megalint:hotpath
-func (t *Transport) sendLane(to, key int, kind byte, payload []byte) {
 	if kind < KindUser {
 		panic(fmt.Sprintf("transport: Send with reserved kind %d", kind))
 	}
@@ -457,14 +394,11 @@ func (t *Transport) sendLane(to, key int, kind byte, payload []byte) {
 			ErrFrameTooLarge{Declared: frameOverhead + len(payload), Max: t.cfg.MaxFrame}))
 		return
 	}
-	ps := t.peers[to]
-	if ps == nil {
+	p := t.peers[to]
+	if p == nil {
 		panic(fmt.Sprintf("transport: Send to self (process %d)", to))
 	}
-	if key < 0 {
-		key = -key
-	}
-	ps.lanes[key%len(ps.lanes)].enqueue(kind, payload, true)
+	p.enqueue(kind, payload, true)
 }
 
 // enqueue appends one frame (numbered when numbered is true) to the peer's
@@ -515,14 +449,14 @@ func (p *peer) getBufLocked(n int) []byte {
 // sizes it to exactly that: every buffer of the window is taken again
 // within an ack round or two, while what a burst (an all-at-once migration's
 // state frames, a catch-up backlog) added on top, in count or in buffer
-// size, ages out two ack rounds after the lane last needed it.
+// size, ages out two ack rounds after the session last needed it.
 //
 //megalint:hotpath
 func (p *peer) putBufLocked(buf []byte) {
 	p.pool.Put(buf[:0], len(buf), cap(buf))
 }
 
-// sendLoop is the lane's single sender goroutine. It alone adopts new
+// sendLoop is the session's single sender goroutine. It alone adopts new
 // connections and moves frames between q and unacked, which keeps replay
 // ordering trivially correct: frames enter unacked only after a write
 // attempt, and a newly adopted connection first drains unacked (minus what
@@ -761,19 +695,13 @@ func (p *peer) redial() {
 			}
 			c.Close()
 			if err == errRetiredByPeer {
-				// The peer retired us for good: no lane of this pair will
-				// ever be acked again, so stand every lane down (another
-				// lane's connection may have died without its own redial to
-				// learn this, which would wedge the shutdown barrier).
-				for _, l := range t.peers[p.index].lanes {
-					l.mu.Lock()
-					l.retiredUs = true
-					if l == p {
-						l.redialing = false
-					}
-					l.mu.Unlock()
-					l.poke()
-				}
+				// The peer retired us for good: nothing of ours will ever
+				// be acked again, so stand the session down.
+				p.mu.Lock()
+				p.retiredUs = true
+				p.redialing = false
+				p.mu.Unlock()
+				p.poke()
 				t.logf("transport: process %d: peer %d has retired us; standing down", t.cfg.Index, p.index)
 				return
 			}
@@ -808,9 +736,9 @@ func (p *peer) handshakeDial(io *connIO) error {
 	recv := p.recvSeq
 	p.mu.Unlock()
 	h := hello{ClusterID: t.cfg.ClusterID, From: t.cfg.Index, Procs: len(t.cfg.Addrs),
-		RecvSeq: recv, MembershipEpoch: t.memEpoch.Load(), Lane: p.lane, Lanes: t.cfg.Conns}
+		RecvSeq: recv, MembershipEpoch: t.memEpoch.Load()}
 	io.c.SetDeadline(time.Now().Add(5 * time.Second))
-	if _, err := io.c.Write(AppendFrame(nil, kindHello, 0, appendHello(nil, h, Version))); err != nil {
+	if _, err := io.c.Write(AppendFrame(nil, kindHello, 0, appendHello(nil, h))); err != nil {
 		return err
 	}
 	fr := NewFrameReader(io.br, t.cfg.MaxFrame)
@@ -831,9 +759,9 @@ func (p *peer) handshakeDial(io *connIO) error {
 	if err != nil {
 		return err
 	}
-	if ack.ClusterID != t.cfg.ClusterID || ack.From != p.index || ack.Procs != len(t.cfg.Addrs) || ack.Lane != p.lane {
-		return fmt.Errorf("transport: hello-ack identity mismatch dialing peer %d (lane %d) at %s: remote says cluster %x from %d procs %d lane %d, want cluster %x from %d procs %d lane %d",
-			p.index, p.lane, io.c.RemoteAddr(), ack.ClusterID, ack.From, ack.Procs, ack.Lane, t.cfg.ClusterID, p.index, len(t.cfg.Addrs), p.lane)
+	if ack.ClusterID != t.cfg.ClusterID || ack.From != p.index || ack.Procs != len(t.cfg.Addrs) {
+		return fmt.Errorf("transport: hello-ack identity mismatch dialing peer %d at %s: remote says cluster %x from %d procs %d, want cluster %x from %d procs %d",
+			p.index, io.c.RemoteAddr(), ack.ClusterID, ack.From, ack.Procs, t.cfg.ClusterID, p.index, len(t.cfg.Addrs))
 	}
 	io.c.SetDeadline(time.Time{})
 	p.install(io, ack.RecvSeq)
@@ -883,14 +811,6 @@ func (t *Transport) acceptOne(c net.Conn) error {
 		return fmt.Errorf("peer count mismatch accepting dial from %s (peer index %d): peer says %d, ours %d",
 			remote, h.From, h.Procs, len(t.cfg.Addrs))
 	}
-	if h.Lanes != t.cfg.Conns {
-		return fmt.Errorf("connection count mismatch accepting dial from %s (peer index %d): peer stripes over %d lanes, ours %d (every process must configure the same Conns)",
-			remote, h.From, h.Lanes, t.cfg.Conns)
-	}
-	if h.Lane < 0 || h.Lane >= t.cfg.Conns {
-		return fmt.Errorf("lane %d out of range accepting dial from %s (peer index %d, %d lanes)",
-			h.Lane, remote, h.From, t.cfg.Conns)
-	}
 	// The usual rule is higher-index-dials-lower; a slot marked absent in
 	// our roster is a late joiner, which dials everyone, so its dial is
 	// legitimate regardless of index order.
@@ -898,7 +818,7 @@ func (t *Transport) acceptOne(c net.Conn) error {
 	if h.From == t.cfg.Index || h.From < 0 || h.From >= len(t.cfg.Addrs) || (h.From < t.cfg.Index && !fromAbsent) {
 		return fmt.Errorf("unexpected dial from process %d at %s to process %d (acceptor side)", h.From, remote, t.cfg.Index)
 	}
-	p := t.peers[h.From].lanes[h.Lane]
+	p := t.peers[h.From]
 	p.mu.Lock()
 	retired := p.retired
 	recv := p.recvSeq
@@ -912,8 +832,8 @@ func (t *Transport) acceptOne(c net.Conn) error {
 		return fmt.Errorf("dial from retired process %d at %s", h.From, remote)
 	}
 	ack := hello{ClusterID: t.cfg.ClusterID, From: t.cfg.Index, Procs: len(t.cfg.Addrs),
-		RecvSeq: recv, MembershipEpoch: t.memEpoch.Load(), Lane: h.Lane, Lanes: t.cfg.Conns}
-	if _, err := c.Write(AppendFrame(nil, kindHelloAck, 0, appendHello(nil, ack, Version))); err != nil {
+		RecvSeq: recv, MembershipEpoch: t.memEpoch.Load()}
+	if _, err := c.Write(AppendFrame(nil, kindHelloAck, 0, appendHello(nil, ack))); err != nil {
 		return err
 	}
 	c.SetDeadline(time.Time{})
@@ -991,7 +911,7 @@ func (p *peer) recvLoop(io *connIO) {
 }
 
 // dispatchFrame performs the receive step for one numbered frame under the
-// lane's dispatch lock, so receive loops of overlapping connection
+// peer's dispatch lock, so receive loops of overlapping connection
 // generations never process frames concurrently or out of order. It
 // reports false when the frame is a sequence-gap protocol violation (the
 // connection is torn down and the caller's loop must exit).
@@ -1116,23 +1036,21 @@ func (t *Transport) finish(timeout time.Duration, waitPeerFin bool) error {
 	skip := func(p *peer) bool {
 		return p.retired || p.retiredUs || (p.absent && !p.joined)
 	}
-	for _, ps := range t.peers {
-		if ps == nil {
+	for _, p := range t.peers {
+		if p == nil {
 			continue
 		}
-		for _, p := range ps.lanes {
-			p.mu.Lock()
-			if skip(p) {
-				p.mu.Unlock()
-				continue
-			}
-			p.sendSeq++
-			fin := frame{seq: p.sendSeq, kind: kindFin}
-			p.finSeq = fin.seq
-			p.q = append(p.q, fin)
+		p.mu.Lock()
+		if skip(p) {
 			p.mu.Unlock()
-			p.poke()
+			continue
 		}
+		p.sendSeq++
+		fin := frame{seq: p.sendSeq, kind: kindFin}
+		p.finSeq = fin.seq
+		p.q = append(p.q, fin)
+		p.mu.Unlock()
+		p.poke()
 	}
 	deadline := time.Now().Add(timeout)
 	for {
@@ -1143,33 +1061,30 @@ func (t *Transport) finish(timeout time.Duration, waitPeerFin bool) error {
 			return err
 		}
 		done := true
-	scan:
-		for _, ps := range t.peers {
-			if ps == nil {
+		for _, p := range t.peers {
+			if p == nil {
 				continue
 			}
-			for _, p := range ps.lanes {
-				p.mu.Lock()
-				// Drained means: the peer acknowledged our FIN on this lane (so
-				// every frame we sent on it was received), their FIN arrived (so
-				// every frame they sent was handled — unless this is a one-sided
-				// leave), and nothing of ours — acks included — is still queued
-				// or mid-write. In a one-sided leave a lane whose connection is
-				// down with no redial in flight will never ack again — survivors
-				// retire a leaver on its goodbye and drop the connections, and
-				// when the peer owns the dialing there is no reject handshake to
-				// tell us so. The leaver verified application of everything it
-				// sent (probe past its hold epoch) before saying goodbye, so the
-				// unacknowledged tail is only the FIN formality.
-				drained := skip(p) ||
-					((p.finRecvd || !waitPeerFin) && p.ackedSeq >= p.finSeq &&
-						len(p.q) == 0 && !p.inFlight) ||
-					(!waitPeerFin && p.joined && p.conn == nil && !p.redialing)
-				p.mu.Unlock()
-				if !drained {
-					done = false
-					break scan
-				}
+			p.mu.Lock()
+			// Drained means: the peer acknowledged our FIN (so every frame we
+			// sent was received), their FIN arrived (so every frame they sent
+			// was handled — unless this is a one-sided leave), and nothing of
+			// ours — acks included — is still queued or mid-write. In a
+			// one-sided leave a session whose connection is down with no
+			// redial in flight will never ack again — survivors retire a
+			// leaver on its goodbye and drop the connection, and when the peer
+			// owns the dialing there is no reject handshake to tell us so. The
+			// leaver verified application of everything it sent (probe past
+			// its hold epoch) before saying goodbye, so the unacknowledged
+			// tail is only the FIN formality.
+			drained := skip(p) ||
+				((p.finRecvd || !waitPeerFin) && p.ackedSeq >= p.finSeq &&
+					len(p.q) == 0 && !p.inFlight) ||
+				(!waitPeerFin && p.joined && p.conn == nil && !p.redialing)
+			p.mu.Unlock()
+			if !drained {
+				done = false
+				break
 			}
 		}
 		if done {
@@ -1219,21 +1134,19 @@ func (t *Transport) shutdown() {
 	t.closeOnce.Do(func() {
 		close(t.closed)
 		t.ln.Close()
-		for _, ps := range t.peers {
-			if ps == nil {
+		for _, p := range t.peers {
+			if p == nil {
 				continue
 			}
-			for _, p := range ps.lanes {
-				p.mu.Lock()
-				if p.conn != nil {
-					p.conn.c.Close()
-				}
-				if p.pending != nil {
-					p.pending.io.c.Close()
-				}
-				p.mu.Unlock()
-				p.poke()
+			p.mu.Lock()
+			if p.conn != nil {
+				p.conn.c.Close()
 			}
+			if p.pending != nil {
+				p.pending.io.c.Close()
+			}
+			p.mu.Unlock()
+			p.poke()
 		}
 	})
 }

@@ -244,12 +244,11 @@ func TestMigrationSurvivesConnLoss(t *testing.T) {
 // TestMigrationSurvivesConnLossBatched is the same chaos scenario under
 // aggressively batched framing: a tiny mesh coalescing threshold makes
 // every scheduling ship many small multi-record data frames, which the
-// transport then packs into kindBatch frames across two striped lanes — so
-// the cut lands inside a coalesced multi-record frame, and the replay must
-// deduplicate at sub-frame granularity on both lanes.
+// transport then packs into kindBatch frames — so the cut lands inside a
+// coalesced multi-record frame, and the replay must deduplicate at sub-frame
+// granularity.
 func TestMigrationSurvivesConnLossBatched(t *testing.T) {
 	testMigrationSurvivesConnLoss(t, func(s *dataflow.ClusterSpec) {
-		s.Conns = 2
 		s.CoalesceBytes = 512
 	})
 }
@@ -270,9 +269,9 @@ func testMigrationSurvivesConnLoss(t *testing.T, tweak func(*dataflow.ClusterSpe
 		t.Fatal("reference run produced no output")
 	}
 
-	// Cluster: every TCP session (process 1 dials process 0, one per lane)
-	// runs through the proxy; hosts lists the proxy as process 0's address
-	// while process 0 actually listens on a pre-bound backend listener.
+	// Cluster: the TCP session (process 1 dials process 0) runs through the
+	// proxy; hosts lists the proxy as process 0's address while process 0
+	// actually listens on a pre-bound backend listener.
 	backend, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

@@ -63,8 +63,8 @@ run_pkg ./internal/transport/ 1s 1
 
 # Cluster-mode throughput: a 3-process keycount on loopback, driven at a
 # rate well past single-machine capacity so records/elapsed measures the
-# sustained cross-process throughput (coalesced frames, striped connections,
-# progress exchange — the whole wire path), not the offered load. Best of
+# sustained cross-process throughput (coalesced frames, one connection per
+# peer, progress exchange — the whole wire path), not the offered load. Best of
 # three runs, like the ablation: cold runs on a shared machine read slow.
 # The result is appended to $TMP as a synthetic benchmark line in `go test`
 # format so the awk stage below records and guards it like any other.
