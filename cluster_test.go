@@ -13,13 +13,16 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"megaphone/internal/core"
 	"megaphone/internal/dataflow"
 	"megaphone/internal/harness"
 	"megaphone/internal/keycount"
 	"megaphone/internal/nexmark"
+	"megaphone/internal/operators"
 	"megaphone/internal/plan"
 )
 
@@ -133,6 +136,141 @@ func TestClusterKeycountEquivalence(t *testing.T) {
 	}
 	if got, want := clu.canonical(), ref.canonical(); got != want {
 		t.Fatalf("cluster output multiset differs from single-process run (cluster %d lines, single %d lines)",
+			len(clu.lines), len(ref.lines))
+	}
+}
+
+// fbCount is a per-key count the binary format has no encoding for (neither
+// a scalar nor a BinaryRec), so bins of MapState[uint64, fbCount] take the
+// gob fallback.
+type fbCount struct{ N uint64 }
+
+// tagCount wraps the state codec and counts the bins it encodes in each
+// payload format.
+type tagCount struct {
+	core.Codec
+	gob, binary atomic.Int64
+}
+
+func (c *tagCount) EncodeBin(bin core.Migratable, buf []byte) ([]byte, error) {
+	p, err := c.Codec.EncodeBin(bin, buf)
+	if err == nil && len(p) > len(buf) {
+		if p[len(buf)] == 0x00 {
+			c.gob.Add(1)
+		} else {
+			c.binary.Add(1)
+		}
+	}
+	return p, err
+}
+
+// runFallbackCount runs a word count over fbCount state for 40 epochs of
+// deterministic input: on two workers in this process when spec is nil, or
+// as one single-worker process of a two-mesh cluster. With migrate, a fluid
+// plan moves worker 1's bins to worker 0 from epoch 10, each bin in 64-byte
+// chunks.
+func runFallbackCount(spec *dataflow.ClusterSpec, codec core.Codec, migrate bool, collect func(string)) error {
+	workers, first := 2, 0
+	var mesh *dataflow.Mesh
+	if spec != nil {
+		var err error
+		if mesh, err = dataflow.JoinMesh(*spec); err != nil {
+			return err
+		}
+		workers, first = 1, spec.Process
+	}
+	exec := dataflow.NewExecution(dataflow.Config{Workers: workers, Mesh: mesh})
+	var dataIns []*dataflow.InputHandle[core.KV[uint64, int64]]
+	var ctlIns []*dataflow.InputHandle[core.Move]
+	var probe *dataflow.Probe
+	exec.Build(func(w *dataflow.Worker) {
+		ctl, ctlStream := dataflow.NewInput[core.Move](w, "control")
+		in, data := dataflow.NewInput[core.KV[uint64, int64]](w, "data")
+		ctlIns, dataIns = append(ctlIns, ctl), append(dataIns, in)
+		cfg := core.Config{Name: "fallback-count", LogBins: 3, Transfer: codec, ChunkBytes: 64}
+		counts := core.StateMachine(w, cfg, ctlStream, data,
+			func(k uint64) uint64 { return core.Mix64(k) },
+			func(k uint64, v int64, st *fbCount, emit func([2]uint64)) {
+				st.N += uint64(v)
+				emit([2]uint64{k, st.N})
+			}, nil)
+		operators.Sink(w, "collect", counts, func(_ core.Time, recs [][2]uint64) {
+			for _, r := range recs {
+				collect(fmt.Sprintf("%d:%d", r[0], r[1]))
+			}
+		})
+		if p := dataflow.NewProbe(w, counts); w.Index() == first {
+			probe = p
+		}
+	})
+	exec.Start()
+
+	ctl := plan.NewController(ctlIns, probe)
+	for e := core.Time(1); e <= 40 || !ctl.Idle(); e++ {
+		for li, in := range dataIns {
+			if e > 40 {
+				break
+			}
+			batch := make([]core.KV[uint64, int64], 16)
+			for i := range batch {
+				key := core.Mix64(uint64(e)*1000+uint64(first+li)*100+uint64(i)) % 256
+				batch[i] = core.KV[uint64, int64]{Key: key, Val: 1}
+			}
+			in.SendBatchAt(e, batch)
+		}
+		if migrate && e == 10 {
+			ctl.Start(plan.Build(plan.Fluid, plan.Initial(8, 2), plan.Rebalance(8, []int{0}), 1))
+		}
+		ctl.Tick(e)
+		for _, in := range dataIns {
+			in.AdvanceTo(e + 1)
+		}
+	}
+	ctl.Close()
+	for _, in := range dataIns {
+		in.Close()
+	}
+	exec.Wait()
+	return nil
+}
+
+// TestClusterFallbackStateMigration keeps the gob fallback covered across
+// processes now that every benchmark workload's state ships in the binary
+// format: on a two-mesh loopback cluster, fallback-typed bins migrate from
+// process 1 to process 0 in many small chunks, and the output multiset
+// equals that of an unmigrated single-process run.
+func TestClusterFallbackStateMigration(t *testing.T) {
+	var ref collector
+	if err := runFallbackCount(nil, nil, false, ref.add); err != nil {
+		t.Fatal(err)
+	}
+	if len(ref.lines) == 0 {
+		t.Fatal("reference run produced no output")
+	}
+
+	specs := localClusterSpecs(t, 2)
+	codec := &tagCount{Codec: core.TransferBinary}
+	var clu collector
+	var wg sync.WaitGroup
+	errs := make([]error, 2)
+	for p := range specs {
+		wg.Add(1)
+		go func(p int) {
+			defer wg.Done()
+			errs[p] = runFallbackCount(&specs[p], codec, true, clu.add)
+		}(p)
+	}
+	wg.Wait()
+	for p, err := range errs {
+		if err != nil {
+			t.Fatalf("process %d: %v", p, err)
+		}
+	}
+	if codec.gob.Load() == 0 || codec.binary.Load() != 0 {
+		t.Fatalf("migrated bins: %d gob-tagged, %d binary-tagged; want only gob", codec.gob.Load(), codec.binary.Load())
+	}
+	if got, want := clu.canonical(), ref.canonical(); got != want {
+		t.Fatalf("migrated cluster output differs from the unmigrated run (cluster %d lines, reference %d)",
 			len(clu.lines), len(ref.lines))
 	}
 }

@@ -84,6 +84,21 @@ func U64(data []byte) (uint64, []byte, error) {
 	return binary.LittleEndian.Uint64(data), data[8:], nil
 }
 
+// AppendU32 appends x as a fixed-width little-endian 32-bit value.
+//
+//megalint:hotpath
+func AppendU32(buf []byte, x uint32) []byte {
+	return binary.LittleEndian.AppendUint32(buf, x)
+}
+
+// U32 decodes a fixed-width little-endian 32-bit value.
+func U32(data []byte) (uint32, []byte, error) {
+	if len(data) < 4 {
+		return 0, nil, fmt.Errorf("u32: %w", ErrShort)
+	}
+	return binary.LittleEndian.Uint32(data), data[4:], nil
+}
+
 // AppendU64s appends a length-prefixed slice of fixed-width 64-bit values.
 //
 //megalint:hotpath

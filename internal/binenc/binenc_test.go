@@ -29,6 +29,12 @@ func TestRoundTrips(t *testing.T) {
 	}, nil); err != nil {
 		t.Error("u64:", err)
 	}
+	if err := quick.Check(func(x uint32) bool {
+		got, rest, err := U32(AppendU32(nil, x))
+		return err == nil && got == x && len(rest) == 0
+	}, nil); err != nil {
+		t.Error("u32:", err)
+	}
 	if err := quick.Check(func(s string) bool {
 		got, rest, err := String(AppendString(nil, s))
 		return err == nil && got == s && len(rest) == 0
@@ -109,6 +115,9 @@ func TestShortInputs(t *testing.T) {
 	}
 	if _, _, err := Bool(nil); err == nil {
 		t.Error("Bool(nil) succeeded")
+	}
+	if _, _, err := U32([]byte{1, 2, 3}); err == nil {
+		t.Error("U32 on three bytes succeeded")
 	}
 	if _, _, err := String([]byte{200}); err == nil {
 		t.Error("String on bare continuation byte succeeded")

@@ -1,18 +1,21 @@
 package nexmark
 
 import (
+	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"megaphone/internal/binenc"
 )
 
 // Binary migration encodings (core.BinaryState / core.BinaryRec) for the
-// NEXMark query state and event types, used by core.TransferBinary. Q4–Q8
-// keep per-bin state that can grow large (open auctions, sliding windows,
-// registration joins), so their migration payloads are the ones where the
-// hand-rolled encoding pays off against gob. The stateless Q1/Q2 and the
-// unbounded-join Q3 migrate MapState-shaped or empty bins, which package
-// core already covers.
+// NEXMark query state and event types, used by core.TransferBinary. Q3–Q8
+// keep per-bin state that can grow large (the unbounded join, open auctions,
+// sliding windows, registration joins), so every stateful query's bins ship
+// in the binary format; Q3's state is laid out so that its wire form is its
+// memory form. Q6's averaging stage is a core.MapState, which package core
+// already covers, and the stateless Q1/Q2 keep empty struct{} bins, which
+// take the gob fallback at a few bytes each.
 //
 // Q4 and Q8 additionally schedule post-dated records (auction expiries,
 // registration expiries), so their record types — Bid, Auction, Person and
@@ -162,6 +165,104 @@ func (o *Q7Out) DecodeBinaryRec(data []byte) ([]byte, error) {
 	}
 	o.Bidder, data, err = binenc.Uvarint(data)
 	return data, err
+}
+
+// --- Q3: the join (core.BinaryState) ---
+
+// AppendBinaryState implements core.BinaryState. The wire form is the memory
+// form (see q3State): the arena whole, then the persons, nodes and sellers
+// tables at fixed width, each behind its count.
+func (s *q3State) AppendBinaryState(buf []byte) []byte {
+	buf = slices.Grow(buf, 4*binary.MaxVarintLen64+len(s.arena)+12*len(s.persons)+12*len(s.nodes)+16*len(s.sellers))
+	buf = binenc.AppendUvarint(buf, uint64(len(s.arena)))
+	buf = append(buf, s.arena...)
+	buf = binenc.AppendUvarint(buf, uint64(len(s.persons)))
+	for id, off := range s.persons {
+		buf = binenc.AppendU64(buf, id)
+		buf = binenc.AppendU32(buf, off)
+	}
+	buf = binenc.AppendUvarint(buf, uint64(len(s.nodes)))
+	for _, n := range s.nodes {
+		buf = binenc.AppendU64(buf, n.Auction)
+		buf = binenc.AppendU32(buf, n.Next)
+	}
+	buf = binenc.AppendUvarint(buf, uint64(len(s.sellers)))
+	for seller, c := range s.sellers {
+		buf = binenc.AppendU64(buf, seller)
+		buf = binenc.AppendU32(buf, c.First)
+		buf = binenc.AppendU32(buf, c.Last)
+	}
+	return buf
+}
+
+// DecodeBinaryState implements core.BinaryState. The arena is copied (the
+// payload belongs to the transport) and the maps are rebuilt; every count is
+// bounded by the bytes left, and every arena offset, node index and chain is
+// checked, so a corrupt payload is an error rather than a panic or a hang
+// when the join later walks it.
+func (s *q3State) DecodeBinaryState(data []byte) ([]byte, error) {
+	n, data, err := binenc.Count(data, 1)
+	if err != nil {
+		return nil, err
+	}
+	s.arena = append([]byte(nil), data[:n]...)
+	data = data[n:]
+
+	if n, data, err = binenc.Count(data, 12); err != nil {
+		return nil, err
+	}
+	s.persons = make(map[uint64]uint32, n)
+	for i := uint64(0); i < n; i++ {
+		var id uint64
+		var off uint32
+		id, data, _ = binenc.U64(data)
+		off, data, _ = binenc.U32(data)
+		if _, _, _, _, ok := q3Entry(s.arena, off); !ok {
+			return nil, fmt.Errorf("q3 person %d: bad arena offset %d: %w", id, off, binenc.ErrShort)
+		}
+		s.persons[id] = off
+	}
+
+	if n, data, err = binenc.Count(data, 12); err != nil {
+		return nil, err
+	}
+	s.nodes = nil
+	if n > 0 {
+		s.nodes = make([]q3Node, n)
+	}
+	for i := range s.nodes {
+		s.nodes[i].Auction, data, _ = binenc.U64(data)
+		s.nodes[i].Next, data, _ = binenc.U32(data)
+		if uint64(s.nodes[i].Next) >= n {
+			return nil, fmt.Errorf("q3 node %d: next %d out of range: %w", i, s.nodes[i].Next, binenc.ErrShort)
+		}
+	}
+
+	if n, data, err = binenc.Count(data, 16); err != nil {
+		return nil, err
+	}
+	s.sellers = make(map[uint64]q3Chain, n)
+	inChain := make([]bool, len(s.nodes))
+	for i := uint64(0); i < n; i++ {
+		var seller uint64
+		var c q3Chain
+		seller, data, _ = binenc.U64(data)
+		c.First, data, _ = binenc.U32(data)
+		c.Last, data, _ = binenc.U32(data)
+		// Walk the chain: it must reach Last through nodes no other chain
+		// holds, which bounds every walk by the node count.
+		for j := c.First; ; j = s.nodes[j].Next {
+			if int(j) >= len(s.nodes) || inChain[j] {
+				return nil, fmt.Errorf("q3 seller %d: chain %d..%d broken at node %d: %w", seller, c.First, c.Last, j, binenc.ErrShort)
+			}
+			inChain[j] = true
+			if j == c.Last {
+				break
+			}
+		}
+		s.sellers[seller] = c
+	}
+	return data, nil
 }
 
 // --- Q4: open auctions (core.BinaryState) ---

@@ -3,6 +3,7 @@ package nexmark
 import (
 	"bytes"
 	"encoding/gob"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -10,23 +11,20 @@ import (
 	"megaphone/internal/core"
 )
 
-// Payload format tags (the first byte of every bin payload).
-const (
-	tagGob    = 0x00
-	tagBinary = 0x01
-)
+// tagBinary is the binary format's tag, the first byte of a bin payload.
+const tagBinary = 0x01
 
 // codecRoundTrip runs one bin through the state codec and checks that the
-// payload carries the wanted format tag and reconstructs the original
-// exactly (state and pending layout).
-func codecRoundTrip[R, S any](t *testing.T, label string, wantTag byte, bin *core.BinState[R, S], newState func() *S) {
+// payload is in the binary format and reconstructs the original exactly
+// (state and pending layout).
+func codecRoundTrip[R, S any](t *testing.T, label string, bin *core.BinState[R, S], newState func() *S) {
 	t.Helper()
 	payload, err := core.TransferBinary.EncodeBin(bin, nil)
 	if err != nil {
 		t.Fatalf("%s: encode: %v", label, err)
 	}
-	if payload[0] != wantTag {
-		t.Fatalf("%s: payload format tag %#x, want %#x", label, payload[0], wantTag)
+	if payload[0] != tagBinary {
+		t.Fatalf("%s: payload format tag %#x, want %#x", label, payload[0], tagBinary)
 	}
 	got := &core.BinState[R, S]{State: newState()}
 	if err := core.TransferBinary.DecodeBin(got, payload); err != nil {
@@ -93,7 +91,7 @@ func TestQ4StateCodec(t *testing.T) {
 			bin.PushPending(Time(rng.Intn(100)), core.Left[Bid, Auction](randBid(rng)))
 			bin.PushPending(Time(rng.Intn(100)), core.Right[Bid, Auction](Auction{ID: uint64(i), Closed: true}))
 		}
-		codecRoundTrip(t, "q4", tagBinary, bin, newQ4State)
+		codecRoundTrip(t, "q4", bin, newQ4State)
 	}
 }
 
@@ -110,7 +108,7 @@ func TestQ5StateCodec(t *testing.T) {
 	for i := 0; i < 40; i++ {
 		bin.PushPending(Time(rng.Intn(100)), Bid{Auction: uint64(i)})
 	}
-	codecRoundTrip(t, "q5-count", tagBinary, bin, newQ5State)
+	codecRoundTrip(t, "q5-count", bin, newQ5State)
 
 	w := newQ5WinnerState()
 	for i := 0; i < 100; i++ {
@@ -120,7 +118,7 @@ func TestQ5StateCodec(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		wbin.PushPending(Time(rng.Intn(100)), Q5Count{Window: Time(i)})
 	}
-	codecRoundTrip(t, "q5-winner", tagBinary, wbin, newQ5WinnerState)
+	codecRoundTrip(t, "q5-winner", wbin, newQ5WinnerState)
 }
 
 // TestQ6RingCodec: the per-seller price ring round-trips inside MapState,
@@ -140,7 +138,7 @@ func TestQ6RingCodec(t *testing.T) {
 		s.M[rng.Uint64()%1000] = r
 	}
 	bin := &core.BinState[core.KV[uint64, uint64], core.MapState[uint64, q6Ring]]{State: s}
-	codecRoundTrip(t, "q6-avg", tagBinary, bin, newState)
+	codecRoundTrip(t, "q6-avg", bin, newState)
 }
 
 // TestQ7StateCodec: per-window maxima round-trip with pending window-close
@@ -159,7 +157,7 @@ func TestQ7StateCodec(t *testing.T) {
 	for i := 0; i < 25; i++ {
 		bin.PushPending(Time(rng.Intn(100)), Q7Out{Window: Time(i * 60)})
 	}
-	codecRoundTrip(t, "q7", tagBinary, bin, newQ7State)
+	codecRoundTrip(t, "q7", bin, newQ7State)
 }
 
 // TestQ8StateCodec: recent registrations round-trip with pending expiry
@@ -177,24 +175,77 @@ func TestQ8StateCodec(t *testing.T) {
 			bin.PushPending(Time(rng.Intn(100)), core.Left[Person, Auction](Person{ID: uint64(i)}))
 			bin.PushPending(Time(rng.Intn(100)), core.Right[Person, Auction](randAuction(rng)))
 		}
-		codecRoundTrip(t, "q8", tagBinary, bin, newQ8State)
+		codecRoundTrip(t, "q8", bin, newQ8State)
 	}
 }
 
-// TestQ3StateFallback: q3's join state has no BinaryState implementation, so
-// its bins (and their pending Either records) ride the gob fallback — the
-// path BENCHMARK.json's nx-q3-cluster workload measures.
-func TestQ3StateFallback(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	s := newQ3State()
-	for i := 0; i < 200; i++ {
-		id := rng.Uint64() % 500
-		s.Persons[id] = randPerson(rng, id)
-		s.Auctions[id] = append(s.Auctions[id], randAuction(rng))
+// q3Feed applies recs to a q3 bin in order and returns what the join
+// emitted, rendered as "name/city/state:auction".
+func q3Feed(s *q3State, recs ...core.Either[Person, Auction]) []string {
+	var out []string
+	for _, e := range recs {
+		q3Apply(e, s, func(o Q3Out) {
+			out = append(out, fmt.Sprintf("%s/%s/%s:%d", o.Name, o.City, o.State, o.Auction))
+		})
 	}
-	bin := &core.BinState[core.Either[Person, Auction], q3State]{State: s}
-	bin.PushPending(9, core.Right[Person, Auction](randAuction(rng)))
-	codecRoundTrip(t, "q3", tagGob, bin, newQ3State)
+	return out
+}
+
+// q3Person is a wanted person whose fields name its id.
+func q3Person(id uint64) core.Either[Person, Auction] {
+	return core.Left[Person, Auction](Person{
+		ID: id, Name: fmt.Sprintf("person-%d", id), City: "Boise", State: "ID",
+		Email: fmt.Sprintf("p%d@example.com", id), DateTime: 7,
+	})
+}
+
+func q3Auction(id, seller uint64) core.Either[Person, Auction] {
+	return core.Right[Person, Auction](Auction{ID: id, Seller: seller, Category: 10, ItemName: "item"})
+}
+
+// TestQ3StateCodec: q3's join state ships in the binary format, pending
+// Either records included, and a bin that crossed the wire joins exactly as
+// the one that stayed: a duplicate person is ignored, and auctions seen
+// before their seller come out in arrival order once it arrives.
+func TestQ3StateCodec(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for _, size := range []int{0, 200} {
+		s := newQ3State()
+		for i := 0; i < size; i++ {
+			q3Feed(s, q3Person(rng.Uint64()%500), q3Auction(uint64(i), rng.Uint64()%1000))
+		}
+		bin := &core.BinState[core.Either[Person, Auction], q3State]{State: s}
+		bin.PushPending(9, core.Right[Person, Auction](randAuction(rng)))
+		bin.PushPending(4, core.Left[Person, Auction](randPerson(rng, 3)))
+		codecRoundTrip(t, "q3", bin, newQ3State)
+	}
+
+	// Seller 7's auctions arrive before seller 7, interleaved with seller
+	// 8's; the bin migrates between them.
+	s := newQ3State()
+	if out := q3Feed(s, q3Auction(30, 7), q3Auction(31, 8), q3Auction(10, 7), q3Auction(20, 7)); len(out) != 0 {
+		t.Fatalf("auctions without their seller emitted %v", out)
+	}
+	payload, err := core.TransferBinary.EncodeBin(&core.BinState[core.Either[Person, Auction], q3State]{State: s}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	moved := &core.BinState[core.Either[Person, Auction], q3State]{State: newQ3State()}
+	if err := core.TransferBinary.DecodeBin(moved, payload); err != nil {
+		t.Fatal(err)
+	}
+	for name, st := range map[string]*q3State{"stayed": s, "moved": moved.State} {
+		impostor := core.Left[Person, Auction](Person{ID: 7, Name: "impostor", City: "Reno", State: "CA"})
+		got := q3Feed(st, q3Person(7), impostor, q3Auction(40, 7), q3Person(8))
+		want := []string{
+			"person-7/Boise/ID:30", "person-7/Boise/ID:10", "person-7/Boise/ID:20", // arrival order
+			"person-7/Boise/ID:40", // joins on arrival, with the first person 7
+			"person-8/Boise/ID:31",
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: joined %v, want %v", name, got, want)
+		}
+	}
 }
 
 // TestBinaryPayloadSmaller: on a large q8 bin (the paper's biggest state),
@@ -223,6 +274,32 @@ func TestBinaryPayloadSmaller(t *testing.T) {
 		gobP.Len(), len(binP), 100*float64(len(binP))/float64(gobP.Len()))
 }
 
+// BenchmarkQ3BinRoundTrip: one encode and one decode of a q3 bin of 300
+// persons and 160 auctions waiting for 40 sellers, the serial work a fluid
+// step does per q3 bin.
+func BenchmarkQ3BinRoundTrip(b *testing.B) {
+	s := newQ3State()
+	for i := uint64(0); i < 300; i++ {
+		q3Feed(s, q3Person(i))
+	}
+	for i := uint64(0); i < 160; i++ {
+		q3Feed(s, q3Auction(i, 1000+i%40))
+	}
+	bin := &core.BinState[core.Either[Person, Auction], q3State]{State: s}
+	b.ReportAllocs()
+	for b.Loop() {
+		p, err := core.TransferBinary.EncodeBin(bin, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		got := &core.BinState[core.Either[Person, Auction], q3State]{State: newQ3State()}
+		if err := core.TransferBinary.DecodeBin(got, p); err != nil {
+			b.Fatal(err)
+		}
+		b.SetBytes(int64(len(p)))
+	}
+}
+
 // fuzzDecodeBin is the property FuzzDecodeBin checks for one bin type: a
 // binary-format payload either fails to decode or decodes to a bin that
 // re-encodes and decodes to itself. It must never panic, and never allocate
@@ -246,11 +323,14 @@ func fuzzDecodeBin[R, S any](t *testing.T, data []byte, newState func() *S) {
 	}
 }
 
-// FuzzDecodeBin feeds mutated binary-format payloads to the q4 and q8 state
-// decoders, pending Either records included (the fallback's decoder is the
-// standard library's). Seeds: one valid payload per state type, and
+// FuzzDecodeBin feeds mutated binary-format payloads to the q3, q4 and q8
+// state decoders, pending Either records included (the fallback's decoder is
+// the standard library's). Seeds: one valid payload per state type, and
 // truncations of each.
 func FuzzDecodeBin(f *testing.F) {
+	q3 := &core.BinState[core.Either[Person, Auction], q3State]{State: newQ3State()}
+	q3Feed(q3.State, q3Person(1), q3Person(2), q3Auction(5, 9), q3Auction(6, 1), q3Auction(7, 9), q3Auction(8, 4))
+	q3.PushPending(6, q3Auction(9, 2))
 	rng := rand.New(rand.NewSource(10))
 	q4 := &core.BinState[core.Either[Bid, Auction], q4State]{State: newQ4State()}
 	for i := 0; i < 3; i++ {
@@ -267,7 +347,7 @@ func FuzzDecodeBin(f *testing.F) {
 	}
 	q8.PushPending(7, core.Left[Person, Auction](Person{ID: 2}))
 	q8.PushPending(4, core.Right[Person, Auction](randAuction(rng)))
-	for _, bin := range []core.Migratable{q4, q8} {
+	for _, bin := range []core.Migratable{q3, q4, q8} {
 		p, err := core.TransferBinary.EncodeBin(bin, nil)
 		if err != nil {
 			f.Fatal(err)
@@ -282,6 +362,17 @@ func FuzzDecodeBin(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 || data[0] != tagBinary {
 			return // the gob fallback is not under test
+		}
+		fuzzDecodeBin[core.Either[Person, Auction]](t, data, newQ3State)
+		// A q3 bin that decodes must also join: walk every chain and entry.
+		s := newQ3State()
+		if _, err := s.DecodeBinaryState(data[1:]); err == nil {
+			for seller := range s.sellers {
+				q3Feed(s, q3Person(seller))
+			}
+			for id := range s.persons {
+				q3Feed(s, q3Auction(0, id))
+			}
 		}
 		fuzzDecodeBin[core.Either[Bid, Auction]](t, data, newQ4State)
 		fuzzDecodeBin[core.Either[Person, Auction]](t, data, newQ8State)

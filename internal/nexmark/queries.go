@@ -30,10 +30,10 @@ type Params struct {
 	Impl    Impl
 	LogBins int
 	// Transfer is the state codec of the Megaphone variants
-	// (core.TransferBinary when nil). The stateful q4–q8 state types and
+	// (core.TransferBinary when nil). The stateful q3–q8 state types and
 	// the MapState-backed aggregation stages implement core.BinaryState, so
-	// their bins ship in the binary format; bins of other state types
-	// (e.g. q3's join state) fall back to gob per bin.
+	// their bins ship in the binary format; the empty struct{} bins of the
+	// stateless q1/q2 fall back to gob per bin.
 	Transfer core.Codec
 	// AuctionMod is Q2's filter modulus.
 	AuctionMod uint64
