@@ -71,8 +71,21 @@ func (c *collector) canonical() string {
 	return strings.Join(c.lines, "\n")
 }
 
+// TestClusterKeycountEquivalence runs keycount's two-migration plan on a
+// 3-process cluster of one worker per process, where every move crosses a
+// process boundary, and of three, where the same plan moves some bins
+// between workers of one process and others across (with an even worker
+// count the plan's halves split along process boundaries, so every move
+// would cross). The output multiset must equal the single-process run's,
+// and the codec must have encoded exactly one bin per cross-process move:
+// none in the single-process run, none for a move within a process.
 func TestClusterKeycountEquivalence(t *testing.T) {
-	const procs, wpp = 3, 1
+	for _, wpp := range []int{1, 3} {
+		t.Run(fmt.Sprintf("3x%d", wpp), func(t *testing.T) { testClusterKeycount(t, 3, wpp) })
+	}
+}
+
+func testClusterKeycount(t *testing.T, procs, wpp int) {
 	base := keycount.RunConfig{
 		Params: keycount.Params{
 			Variant: keycount.HashCount,
@@ -80,35 +93,63 @@ func TestClusterKeycountEquivalence(t *testing.T) {
 			Domain:  1 << 12,
 			Preload: true,
 		},
-		Workers:    0, // set per run
-		Rate:       20000,
-		Duration:   1200 * time.Millisecond,
-		EpochEvery: time.Millisecond,
+		Workers:  0, // set per run
+		Rate:     20000,
+		Duration: 1200 * time.Millisecond,
+		// Nine workers on a small host (under -race, too) finish both
+		// migrations within the run at 3 ms epochs, not at 1 ms.
+		EpochEvery: time.Duration(wpp) * time.Millisecond,
 		Strategy:   plan.Batched,
 		Batch:      4,
 		MigrateAt:  400 * time.Millisecond,
 		MigrateTwo: true,
 	}
+	// keycount.Run's plan moves the bins of the upper half of the workers to
+	// the lower half and back; every bin is preloaded, so each move ships one.
+	total := procs * wpp
+	var lower []int
+	for w := 0; w < (total+1)/2; w++ {
+		lower = append(lower, w)
+	}
+	bins := 1 << base.LogBins
+	initial := plan.Initial(bins, total)
+	var cross, local int64
+	for _, m := range plan.Diff(initial, plan.Rebalance(bins, lower)) {
+		if initial[m.Bin]/wpp != m.Worker/wpp {
+			cross += 2 // out, and back
+		} else {
+			local += 2
+		}
+	}
+	if cross == 0 || (wpp > 1) != (local > 0) {
+		t.Fatalf("%dx%d: the plan makes %d cross-process and %d in-process moves", procs, wpp, cross, local)
+	}
 
 	// Single-process reference with the same total worker count.
 	var ref collector
+	refCodec := &tagCount{Codec: core.TransferBinary}
 	refCfg := base
-	refCfg.Workers = procs * wpp
+	refCfg.Workers = total
+	refCfg.Transfer = refCodec
 	refCfg.Sink = ref.add
 	refRes, err := keycount.Run(refCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if refRes.Records == 0 || len(refRes.MigrationSpans) == 0 {
+	if refRes.Records == 0 || len(refRes.MigrationSpans) != 2 {
 		t.Fatalf("reference run degenerate: %d records, %d migrations", refRes.Records, len(refRes.MigrationSpans))
 	}
+	if n := refCodec.binary.Load() + refCodec.gob.Load(); n != 0 {
+		t.Errorf("single-process run encoded %d bins; every move there is in-process", n)
+	}
 
-	// 3-process cluster run.
 	specs := localClusterSpecs(t, procs)
+	codec := &tagCount{Codec: core.TransferBinary}
 	var clu collector
 	var wg sync.WaitGroup
 	var mu sync.Mutex
 	var clusterRecords int64
+	finished := 2 // migrations every process saw complete
 	errs := make([]error, procs)
 	for p := 0; p < procs; p++ {
 		wg.Add(1)
@@ -117,11 +158,13 @@ func TestClusterKeycountEquivalence(t *testing.T) {
 			cfg := base
 			cfg.Workers = wpp
 			cfg.Cluster = &specs[p]
+			cfg.Transfer = codec
 			cfg.Sink = clu.add
 			res, err := keycount.Run(cfg)
 			errs[p] = err
 			mu.Lock()
 			clusterRecords += res.Records
+			finished = min(finished, len(res.MigrationSpans))
 			mu.Unlock()
 		}(p)
 	}
@@ -133,6 +176,10 @@ func TestClusterKeycountEquivalence(t *testing.T) {
 	}
 	if clusterRecords != refRes.Records {
 		t.Fatalf("cluster injected %d records, single-process %d", clusterRecords, refRes.Records)
+	}
+	if got := codec.binary.Load() + codec.gob.Load(); got != cross {
+		t.Errorf("cluster encoded %d bins, want one per cross-process move: %d (every process completed %d of 2 migrations)",
+			got, cross, finished)
 	}
 	if got, want := clu.canonical(), ref.canonical(); got != want {
 		t.Fatalf("cluster output multiset differs from single-process run (cluster %d lines, single %d lines)",
@@ -146,10 +193,12 @@ func TestClusterKeycountEquivalence(t *testing.T) {
 type fbCount struct{ N uint64 }
 
 // tagCount wraps the state codec and counts the bins it encodes in each
-// payload format.
+// payload format, and those whose payload fits in one chunk of chunk bytes.
 type tagCount struct {
 	core.Codec
+	chunk       int
 	gob, binary atomic.Int64
+	unchunked   atomic.Int64
 }
 
 func (c *tagCount) EncodeBin(bin core.Migratable, buf []byte) ([]byte, error) {
@@ -160,16 +209,24 @@ func (c *tagCount) EncodeBin(bin core.Migratable, buf []byte) ([]byte, error) {
 		} else {
 			c.binary.Add(1)
 		}
+		if len(p)-len(buf) <= c.chunk {
+			c.unchunked.Add(1)
+		}
 	}
 	return p, err
 }
 
-// runFallbackCount runs a word count over fbCount state for 40 epochs of
-// deterministic input: on two workers in this process when spec is nil, or
-// as one single-worker process of a two-mesh cluster. With migrate, a fluid
-// plan moves worker 1's bins to worker 0 from epoch 10, each bin in 64-byte
+// chunkBytes is the StateMsg payload bound of runChunkedCount: far below
+// any bin's encoding, so every bin that crosses processes does so in many
 // chunks.
-func runFallbackCount(spec *dataflow.ClusterSpec, codec core.Codec, migrate bool, collect func(string)) error {
+const chunkBytes = 16
+
+// runChunkedCount runs a word count over per-key state W for 40 epochs of
+// deterministic input: on two workers in this process when spec is nil, or
+// as one single-worker process of a two-mesh cluster. With migrate, process
+// 0 issues one fluid plan that moves worker 1's bins to worker 0 from epoch
+// 10 and then back, each bin in chunkBytes-sized chunks.
+func runChunkedCount[W any](spec *dataflow.ClusterSpec, codec core.Codec, migrate bool, collect func(string), add func(st *W, v int64) uint64) error {
 	workers, first := 2, 0
 	var mesh *dataflow.Mesh
 	if spec != nil {
@@ -187,12 +244,11 @@ func runFallbackCount(spec *dataflow.ClusterSpec, codec core.Codec, migrate bool
 		ctl, ctlStream := dataflow.NewInput[core.Move](w, "control")
 		in, data := dataflow.NewInput[core.KV[uint64, int64]](w, "data")
 		ctlIns, dataIns = append(ctlIns, ctl), append(dataIns, in)
-		cfg := core.Config{Name: "fallback-count", LogBins: 3, Transfer: codec, ChunkBytes: 64}
+		cfg := core.Config{Name: "chunked-count", LogBins: 3, Transfer: codec, ChunkBytes: chunkBytes}
 		counts := core.StateMachine(w, cfg, ctlStream, data,
 			func(k uint64) uint64 { return core.Mix64(k) },
-			func(k uint64, v int64, st *fbCount, emit func([2]uint64)) {
-				st.N += uint64(v)
-				emit([2]uint64{k, st.N})
+			func(k uint64, v int64, st *W, emit func([2]uint64)) {
+				emit([2]uint64{k, add(st, v)})
 			}, nil)
 		operators.Sink(w, "collect", counts, func(_ core.Time, recs [][2]uint64) {
 			for _, r := range recs {
@@ -218,8 +274,11 @@ func runFallbackCount(spec *dataflow.ClusterSpec, codec core.Codec, migrate bool
 			}
 			in.SendBatchAt(e, batch)
 		}
-		if migrate && e == 10 {
-			ctl.Start(plan.Build(plan.Fluid, plan.Initial(8, 2), plan.Rebalance(8, []int{0}), 1))
+		if migrate && e == 10 && first == 0 {
+			out := plan.Build(plan.Fluid, plan.Initial(8, 2), plan.Rebalance(8, []int{0}), 1)
+			back := plan.Build(plan.Fluid, plan.Rebalance(8, []int{0}), plan.Initial(8, 2), 1)
+			out.Steps = append(out.Steps, back.Steps...)
+			ctl.Start(out)
 		}
 		ctl.Tick(e)
 		for _, in := range dataIns {
@@ -234,14 +293,29 @@ func runFallbackCount(spec *dataflow.ClusterSpec, codec core.Codec, migrate bool
 	return nil
 }
 
-// TestClusterFallbackStateMigration keeps the gob fallback covered across
-// processes now that every benchmark workload's state ships in the binary
-// format: on a two-mesh loopback cluster, fallback-typed bins migrate from
-// process 1 to process 0 in many small chunks, and the output multiset
-// equals that of an unmigrated single-process run.
+// TestClusterFallbackStateMigration keeps the codec and chunking covered
+// where they still run — across processes — for both payload formats: on a
+// two-mesh loopback cluster, worker 1's bins migrate to process 0 and back,
+// every bin in many chunks, and the output multiset equals that of an
+// unmigrated single-process run. An int64 count ships in the binary format;
+// fbCount, which has no binary encoding, in the gob fallback (no benchmark
+// workload's state takes it).
 func TestClusterFallbackStateMigration(t *testing.T) {
+	t.Run("binary", func(t *testing.T) {
+		testChunkedMigration(t, func(st *int64, v int64) uint64 { *st += v; return uint64(*st) }, 0x01)
+	})
+	t.Run("fallback", func(t *testing.T) {
+		testChunkedMigration(t, func(st *fbCount, v int64) uint64 { st.N += uint64(v); return st.N }, 0x00)
+	})
+}
+
+// testChunkedMigration runs runChunkedCount over state W unmigrated in one
+// process and migrating on two meshes, and checks the outputs match and that
+// each of the 8 cross-process moves (4 bins out, 4 back) encoded one
+// multi-chunk bin in the format tag names.
+func testChunkedMigration[W any](t *testing.T, add func(st *W, v int64) uint64, tag byte) {
 	var ref collector
-	if err := runFallbackCount(nil, nil, false, ref.add); err != nil {
+	if err := runChunkedCount(nil, nil, false, ref.add, add); err != nil {
 		t.Fatal(err)
 	}
 	if len(ref.lines) == 0 {
@@ -249,7 +323,7 @@ func TestClusterFallbackStateMigration(t *testing.T) {
 	}
 
 	specs := localClusterSpecs(t, 2)
-	codec := &tagCount{Codec: core.TransferBinary}
+	codec := &tagCount{Codec: core.TransferBinary, chunk: chunkBytes}
 	var clu collector
 	var wg sync.WaitGroup
 	errs := make([]error, 2)
@@ -257,7 +331,7 @@ func TestClusterFallbackStateMigration(t *testing.T) {
 		wg.Add(1)
 		go func(p int) {
 			defer wg.Done()
-			errs[p] = runFallbackCount(&specs[p], codec, true, clu.add)
+			errs[p] = runChunkedCount(&specs[p], codec, true, clu.add, add)
 		}(p)
 	}
 	wg.Wait()
@@ -266,8 +340,15 @@ func TestClusterFallbackStateMigration(t *testing.T) {
 			t.Fatalf("process %d: %v", p, err)
 		}
 	}
-	if codec.gob.Load() == 0 || codec.binary.Load() != 0 {
-		t.Fatalf("migrated bins: %d gob-tagged, %d binary-tagged; want only gob", codec.gob.Load(), codec.binary.Load())
+	inTag, other := codec.binary.Load(), codec.gob.Load()
+	if tag == 0x00 {
+		inTag, other = other, inTag
+	}
+	if inTag != 8 || other != 0 {
+		t.Errorf("migrated bins: %d tagged %#x, %d in the other format; want 8 and 0", inTag, tag, other)
+	}
+	if n := codec.unchunked.Load(); n != 0 {
+		t.Errorf("%d migrated bins fit in one %d-byte chunk; want every bin chunked", n, chunkBytes)
 	}
 	if got, want := clu.canonical(), ref.canonical(); got != want {
 		t.Fatalf("migrated cluster output differs from the unmigrated run (cluster %d lines, reference %d)",

@@ -64,12 +64,12 @@ func (b *BinState[R, S]) headPending() (Time, bool) {
 }
 
 // clampPending raises every pending record scheduled before t to t,
-// restoring heap order, and reports whether anything changed. Crash-leave
-// restore uses it: notifications that came due while the bin's owner was
-// dead cannot be delivered at their original times (those frontiers have
-// passed cluster-wide), so they are delivered at the restore time — the
-// earliest timestamp the runtime can still emit at.
-func (b *BinState[R, S]) clampPending(t Time) bool {
+// restoring heap order. Crash-leave restore uses it: notifications that
+// came due while the bin's owner was dead cannot be delivered at their
+// original times (those frontiers have passed cluster-wide), so they are
+// delivered at the restore time — the earliest timestamp the runtime can
+// still emit at.
+func (b *BinState[R, S]) clampPending(t Time) {
 	changed := false
 	for i := range b.Pending {
 		if b.Pending[i].Time < t {
@@ -82,7 +82,6 @@ func (b *BinState[R, S]) clampPending(t Time) bool {
 		heap.Init(&h)
 		b.Pending = h
 	}
-	return changed
 }
 
 // binsHolder is the per-worker collection of bins, shared between the F and

@@ -8,10 +8,13 @@ import (
 	"megaphone/internal/binenc"
 )
 
-// StateMsg is a migration message: one chunk of a bin's state in flight
-// from its old owner to its new owner, timestamped with the configuration
-// command's logical time. Oversized bins are split into bounded-size chunks
-// (Config.ChunkBytes) so a single large bin never produces one giant
+// StateMsg is a migration message: a bin's state in flight from its old
+// owner to its new owner, timestamped with the configuration command's
+// logical time. A bin whose new owner runs in the sender's process travels
+// as itself (one message, the *BinState in handoff, no bytes), as timely's
+// in-process channels move owned data. A bin bound for another process is
+// serialized by the codec and, when oversized, split into bounded-size
+// chunks (Config.ChunkBytes) so a single large bin never produces one giant
 // message; the receiver reassembles chunks in (Seq, Last) order, which the
 // exchange channel preserves.
 type StateMsg struct {
@@ -20,6 +23,11 @@ type StateMsg struct {
 	Seq   int    // chunk index within the bin's payload
 	Last  bool   // final chunk of this bin
 	Bytes []byte // chunk of the codec-serialized BinState
+
+	// handoff is the *BinState[R, S] itself when To runs in the sender's
+	// process (dataflow.Worker.Local); nil otherwise. The wire never
+	// carries it: see AppendBinaryRec.
+	handoff any
 }
 
 // DefaultChunkBytes bounds the payload of one StateMsg unless overridden by
@@ -28,7 +36,9 @@ type StateMsg struct {
 // allocation in the channel.
 const DefaultChunkBytes = 256 << 10
 
-// Codec serializes bins for migration and checkpoints. There is one codec
+// Codec serializes bins for checkpoints and for migrations that cross a
+// process boundary; a bin moving between workers of one process is handed
+// over without it (see StateMsg). There is one codec
 // in the tree (TransferBinary, which Config.Transfer == nil selects); the
 // interface remains so a measurement can wrap it in a decorator that counts
 // bins and bytes. Every worker of an execution shares the codec value, so

@@ -3,12 +3,10 @@ package core_test
 import (
 	"math/rand"
 	"reflect"
-	"sync"
 	"testing"
 
 	"megaphone/internal/binenc"
 	"megaphone/internal/core"
-	"megaphone/internal/dataflow"
 )
 
 // Payload format tags (the first byte of every bin payload).
@@ -174,82 +172,4 @@ func TestCodecByName(t *testing.T) {
 			t.Fatalf("CodecByName(%q) resolved", name)
 		}
 	}
-}
-
-// TestChunkedMigrationEndToEnd: with a tiny ChunkBytes every migrated bin
-// crosses as many StateMsgs, and the migrated totals still match a
-// reference run (Property 1 under chunking) — for a binary-format state type
-// and for one that takes the fallback.
-func TestChunkedMigrationEndToEnd(t *testing.T) {
-	const workers, logBins = 3, 3
-	rng := rand.New(rand.NewSource(77))
-	inputs := make([][]kvAt, workers)
-	expect := make(map[uint64]int64)
-	for i := 0; i < 1500; i++ {
-		k := uint64(rng.Intn(64))
-		inputs[i%workers] = append(inputs[i%workers], kvAt{t: core.Time(rng.Intn(90)), key: k, val: 1})
-		expect[k]++
-	}
-	plan := map[core.Time][]core.Move{}
-	for _, tm := range []core.Time{25, 55} {
-		var moves []core.Move
-		for b := 0; b < 1<<logBins; b++ {
-			moves = append(moves, core.Move{Bin: b, Worker: rng.Intn(workers)})
-		}
-		plan[tm] = moves
-	}
-	cfg := core.Config{Name: "count", LogBins: logBins, ChunkBytes: 8 /* bytes: forces chunking */}
-	for name, res := range map[string]wcResult{
-		"binary":   runWordCountCfg(t, workers, inputs, plan, cfg, addInt),
-		"fallback": runWordCountCfg(t, workers, inputs, plan, cfg, addTally),
-	} {
-		for k, want := range expect {
-			if got := res.finals[k]; got != want {
-				t.Errorf("%s: count[%d] = %d, want %d", name, k, got, want)
-			}
-		}
-	}
-}
-
-func addInt(st *int64, v int64) int64   { *st += v; return *st }
-func addTally(st *tally, v int64) int64 { st.N += v; return st.N }
-
-// runWordCountCfg runs the migrating word count under an arbitrary core
-// config, keeping each key's count in a W that add folds a value into.
-func runWordCountCfg[W any](t *testing.T, workers int, inputs [][]kvAt, plan map[core.Time][]core.Move, cfg core.Config, add func(st *W, v int64) int64) wcResult {
-	t.Helper()
-	var mu sync.Mutex
-	res := wcResult{finals: make(map[uint64]int64)}
-
-	exec := dataflow.NewExecution(dataflow.Config{Workers: workers})
-	var dataIns []*dataflow.InputHandle[core.KV[uint64, int64]]
-	var ctlIns []*dataflow.InputHandle[core.Move]
-	exec.Build(func(w *dataflow.Worker) {
-		ctl, ctlStream := dataflow.NewInput[core.Move](w, "control")
-		ctlIns = append(ctlIns, ctl)
-		in, data := dataflow.NewInput[core.KV[uint64, int64]](w, "input")
-		dataIns = append(dataIns, in)
-		counts := core.StateMachine(w, cfg, ctlStream, data,
-			func(k uint64) uint64 { return core.Mix64(k) },
-			func(k uint64, v int64, st *W, emit func(core.KV[uint64, int64])) {
-				emit(core.KV[uint64, int64]{Key: k, Val: add(st, v)})
-			}, nil)
-		sink := w.NewOp("sink", 0)
-		dataflow.Connect(sink, counts, dataflow.Pipeline[core.KV[uint64, int64]]{})
-		sink.Build(func(c *dataflow.OpCtx) {
-			dataflow.ForEachBatch(c, 0, func(_ core.Time, out []core.KV[uint64, int64]) {
-				mu.Lock()
-				for _, kv := range out {
-					if kv.Val > res.finals[kv.Key] {
-						res.finals[kv.Key] = kv.Val
-					}
-				}
-				mu.Unlock()
-			})
-		})
-	})
-	exec.Start()
-	driveWordCount(inputs, plan, dataIns, ctlIns)
-	exec.Wait()
-	return res
 }

@@ -16,8 +16,10 @@ type Config struct {
 	// LogBins is the log2 of the number of bins keys are grouped into
 	// (Section 4.2). Fixed at construction; defaults to 8 (256 bins).
 	LogBins int
-	// Transfer is the codec that serializes migrating bins: nil means
-	// TransferBinary; a non-nil value is a decorator of it (see Codec).
+	// Transfer is the codec that serializes checkpointed bins and bins
+	// migrating to another process (a move within the process hands the
+	// bin over as it is): nil means TransferBinary; a non-nil value is a
+	// decorator of it (see Codec).
 	Transfer Codec
 	// ChunkBytes bounds the payload of one StateMsg: a bin whose encoding
 	// exceeds it is shipped as multiple chunks instead of one oversized
@@ -96,7 +98,8 @@ type Handle[R, S, O any] struct {
 	// "Migration" tests).
 	OnApply func(t Time, bin, worker int)
 	// OnInstall, when set before Start, is invoked whenever a migrated bin
-	// finishes installing on a worker (after chunk reassembly) — exactly
+	// finishes installing on a worker (a serialized one after chunk
+	// reassembly, a handed-over one on arrival) — exactly
 	// once per bin per migration, which the transport-failure tests pin.
 	OnInstall func(t Time, bin, worker int)
 	bins      []*binsHolder[R, S]
@@ -500,10 +503,12 @@ func (f *fOp[R, S, O]) encodeBin(b *BinState[R, S]) []byte {
 
 // execute performs the state movement of one installed configuration: for
 // every moved bin this worker currently owns, uninstall it from the local S
-// instance and ship it at the migration's timestamp. A checkpoint command
-// in the batch (canonically sorted first) runs before any moves of the same
-// time, so the snapshot records the pre-move assignment together with the
-// bins still at their pre-move owners — a consistent cut either way.
+// instance and ship it at the migration's timestamp — by reference to a
+// worker of this process, encoded and chunked to any other. A checkpoint
+// command in the batch (canonically sorted first) runs before any moves of
+// the same time, so the snapshot records the pre-move assignment together
+// with the bins still at their pre-move owners — a consistent cut either
+// way.
 func (f *fOp[R, S, O]) execute(c *dataflow.OpCtx, mg pendingConfig) {
 	moves := mg.moves
 	if len(moves) > 0 && moves[0].IsCheckpoint() {
@@ -544,9 +549,12 @@ func (f *fOp[R, S, O]) execute(c *dataflow.OpCtx, mg pendingConfig) {
 			continue
 		}
 		if old == f.index {
-			b := f.bins.take(m.Bin)
-			if b != nil {
-				msgs = appendChunks(msgs, m.Bin, m.Worker, f.encodeBin(b), f.cfg.ChunkBytes)
+			if b := f.bins.take(m.Bin); b != nil {
+				if f.w.Local(m.Worker) {
+					msgs = append(msgs, handOver(m.Bin, m.Worker, b))
+				} else {
+					msgs = appendChunks(msgs, m.Bin, m.Worker, f.encodeBin(b), f.cfg.ChunkBytes)
+				}
 				f.h.migrated[f.index]++
 			}
 		}
@@ -557,16 +565,21 @@ func (f *fOp[R, S, O]) execute(c *dataflow.OpCtx, mg pendingConfig) {
 	}
 }
 
+// handOver is the StateMsg that moves bin b to worker `to` in this process:
+// the bin itself, not its encoding.
+func handOver[R, S any](bin, to int, b *BinState[R, S]) StateMsg {
+	return StateMsg{Bin: bin, To: to, Last: true, handoff: b}
+}
+
 // restoreFromCheckpoint rebuilds the given bins — reassigned to this worker
 // by restore commands taking effect at time `at` — from the checkpoint at
-// epoch ckpt, and ships them to this worker's own S instance as ordinary
-// StateMsg chunks at `at`. Riding the normal migration install path (rather
+// epoch ckpt, and hands them to this worker's own S instance at `at`, like
+// any in-process move. Riding the normal migration install path (rather
 // than poking the shared bins holder directly) re-indexes S's notification
-// heap and fires OnInstall exactly as a wire migration would. Pending
-// records that came due while the owner was dead are clamped up to `at`
-// (see clampPending); the clamp forces a re-encode, otherwise the
-// checkpoint payload is shipped verbatim. Failure to read the checkpoint is
-// fatal: the dead member's state exists nowhere else.
+// heap and fires OnInstall exactly as a migration would. Pending records
+// that came due while the owner was dead are clamped up to `at` (see
+// clampPending). Failure to read the checkpoint is fatal: the dead member's
+// state exists nowhere else.
 func (f *fOp[R, S, O]) restoreFromCheckpoint(msgs []StateMsg, bins []int, ckpt, at Time) []StateMsg {
 	if f.cfg.Checkpoint == nil {
 		panic(fmt.Sprintf("megaphone: operator %q: restore command at epoch %d but no Config.Checkpoint to read from", f.cfg.Name, at))
@@ -584,10 +597,8 @@ func (f *fOp[R, S, O]) restoreFromCheckpoint(msgs []StateMsg, bins []int, ckpt, 
 		if err := f.cfg.Transfer.DecodeBin(bin, payload); err != nil {
 			panic(fmt.Sprintf("megaphone: operator %q: decoding restored bin %d: %v", f.cfg.Name, b, err))
 		}
-		if bin.clampPending(at) {
-			payload = f.encodeBin(bin)
-		}
-		msgs = appendChunks(msgs, b, f.index, payload, f.cfg.ChunkBytes)
+		bin.clampPending(at)
+		msgs = append(msgs, handOver(b, f.index, bin))
 	}
 	return msgs
 }
@@ -595,8 +606,8 @@ func (f *fOp[R, S, O]) restoreFromCheckpoint(msgs []StateMsg, bins []int, ckpt, 
 // checkpoint drains every bin this worker owns just before time t into the
 // configured checkpoint directory: each bin is serialized with the
 // operator's migration codec and split with the operator's chunking — the
-// exact byte stream a migration would put on the wire, written to disk
-// instead. It runs at the same frontier alignment as a migration (all
+// exact byte stream a cross-process migration puts on the wire, written to
+// disk instead. It runs at the same frontier alignment as a migration (all
 // updates before t applied, none at or after it), so the union of all
 // workers' files is a consistent snapshot of the operator at t.
 func (f *fOp[R, S, O]) checkpoint(t Time) {
@@ -762,16 +773,20 @@ const (
 )
 
 func (s *sOp[R, S, O]) schedule(c *dataflow.OpCtx) {
-	// 1. Install migrated state immediately, reassembling chunked bins.
+	// 1. Install migrated state immediately: a handed-over bin as it is, a
+	// serialized one once its chunks are reassembled and decoded.
 	dataflow.ForEachBatch(c, sState, func(t Time, msgs []StateMsg) {
 		for _, m := range msgs {
-			payload, done := s.chunks.add(m)
-			if !done {
-				continue
-			}
-			b := &BinState[R, S]{State: s.ops.NewState()}
-			if err := s.cfg.Transfer.DecodeBin(b, payload); err != nil {
-				panic(err)
+			b, _ := m.handoff.(*BinState[R, S])
+			if b == nil {
+				payload, done := s.chunks.add(m)
+				if !done {
+					continue
+				}
+				b = &BinState[R, S]{State: s.ops.NewState()}
+				if err := s.cfg.Transfer.DecodeBin(b, payload); err != nil {
+					panic(err)
+				}
 			}
 			s.bins.install(m.Bin, b)
 			if s.h.OnInstall != nil {

@@ -154,19 +154,13 @@ func TestCorrectnessUnderMigration(t *testing.T) {
 		plan[tm] = moves
 	}
 
-	// One state type that ships in the binary format, one that takes the
-	// gob fallback.
-	for name, res := range map[string]wcResult{
-		"binary":   runWordCount(t, workers, logBins, inputs, plan),
-		"fallback": runWordCountCfg(t, workers, inputs, plan, core.Config{Name: "count", LogBins: logBins}, addTally),
-	} {
-		if len(res.finals) != len(expect) {
-			t.Fatalf("%s: got %d keys, want %d", name, len(res.finals), len(expect))
-		}
-		for k, want := range expect {
-			if got := res.finals[k]; got != want {
-				t.Errorf("%s: count[%d] = %d, want %d", name, k, got, want)
-			}
+	res := runWordCount(t, workers, logBins, inputs, plan)
+	if len(res.finals) != len(expect) {
+		t.Fatalf("got %d keys, want %d", len(res.finals), len(expect))
+	}
+	for k, want := range expect {
+		if got := res.finals[k]; got != want {
+			t.Errorf("count[%d] = %d, want %d", k, got, want)
 		}
 	}
 }

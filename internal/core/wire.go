@@ -38,8 +38,14 @@ func (m *Move) DecodeBinaryRec(data []byte) ([]byte, error) {
 	return data, nil
 }
 
-// AppendBinaryRec implements BinaryRec.
+// AppendBinaryRec implements BinaryRec. A handed-over bin never reaches
+// it: F sets StateMsg.handoff only when Local(To) holds, and the state
+// edge's ExchangeTo routes by To, so only serialized bins cross a process
+// boundary.
 func (m *StateMsg) AppendBinaryRec(buf []byte) []byte {
+	if m.handoff != nil {
+		panic(fmt.Sprintf("megaphone: bin %d handed over by reference is crossing a process boundary to worker %d", m.Bin, m.To))
+	}
 	buf = binenc.AppendUvarint(buf, uint64(m.Bin))
 	buf = binenc.AppendUvarint(buf, uint64(m.To))
 	buf = binenc.AppendUvarint(buf, uint64(m.Seq))
