@@ -193,12 +193,13 @@ func testClusterKeycount(t *testing.T, procs, wpp int) {
 type fbCount struct{ N uint64 }
 
 // tagCount wraps the state codec and counts the bins it encodes in each
-// payload format, and those whose payload fits in one chunk of chunk bytes.
+// payload format, and records the largest encoding and their total.
 type tagCount struct {
 	core.Codec
-	chunk       int
 	gob, binary atomic.Int64
-	unchunked   atomic.Int64
+
+	mu             sync.Mutex
+	largest, total int
 }
 
 func (c *tagCount) EncodeBin(bin core.Migratable, buf []byte) ([]byte, error) {
@@ -209,24 +210,20 @@ func (c *tagCount) EncodeBin(bin core.Migratable, buf []byte) ([]byte, error) {
 		} else {
 			c.binary.Add(1)
 		}
-		if len(p)-len(buf) <= c.chunk {
-			c.unchunked.Add(1)
-		}
+		c.mu.Lock()
+		c.largest = max(c.largest, len(p)-len(buf))
+		c.total += len(p) - len(buf)
+		c.mu.Unlock()
 	}
 	return p, err
 }
 
-// chunkBytes is the StateMsg payload bound of runChunkedCount: far below
-// any bin's encoding, so every bin that crosses processes does so in many
-// chunks.
-const chunkBytes = 16
-
-// runChunkedCount runs a word count over per-key state W for 40 epochs of
+// runCount runs a word count over per-key state W for 40 epochs of
 // deterministic input: on two workers in this process when spec is nil, or
 // as one single-worker process of a two-mesh cluster. With migrate, process
 // 0 issues one fluid plan that moves worker 1's bins to worker 0 from epoch
-// 10 and then back, each bin in chunkBytes-sized chunks.
-func runChunkedCount[W any](spec *dataflow.ClusterSpec, codec core.Codec, migrate bool, collect func(string), add func(st *W, v int64) uint64) error {
+// 10 and then back.
+func runCount[W any](spec *dataflow.ClusterSpec, codec core.Codec, migrate bool, collect func(string), add func(st *W, v int64) uint64) error {
 	workers, first := 2, 0
 	var mesh *dataflow.Mesh
 	if spec != nil {
@@ -244,7 +241,7 @@ func runChunkedCount[W any](spec *dataflow.ClusterSpec, codec core.Codec, migrat
 		ctl, ctlStream := dataflow.NewInput[core.Move](w, "control")
 		in, data := dataflow.NewInput[core.KV[uint64, int64]](w, "data")
 		ctlIns, dataIns = append(ctlIns, ctl), append(dataIns, in)
-		cfg := core.Config{Name: "chunked-count", LogBins: 3, Transfer: codec, ChunkBytes: chunkBytes}
+		cfg := core.Config{Name: "count", LogBins: 3, Transfer: codec}
 		counts := core.StateMachine(w, cfg, ctlStream, data,
 			func(k uint64) uint64 { return core.Mix64(k) },
 			func(k uint64, v int64, st *W, emit func([2]uint64)) {
@@ -293,29 +290,28 @@ func runChunkedCount[W any](spec *dataflow.ClusterSpec, codec core.Codec, migrat
 	return nil
 }
 
-// TestClusterFallbackStateMigration keeps the codec and chunking covered
-// where they still run — across processes — for both payload formats: on a
-// two-mesh loopback cluster, worker 1's bins migrate to process 0 and back,
-// every bin in many chunks, and the output multiset equals that of an
-// unmigrated single-process run. An int64 count ships in the binary format;
-// fbCount, which has no binary encoding, in the gob fallback (no benchmark
-// workload's state takes it).
+// TestClusterFallbackStateMigration keeps the codec covered where it runs on
+// a migration — across processes — for both payload formats: on a two-mesh
+// loopback cluster, worker 1's bins migrate to process 0 and back, and the
+// output multiset equals that of an unmigrated single-process run. An int64
+// count ships in the binary format; fbCount, which has no binary encoding,
+// in the gob fallback (no benchmark workload's state takes it).
 func TestClusterFallbackStateMigration(t *testing.T) {
 	t.Run("binary", func(t *testing.T) {
-		testChunkedMigration(t, func(st *int64, v int64) uint64 { *st += v; return uint64(*st) }, 0x01)
+		testCrossProcessMigration(t, func(st *int64, v int64) uint64 { *st += v; return uint64(*st) }, 0x01)
 	})
 	t.Run("fallback", func(t *testing.T) {
-		testChunkedMigration(t, func(st *fbCount, v int64) uint64 { st.N += uint64(v); return st.N }, 0x00)
+		testCrossProcessMigration(t, func(st *fbCount, v int64) uint64 { st.N += uint64(v); return st.N }, 0x00)
 	})
 }
 
-// testChunkedMigration runs runChunkedCount over state W unmigrated in one
+// testCrossProcessMigration runs runCount over state W unmigrated in one
 // process and migrating on two meshes, and checks the outputs match and that
-// each of the 8 cross-process moves (4 bins out, 4 back) encoded one
-// multi-chunk bin in the format tag names.
-func testChunkedMigration[W any](t *testing.T, add func(st *W, v int64) uint64, tag byte) {
+// each of the 8 cross-process moves (4 bins out, 4 back) encoded exactly one
+// bin, in the format tag names.
+func testCrossProcessMigration[W any](t *testing.T, add func(st *W, v int64) uint64, tag byte) {
 	var ref collector
-	if err := runChunkedCount(nil, nil, false, ref.add, add); err != nil {
+	if err := runCount(nil, nil, false, ref.add, add); err != nil {
 		t.Fatal(err)
 	}
 	if len(ref.lines) == 0 {
@@ -323,7 +319,7 @@ func testChunkedMigration[W any](t *testing.T, add func(st *W, v int64) uint64, 
 	}
 
 	specs := localClusterSpecs(t, 2)
-	codec := &tagCount{Codec: core.TransferBinary, chunk: chunkBytes}
+	codec := &tagCount{Codec: core.TransferBinary}
 	var clu collector
 	var wg sync.WaitGroup
 	errs := make([]error, 2)
@@ -331,7 +327,7 @@ func testChunkedMigration[W any](t *testing.T, add func(st *W, v int64) uint64, 
 		wg.Add(1)
 		go func(p int) {
 			defer wg.Done()
-			errs[p] = runChunkedCount(&specs[p], codec, true, clu.add, add)
+			errs[p] = runCount(&specs[p], codec, true, clu.add, add)
 		}(p)
 	}
 	wg.Wait()
@@ -346,9 +342,6 @@ func testChunkedMigration[W any](t *testing.T, add func(st *W, v int64) uint64, 
 	}
 	if inTag != 8 || other != 0 {
 		t.Errorf("migrated bins: %d tagged %#x, %d in the other format; want 8 and 0", inTag, tag, other)
-	}
-	if n := codec.unchunked.Load(); n != 0 {
-		t.Errorf("%d migrated bins fit in one %d-byte chunk; want every bin chunked", n, chunkBytes)
 	}
 	if got, want := clu.canonical(), ref.canonical(); got != want {
 		t.Fatalf("migrated cluster output differs from the unmigrated run (cluster %d lines, reference %d)",

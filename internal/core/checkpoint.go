@@ -22,10 +22,10 @@ import (
 // passes its time T, and executes when the output frontier shows every
 // update before T applied — at which point each worker's locally-owned bins
 // are exactly the consistent cut at T, and the only state worth persisting.
-// F serializes them with the operator's migration codec, splits them with
-// the same chunking used for in-flight StateMsgs, and writes the chunks plus
+// F serializes them with the operator's migration codec — the bytes a bin
+// crossing processes puts on the wire — and writes one record per bin plus
 // a manifest (epoch, the bin→worker assignment in effect, the live roster,
-// per-bin chunk digests) to CheckpointConfig.Dir. A restarting process loads
+// per-record digests) to CheckpointConfig.Dir. A restarting process loads
 // the newest epoch whose every *live* worker's manifest is present (dead
 // slots own no bins and write nothing), reinstalls its workers' bins through
 // the same install path a migration uses, and resumes input at T.
@@ -90,7 +90,7 @@ type Restore struct {
 }
 
 // Manifest is the per-worker commit record of one checkpoint epoch: it is
-// written (atomically, via rename) only after every bin chunk reached disk,
+// written (atomically, via rename) only after every bin record reached disk,
 // so its presence certifies the data file, and an epoch is complete exactly
 // when all *live* workers' manifests exist — Live records the roster at the
 // epoch (nil means the full roster [0, Peers)), so a checkpoint taken after
@@ -122,7 +122,8 @@ func (m *Manifest) liveSet(peers int) []int {
 }
 
 // BinManifest records one drained bin: its payload size and the FNV-64a
-// digest of each chunk, in chunk order.
+// digest of each of its records, in record order (one digest for a bin
+// this build wrote; see ckptRecord).
 type BinManifest struct {
 	Bin     int      `json:"bin"`
 	Bytes   int64    `json:"bytes"`
@@ -131,11 +132,11 @@ type BinManifest struct {
 
 // checkpoint file layout under CheckpointConfig.Dir:
 //
-//	<dir>/<op>/epoch-<E>/bins-w<idx>.dat      chunk stream (see chunk record below)
+//	<dir>/<op>/epoch-<E>/bins-w<idx>.dat      record stream (see ckptRecord)
 //	<dir>/<op>/epoch-<E>/manifest-w<idx>.json commit record, written last
 //
-// A chunk record is: uvarint bin, uvarint seq, bool last, uvarint len,
-// payload bytes, 8-byte big-endian FNV-64a digest of the payload.
+// A record is: uvarint bin, uvarint seq, bool last, uvarint len, payload
+// bytes, 8-byte big-endian FNV-64a digest of the payload.
 const (
 	ckptMagic       = "MPCK1\n"
 	ckptEpochPrefix = "epoch-"
@@ -159,10 +160,20 @@ func chunkDigest(b []byte) uint64 {
 	return h.Sum64()
 }
 
+// ckptRecord is one record of a checkpoint data file: a bin's payload, or a
+// piece of it. The writer emits each bin as a single record (Seq 0, Last);
+// the reader also accepts a bin split over several records in Seq order,
+// the layout earlier builds wrote, so their checkpoints still restore.
+type ckptRecord struct {
+	Bin   int
+	Seq   int    // index of this piece within the bin's payload
+	Last  bool   // final piece of the bin
+	Bytes []byte // the piece of the codec-serialized BinState
+}
+
 // CheckpointWriter streams one worker's bins into a checkpoint epoch
-// directory. WriteBin consumes the chunked StateMsgs of one bin (the same
-// messages a migration would put in flight); Finish writes the manifest,
-// committing the checkpoint for this worker.
+// directory. WriteBin appends one bin's payload; Finish writes the
+// manifest, committing the checkpoint for this worker.
 type CheckpointWriter struct {
 	dir, op string
 	epoch   Time
@@ -192,32 +203,34 @@ func NewCheckpointWriter(dir, op string, epoch Time, worker int) (*CheckpointWri
 	return w, nil
 }
 
-// WriteBin appends one bin's chunk stream to the data file and records its
-// digests. The chunks must belong to a single bin, in Seq order.
-func (w *CheckpointWriter) WriteBin(chunks []StateMsg) error {
-	if len(chunks) == 0 {
-		return nil
+// WriteBin appends one bin's codec payload to the data file as a single
+// record and notes its digest for the manifest.
+func (w *CheckpointWriter) WriteBin(bin int, payload []byte) error {
+	d, err := w.writeRecord(ckptRecord{Bin: bin, Last: true, Bytes: payload})
+	if err != nil {
+		return err
 	}
-	bm := BinManifest{Bin: chunks[0].Bin}
-	for _, m := range chunks {
-		buf := w.scratch[:0]
-		buf = binenc.AppendUvarint(buf, uint64(m.Bin))
-		buf = binenc.AppendUvarint(buf, uint64(m.Seq))
-		buf = binenc.AppendBool(buf, m.Last)
-		buf = binenc.AppendUvarint(buf, uint64(len(m.Bytes)))
-		buf = append(buf, m.Bytes...)
-		d := chunkDigest(m.Bytes)
-		buf = binary.BigEndian.AppendUint64(buf, d)
-		w.scratch = buf
-		if _, err := w.f.Write(buf); err != nil {
-			return fmt.Errorf("megaphone: writing checkpoint chunk: %w", err)
-		}
-		bm.Bytes += int64(len(m.Bytes))
-		bm.Digests = append(bm.Digests, strconv.FormatUint(d, 16))
-	}
-	w.bytes += bm.Bytes
-	w.bins = append(w.bins, bm)
+	w.bytes += int64(len(payload))
+	w.bins = append(w.bins, BinManifest{Bin: bin, Bytes: int64(len(payload)), Digests: []string{strconv.FormatUint(d, 16)}})
 	return nil
+}
+
+// writeRecord appends one record to the data file and returns the digest
+// of its payload.
+func (w *CheckpointWriter) writeRecord(r ckptRecord) (uint64, error) {
+	buf := w.scratch[:0]
+	buf = binenc.AppendUvarint(buf, uint64(r.Bin))
+	buf = binenc.AppendUvarint(buf, uint64(r.Seq))
+	buf = binenc.AppendBool(buf, r.Last)
+	buf = binenc.AppendUvarint(buf, uint64(len(r.Bytes)))
+	buf = append(buf, r.Bytes...)
+	d := chunkDigest(r.Bytes)
+	buf = binary.BigEndian.AppendUint64(buf, d)
+	w.scratch = buf
+	if _, err := w.f.Write(buf); err != nil {
+		return 0, fmt.Errorf("megaphone: writing checkpoint record: %w", err)
+	}
+	return d, nil
 }
 
 // Bins returns the number of bins written so far.
@@ -359,12 +372,12 @@ func anyManifest(dir, op string, epoch Time, peers int) *Manifest {
 
 // LoadRestore reads one operator's checkpoint at epoch for the workers in
 // [first, first+n): it verifies every manifest (peer count, codec,
-// assignment agreement) and every chunk digest, reassembles chunked bins
-// with the same assembler the migration receive path uses, and returns the
-// Restore to hand to Config.Restore. codec must name the codec the
-// recovering run will decode with. Workers outside the checkpoint's
-// recorded live roster wrote no manifest and own no bins; their absence is
-// tolerated, so a shrunk-roster checkpoint maps onto the full worker space.
+// assignment agreement) and every record digest, reassembles bins split
+// over several records, and returns the Restore to hand to Config.Restore.
+// codec must name the codec the recovering run will decode with. Workers
+// outside the checkpoint's recorded live roster wrote no manifest and own no
+// bins; their absence is tolerated, so a shrunk-roster checkpoint maps onto
+// the full worker space.
 func LoadRestore(dir, op string, epoch Time, peers, first, n int, codec string) (*Restore, error) {
 	r := &Restore{Epoch: epoch, Bins: make(map[int][]byte)}
 	var live []int // live roster per the first manifest read
@@ -440,8 +453,9 @@ func LoadRestore(dir, op string, epoch Time, peers, first, n int, codec string) 
 	return r, nil
 }
 
-// loadBins reads one worker's data file, verifying chunk digests against
-// both the in-file digests and the manifest, and reassembles payloads.
+// loadBins reads one worker's data file, verifying record digests against
+// both the in-file digests and the manifest, and reassembles the payloads
+// of bins split over several records.
 func loadBins(dir, op string, epoch Time, worker int, m *Manifest, r *Restore) error {
 	want := make(map[int]*BinManifest, len(m.Bins))
 	for i := range m.Bins {
@@ -464,9 +478,9 @@ func loadBins(dir, op string, epoch Time, worker int, m *Manifest, r *Restore) e
 	data = data[len(ckptMagic):]
 
 	var asm chunkAssembler
-	seen := make(map[int]int) // bin -> chunks consumed (index into digests)
+	seen := make(map[int]int) // bin -> records consumed (index into digests)
 	for len(data) > 0 {
-		var msg StateMsg
+		var msg ckptRecord
 		var v uint64
 		if v, data, err = binenc.Uvarint(data); err != nil {
 			return chunkErr(worker, err)
@@ -496,25 +510,74 @@ func loadBins(dir, op string, epoch Time, worker int, m *Manifest, r *Restore) e
 		}
 		idx := seen[msg.Bin]
 		if idx >= len(bm.Digests) {
-			return fmt.Errorf("megaphone: checkpoint bin %d has more chunks than its manifest records", msg.Bin)
+			return fmt.Errorf("megaphone: checkpoint bin %d has more records than its manifest lists", msg.Bin)
 		}
 		d := chunkDigest(msg.Bytes)
 		if d != fileDigest || strconv.FormatUint(d, 16) != bm.Digests[idx] {
-			return fmt.Errorf("megaphone: checkpoint bin %d chunk %d digest mismatch (corrupt checkpoint)", msg.Bin, idx)
+			return fmt.Errorf("megaphone: checkpoint bin %d record %d digest mismatch (corrupt checkpoint)", msg.Bin, idx)
 		}
 		seen[msg.Bin] = idx + 1
-		// The assembler copies nothing for single-chunk bins, so detach the
+		// The assembler copies nothing for single-record bins, so detach the
 		// payload from the file buffer explicitly.
-		if payload, done := asm.add(msg); done {
+		payload, done, err := asm.add(msg)
+		if err != nil {
+			return fmt.Errorf("megaphone: checkpoint data for worker %d: %w", worker, err)
+		}
+		if done {
 			r.Bins[msg.Bin] = append([]byte(nil), payload...)
 		}
 	}
 	for bin, bm := range want {
 		if seen[bin] != len(bm.Digests) {
-			return fmt.Errorf("megaphone: checkpoint bin %d truncated: %d of %d chunks present", bin, seen[bin], len(bm.Digests))
+			return fmt.Errorf("megaphone: checkpoint bin %d truncated: %d of %d records present", bin, seen[bin], len(bm.Digests))
 		}
 	}
 	return nil
+}
+
+// chunkAssembler reassembles the payloads of bins that a checkpoint data
+// file splits over several records. A bin's records follow each other in
+// Seq order; a payload is complete when its Last record arrives. Each
+// record's Seq is checked against the expected next index, so a file that
+// breaks the order is an error instead of a corrupt payload.
+type chunkAssembler struct {
+	partial map[int]*partialBin // bin -> accumulation in progress
+}
+
+type partialBin struct {
+	buf  []byte
+	next int // expected Seq of the next record
+}
+
+// add folds one record into the assembler and returns the complete payload
+// when r finishes its bin, or done == false while records remain. An
+// out-of-order or duplicate record is an error: the digests cover payloads,
+// not the Seq and Last fields.
+func (a *chunkAssembler) add(r ckptRecord) (payload []byte, done bool, err error) {
+	if r.Seq == 0 && r.Last {
+		if _, open := a.partial[r.Bin]; open {
+			return nil, false, fmt.Errorf("single-record bin %d amid its record stream", r.Bin)
+		}
+		return r.Bytes, true, nil
+	}
+	if a.partial == nil {
+		a.partial = make(map[int]*partialBin)
+	}
+	p := a.partial[r.Bin]
+	if p == nil {
+		p = &partialBin{}
+		a.partial[r.Bin] = p
+	}
+	if r.Seq != p.next {
+		return nil, false, fmt.Errorf("bin %d record out of order: got Seq %d, want %d", r.Bin, r.Seq, p.next)
+	}
+	p.next++
+	p.buf = append(p.buf, r.Bytes...)
+	if !r.Last {
+		return nil, false, nil
+	}
+	delete(a.partial, r.Bin)
+	return p.buf, true, nil
 }
 
 // LoadCheckpointBins reads the payloads of a specific set of bins from one
@@ -561,7 +624,7 @@ func LoadCheckpointBins(dir, op string, epoch Time, peers int, bins []int, codec
 }
 
 func chunkErr(worker int, err error) error {
-	return fmt.Errorf("megaphone: checkpoint data for worker %d: corrupt chunk record: %w", worker, err)
+	return fmt.Errorf("megaphone: checkpoint data for worker %d: corrupt record: %w", worker, err)
 }
 
 func containsInt(s []int, v int) bool {

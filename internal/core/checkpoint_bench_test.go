@@ -37,7 +37,7 @@ func BenchmarkCheckpointWrite(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			if err := w.WriteBin(appendChunks(nil, bin, 0, payload, DefaultChunkBytes)); err != nil {
+			if err := w.WriteBin(bin, payload); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -65,7 +65,7 @@ func BenchmarkCheckpointRestore(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if err := w.WriteBin(appendChunks(nil, bin, 0, payload, DefaultChunkBytes)); err != nil {
+		if err := w.WriteBin(bin, payload); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -21,30 +22,13 @@ func mkBin(seed uint64, n int) *BinState[KV[uint64, uint64], MapState[uint64, ui
 }
 
 // writeTestCheckpoint drains bins (bin id -> state) for one worker at the
-// given epoch, chunking at chunkBytes, and commits the manifest.
+// given epoch and commits the manifest. chunkBytes > 0 writes the layout of
+// earlier builds, each bin split into records of at most chunkBytes (see
+// writeChunkedBin); 0 writes one record per bin, as the operator does.
 func writeTestCheckpoint(t *testing.T, dir string, epoch Time, worker, peers, logBins, chunkBytes int,
 	assignment []int, binStates map[int]*BinState[KV[uint64, uint64], MapState[uint64, uint64]]) {
 	t.Helper()
-	w, err := NewCheckpointWriter(dir, "test-op", epoch, worker)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for b := 0; b < 1<<uint(logBins); b++ {
-		bs, ok := binStates[b]
-		if !ok || assignment[b] != worker {
-			continue
-		}
-		payload, err := TransferBinary.EncodeBin(bs, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := w.WriteBin(appendChunks(nil, b, worker, payload, chunkBytes)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Finish(peers, logBins, TransferBinary.Name(), assignment, nil); err != nil {
-		t.Fatal(err)
-	}
+	writeLiveCheckpoint(t, dir, epoch, worker, peers, logBins, chunkBytes, assignment, nil, binStates)
 }
 
 // writeLiveCheckpoint is writeTestCheckpoint with an explicit live roster
@@ -65,7 +49,12 @@ func writeLiveCheckpoint(t *testing.T, dir string, epoch Time, worker, peers, lo
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := w.WriteBin(appendChunks(nil, b, worker, payload, chunkBytes)); err != nil {
+		if chunkBytes > 0 {
+			err = writeChunkedBin(w, b, payload, chunkBytes)
+		} else {
+			err = w.WriteBin(b, payload)
+		}
+		if err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -74,22 +63,46 @@ func writeLiveCheckpoint(t *testing.T, dir string, epoch Time, worker, peers, lo
 	}
 }
 
-// TestCheckpointRoundTrip: bins written through the chunked checkpoint
-// writer come back bit-identical through LoadRestore, including bins whose
-// payload spans many chunks, and the recorded assignment survives.
+// writeChunkedBin writes one bin the way earlier builds did: its payload
+// split into records of at most chunk bytes (see splitRecords), with one
+// manifest digest per record.
+func writeChunkedBin(w *CheckpointWriter, bin int, payload []byte, chunk int) error {
+	bm := BinManifest{Bin: bin, Bytes: int64(len(payload))}
+	for _, r := range splitRecords(bin, payload, chunk) {
+		d, err := w.writeRecord(r)
+		if err != nil {
+			return err
+		}
+		bm.Digests = append(bm.Digests, strconv.FormatUint(d, 16))
+	}
+	w.bytes += bm.Bytes
+	w.bins = append(w.bins, bm)
+	return nil
+}
+
+// TestCheckpointRoundTrip: bins written through the checkpoint writer come
+// back bit-identical through LoadRestore, and the recorded assignment
+// survives — in the layout the operator writes, one record per bin, and in
+// the layout earlier builds wrote, where a bin spans many records, so
+// checkpoints those builds left behind still restore.
 func TestCheckpointRoundTrip(t *testing.T) {
+	t.Run("record-per-bin", func(t *testing.T) { testCheckpointRoundTrip(t, 0) })
+	t.Run("split-bins", func(t *testing.T) { testCheckpointRoundTrip(t, 64) })
+}
+
+func testCheckpointRoundTrip(t *testing.T, chunkBytes int) {
 	dir := t.TempDir()
 	const peers, logBins = 2, 2
 	assignment := []int{1, 0, 1, 1} // bins 0,2,3 on worker 1; bin 1 on worker 0
 	bins := map[int]*BinState[KV[uint64, uint64], MapState[uint64, uint64]]{
 		0: mkBin(1, 3),
-		1: mkBin(2, 500), // forces chunking at the tiny chunk size below
+		1: mkBin(2, 500), // many records at the tiny split size
 		2: mkBin(3, 0),   // occupied but empty map
 	}
 	// Pending records must survive too (they migrate with the bin).
 	bins[0].PushPending(9, KV[uint64, uint64]{Key: 7, Val: 7})
 	for w := 0; w < peers; w++ {
-		writeTestCheckpoint(t, dir, 5, w, peers, logBins, 64, assignment, bins)
+		writeTestCheckpoint(t, dir, 5, w, peers, logBins, chunkBytes, assignment, bins)
 	}
 
 	epoch, ops, ok, err := LatestCheckpoint(dir, peers)
@@ -100,34 +113,36 @@ func TestCheckpointRoundTrip(t *testing.T) {
 		t.Fatalf("LatestCheckpoint = (%d, %v)", epoch, ops)
 	}
 
-	// Worker 1's process view.
-	r, err := LoadRestore(dir, "test-op", 5, peers, 1, 1, TransferBinary.Name())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(r.Assignment, assignment) || r.LogBins != logBins || r.Epoch != 5 {
-		t.Fatalf("restore metadata mismatch: %+v", r)
-	}
-	for _, b := range []int{0, 2} {
-		payload, ok := r.Bins[b]
-		if !ok {
-			t.Fatalf("bin %d missing from restore", b)
-		}
-		got := &BinState[KV[uint64, uint64], MapState[uint64, uint64]]{
-			State: &MapState[uint64, uint64]{},
-		}
-		if err := TransferBinary.DecodeBin(got, payload); err != nil {
+	// Each worker's process view holds exactly the bins it owned.
+	for w, want := range [][]int{{1}, {0, 2}} {
+		r, err := LoadRestore(dir, "test-op", 5, peers, w, 1, TransferBinary.Name())
+		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(got.State, bins[b].State) || !reflect.DeepEqual(got.Pending, bins[b].Pending) {
-			t.Fatalf("bin %d state mismatch after restore", b)
+		if !reflect.DeepEqual(r.Assignment, assignment) || r.LogBins != logBins || r.Epoch != 5 {
+			t.Fatalf("restore metadata mismatch: %+v", r)
 		}
-	}
-	if _, ok := r.Bins[3]; ok {
-		t.Fatal("bin 3 was never written (empty) but appeared in the restore")
-	}
-	if _, ok := r.Bins[1]; ok {
-		t.Fatal("bin 1 belongs to worker 0 but appeared in worker 1's restore")
+		if len(r.Bins) != len(want) {
+			t.Fatalf("worker %d restored %d bins, want %v (bin 3 was never written, the rest belong elsewhere)", w, len(r.Bins), want)
+		}
+		for _, b := range want {
+			payload, ok := r.Bins[b]
+			if !ok {
+				t.Fatalf("bin %d missing from worker %d's restore", b, w)
+			}
+			if b == 1 && chunkBytes > 0 && len(payload) <= 4*chunkBytes {
+				t.Fatalf("bin 1 is %d bytes: too small to span many %d-byte records", len(payload), chunkBytes)
+			}
+			got := &BinState[KV[uint64, uint64], MapState[uint64, uint64]]{
+				State: &MapState[uint64, uint64]{},
+			}
+			if err := TransferBinary.DecodeBin(got, payload); err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got.State, bins[b].State) || !reflect.DeepEqual(got.Pending, bins[b].Pending) {
+				t.Fatalf("bin %d state mismatch after restore", b)
+			}
+		}
 	}
 }
 
@@ -208,13 +223,19 @@ func TestShrunkRosterCheckpoint(t *testing.T) {
 	}
 }
 
-// TestLoadRestoreDetectsCorruption: flipped payload bytes fail the chunk
-// digest check, and a truncated data file fails the completeness check.
+// TestLoadRestoreDetectsCorruption: flipped payload bytes fail the record
+// digest check, and a truncated data file fails the completeness check, in
+// both record layouts.
 func TestLoadRestoreDetectsCorruption(t *testing.T) {
+	t.Run("record-per-bin", func(t *testing.T) { testLoadRestoreDetectsCorruption(t, 0) })
+	t.Run("split-bins", func(t *testing.T) { testLoadRestoreDetectsCorruption(t, 128) })
+}
+
+func testLoadRestoreDetectsCorruption(t *testing.T, chunkBytes int) {
 	dir := t.TempDir()
 	assignment := []int{0, 0}
 	bins := map[int]*BinState[KV[uint64, uint64], MapState[uint64, uint64]]{0: mkBin(1, 300), 1: mkBin(2, 300)}
-	writeTestCheckpoint(t, dir, 7, 0, 1, 1, 128, assignment, bins)
+	writeTestCheckpoint(t, dir, 7, 0, 1, 1, chunkBytes, assignment, bins)
 
 	path := filepath.Join(dir, "test-op", "epoch-7", "bins-w0.dat")
 	data, err := os.ReadFile(path)

@@ -8,37 +8,28 @@ import (
 	"megaphone/internal/binenc"
 )
 
-// StateMsg is a migration message: a bin's state in flight from its old
-// owner to its new owner, timestamped with the configuration command's
-// logical time. A bin whose new owner runs in the sender's process travels
-// as itself (one message, the *BinState in handoff, no bytes), as timely's
-// in-process channels move owned data. A bin bound for another process is
-// serialized by the codec and, when oversized, split into bounded-size
-// chunks (Config.ChunkBytes) so a single large bin never produces one giant
-// message; the receiver reassembles chunks in (Seq, Last) order, which the
-// exchange channel preserves.
-type StateMsg struct {
+// binMsg is a migration message: one bin in flight from its old owner to
+// its new owner, timestamped with the configuration command's logical time,
+// and one record of the state edge. It carries the bin itself, and the
+// exchange delivers it by reference to a worker of the sender's process, as
+// timely's in-process channels move owned data. Only where it crosses to
+// another process is the bin serialized: the edge's wire codec has the
+// sender's codec encode it straight into the outgoing record
+// (AppendBinaryRec), and the receiving process's decoder leaves the bytes in
+// payload for S to decode. A moving bin is thus one wire record, never split
+// and never batched with another bin.
+type binMsg[R, S any] struct {
 	Bin   int
-	To    int    // destination worker (drives the exchange)
-	Seq   int    // chunk index within the bin's payload
-	Last  bool   // final chunk of this bin
-	Bytes []byte // chunk of the codec-serialized BinState
+	To    int             // destination worker (drives the exchange)
+	State *BinState[R, S] // the bin; nil on a message decoded from the wire
 
-	// handoff is the *BinState[R, S] itself when To runs in the sender's
-	// process (dataflow.Worker.Local); nil otherwise. The wire never
-	// carries it: see AppendBinaryRec.
-	handoff any
+	codec   Codec  // the sender's Config.Transfer, which encodes State for the wire
+	payload []byte // the codec's serialization of the bin, on a decoded message
 }
-
-// DefaultChunkBytes bounds the payload of one StateMsg unless overridden by
-// Config.ChunkBytes: large enough to amortize per-message overhead, small
-// enough that migrating one huge bin does not materialize it as a single
-// allocation in the channel.
-const DefaultChunkBytes = 256 << 10
 
 // Codec serializes bins for checkpoints and for migrations that cross a
 // process boundary; a bin moving between workers of one process is handed
-// over without it (see StateMsg). There is one codec
+// over without it (see binMsg). There is one codec
 // in the tree (TransferBinary, which Config.Transfer == nil selects); the
 // interface remains so a measurement can wrap it in a decorator that counts
 // bins and bytes. Every worker of an execution shares the codec value, so
@@ -267,76 +258,4 @@ func CodecByName(name string) (Codec, error) {
 		return nil, fmt.Errorf("megaphone: unknown state codec %q (have %q)", name, TransferBinary.Name())
 	}
 	return TransferBinary, nil
-}
-
-// --- Chunking ---
-
-// appendChunks splits payload into at most chunk-sized StateMsgs for bin,
-// sharing payload's backing array (no copies). chunk <= 0 disables
-// splitting. An empty payload still produces one (Last) message so the
-// receiver installs the bin.
-func appendChunks(msgs []StateMsg, bin, to int, payload []byte, chunk int) []StateMsg {
-	if chunk <= 0 || len(payload) <= chunk {
-		return append(msgs, StateMsg{Bin: bin, To: to, Bytes: payload, Last: true})
-	}
-	for off, seq := 0, 0; off < len(payload); off, seq = off+chunk, seq+1 {
-		end := off + chunk
-		if end > len(payload) {
-			end = len(payload)
-		}
-		msgs = append(msgs, StateMsg{
-			Bin:   bin,
-			To:    to,
-			Seq:   seq,
-			Last:  end == len(payload),
-			Bytes: payload[off:end],
-		})
-	}
-	return msgs
-}
-
-// chunkAssembler reassembles chunked bin payloads on the receiving worker.
-// Chunks of one bin arrive in order on the exchange channel; a payload is
-// complete when its Last chunk arrives. Each chunk's Seq is checked
-// against the expected next index, so a violation of the channel's
-// ordering guarantee fails loudly instead of silently reassembling a
-// corrupt payload.
-type chunkAssembler struct {
-	partial map[int]*partialBin // bin -> accumulation in progress
-}
-
-type partialBin struct {
-	buf  []byte
-	next int // expected Seq of the next chunk
-}
-
-// add folds one StateMsg into the assembler and returns the complete
-// payload when m finishes its bin, or (nil, false) while chunks remain.
-// It panics on out-of-order or duplicate chunks (an engine invariant, not
-// a payload property).
-func (a *chunkAssembler) add(m StateMsg) ([]byte, bool) {
-	if m.Seq == 0 && m.Last {
-		if _, open := a.partial[m.Bin]; open {
-			panic(fmt.Sprintf("megaphone: unchunked StateMsg for bin %d amid its chunk stream", m.Bin))
-		}
-		return m.Bytes, true
-	}
-	if a.partial == nil {
-		a.partial = make(map[int]*partialBin)
-	}
-	p := a.partial[m.Bin]
-	if p == nil {
-		p = &partialBin{}
-		a.partial[m.Bin] = p
-	}
-	if m.Seq != p.next {
-		panic(fmt.Sprintf("megaphone: bin %d chunk out of order: got Seq %d, want %d", m.Bin, m.Seq, p.next))
-	}
-	p.next++
-	p.buf = append(p.buf, m.Bytes...)
-	if !m.Last {
-		return nil, false
-	}
-	delete(a.partial, m.Bin)
-	return p.buf, true
 }

@@ -189,66 +189,46 @@ func TestNilTransferIsTheNamedCodec(t *testing.T) {
 	}
 }
 
-// TestAppendChunks: payload splitting respects the chunk bound, covers the
-// payload exactly, and degenerates to one message when small or disabled.
-func TestAppendChunks(t *testing.T) {
-	payload := make([]byte, 1000)
-	for i := range payload {
-		payload[i] = byte(i)
+// splitRecords cuts payload into checkpoint records of at most chunk bytes
+// for bin, in the layout earlier builds wrote: numbered by Seq, the final
+// one marked Last.
+func splitRecords(bin int, payload []byte, chunk int) []ckptRecord {
+	var recs []ckptRecord
+	for seq, off := 0, 0; seq == 0 || off < len(payload); seq++ {
+		end := min(off+chunk, len(payload))
+		recs = append(recs, ckptRecord{Bin: bin, Seq: seq, Last: end == len(payload), Bytes: payload[off:end]})
+		off = end
 	}
-	cases := []struct {
-		chunk int
-		want  int // expected message count
-	}{{-1, 1}, {1000, 1}, {2000, 1}, {999, 2}, {300, 4}, {1, 1000}}
-	for _, c := range cases {
-		msgs := appendChunks(nil, 7, 3, payload, c.chunk)
-		if len(msgs) != c.want {
-			t.Fatalf("chunk=%d: %d msgs, want %d", c.chunk, len(msgs), c.want)
-		}
-		var rejoined []byte
-		for i, m := range msgs {
-			if m.Bin != 7 || m.To != 3 {
-				t.Fatalf("chunk=%d: msg %d misaddressed: %+v", c.chunk, i, m)
-			}
-			if m.Seq != i {
-				t.Fatalf("chunk=%d: msg %d has Seq %d", c.chunk, i, m.Seq)
-			}
-			if got := m.Last; got != (i == len(msgs)-1) {
-				t.Fatalf("chunk=%d: msg %d Last=%v", c.chunk, i, got)
-			}
-			if c.chunk > 0 && len(m.Bytes) > c.chunk {
-				t.Fatalf("chunk=%d: msg %d carries %d bytes", c.chunk, i, len(m.Bytes))
-			}
-			rejoined = append(rejoined, m.Bytes...)
-		}
-		if !bytes.Equal(rejoined, payload) {
-			t.Fatalf("chunk=%d: rejoined payload differs", c.chunk)
-		}
-	}
+	return recs
 }
 
-// TestChunkAssembler: chunked payloads reassemble bin-by-bin, interleaved
-// bins do not collide, and single-chunk payloads pass through unbuffered.
+// TestChunkAssembler: bins split over several checkpoint records reassemble
+// bin-by-bin, interleaved bins do not collide, single-record payloads pass
+// through unbuffered, and records out of order are an error.
 func TestChunkAssembler(t *testing.T) {
 	var a chunkAssembler
 	p1 := []byte("the first payload")
 	p2 := []byte("another payload entirely")
-	msgs1 := appendChunks(nil, 1, 0, p1, 5)
-	msgs2 := appendChunks(nil, 2, 0, p2, 7)
-	// Interleave the two bins' chunks; each bin's chunks stay in order.
-	var interleaved []StateMsg
-	for i := 0; i < len(msgs1) || i < len(msgs2); i++ {
-		if i < len(msgs1) {
-			interleaved = append(interleaved, msgs1[i])
+	recs1 := splitRecords(1, p1, 5)
+	recs2 := splitRecords(2, p2, 7)
+	// Interleave the two bins' records; each bin's records stay in order.
+	var interleaved []ckptRecord
+	for i := 0; i < len(recs1) || i < len(recs2); i++ {
+		if i < len(recs1) {
+			interleaved = append(interleaved, recs1[i])
 		}
-		if i < len(msgs2) {
-			interleaved = append(interleaved, msgs2[i])
+		if i < len(recs2) {
+			interleaved = append(interleaved, recs2[i])
 		}
 	}
 	got := map[int][]byte{}
-	for _, m := range interleaved {
-		if payload, done := a.add(m); done {
-			got[m.Bin] = payload
+	for _, r := range interleaved {
+		payload, done, err := a.add(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if done {
+			got[r.Bin] = payload
 		}
 	}
 	if !bytes.Equal(got[1], p1) || !bytes.Equal(got[2], p2) {
@@ -257,21 +237,22 @@ func TestChunkAssembler(t *testing.T) {
 	if len(a.partial) != 0 {
 		t.Fatalf("assembler retained %d partial payloads", len(a.partial))
 	}
-	// Single-chunk payload returns the original slice without copying.
-	single := StateMsg{Bin: 9, Bytes: p1, Last: true}
-	if payload, done := a.add(single); !done || &payload[0] != &p1[0] {
-		t.Fatal("single-chunk payload was copied or buffered")
+	// Single-record payload returns the original slice without copying.
+	single := ckptRecord{Bin: 9, Bytes: p1, Last: true}
+	if payload, done, err := a.add(single); err != nil || !done || &payload[0] != &p1[0] {
+		t.Fatal("single-record payload was copied or buffered")
 	}
-	// Out-of-order chunks violate an engine invariant and must fail loudly.
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Fatal("out-of-order chunk did not panic")
-			}
-		}()
-		var b chunkAssembler
-		b.add(StateMsg{Bin: 1, Seq: 1, Bytes: []byte("x")})
-	}()
+	// Out-of-order records, and a single-record bin amid its own split
+	// records, are corrupt files.
+	var b chunkAssembler
+	if _, _, err := b.add(ckptRecord{Bin: 1, Seq: 1, Bytes: []byte("x")}); err == nil {
+		t.Fatal("out-of-order record accepted")
+	}
+	var c chunkAssembler
+	c.add(ckptRecord{Bin: 1, Bytes: []byte("x")})
+	if _, _, err := c.add(ckptRecord{Bin: 1, Last: true, Bytes: []byte("y")}); err == nil {
+		t.Fatal("single-record bin amid its split records accepted")
+	}
 }
 
 // TestDecodeMalformedCounts: a corrupt payload whose length prefix claims

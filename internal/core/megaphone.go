@@ -21,10 +21,6 @@ type Config struct {
 	// bin over as it is): nil means TransferBinary; a non-nil value is a
 	// decorator of it (see Codec).
 	Transfer Codec
-	// ChunkBytes bounds the payload of one StateMsg: a bin whose encoding
-	// exceeds it is shipped as multiple chunks instead of one oversized
-	// message. 0 means DefaultChunkBytes; negative disables chunking.
-	ChunkBytes int
 	// Meter, when set, receives per-bin record counts and service time from
 	// the S operator (see LoadMeter). It must be sized for this execution:
 	// NewLoadMeter(peers, LogBins). nil disables metering.
@@ -51,9 +47,6 @@ func (c *Config) defaults() {
 	}
 	if c.Transfer == nil {
 		c.Transfer = TransferBinary
-	}
-	if c.ChunkBytes == 0 {
-		c.ChunkBytes = DefaultChunkBytes
 	}
 }
 
@@ -98,14 +91,13 @@ type Handle[R, S, O any] struct {
 	// "Migration" tests).
 	OnApply func(t Time, bin, worker int)
 	// OnInstall, when set before Start, is invoked whenever a migrated bin
-	// finishes installing on a worker (a serialized one after chunk
-	// reassembly, a handed-over one on arrival) — exactly
-	// once per bin per migration, which the transport-failure tests pin.
+	// installs on a worker (one that crossed processes once decoded) —
+	// exactly once per bin per migration, which the transport-failure tests
+	// pin.
 	OnInstall func(t Time, bin, worker int)
 	bins      []*binsHolder[R, S]
 	newState  func() *S
-	// Migrated counts bins shipped away, per worker (a chunked bin counts
-	// once regardless of how many StateMsgs carry it).
+	// Migrated counts bins shipped away, per worker.
 	migrated []int
 }
 
@@ -202,7 +194,7 @@ func Operator[R, S, O any](
 	fb.OnPurge(f.purge)
 	fouts := fb.Build(f.schedule)
 	routedData := dataflow.Typed[routed[R]](fouts[0])
-	stateOut := dataflow.Typed[StateMsg](fouts[1])
+	stateOut := dataflow.Typed[binMsg[R, S]](fouts[1])
 
 	s := &sOp[R, S, O]{
 		cfg:   cfg,
@@ -229,7 +221,7 @@ func Operator[R, S, O any](
 	}
 	sb := w.NewOp(cfg.Name+"-S", 1)
 	dataflow.Connect(sb, routedData, dataflow.ExchangeTo[routed[R]]{To: func(r routed[R]) int { return int(r.To) }})
-	dataflow.Connect(sb, stateOut, dataflow.ExchangeTo[StateMsg]{To: func(m StateMsg) int { return m.To }})
+	dataflow.Connect(sb, stateOut, dataflow.ExchangeTo[binMsg[R, S]]{To: func(m binMsg[R, S]) int { return m.To }})
 	if cfg.Restore != nil {
 		// Restored bins can carry pending post-dated records (all at times
 		// >= the checkpoint epoch: earlier ones were replayed before the
@@ -359,8 +351,6 @@ type fOp[R, S, O any] struct {
 	installed  configHeap // final configs awaiting state movement
 
 	staged deferred[R] // kept data batches whose routing is not yet determined
-
-	payloadLen int // length of the last bin payload encoded (see encodeBin)
 }
 
 const (
@@ -489,24 +479,11 @@ func (f *fOp[R, S, O]) route(c *dataflow.OpCtx, t Time, data []R) {
 	dataflow.SendOwned(c, fOutData, t, out)
 }
 
-// encodeBin serializes one bin for shipment into a buffer of its own, sized
-// from the operator's previous payload: the bins of one operator are near
-// equal, so the encode neither grows by doubling nor overshoots by much.
-func (f *fOp[R, S, O]) encodeBin(b *BinState[R, S]) []byte {
-	payload, err := f.cfg.Transfer.EncodeBin(b, make([]byte, 0, f.payloadLen+f.payloadLen/8))
-	if err != nil {
-		panic(err)
-	}
-	f.payloadLen = len(payload)
-	return payload
-}
-
 // execute performs the state movement of one installed configuration: for
 // every moved bin this worker currently owns, uninstall it from the local S
-// instance and ship it at the migration's timestamp — by reference to a
-// worker of this process, encoded and chunked to any other. A checkpoint
-// command in the batch (canonically sorted first) runs before any moves of
-// the same time, so the snapshot records the pre-move assignment together
+// instance and ship it to its new owner at the migration's timestamp. A
+// checkpoint command in the batch (canonically sorted first) runs before any
+// moves of the same time, so the snapshot records the pre-move assignment together
 // with the bins still at their pre-move owners — a consistent cut either
 // way.
 func (f *fOp[R, S, O]) execute(c *dataflow.OpCtx, mg pendingConfig) {
@@ -517,7 +494,6 @@ func (f *fOp[R, S, O]) execute(c *dataflow.OpCtx, mg pendingConfig) {
 		}
 		moves = moves[1:]
 	}
-	var msgs []StateMsg
 	// Restore commands first, batched: one checkpoint read serves every bin
 	// this worker must rebuild (a crash reassigns many bins at one epoch).
 	var restoreBins []int
@@ -533,7 +509,7 @@ func (f *fOp[R, S, O]) execute(c *dataflow.OpCtx, mg pendingConfig) {
 		}
 	}
 	if len(restoreBins) > 0 {
-		msgs = f.restoreFromCheckpoint(msgs, restoreBins, restoreEpoch, mg.time)
+		f.restoreFromCheckpoint(c, restoreBins, restoreEpoch, mg.time)
 	}
 	for _, m := range moves {
 		if m.IsRestore() {
@@ -550,37 +526,32 @@ func (f *fOp[R, S, O]) execute(c *dataflow.OpCtx, mg pendingConfig) {
 		}
 		if old == f.index {
 			if b := f.bins.take(m.Bin); b != nil {
-				if f.w.Local(m.Worker) {
-					msgs = append(msgs, handOver(m.Bin, m.Worker, b))
-				} else {
-					msgs = appendChunks(msgs, m.Bin, m.Worker, f.encodeBin(b), f.cfg.ChunkBytes)
-				}
+				f.ship(c, mg.time, m.Bin, m.Worker, b)
 				f.h.migrated[f.index]++
 			}
 		}
 		f.compact(m.Bin, mg.time)
 	}
-	if len(msgs) > 0 {
-		dataflow.SendBatch(c, fOutState, mg.time, msgs)
-	}
 }
 
-// handOver is the StateMsg that moves bin b to worker `to` in this process:
-// the bin itself, not its encoding.
-func handOver[R, S any](bin, to int, b *BinState[R, S]) StateMsg {
-	return StateMsg{Bin: bin, To: to, Last: true, handoff: b}
+// ship sends bin b to worker `to` at time t as a batch of its own, so that
+// where it leaves the process it is one wire record (see binMsg).
+func (f *fOp[R, S, O]) ship(c *dataflow.OpCtx, t Time, bin, to int, b *BinState[R, S]) {
+	msg := dataflow.NewBatch[binMsg[R, S]](c, 1)
+	msg.Recs = append(msg.Recs, binMsg[R, S]{Bin: bin, To: to, State: b, codec: f.cfg.Transfer})
+	dataflow.SendOwned(c, fOutState, t, msg)
 }
 
 // restoreFromCheckpoint rebuilds the given bins — reassigned to this worker
 // by restore commands taking effect at time `at` — from the checkpoint at
-// epoch ckpt, and hands them to this worker's own S instance at `at`, like
-// any in-process move. Riding the normal migration install path (rather
-// than poking the shared bins holder directly) re-indexes S's notification
-// heap and fires OnInstall exactly as a migration would. Pending records
+// epoch ckpt, and ships them to this worker's own S instance at `at`, like
+// any move. Riding the normal migration install path (rather than poking the
+// shared bins holder directly) re-indexes S's notification heap and fires
+// OnInstall exactly as a migration would. Pending records
 // that came due while the owner was dead are clamped up to `at` (see
 // clampPending). Failure to read the checkpoint is fatal: the dead member's
 // state exists nowhere else.
-func (f *fOp[R, S, O]) restoreFromCheckpoint(msgs []StateMsg, bins []int, ckpt, at Time) []StateMsg {
+func (f *fOp[R, S, O]) restoreFromCheckpoint(c *dataflow.OpCtx, bins []int, ckpt, at Time) {
 	if f.cfg.Checkpoint == nil {
 		panic(fmt.Sprintf("megaphone: operator %q: restore command at epoch %d but no Config.Checkpoint to read from", f.cfg.Name, at))
 	}
@@ -598,18 +569,16 @@ func (f *fOp[R, S, O]) restoreFromCheckpoint(msgs []StateMsg, bins []int, ckpt, 
 			panic(fmt.Sprintf("megaphone: operator %q: decoding restored bin %d: %v", f.cfg.Name, b, err))
 		}
 		bin.clampPending(at)
-		msgs = append(msgs, handOver(b, f.index, bin))
+		f.ship(c, at, b, f.index, bin)
 	}
-	return msgs
 }
 
 // checkpoint drains every bin this worker owns just before time t into the
 // configured checkpoint directory: each bin is serialized with the
-// operator's migration codec and split with the operator's chunking — the
-// exact byte stream a cross-process migration puts on the wire, written to
-// disk instead. It runs at the same frontier alignment as a migration (all
-// updates before t applied, none at or after it), so the union of all
-// workers' files is a consistent snapshot of the operator at t.
+// operator's migration codec — the bytes a cross-process migration puts on
+// the wire, written to disk instead. It runs at the same frontier alignment
+// as a migration (all updates before t applied, none at or after it), so the
+// union of all workers' files is a consistent snapshot of the operator at t.
 func (f *fOp[R, S, O]) checkpoint(t Time) {
 	ck := f.cfg.Checkpoint
 	start := time.Now()
@@ -628,8 +597,7 @@ func (f *fOp[R, S, O]) checkpoint(t Time) {
 		ck.reportError(t, f.index, err)
 		return
 	}
-	payload := make([]byte, 0, f.payloadLen+f.payloadLen/8)
-	var msgs []StateMsg
+	var payload []byte
 	for b := 0; b < nbins; b++ {
 		if asn[b] != f.index {
 			continue
@@ -643,9 +611,7 @@ func (f *fOp[R, S, O]) checkpoint(t Time) {
 			w.Abort()
 			panic(err)
 		}
-		f.payloadLen = len(payload)
-		msgs = appendChunks(msgs[:0], b, f.index, payload, f.cfg.ChunkBytes)
-		if err := w.WriteBin(msgs); err != nil {
+		if err := w.WriteBin(b, payload); err != nil {
 			w.Abort()
 			ck.reportError(t, f.index, err)
 			return
@@ -743,7 +709,6 @@ type sOp[R, S, O any] struct {
 	staged  deferred[routed[R]] // kept data batches, deferred until their time completes
 	applied Time                // bound of the latest schedule: all data below it is folded in
 	notify  binTimeHeap         // (time, bin) index into per-bin pending heaps
-	chunks  chunkAssembler      // reassembles chunked migration payloads
 
 	replayBuf []TimedRec[R] // reusable scratch for popPendingAt
 
@@ -773,18 +738,14 @@ const (
 )
 
 func (s *sOp[R, S, O]) schedule(c *dataflow.OpCtx) {
-	// 1. Install migrated state immediately: a handed-over bin as it is, a
-	// serialized one once its chunks are reassembled and decoded.
-	dataflow.ForEachBatch(c, sState, func(t Time, msgs []StateMsg) {
+	// 1. Install migrated state immediately, decoding a bin that crossed
+	// from another process first.
+	dataflow.ForEachBatch(c, sState, func(t Time, msgs []binMsg[R, S]) {
 		for _, m := range msgs {
-			b, _ := m.handoff.(*BinState[R, S])
+			b := m.State
 			if b == nil {
-				payload, done := s.chunks.add(m)
-				if !done {
-					continue
-				}
 				b = &BinState[R, S]{State: s.ops.NewState()}
-				if err := s.cfg.Transfer.DecodeBin(b, payload); err != nil {
+				if err := s.cfg.Transfer.DecodeBin(b, m.payload); err != nil {
 					panic(err)
 				}
 			}

@@ -22,7 +22,7 @@ func TestLoadCheckpointBinsSubset(t *testing.T) {
 		2: mkBin(3, 4),
 	}
 	for w := 0; w < peers; w++ {
-		writeTestCheckpoint(t, dir, 5, w, peers, logBins, 64, assignment, bins)
+		writeTestCheckpoint(t, dir, 5, w, peers, logBins, 0, assignment, bins)
 	}
 
 	// Bins 0 (worker 1), 1 (worker 0), 3 (worker 1, empty): spans both

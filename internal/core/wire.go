@@ -1,14 +1,16 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math"
 
 	"megaphone/internal/binenc"
 )
 
 // This file implements the BinaryRec contract for the record types that
 // cross worker boundaries inside a megaphone operator — the control Move,
-// the routed data envelope, and the StateMsg migration chunk — so that in a
+// the routed data envelope, and the migrating bin — so that in a
 // multi-process execution their exchange edges ride the hand-rolled wire
 // encoding instead of gob (see dataflow's wire codecs, which discover these
 // methods structurally).
@@ -38,48 +40,48 @@ func (m *Move) DecodeBinaryRec(data []byte) ([]byte, error) {
 	return data, nil
 }
 
-// AppendBinaryRec implements BinaryRec. A handed-over bin never reaches
-// it: F sets StateMsg.handoff only when Local(To) holds, and the state
-// edge's ExchangeTo routes by To, so only serialized bins cross a process
-// boundary.
-func (m *StateMsg) AppendBinaryRec(buf []byte) []byte {
-	if m.handoff != nil {
-		panic(fmt.Sprintf("megaphone: bin %d handed over by reference is crossing a process boundary to worker %d", m.Bin, m.To))
-	}
+// AppendBinaryRec implements BinaryRec for a bin leaving its process: the
+// bin and destination, then the sender's codec's encoding of the bin behind
+// a fixed-width length, encoded in place — the length is patched in once the
+// codec has run, so the bin is never staged in a buffer of its own. A codec
+// failure is a programming error and panics, as on the checkpoint path.
+func (m *binMsg[R, S]) AppendBinaryRec(buf []byte) []byte {
 	buf = binenc.AppendUvarint(buf, uint64(m.Bin))
 	buf = binenc.AppendUvarint(buf, uint64(m.To))
-	buf = binenc.AppendUvarint(buf, uint64(m.Seq))
-	buf = binenc.AppendBool(buf, m.Last)
-	buf = binenc.AppendUvarint(buf, uint64(len(m.Bytes)))
-	return append(buf, m.Bytes...)
+	at := len(buf)
+	buf = binenc.AppendU32(buf, 0)
+	buf, err := m.codec.EncodeBin(m.State, buf)
+	if err != nil {
+		panic(fmt.Sprintf("megaphone: encoding bin %d for worker %d: %v", m.Bin, m.To, err))
+	}
+	n := len(buf) - at - 4
+	if uint64(n) > math.MaxUint32 {
+		panic(fmt.Sprintf("megaphone: bin %d encodes to %d bytes, beyond one record's 4 GiB", m.Bin, n))
+	}
+	binary.LittleEndian.PutUint32(buf[at:], uint32(n))
+	return buf
 }
 
-// DecodeBinaryRec implements BinaryRec. The payload bytes are copied out:
-// the bin is typically installed on a later scheduling than the decode, and
-// the wire buffer is transient.
-func (m *StateMsg) DecodeBinaryRec(data []byte) ([]byte, error) {
+// DecodeBinaryRec implements BinaryRec. The payload is copied out for S to
+// decode: the bin is typically installed on a later scheduling than the
+// decode, and the wire buffer is transient.
+func (m *binMsg[R, S]) DecodeBinaryRec(data []byte) ([]byte, error) {
 	bin, data, err := binenc.Uvarint(data)
 	if err != nil {
-		return nil, fmt.Errorf("megaphone: decoding StateMsg.Bin: %w", err)
+		return nil, fmt.Errorf("megaphone: decoding migrating bin number: %w", err)
 	}
 	to, data, err := binenc.Uvarint(data)
 	if err != nil {
-		return nil, fmt.Errorf("megaphone: decoding StateMsg.To: %w", err)
+		return nil, fmt.Errorf("megaphone: decoding migrating bin %d destination: %w", bin, err)
 	}
-	seq, data, err := binenc.Uvarint(data)
+	n, data, err := binenc.U32(data)
 	if err != nil {
-		return nil, fmt.Errorf("megaphone: decoding StateMsg.Seq: %w", err)
+		return nil, fmt.Errorf("megaphone: decoding migrating bin %d length: %w", bin, err)
 	}
-	last, data, err := binenc.Bool(data)
-	if err != nil {
-		return nil, fmt.Errorf("megaphone: decoding StateMsg.Last: %w", err)
+	if uint64(n) > uint64(len(data)) {
+		return nil, fmt.Errorf("megaphone: migrating bin %d claims %d bytes, record holds %d", bin, n, len(data))
 	}
-	n, data, err := binenc.Count(data, 1)
-	if err != nil {
-		return nil, fmt.Errorf("megaphone: decoding StateMsg payload length: %w", err)
-	}
-	m.Bin, m.To, m.Seq, m.Last = int(bin), int(to), int(seq), last
-	m.Bytes = append([]byte(nil), data[:n]...)
+	*m = binMsg[R, S]{Bin: int(bin), To: int(to), payload: append([]byte(nil), data[:n]...)}
 	return data[n:], nil
 }
 

@@ -539,16 +539,6 @@ func (w *Worker) Index() int { return w.index }
 // Peers returns the number of workers across all processes.
 func (w *Worker) Peers() int { return w.exec.totalWorkers }
 
-// Local reports whether global worker peer runs in this process. A batch
-// sent to a local peer travels by reference through its inbox; one sent to
-// any other peer is serialized by its edge's wire codec.
-//
-//megalint:hotpath
-func (w *Worker) Local(peer int) bool {
-	li := peer - w.exec.firstGlobal
-	return li >= 0 && li < len(w.exec.workers)
-}
-
 // poke wakes the worker if it is parked.
 //
 //megalint:hotpath
@@ -834,11 +824,12 @@ func (w *Worker) schedule(op *opInstance) {
 //
 //megalint:hotpath
 func (w *Worker) send(m outMsg) {
-	if !w.Local(m.peer) {
+	li := m.peer - w.exec.firstGlobal
+	if li < 0 || li >= len(w.exec.workers) {
 		w.sendRemote(m)
 		return
 	}
-	target := w.exec.workers[m.peer-w.exec.firstGlobal]
+	target := w.exec.workers[li]
 	for {
 		select {
 		case target.inbox <- m.msg:

@@ -25,8 +25,8 @@ type ClusterSpec struct {
 	// MaxFrame bounds one wire frame (transport.DefaultMaxFrame when 0).
 	// Workers coalesce many exchanged batches into one frame, but a single
 	// batch is never split, so MaxFrame must exceed the largest encoded
-	// batch a worker can emit (state migration batches are bounded by the
-	// operator's ChunkBytes).
+	// batch a worker can emit. A migrating bin is one batch of its own, so
+	// MaxFrame must exceed the largest bin's encoding.
 	MaxFrame int
 	// CoalesceBytes caps how many encoded batch bytes a worker buffers per
 	// destination process before flushing them as one data frame (default

@@ -51,8 +51,8 @@ func wireCodecFor[T any]() wireCodec {
 
 // encodeWireRecs appends the batch record by record. The scratch it appends
 // to is sized by recent batches (see Worker.trim), so a batch far larger
-// than those — an all-at-once migration's state chunks after a stretch of
-// routed records — would regrow it a quarter at a time; instead the first
+// than those — a burst of records after a stretch of small batches — would
+// regrow it a quarter at a time; instead the first
 // record that outgrows the scratch reserves the rest of the batch at the
 // mean record size so far.
 func encodeWireRecs[T any](data any, buf []byte) []byte {
@@ -103,7 +103,7 @@ func decodeWireU64s(payload []byte) (any, error) {
 
 // The gob fallback trades speed for universality: any exported-field type
 // crosses the wire without per-type code, at gob's reflection cost. Hot
-// exchange edges (the megaphone routed envelope, state chunks, control
+// exchange edges (the megaphone routed envelope, migrating bins, control
 // moves) all implement the binary contract and never take this path.
 func encodeWireGob[T any](data any, buf []byte) []byte {
 	w := bytes.NewBuffer(buf)

@@ -1,11 +1,12 @@
 // Transport failure during an active migration: a 2-process cluster routes
 // its one TCP session through a killable proxy, a multi-step migration is
 // started, and the connection is severed by byte count shortly after the
-// first step goes out — mid chunk stream. The transport's
-// reconnect-with-replay must redeliver the lost StateMsg frames exactly
-// once: every moved bin installs exactly once at its new owner
-// (Handle.OnInstall) and the output multiset matches a single-process run.
-// Runs under -race in CI.
+// first step goes out — mid frame. The transport's reconnect-with-replay
+// must redeliver the lost migration frames exactly once: every moved bin
+// installs exactly once at its new owner (Handle.OnInstall) and the output
+// multiset matches a single-process run. TestMigrationFrameBound moves more
+// state to one worker in one step than a frame may hold. Both run under
+// -race in CI.
 package megaphone_test
 
 import (
@@ -116,12 +117,12 @@ func (cr *countingReader) Read(b []byte) (int, error) {
 
 type migChaosState = core.MapState[uint64, uint64]
 
-// buildMigChaos wires the hash-count dataflow with a tiny ChunkBytes so a
-// bin's migration payload spans many StateMsg chunks.
+// buildMigChaos wires the hash-count dataflow whose bins the chaos tests
+// migrate, each bin one wire record of several kilobytes.
 func buildMigChaos(w *dataflow.Worker, ctl dataflow.Stream[core.Move], data dataflow.Stream[uint64],
-	h *core.Handle[uint64, migChaosState, [2]uint64], collect func(string)) *dataflow.Probe {
+	h *core.Handle[uint64, migChaosState, [2]uint64], collect func(string), codec core.Codec) *dataflow.Probe {
 	out := core.Unary(w,
-		core.Config{Name: "mig-chaos", LogBins: 3, Transfer: core.TransferBinary, ChunkBytes: 512},
+		core.Config{Name: "mig-chaos", LogBins: 3, Transfer: codec},
 		ctl, data,
 		func(k uint64) uint64 { return core.Mix64(k) },
 		func() *migChaosState { return &migChaosState{M: make(map[uint64]uint64)} },
@@ -140,7 +141,7 @@ func buildMigChaos(w *dataflow.Worker, ctl dataflow.Stream[core.Move], data data
 
 // preloadMigChaos fills the bins initially owned by worker 1 (the ones the
 // plan moves) with enough synthetic entries that each migration step is a
-// multi-kilobyte chunk stream.
+// multi-kilobyte frame.
 func preloadMigChaos(h *core.Handle[uint64, migChaosState, [2]uint64]) {
 	for bin := 1; bin < 8; bin += 2 {
 		bin := bin
@@ -156,10 +157,11 @@ func preloadMigChaos(h *core.Handle[uint64, migChaosState, [2]uint64]) {
 }
 
 // runMigChaos drives one participant (or the single-process reference when
-// spec is nil): 60 epochs of deterministic input, a 4-step batched
-// migration of worker 1's bins to worker 0 starting at epoch 20, with
-// onIssue invoked when this process's controller sends the first step.
-func runMigChaos(t *testing.T, spec *dataflow.ClusterSpec, workers int,
+// spec is nil): 60 epochs of deterministic input, a migration of worker 1's
+// bins to worker 0 under strategy starting at epoch 20 (a batched one of
+// batch 1 makes 4 steps), with onIssue invoked when this process's
+// controller sends the first step. A nil codec is core.TransferBinary.
+func runMigChaos(t *testing.T, spec *dataflow.ClusterSpec, workers int, strategy plan.Strategy, codec core.Codec,
 	collect func(string), h *core.Handle[uint64, migChaosState, [2]uint64], onIssue func()) error {
 	const epochs, perEpochPerWorker = 60, 32
 	var mesh *dataflow.Mesh
@@ -183,7 +185,7 @@ func runMigChaos(t *testing.T, spec *dataflow.ClusterSpec, workers int,
 		ctlIns = append(ctlIns, ctl)
 		in, data := dataflow.NewInput[uint64](w, "data")
 		dataIns = append(dataIns, in)
-		p := buildMigChaos(w, ctlStream, data, h, collect)
+		p := buildMigChaos(w, ctlStream, data, h, collect, codec)
 		if w.Index() == first {
 			probe = p
 		}
@@ -202,7 +204,7 @@ func runMigChaos(t *testing.T, spec *dataflow.ClusterSpec, workers int,
 			}
 		}
 	}
-	mig := plan.Build(plan.Batched, plan.Initial(8, 2), plan.Rebalance(8, []int{0}), 1)
+	mig := plan.Build(strategy, plan.Initial(8, 2), plan.Rebalance(8, []int{0}), 1)
 
 	// Each global worker injects its residue class of a deterministic key
 	// stream, exactly as in the cluster equivalence tests.
@@ -234,7 +236,7 @@ func runMigChaos(t *testing.T, spec *dataflow.ClusterSpec, workers int,
 		in.Close()
 	}
 	exec.Wait()
-	return nil
+	return exec.Err()
 }
 
 func TestMigrationSurvivesConnLoss(t *testing.T) {
@@ -258,7 +260,7 @@ func testMigrationSurvivesConnLoss(t *testing.T, tweak func(*dataflow.ClusterSpe
 	var refMu sync.Mutex
 	ref := make(map[string]int)
 	refHandle := &core.Handle[uint64, migChaosState, [2]uint64]{}
-	if err := runMigChaos(t, nil, 2, func(s string) {
+	if err := runMigChaos(t, nil, 2, plan.Batched, nil, func(s string) {
 		refMu.Lock()
 		ref[s]++
 		refMu.Unlock()
@@ -318,12 +320,12 @@ func testMigrationSurvivesConnLoss(t *testing.T, tweak func(*dataflow.ClusterSpe
 			var onIssue func()
 			if p == 1 {
 				// Once the migration is underway, sever the session a few
-				// KB later: the 4 steps ship ~100 KiB of chunked state, so
-				// the cut lands inside the stream and the replayed frames
-				// must deduplicate.
+				// KB later: the 4 steps ship ~50 KB of state, so the cut
+				// lands inside a bin's frame and the replayed frames must
+				// deduplicate.
 				onIssue = func() { proxy.armAfter(4 << 10) }
 			}
-			errs[p] = runMigChaos(t, &specs[p], 1, collect, handles[p], onIssue)
+			errs[p] = runMigChaos(t, &specs[p], 1, plan.Batched, nil, collect, handles[p], onIssue)
 		}(p)
 	}
 	wg.Wait()
@@ -360,5 +362,67 @@ func testMigrationSurvivesConnLoss(t *testing.T, tweak func(*dataflow.ClusterSpe
 		if clu[k] != v {
 			t.Fatalf("output %q: cluster %d, reference %d", k, clu[k], v)
 		}
+	}
+}
+
+// frameBound is the MaxFrame of TestMigrationFrameBound's meshes: above one
+// migrating bin's record, below the state its one step moves to worker 0.
+const frameBound = 32 << 10
+
+// TestMigrationFrameBound moves worker 1's four preloaded bins to worker 0
+// of another process in one all-at-once step, on meshes whose MaxFrame
+// holds any one of the bins but not all four. Every bin is a wire record of
+// its own, so the move respects the bound, and the output equals an
+// unmigrated run's. A transport killed by an oversized frame leaves its peer
+// waiting, so the cluster runs under a watchdog: the test fails in bounded
+// time instead of hanging.
+func TestMigrationFrameBound(t *testing.T) {
+	var ref collector
+	if err := runMigChaos(t, nil, 2, plan.AllAtOnce, nil, ref.add, &core.Handle[uint64, migChaosState, [2]uint64]{}, nil); err != nil {
+		t.Fatal(err)
+	}
+	if len(ref.lines) == 0 {
+		t.Fatal("reference run produced no output")
+	}
+
+	specs := localClusterSpecs(t, 2)
+	for i := range specs {
+		specs[i].MaxFrame = frameBound
+	}
+	codec := &tagCount{Codec: core.TransferBinary}
+	var clu collector
+	errs := [2]error{}
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	for p := range specs {
+		wg.Add(1)
+		go func(p int) {
+			defer wg.Done()
+			errs[p] = runMigChaos(t, &specs[p], 1, plan.AllAtOnce, codec, clu.add, &core.Handle[uint64, migChaosState, [2]uint64]{}, nil)
+		}(p)
+	}
+	go func() { wg.Wait(); close(done) }()
+	select {
+	case <-done:
+	case <-time.After(2 * time.Minute):
+		t.Fatalf("the cluster did not finish within 2m: the migration likely exceeded the %d-byte frame bound", frameBound)
+	}
+	for p, err := range errs {
+		if err != nil {
+			t.Fatalf("process %d: %v", p, err)
+		}
+	}
+	bins := codec.binary.Load() + codec.gob.Load()
+	codec.mu.Lock()
+	largest, total := codec.largest, codec.total
+	codec.mu.Unlock()
+	if bins != 4 || largest >= frameBound || total <= frameBound {
+		t.Fatalf("the move encoded %d bins, largest %d bytes, %d in all: want 4, each under and together over the %d-byte bound",
+			bins, largest, total, frameBound)
+	}
+	t.Logf("one step moved %d bins of %d bytes in all, the largest %d, under a %d-byte frame bound", bins, total, largest, frameBound)
+	if got, want := clu.canonical(), ref.canonical(); got != want {
+		t.Fatalf("migrated cluster output differs from the unmigrated run (cluster %d lines, reference %d)",
+			len(clu.lines), len(ref.lines))
 	}
 }
