@@ -79,6 +79,12 @@ func TestRunFlagErrors(t *testing.T) {
 		{"-auto", "nope"},
 		{"-recover"}, // -recover without -checkpoint-dir
 		{"-checkpoint-dir", "/tmp/x", "-variant", "native-hash"},
+		{"-bins", "40"},
+		{"-bins", "-3"},
+		{"-bins", "0"},
+		{"-domain", "0"},
+		{"-domain", "-5"},
+		{"-variant", "key", "-domain", "1000"},
 	} {
 		if err := run(args, io.Discard); err == nil {
 			t.Errorf("run(%v) succeeded, want error", args)

@@ -49,6 +49,8 @@ func TestRunFlagErrors(t *testing.T) {
 		{"-definitely-not-a-flag"},
 		{"-strategy", "nope"},
 		{"-auto", "nope"},
+		{"-bins", "40"},
+		{"-bins", "-2"},
 	} {
 		if err := run(args, io.Discard); err == nil {
 			t.Errorf("run(%v) succeeded, want error", args)

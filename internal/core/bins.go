@@ -116,15 +116,3 @@ func (b *binsHolder[R, S]) getOrCreate(bin int, newState func() *S) *BinState[R,
 	}
 	return s
 }
-
-// occupied reports the number of bins present on this worker, for
-// instrumentation (Handle.Bins).
-func (b *binsHolder[R, S]) occupied() int {
-	n := 0
-	for _, s := range b.data {
-		if s != nil {
-			n++
-		}
-	}
-	return n
-}

@@ -312,12 +312,21 @@ func TestOwnerHistory(t *testing.T) {
 // TestBinsHolderTakeInstall covers the shared-bin lifecycle.
 func TestBinsHolderTakeInstall(t *testing.T) {
 	h := newBinsHolder[int, int](3)
-	if h.occupied() != 0 {
+	occupied := func() int {
+		n := 0
+		for _, s := range h.data {
+			if s != nil {
+				n++
+			}
+		}
+		return n
+	}
+	if occupied() != 0 {
 		t.Fatal("fresh holder occupied")
 	}
 	b := h.getOrCreate(2, func() *int { return new(int) })
 	*b.State = 42
-	if h.occupied() != 1 {
+	if occupied() != 1 {
 		t.Fatal("occupied != 1")
 	}
 	taken := h.take(2)

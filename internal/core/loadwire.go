@@ -183,12 +183,6 @@ func NewClusterLoadView(meter *LoadMeter, firstLocal, localRows int) *ClusterLoa
 	}
 }
 
-// Bins returns the view's bin count.
-func (v *ClusterLoadView) Bins() int { return v.meter.Bins() }
-
-// Workers returns the view's worker count.
-func (v *ClusterLoadView) Workers() int { return v.meter.Workers() }
-
 // Apply folds one remote delta into the view. Deltas from this process's own
 // rows are ignored (local rows are read live), and a delta whose geometry
 // disagrees with the meter is rejected — a process running a different

@@ -15,6 +15,7 @@ type Config struct {
 	Name string
 	// LogBins is the log2 of the number of bins keys are grouped into
 	// (Section 4.2). Fixed at construction; defaults to 8 (256 bins).
+	// The keycount and nexmark runs reject values above MaxLogBins.
 	LogBins int
 	// Transfer is the codec that serializes checkpointed bins and bins
 	// migrating to another process (a move within the process hands the
@@ -37,6 +38,10 @@ type Config struct {
 	// Restore.Epoch. See LoadRestore.
 	Restore *Restore
 }
+
+// MaxLogBins is the largest LogBins the keycount and nexmark runs accept:
+// 2^20 bins, the paper's largest sweep.
+const MaxLogBins = 20
 
 func (c *Config) defaults() {
 	if c.Name == "" {
@@ -100,9 +105,6 @@ type Handle[R, S, O any] struct {
 	// Migrated counts bins shipped away, per worker.
 	migrated []int
 }
-
-// Bins returns the number of occupied bins on worker w (instrumentation).
-func (h *Handle[R, S, O]) Bins(w int) int { return h.bins[w].occupied() }
 
 // Preload initializes a bin's state on a worker before the execution
 // starts, so runs measure migration rather than first-touch allocation (the

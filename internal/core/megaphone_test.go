@@ -280,7 +280,7 @@ func TestCompletion(t *testing.T) {
 		h.Close()
 	}
 	exec.Wait()
-	if !probe.Done() {
+	if probe.Frontier() != dataflow.None {
 		t.Fatal("probe not done after Wait")
 	}
 }

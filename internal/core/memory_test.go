@@ -80,12 +80,12 @@ func (r *hashCountRun) drive(p phase) {
 			continue
 		}
 		r.advanceTo(t + 1)
-		for t > window && r.probe.LessThan(t-window) {
+		for t > window && r.probe.Frontier() < t-window {
 			time.Sleep(5 * time.Microsecond)
 		}
 	}
 	r.advanceTo(core.Time(r.epoch + 1))
-	for r.probe.LessThan(core.Time(r.epoch + 1)) {
+	for r.probe.Frontier() < core.Time(r.epoch+1) {
 		time.Sleep(20 * time.Microsecond)
 	}
 }

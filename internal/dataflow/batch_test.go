@@ -109,7 +109,7 @@ func TestEnvelopeConcurrentRelease(t *testing.T) {
 
 // TestSendBatchCopies pins the aliasing contract that makes forwarding
 // safe: SendBatch leaves the caller's slice untouched and owned by the
-// caller, so operators like Inspect and Concat may forward the very slice
+// caller, so an operator may forward the very slice
 // they received from ForEachBatch while the runtime recycles the original
 // envelope underneath.
 func TestSendBatchCopies(t *testing.T) {

@@ -192,12 +192,6 @@ func (e *Execution) InstallView(from Time, active []bool) {
 	}
 }
 
-// ActiveAt reports whether process p's workers participate at time t.
-func (e *Execution) ActiveAt(t Time, p int) bool {
-	v := e.viewAt(t)
-	return v.full || v.active[p]
-}
-
 // NewExecution creates an execution with the given configuration.
 func NewExecution(cfg Config) *Execution {
 	cfg.defaults()
@@ -274,7 +268,9 @@ func (e *Execution) Build(build func(w *Worker)) {
 	}
 }
 
-// Tracker exposes the progress tracker (for probes and tests).
+// Tracker exposes the progress tracker.
+//
+//megalint:allow unreached test support: sched_test.go dumps it on a drain deadlock, input_test.go checks it idle
 func (e *Execution) Tracker() *progress.Tracker { return e.tracker }
 
 // Start launches the worker goroutines.
@@ -439,6 +435,8 @@ type Retained struct {
 
 // Retained snapshots the recycling pools' byte counters. Safe to call from
 // any goroutine while the execution runs.
+//
+//megalint:allow unreached test support: the retention bounds of mesh_test.go and core's memory_test.go
 func (e *Execution) Retained() Retained {
 	var r Retained
 	for _, w := range e.workers {
@@ -458,15 +456,6 @@ func (e *Execution) ResetProgress(b *progress.Batch) {
 	for _, w := range e.workers {
 		w.poke()
 	}
-}
-
-// Run is a convenience for Build + Start + Wait with no external input
-// driving (inputs must be driven from within operator logic or closed during
-// build).
-func (e *Execution) Run(build func(w *Worker)) {
-	e.Build(build)
-	e.Start()
-	e.Wait()
 }
 
 // poller reports pending out-of-band work (e.g. staged input) for one

@@ -98,13 +98,13 @@ func TestProbeTracksEpochs(t *testing.T) {
 
 	input.SendAt(5, 1, 2, 3)
 	input.AdvanceTo(10)
-	waitUntil(t, func() bool { return !probe.LessThan(10) })
-	if probe.Done() {
+	waitUntil(t, func() bool { return probe.Frontier() >= 10 })
+	if probe.Frontier() == dataflow.None {
 		t.Fatalf("probe done before input closed")
 	}
 	input.Close()
 	exec.Wait()
-	if !probe.Done() {
+	if probe.Frontier() != dataflow.None {
 		t.Fatalf("probe not done after completion")
 	}
 }

@@ -107,13 +107,6 @@ func (h *InputHandle[T]) AdvanceTo(t Time) {
 	h.w.poke()
 }
 
-// Epoch returns the handle's current epoch.
-func (h *InputHandle[T]) Epoch() Time {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.epoch
-}
-
 // Close marks the input complete. Staged records are still delivered; once
 // flushed, the input's capability is dropped and downstream frontiers can
 // empty.

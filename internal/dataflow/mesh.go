@@ -238,9 +238,6 @@ func (m *Mesh) initialActive() []bool {
 	return append([]bool(nil), m.activeInit...)
 }
 
-// Active reports whether roster slot p currently participates.
-func (m *Mesh) Active(p int) bool { return m.active[p].Load() }
-
 // Activate marks roster slot p live: broadcast paths start including it.
 // Called on every member (including the joiner itself, for its own slot is
 // already live from its perspective) when a join commits.
@@ -274,10 +271,6 @@ func (m *Mesh) Abandon() { m.finMode.Store(2) }
 // SetMembershipEpoch records the membership view version this process now
 // believes in; future transport handshakes carry it.
 func (m *Mesh) SetMembershipEpoch(e uint64) { m.tr.SetMembershipEpoch(e) }
-
-// MembershipEpoch returns the last value passed to SetMembershipEpoch (or
-// the ClusterSpec value).
-func (m *Mesh) MembershipEpoch() uint64 { return m.tr.MembershipEpoch() }
 
 // DataCounters snapshots the per-peer dataflow frame counters: sent[p] and
 // recv[p] count progress/data/graph frames exchanged with slot p since the

@@ -411,7 +411,7 @@ func TestMeshScratchGivesBackALargeFrame(t *testing.T) {
 				}
 				in.SendBatchAt(Time(e), batch)
 				in.AdvanceTo(Time(e + 1))
-				for probe.LessThan(Time(e + 1)) {
+				for probe.Frontier() < Time(e+1) {
 					time.Sleep(10 * time.Microsecond)
 				}
 				r := exec.Retained()

@@ -74,9 +74,6 @@ type StreamCore struct {
 	src progress.Port
 }
 
-// Valid reports whether the stream was produced by a builder.
-func (s StreamCore) Valid() bool { return s.w != nil }
-
 // OpBuilder declares one operator during graph construction.
 type OpBuilder struct {
 	w       *Worker
@@ -261,18 +258,9 @@ type OpCtx struct {
 	local       []message
 }
 
-// Index returns the worker index.
-func (c *OpCtx) Index() int { return c.w.index }
-
-// Peers returns the number of workers.
-func (c *OpCtx) Peers() int { return c.w.Peers() }
-
 // Frontier returns the frontier of input port i: the least timestamp that
 // may still arrive there (None when the input is complete).
 func (c *OpCtx) Frontier(i int) Time { return c.frontiers[i] }
-
-// NumQueued reports the number of batches queued on input i.
-func (c *OpCtx) NumQueued(i int) int { return len(c.op.queues[i]) }
 
 // ForEach drains input port i, invoking f once per queued batch. The data
 // argument is the batch the producer sent, lent for the duration of the

@@ -38,13 +38,3 @@ func NewProbe[T any](w *Worker, s Stream[T]) *Probe {
 // Frontier returns the least timestamp that may still arrive at the probe,
 // or None if the probed stream is complete.
 func (p *Probe) Frontier() Time { return p.tracker().Frontier(p.port) }
-
-// LessThan reports whether the probe's frontier is strictly less than t:
-// that is, whether a record with time less than t could still be in flight.
-func (p *Probe) LessThan(t Time) bool {
-	f := p.Frontier()
-	return f < t
-}
-
-// Done reports whether the probed stream has completed.
-func (p *Probe) Done() bool { return p.Frontier() == None }

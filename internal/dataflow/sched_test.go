@@ -122,7 +122,7 @@ func exchangeWorkload(epochs, perEpoch int) {
 			in.SendBatchAt(dataflow.Time(e), batch)
 			in.AdvanceTo(dataflow.Time(e))
 		}
-		for e > window && probe.LessThan(dataflow.Time(e-window)) {
+		for e > window && probe.Frontier() < dataflow.Time(e-window) {
 			time.Sleep(5 * time.Microsecond)
 		}
 	}

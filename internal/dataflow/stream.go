@@ -7,12 +7,6 @@ type Stream[T any] struct {
 	core StreamCore
 }
 
-// Core returns the type-erased stream.
-func (s Stream[T]) Core() StreamCore { return s.core }
-
-// Valid reports whether the stream was produced by a builder.
-func (s Stream[T]) Valid() bool { return s.core.Valid() }
-
 // Typed wraps a type-erased stream; the caller asserts its element type.
 func Typed[T any](c StreamCore) Stream[T] { return Stream[T]{core: c} }
 
@@ -276,6 +270,3 @@ func TakeEachBatch[T any](c *OpCtx, i int, f func(t Time, b Batch[T])) {
 		}
 	})
 }
-
-// Output returns output port o of the built streams as a typed stream.
-func Output[T any](outs []StreamCore, o int) Stream[T] { return Typed[T](outs[o]) }

@@ -27,6 +27,8 @@ type ChaosProc struct {
 // Chaos supervises one generation of cluster processes. Create it with the
 // process specs, StartAll, then Kill/Signal/WaitAll as the scenario
 // demands. A Chaos value is not safe for concurrent method calls.
+//
+//megalint:allow unreached test support: TestClusterKillAndRecover and TestClusterLeaderFailover supervise their processes with it
 type Chaos struct {
 	Procs []ChaosProc
 

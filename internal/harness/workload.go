@@ -201,14 +201,3 @@ func (wl Workload) Fill(out []uint64, domain uint64, worker int, epoch int64) {
 		}
 	}
 }
-
-// HotBase returns the base key of the HotShift hot set at the given epoch
-// (instrumentation: experiments report where the hotspot was).
-func (wl Workload) HotBase(domain uint64, epoch int64) uint64 {
-	wl = wl.defaults()
-	phase := uint64(0)
-	if wl.ShiftEvery > 0 {
-		phase = uint64(epoch / wl.ShiftEvery)
-	}
-	return core.Mix64(0x9e3779b97f4a7c15*(phase+1)^wl.Seed) % domain
-}

@@ -134,24 +134,38 @@ func TestWorkloadHotShift(t *testing.T) {
 	const domain, n = 1 << 16, 1 << 14
 	wl := harness.Workload{Kind: harness.HotShift, HotFraction: 0.8, HotKeys: 4, ShiftEvery: 100}
 
-	inHot := func(epoch int64) float64 {
-		base := wl.HotBase(domain, epoch)
-		hot := 0
-		keys := fill(wl, domain, 0, epoch, n)
-		for _, k := range keys {
-			if (k-base)%domain < wl.HotKeys {
-				hot++
+	// The hot keys are the ones drawn far more often than a uniform draw
+	// over the domain would (n/domain = 0.25 times each).
+	hotSet := func(epoch int64) (map[uint64]bool, float64) {
+		counts := make(map[uint64]int)
+		for _, k := range fill(wl, domain, 0, epoch, n) {
+			counts[k]++
+		}
+		set, hot := make(map[uint64]bool), 0
+		for k, c := range counts {
+			if c > 100 {
+				set[k] = true
+				hot += c
 			}
 		}
-		return float64(hot) / float64(len(keys))
+		return set, float64(hot) / n
 	}
-	if share := inHot(5); share < 0.7 || share > 0.9 {
-		t.Errorf("hot share %.2f, want ~0.8", share)
+	at5, share := hotSet(5)
+	if uint64(len(at5)) != wl.HotKeys || share < 0.7 || share > 0.9 {
+		t.Errorf("%d hot keys taking %.2f of the draws, want %d taking ~0.8", len(at5), share, wl.HotKeys)
 	}
-	if wl.HotBase(domain, 5) == wl.HotBase(domain, 105) {
+	sameKeys := func(a, b map[uint64]bool) bool {
+		for k := range a {
+			if !b[k] {
+				return false
+			}
+		}
+		return len(a) == len(b)
+	}
+	if at105, _ := hotSet(105); sameKeys(at5, at105) {
 		t.Error("hot set did not move across a shift boundary")
 	}
-	if wl.HotBase(domain, 5) != wl.HotBase(domain, 95) {
+	if at95, _ := hotSet(95); !sameKeys(at5, at95) {
 		t.Error("hot set moved within a shift period")
 	}
 }

@@ -131,16 +131,10 @@ func logDomain(domain int64) int {
 	return l
 }
 
-// DenseHash positions key uniformly by its value: the top bits of the hash
-// are the key's bits, so each bin covers a contiguous key range and dense
-// per-bin arrays apply.
-func DenseHash(key uint64, domain int64) uint64 {
-	return key << uint(64-logDomain(domain))
-}
-
-// denseHasher returns DenseHash with the domain's shift hoisted out: the
-// hash runs once per record on the routing hot path, where recomputing (and
-// re-validating) log2(domain) per call is measurable.
+// denseHasher positions a key uniformly by its value: the top bits of the
+// hash are the key's bits, so each bin covers a contiguous key range and
+// dense per-bin arrays apply. The domain's shift is hoisted out of the
+// returned hash, which runs once per record on the routing hot path.
 func denseHasher(domain int64) func(uint64) uint64 {
 	shift := uint(64 - logDomain(domain))
 	return func(key uint64) uint64 { return key << shift }
@@ -228,12 +222,6 @@ func Build(w *dataflow.Worker, p Params, control dataflow.Stream[core.Move], dat
 	default:
 		panic("keycount: unknown variant")
 	}
-}
-
-// PreloadAll initializes one entry per key across all workers' bins
-// according to the initial assignment.
-func PreloadAll(p Params, peers int, h *Handles) {
-	PreloadLocal(p, peers, h, 0, peers)
 }
 
 // PreloadLocal preloads only the bins initially assigned to workers in

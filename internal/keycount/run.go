@@ -97,6 +97,9 @@ type RunConfig struct {
 // run the returned measurements are this process's local view (its own
 // injected records and its local probe's latency observations).
 func Run(cfg RunConfig) (harness.Result, error) {
+	if err := cfg.Params.validate(); err != nil {
+		return harness.Result{}, err
+	}
 	if cfg.Membership {
 		return runMembership(cfg)
 	}
@@ -256,4 +259,20 @@ func attachSink(w *dataflow.Worker, out dataflow.Stream[Out], sink func(string))
 			}
 		})
 	})
+}
+
+// validate rejects sizes a run cannot honour: a bin count outside
+// 2^1..2^MaxLogBins, an empty key domain, and, for the variants that index
+// keys densely, a domain that is not a power of two.
+func (p Params) validate() error {
+	if p.LogBins < 1 || p.LogBins > core.MaxLogBins {
+		return fmt.Errorf("keycount: log2 bin count %d is outside 1..%d", p.LogBins, core.MaxLogBins)
+	}
+	if p.Domain < 1 {
+		return fmt.Errorf("keycount: key domain %d must hold at least one key", p.Domain)
+	}
+	if (p.Variant == KeyCount || p.Variant == NativeKey) && p.Domain&(p.Domain-1) != 0 {
+		return fmt.Errorf("keycount: the %v variant needs a power-of-two key domain, not %d", p.Variant, p.Domain)
+	}
+	return nil
 }

@@ -30,6 +30,8 @@ import (
 )
 
 // Main wraps m.Run with a post-run leak check. It never returns.
+//
+//megalint:allow unreached test support: the TestMain of the dataflow, plan and transport tests
 func Main(m *testing.M) {
 	code := m.Run()
 	if code == 0 {

@@ -55,6 +55,7 @@ type Pass struct {
 	Files    []*ast.File
 	Pkg      *types.Package
 	Info     *types.Info
+	Program  *Program // the whole program, for checks that span packages
 
 	diags []Diagnostic
 	allow map[string][]allowRange // filename -> suppressed line ranges
@@ -128,17 +129,11 @@ func (p *Pass) indexAllows() {
 
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
-				text := strings.TrimSpace(c.Text)
-				if !strings.HasPrefix(text, allowDirective) {
+				name, justified, ok := parseAllow(c)
+				if !ok {
 					continue
 				}
-				rest := strings.TrimSpace(strings.TrimPrefix(text, allowDirective))
-				name, justification, _ := strings.Cut(rest, " ")
-				r := allowRange{
-					analyzer:  name,
-					justified: strings.TrimSpace(justification) != "",
-					pos:       c.Pos(),
-				}
+				r := allowRange{analyzer: name, justified: justified, pos: c.Pos()}
 				if decl, ok := docOf[cg]; ok {
 					r.from = p.Fset.Position(decl.Pos()).Line
 					r.to = p.Fset.Position(decl.End()).Line
@@ -151,6 +146,33 @@ func (p *Pass) indexAllows() {
 			}
 		}
 	}
+}
+
+// parseAllow splits a //megalint:allow directive into the analyzer it
+// names and whether a justification follows; ok is false for any other
+// comment.
+func parseAllow(c *ast.Comment) (analyzer string, justified, ok bool) {
+	text := strings.TrimSpace(c.Text)
+	if !strings.HasPrefix(text, allowDirective) {
+		return "", false, false
+	}
+	rest := strings.TrimSpace(strings.TrimPrefix(text, allowDirective))
+	name, justification, _ := strings.Cut(rest, " ")
+	return name, strings.TrimSpace(justification) != "", true
+}
+
+// docAllows reports whether a doc comment carries a justified allow
+// directive for the analyzer.
+func docAllows(doc *ast.CommentGroup, analyzer string) bool {
+	if doc == nil {
+		return false
+	}
+	for _, c := range doc.List {
+		if name, justified, _ := parseAllow(c); name == analyzer && justified {
+			return true
+		}
+	}
+	return false
 }
 
 // checkAllows reports malformed allow directives (no analyzer name or no
@@ -198,6 +220,7 @@ func Run(pkg *Package, analyzers []*Analyzer) []Diagnostic {
 			Files:    pkg.Files,
 			Pkg:      pkg.Types,
 			Info:     pkg.Info,
+			Program:  pkg.Program,
 		}
 		pass.indexAllows()
 		if i == 0 {
@@ -233,5 +256,6 @@ func All() []*Analyzer {
 		AtomicField,
 		SendUnderLock,
 		Pointstamp,
+		Unreached,
 	}
 }

@@ -28,6 +28,10 @@ func TestPointstamp(t *testing.T) {
 	linttest.Run(t, "testdata", lint.Pointstamp, "pointstamp")
 }
 
+func TestUnreached(t *testing.T) {
+	linttest.Run(t, "testdata", lint.Unreached, "unreached", "unreached/internal/lib")
+}
+
 // TestAllowMisuse pins the directive hygiene rules directly (the
 // diagnostics anchor to the directive lines, which cannot also carry want
 // comments): an allow without a justification or naming an unknown or

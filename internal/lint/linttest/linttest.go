@@ -5,7 +5,9 @@
 //
 //	// want "regexp"
 //
-// (multiple quoted regexps when one line yields several diagnostics).
+// (multiple quoted regexps when one line yields several diagnostics), or
+// the block form /* want "regexp" */ where the line's own line comment is
+// the subject, as for a malformed //megalint:allow.
 // Diagnostics with no matching want, and wants with no matching
 // diagnostic, fail the test.
 package linttest
@@ -23,6 +25,8 @@ import (
 
 // Run loads each fixture package and checks the analyzer's diagnostics
 // against the // want comments in its sources.
+//
+//megalint:allow unreached test support: the golden-fixture tests of every megalint analyzer
 func Run(t *testing.T, testdata string, a *lint.Analyzer, paths ...string) {
 	t.Helper()
 	for _, path := range paths {
@@ -80,7 +84,12 @@ func checkWants(t *testing.T, pkg *lint.Package, path string, diags []lint.Diagn
 // parseWants extracts the quoted regexps of one // want comment.
 func parseWants(t *testing.T, fname string, fset *token.FileSet, c *ast.Comment) []*want {
 	t.Helper()
-	text := strings.TrimSpace(strings.TrimPrefix(strings.TrimSpace(c.Text), "//"))
+	text := strings.TrimSpace(c.Text)
+	if body, ok := strings.CutPrefix(text, "/*"); ok {
+		text = strings.TrimSuffix(body, "*/")
+	} else {
+		text = strings.TrimPrefix(text, "//")
+	}
 	rest, ok := strings.CutPrefix(strings.TrimSpace(text), "want ")
 	if !ok {
 		return nil

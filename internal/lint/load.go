@@ -18,11 +18,37 @@ import (
 
 // Package is one loaded, type-checked package ready for analysis.
 type Package struct {
-	Path  string
-	Fset  *token.FileSet
-	Files []*ast.File
-	Types *types.Package
-	Info  *types.Info
+	Path    string
+	Fset    *token.FileSet
+	Files   []*ast.File
+	Types   *types.Package
+	Info    *types.Info
+	Program *Program // the whole program the package belongs to
+}
+
+// Program is every package one loader can see, type-checked on demand in
+// one type universe: the whole-program view an analyzer like unreached
+// needs. Test files are not part of it.
+type Program struct {
+	l *loader
+	// paths lists the program's packages; benchPkgs marks those of the
+	// benchmark module, every declaration of which counts as used.
+	paths     []string
+	benchPkgs map[string]bool
+	reached   map[types.Object]bool // memoized by reachable
+}
+
+// packages type-checks and returns every package of the program.
+func (p *Program) packages() ([]*Package, error) {
+	var out []*Package
+	for _, path := range p.paths {
+		pkg, err := p.l.load(path)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, pkg)
+	}
+	return out, nil
 }
 
 // listedPkg is the slice of `go list -json` output the loader needs.
@@ -42,16 +68,19 @@ type loader struct {
 	index map[string]*listedPkg // module import path -> metadata
 	done  map[string]*Package   // module import path -> loaded package
 	std   types.ImporterFrom
+	prog  *Program
 }
 
 func newLoader() *loader {
 	fset := token.NewFileSet()
-	return &loader{
+	l := &loader{
 		fset:  fset,
 		index: make(map[string]*listedPkg),
 		done:  make(map[string]*Package),
 		std:   importer.ForCompiler(fset, "source", nil).(types.ImporterFrom),
 	}
+	l.prog = &Program{l: l, benchPkgs: make(map[string]bool)}
+	return l
 }
 
 // Import implements types.Importer over the loader's two-tier resolution.
@@ -96,25 +125,49 @@ func (l *loader) load(path string) (*Package, error) {
 	if err != nil {
 		return nil, fmt.Errorf("lint: type-checking %s: %w", path, err)
 	}
-	pkg := &Package{Path: path, Fset: l.fset, Files: files, Types: tpkg, Info: info}
+	pkg := &Package{Path: path, Fset: l.fset, Files: files, Types: tpkg, Info: info, Program: l.prog}
 	l.done[path] = pkg
 	return pkg, nil
 }
 
+// benchDir is the benchmark module nested in the module root. It builds
+// against this module through a replace directive, so one go list run from
+// it sees both modules, and what it uses counts as used (see Unreached).
+const benchDir = "bench"
+
 // Load type-checks the module packages matching the go list patterns,
 // resolved relative to dir (any directory inside the module). Packages are
-// returned in import-path order.
+// returned in import-path order. Their Program is the whole module plus the
+// benchmark module, if the module root holds one.
 func Load(dir string, patterns ...string) ([]*Package, error) {
-	l := newLoader()
+	cmd := exec.Command("go", "list", "-m", "-f", "{{.Path}}\n{{.Dir}}")
+	cmd.Dir = dir
+	mod, err := cmd.Output()
+	if err != nil {
+		return nil, fmt.Errorf("lint: go list -m: %w", err)
+	}
+	modPath, root, _ := strings.Cut(strings.TrimSpace(string(mod)), "\n")
 
-	// Index every module package so imports among them resolve from source,
-	// then expand the requested patterns against the same index.
-	all, err := goList(dir, "./...")
+	// Index every package of the program so imports among them resolve
+	// from source, then expand the requested patterns against the index.
+	l := newLoader()
+	bench := filepath.Join(root, benchDir)
+	listDir, listPatterns := root, []string{"./..."}
+	if _, err := os.Stat(filepath.Join(bench, "go.mod")); err == nil {
+		listDir, listPatterns = bench, []string{"./...", modPath + "/..."}
+	}
+	all, err := goList(listDir, listPatterns...)
 	if err != nil {
 		return nil, err
 	}
 	for _, p := range all {
 		l.index[p.ImportPath] = p
+		if len(p.GoFiles) > 0 {
+			l.prog.paths = append(l.prog.paths, p.ImportPath)
+		}
+		if strings.HasPrefix(p.Dir, bench+string(filepath.Separator)) {
+			l.prog.benchPkgs[p.ImportPath] = true
+		}
 	}
 	matched, err := goList(dir, patterns...)
 	if err != nil {
@@ -164,7 +217,11 @@ func goList(dir string, patterns ...string) ([]*listedPkg, error) {
 
 // LoadFixture type-checks one package from a testdata source tree laid out
 // analysistest-style: root/src/<importpath>/*.go. Fixture packages may
-// import each other and the standard library.
+// import each other and the standard library; _test.go files are left out.
+// The package's Program is the fixture tree under the first element of
+// path.
+//
+//megalint:allow unreached test support: the golden-fixture tests of every analyzer load through it
 func LoadFixture(root, path string) (*Package, error) {
 	l := newLoader()
 	src := filepath.Join(root, "src")
@@ -188,9 +245,11 @@ func LoadFixture(root, path string) (*Package, error) {
 				return err
 			}
 			if len(names) > 0 {
-				var files []string
+				var files []string // go list leaves _test.go files out of GoFiles too
 				for _, n := range names {
-					files = append(files, filepath.Base(n))
+					if !strings.HasSuffix(n, "_test.go") {
+						files = append(files, filepath.Base(n))
+					}
 				}
 				sort.Strings(files)
 				l.index[ip] = &listedPkg{ImportPath: ip, Dir: dir, GoFiles: files}
@@ -208,5 +267,12 @@ func LoadFixture(root, path string) (*Package, error) {
 	if err := walk("", entries); err != nil {
 		return nil, err
 	}
+	tree, _, _ := strings.Cut(path, "/")
+	for ip, meta := range l.index {
+		if first, _, _ := strings.Cut(ip, "/"); first == tree && len(meta.GoFiles) > 0 {
+			l.prog.paths = append(l.prog.paths, ip)
+		}
+	}
+	sort.Strings(l.prog.paths)
 	return l.load(path)
 }

@@ -61,37 +61,13 @@ func (h *Histogram) Record(v int64) {
 	}
 }
 
-// RecordN adds n observations of the same value.
-func (h *Histogram) RecordN(v int64, n int64) {
-	if n <= 0 {
-		return
-	}
-	if v < 0 {
-		v = 0
-	}
-	h.counts[bucketOf(v)] += n
-	h.total += n
-	if v > h.max {
-		h.max = v
-	}
-	if h.total == n || v < h.min {
-		h.min = v
-	}
-}
-
 // Count returns the number of observations.
+//
+//megalint:allow unreached test support: the harness, keycount and nexmark run tests count recorded latencies
 func (h *Histogram) Count() int64 { return h.total }
 
 // Max returns the largest observation (0 when empty).
 func (h *Histogram) Max() int64 { return h.max }
-
-// Min returns the smallest observation (0 when empty).
-func (h *Histogram) Min() int64 {
-	if h.total == 0 {
-		return 0
-	}
-	return h.min
-}
 
 // Quantile returns the value at quantile q in [0, 1], with bucket
 // resolution. Quantile(1) returns the exact maximum.
@@ -117,23 +93,6 @@ func (h *Histogram) Quantile(q float64) int64 {
 		}
 	}
 	return h.max
-}
-
-// Merge adds the observations of o into h.
-func (h *Histogram) Merge(o *Histogram) {
-	if o.total == 0 {
-		return
-	}
-	for i, c := range o.counts {
-		h.counts[i] += c
-	}
-	if h.total == 0 || o.min < h.min {
-		h.min = o.min
-	}
-	h.total += o.total
-	if o.max > h.max {
-		h.max = o.max
-	}
 }
 
 // Reset clears the histogram.

@@ -87,30 +87,6 @@ func TestCCDFMonotone(t *testing.T) {
 	}
 }
 
-// TestMerge: merging histograms equals recording everything in one.
-func TestMerge(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	var a, b, all Histogram
-	for i := 0; i < 3000; i++ {
-		v := int64(rng.Intn(1 << 30))
-		all.Record(v)
-		if i%2 == 0 {
-			a.Record(v)
-		} else {
-			b.Record(v)
-		}
-	}
-	a.Merge(&b)
-	if a.Count() != all.Count() || a.Max() != all.Max() || a.Min() != all.Min() {
-		t.Fatalf("merge mismatch: count %d/%d max %d/%d", a.Count(), all.Count(), a.Max(), all.Max())
-	}
-	for _, q := range []float64{0.5, 0.99} {
-		if a.Quantile(q) != all.Quantile(q) {
-			t.Fatalf("merged quantile %v differs", q)
-		}
-	}
-}
-
 // TestTimelineWindows: flushed samples expose per-window percentiles and
 // reset between windows.
 func TestTimelineWindows(t *testing.T) {

@@ -55,6 +55,9 @@ func Run(cfg RunConfig) (harness.Result, error) {
 		cfg.EpochEvery = time.Millisecond
 	}
 	cfg.Params.defaults()
+	if cfg.Params.LogBins < 1 || cfg.Params.LogBins > core.MaxLogBins {
+		return harness.Result{}, fmt.Errorf("nexmark: log2 bin count %d is outside 1..%d", cfg.Params.LogBins, core.MaxLogBins)
+	}
 
 	if cfg.Cluster != nil && cfg.Cluster.Absent != nil {
 		// Dynamic membership (absent roster slots joining and leaving) is a

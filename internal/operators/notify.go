@@ -2,7 +2,6 @@ package operators
 
 import (
 	"container/heap"
-	"sort"
 
 	"megaphone/internal/dataflow"
 )
@@ -108,10 +107,4 @@ func StateMachine[K comparable, V, B, S any](
 type KV[K comparable, V any] struct {
 	Key K
 	Val V
-}
-
-// SortBatch sorts a batch in place by the provided less function; stateful
-// operators use it to make per-time application order deterministic.
-func SortBatch[A any](data []A, less func(a, b A) bool) {
-	sort.SliceStable(data, func(i, j int) bool { return less(data[i], data[j]) })
 }

@@ -45,53 +45,6 @@ func Filter[A any](w *dataflow.Worker, name string, s dataflow.Stream[A], pred f
 	return dataflow.Typed[A](outs[0])
 }
 
-// FlatMap applies f to every record and flattens the results.
-func FlatMap[A, B any](w *dataflow.Worker, name string, s dataflow.Stream[A], f func(A) []B) dataflow.Stream[B] {
-	b := w.NewOp(name, 1)
-	dataflow.Connect(b, s, dataflow.Pipeline[A]{})
-	outs := b.Build(func(c *dataflow.OpCtx) {
-		dataflow.ForEachBatch(c, 0, func(t Time, data []A) {
-			var out []B
-			for _, r := range data {
-				out = append(out, f(r)...)
-			}
-			dataflow.SendBatch(c, 0, t, out)
-		})
-	})
-	return dataflow.Typed[B](outs[0])
-}
-
-// Inspect invokes f on every record (with its time) and forwards the stream
-// unchanged.
-func Inspect[A any](w *dataflow.Worker, name string, s dataflow.Stream[A], f func(Time, A)) dataflow.Stream[A] {
-	b := w.NewOp(name, 1)
-	dataflow.Connect(b, s, dataflow.Pipeline[A]{})
-	outs := b.Build(func(c *dataflow.OpCtx) {
-		dataflow.ForEachBatch(c, 0, func(t Time, data []A) {
-			for _, r := range data {
-				f(t, r)
-			}
-			dataflow.SendBatch(c, 0, t, data)
-		})
-	})
-	return dataflow.Typed[A](outs[0])
-}
-
-// Concat merges two streams of the same type.
-func Concat[A any](w *dataflow.Worker, name string, s1, s2 dataflow.Stream[A]) dataflow.Stream[A] {
-	b := w.NewOp(name, 1)
-	dataflow.Connect(b, s1, dataflow.Pipeline[A]{})
-	dataflow.Connect(b, s2, dataflow.Pipeline[A]{})
-	outs := b.Build(func(c *dataflow.OpCtx) {
-		for i := 0; i < 2; i++ {
-			dataflow.ForEachBatch(c, i, func(t Time, data []A) {
-				dataflow.SendBatch(c, 0, t, data)
-			})
-		}
-	})
-	return dataflow.Typed[A](outs[0])
-}
-
 // ExchangeBy re-partitions a stream across workers by a hash of each record.
 func ExchangeBy[A any](w *dataflow.Worker, name string, s dataflow.Stream[A], hash func(A) uint64) dataflow.Stream[A] {
 	b := w.NewOp(name, 1)

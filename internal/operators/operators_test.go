@@ -2,7 +2,6 @@ package operators_test
 
 import (
 	"sync"
-	"sync/atomic"
 	"testing"
 
 	"megaphone/internal/dataflow"
@@ -59,53 +58,6 @@ func TestFilter(t *testing.T) {
 	})
 	if len(got) != 3 {
 		t.Fatalf("got %v", got)
-	}
-}
-
-func TestFlatMap(t *testing.T) {
-	got := runSingle(t, []int{1, 2}, func(w *dataflow.Worker, s dataflow.Stream[int]) dataflow.Stream[int] {
-		return operators.FlatMap(w, "dup", s, func(x int) []int { return []int{x, x} })
-	})
-	if len(got) != 4 {
-		t.Fatalf("got %v", got)
-	}
-}
-
-func TestInspectForwards(t *testing.T) {
-	var seen atomic.Int64
-	got := runSingle(t, []int{7, 8}, func(w *dataflow.Worker, s dataflow.Stream[int]) dataflow.Stream[int] {
-		return operators.Inspect(w, "peek", s, func(_ dataflow.Time, v int) { seen.Add(int64(v)) })
-	})
-	if len(got) != 2 || seen.Load() != 15 {
-		t.Fatalf("got %v, seen %d", got, seen.Load())
-	}
-}
-
-func TestConcat(t *testing.T) {
-	var mu sync.Mutex
-	var got []int
-	exec := dataflow.NewExecution(dataflow.Config{Workers: 1})
-	var in *dataflow.InputHandle[int]
-	exec.Build(func(w *dataflow.Worker) {
-		h, s := dataflow.NewInput[int](w, "in")
-		in = h
-		evens := operators.Filter(w, "even", s, func(x int) bool { return x%2 == 0 })
-		odds := operators.Filter(w, "odd", s, func(x int) bool { return x%2 == 1 })
-		both := operators.Concat(w, "concat", evens, odds)
-		operators.Sink(w, "sink", both, func(_ dataflow.Time, data []int) {
-			mu.Lock()
-			got = append(got, data...)
-			mu.Unlock()
-		})
-	})
-	exec.Start()
-	for i := 1; i <= 10; i++ {
-		in.SendAt(dataflow.Time(i), i)
-	}
-	in.Close()
-	exec.Wait()
-	if len(got) != 10 {
-		t.Fatalf("concat lost records: %v", got)
 	}
 }
 

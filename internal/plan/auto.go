@@ -322,6 +322,8 @@ func (a *AutoController) Decisions() []Decision {
 
 // Current returns the assignment the controller believes is in effect (or
 // being installed, while a plan executes).
+//
+//megalint:allow unreached test support: harness's TestNewDriverRestoredInitial checks the assignment a driver starts from
 func (a *AutoController) Current() Assignment {
 	a.dmu.Lock()
 	defer a.dmu.Unlock()

@@ -154,8 +154,11 @@ func TestCorruptDecisionIsDropped(t *testing.T) {
 	if !logs.saw("dropping membership frame") {
 		t.Fatal("a truncated decision was not reported")
 	}
-	if tr := mc.NextCommit(); tr != nil || mc.MembershipEpoch() != 0 {
-		t.Fatalf("a truncated decision took effect: pending %+v, membership epoch %d", tr, mc.MembershipEpoch())
+	mc.mu.Lock()
+	memEpoch := mc.memEpoch
+	mc.mu.Unlock()
+	if tr := mc.NextCommit(); tr != nil || memEpoch != 0 {
+		t.Fatalf("a truncated decision took effect: pending %+v, membership epoch %d", tr, memEpoch)
 	}
 	for e := core.Time(1); e <= 3; e++ {
 		clk.advance(testWindow)

@@ -454,13 +454,6 @@ func (mc *MembershipController) Joiner() bool {
 	return mc.opts.InitialActive != nil && !mc.opts.InitialActive[mc.opts.Proc]
 }
 
-// MembershipEpoch returns the current membership view version.
-func (mc *MembershipController) MembershipEpoch() uint64 {
-	mc.mu.Lock()
-	defer mc.mu.Unlock()
-	return mc.memEpoch
-}
-
 // Assignment returns a copy of the controller's bin-assignment mirror.
 func (mc *MembershipController) Assignment() Assignment {
 	mc.mu.Lock()

@@ -428,9 +428,6 @@ func TestMembershipJoinProtocol(t *testing.T) {
 				t.Fatalf("process %d: reset batch %v is missing process %d's hold %+v", p, c.fabs[p].reset, q, want)
 			}
 		}
-		if got := c.mcs[p].MembershipEpoch(); got != 1 {
-			t.Fatalf("process %d: membership epoch %d after the join, want 1", p, got)
-		}
 	}
 }
 

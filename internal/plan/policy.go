@@ -86,61 +86,6 @@ func (p LoadBalance) Target(current Assignment, load *core.LoadSnapshot) (Assign
 	return target, moves > 0
 }
 
-// ScaleOut spreads load over an enlarged worker set: bins assigned outside
-// the set are pulled in, and the greedy balancer then drains whichever
-// members exceed the mean by the hysteresis band — newly added (empty)
-// workers are the least loaded, so bins flow onto them first.
-type ScaleOut struct {
-	// Workers is the target worker set (must be non-empty; indices must be
-	// valid for the execution).
-	Workers []int
-	// Hysteresis and MinRecords as in LoadBalance.
-	Hysteresis float64
-	MinRecords int
-	// MaxMoves caps the moves of one decision (0 = bounded only by the bin
-	// count).
-	MaxMoves int
-}
-
-// Name implements Policy.
-func (p ScaleOut) Name() string { return fmt.Sprintf("scale-out(%d)", len(p.Workers)) }
-
-// Target implements Policy.
-func (p ScaleOut) Target(current Assignment, load *core.LoadSnapshot) (Assignment, bool) {
-	if len(p.Workers) == 0 {
-		return nil, false
-	}
-	if belowFloor(load, p.MinRecords) {
-		return nil, false
-	}
-	target := append(Assignment(nil), current...)
-	moves := drainExcluded(target, load.BinRecs, p.Workers)
-	moves += greedyBalance(target, load.BinRecs, p.Workers, hyst(p.Hysteresis), p.MaxMoves)
-	return target, moves > 0
-}
-
-// ScaleIn drains every worker outside the retained set: their bins move
-// (heaviest first) onto the least-loaded retained worker. It fires whenever
-// any bin lives outside the set, regardless of load volume, and leaves bins
-// already on retained workers untouched.
-type ScaleIn struct {
-	// Workers is the retained worker set (must be non-empty).
-	Workers []int
-}
-
-// Name implements Policy.
-func (p ScaleIn) Name() string { return fmt.Sprintf("scale-in(%d)", len(p.Workers)) }
-
-// Target implements Policy.
-func (p ScaleIn) Target(current Assignment, load *core.LoadSnapshot) (Assignment, bool) {
-	if len(p.Workers) == 0 {
-		return nil, false
-	}
-	target := append(Assignment(nil), current...)
-	moves := drainExcluded(target, load.BinRecs, p.Workers)
-	return target, moves > 0
-}
-
 func hyst(h float64) float64 {
 	if h <= 0 {
 		return DefaultHysteresis
@@ -167,42 +112,6 @@ func allWorkers(n int) []int {
 	return ws
 }
 
-// drainExcluded reassigns every bin not owned by a member of the set to the
-// least-loaded member, heaviest bins first, mutating target in place and
-// returning the number of moves.
-func drainExcluded(target Assignment, binLoad []uint64, set []int) int {
-	member := make(map[int]bool, len(set))
-	for _, w := range set {
-		member[w] = true
-	}
-	loads := make(map[int]uint64, len(set))
-	for _, w := range set {
-		loads[w] = 0
-	}
-	var outside []int
-	for b, w := range target {
-		if member[w] {
-			loads[w] += binLoad[b]
-		} else {
-			outside = append(outside, b)
-		}
-	}
-	// Heaviest first: LPT packing onto the running least-loaded member.
-	// Ties break on the lower bin index for determinism.
-	sortBinsByLoadDesc(outside, binLoad)
-	for _, b := range outside {
-		dst := set[0]
-		for _, w := range set[1:] {
-			if loads[w] < loads[dst] {
-				dst = w
-			}
-		}
-		target[b] = dst
-		loads[dst] += binLoad[b]
-	}
-	return len(outside)
-}
-
 // greedyBalance repeatedly moves the heaviest eligible bin from the most
 // loaded to the least loaded worker of the set while the most loaded worker
 // exceeds the mean by the hysteresis fraction. A bin is eligible when its
@@ -223,9 +132,7 @@ func greedyBalance(target Assignment, binLoad []uint64, set []int, hysteresis fl
 	for b, w := range target {
 		i, ok := index[w]
 		if !ok {
-			// Bins outside the set are invisible to the balancer; callers
-			// drain them first when that matters.
-			continue
+			continue // bins outside the set are invisible to the balancer
 		}
 		loads[i] += binLoad[b]
 		total += binLoad[b]
@@ -273,19 +180,4 @@ func greedyBalance(target Assignment, binLoad []uint64, set []int, hysteresis fl
 		moves++
 	}
 	return moves
-}
-
-// sortBinsByLoadDesc orders bins by descending load, breaking ties on the
-// lower bin index (insertion sort: the slices involved are small).
-func sortBinsByLoadDesc(bins []int, binLoad []uint64) {
-	for i := 1; i < len(bins); i++ {
-		b := bins[i]
-		j := i - 1
-		for j >= 0 && (binLoad[bins[j]] < binLoad[b] ||
-			(binLoad[bins[j]] == binLoad[b] && bins[j] > b)) {
-			bins[j+1] = bins[j]
-			j--
-		}
-		bins[j+1] = b
-	}
 }

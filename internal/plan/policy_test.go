@@ -102,59 +102,3 @@ func TestLoadBalanceMaxMoves(t *testing.T) {
 		t.Errorf("MaxMoves=1 produced %d moves", n)
 	}
 }
-
-// TestScaleOutSpreadsToNewWorkers: enlarging the worker set pulls load onto
-// the empty newcomers.
-func TestScaleOutSpreadsToNewWorkers(t *testing.T) {
-	// All 8 bins on workers {0,1}, equal loads; scale out to {0,1,2,3}.
-	cur := plan.Initial(8, 2)
-	load := snap(4, []uint64{100, 100, 100, 100, 100, 100, 100, 100})
-	p := plan.ScaleOut{Workers: []int{0, 1, 2, 3}, MinRecords: -1}
-	target, ok := p.Target(cur, load)
-	if !ok {
-		t.Fatal("scale-out did not act")
-	}
-	loads := load.RecsUnder(target, nil)
-	for w, l := range loads {
-		if l == 0 {
-			t.Errorf("worker %d still idle after scale-out: loads %v", w, loads)
-		}
-	}
-	if got := maxLoad(target, load); got > 250 {
-		t.Errorf("post-scale-out max load %d, want <= 250", got)
-	}
-	// Once spread, the policy goes quiet (no thrash).
-	if _, ok := p.Target(target, load); ok {
-		t.Error("scale-out re-triggered on a balanced assignment")
-	}
-}
-
-// TestScaleInDrainsExcludedWorkers: bins leave the departing workers and
-// land LPT-packed on the survivors; bins already on survivors stay put.
-func TestScaleInDrainsExcludedWorkers(t *testing.T) {
-	cur := plan.Initial(8, 4) // bins 0..7 round-robin over 4 workers
-	load := snap(4, []uint64{8, 7, 6, 5, 4, 3, 2, 1})
-	p := plan.ScaleIn{Workers: []int{0, 1}}
-	target, ok := p.Target(cur, load)
-	if !ok {
-		t.Fatal("scale-in did not act")
-	}
-	for b, w := range target {
-		if w != 0 && w != 1 {
-			t.Errorf("bin %d still on excluded worker %d", b, w)
-		}
-		if cur[b] == 0 || cur[b] == 1 {
-			if w != cur[b] {
-				t.Errorf("bin %d moved between survivors", b)
-			}
-		}
-	}
-	// Idempotent once drained.
-	if _, ok := p.Target(target, load); ok {
-		t.Error("scale-in re-triggered after draining")
-	}
-	// Zero-load snapshots still drain (scale-in has no record floor).
-	if _, ok := p.Target(cur, snap(4, make([]uint64, 8))); !ok {
-		t.Error("scale-in ignored an idle window")
-	}
-}

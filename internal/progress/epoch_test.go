@@ -69,9 +69,9 @@ func TestApplyCoalesces(t *testing.T) {
 	b.Add(edge, 3, -1)
 	b.Add(cap, 9, 1)
 	b.Add(cap, 9, -1)
-	v := tr.Version()
+	v := tr.version.Load()
 	tr.Apply(&b)
-	if tr.Version() != v {
+	if tr.version.Load() != v {
 		t.Fatalf("net-zero batch bumped the version")
 	}
 	if !tr.Idle() {

@@ -256,7 +256,7 @@ func TestResetCountsRebuildsMultiset(t *testing.T) {
 	if f := tr.Frontier(midIn); f != 2 {
 		t.Fatalf("frontier = %v, want 2 (orphan wedges it)", f)
 	}
-	v, pe := tr.Version(), tr.PortEpoch(tr.PortID(midIn))
+	v, pe := tr.version.Load(), tr.PortEpoch(tr.PortID(midIn))
 
 	// Rebuild from an inventory holding only the capability at 5.
 	var inv Batch
@@ -271,7 +271,7 @@ func TestResetCountsRebuildsMultiset(t *testing.T) {
 	if tr.Idle() {
 		t.Fatal("rebuilt tracker idle with a live capability")
 	}
-	if tr.Version() == v {
+	if tr.version.Load() == v {
 		t.Fatal("ResetCounts did not bump version")
 	}
 	if tr.PortEpoch(tr.PortID(midIn)) == pe {

@@ -420,11 +420,6 @@ func (t *Tracker) Frontiers(n Node, inputs int, out []Time) []Time {
 // computation has completed. Lock-free.
 func (t *Tracker) Idle() bool { return t.live.Load() == 0 }
 
-// Version returns a counter bumped on every effective Apply. Workers use it
-// to detect progress changes that raced with their scheduling pass.
-// Lock-free.
-func (t *Tracker) Version() uint64 { return t.version.Load() }
-
 // Snapshot returns the version and idleness in one lock-free read, for the
 // worker run loop's park/exit decision.
 func (t *Tracker) Snapshot() (version uint64, idle bool) {
@@ -433,6 +428,8 @@ func (t *Tracker) Snapshot() (version uint64, idle bool) {
 
 // Dump renders the live pointstamps for debugging: every location with
 // counts, labelled with its index, in deterministic (location, time) order.
+//
+//megalint:allow unreached test support: progress and dataflow scheduling tests print it on failure
 func (t *Tracker) Dump() string {
 	t.mu.Lock()
 	defer t.mu.Unlock()

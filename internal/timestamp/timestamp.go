@@ -1,32 +1,13 @@
-// Package timestamp provides logical timestamps for timely dataflow.
-//
-// Timestamps are elements of a join-semilattice with a partial order. The
-// dataflow runtime in this repository uses totally ordered Scalar times for
-// its hot path, but frontiers are defined over partially ordered times in
-// general (Definition 1 of the Megaphone paper), so this package also
-// provides Product timestamps and Antichain frontiers in their general,
-// partially ordered form.
+// Package timestamp provides the logical timestamps of the dataflow: a
+// totally ordered scalar epoch. Megaphone's frontiers are defined over
+// partially ordered times in general (Definition 1 of the paper); this
+// runtime only needs the scalar case, where a frontier is a single time.
 package timestamp
 
 import (
 	"fmt"
 	"math"
 )
-
-// Timestamp is the constraint satisfied by logical timestamp types.
-//
-// LessEqual must be a partial order (reflexive, antisymmetric, transitive),
-// and Join must compute the least upper bound of the receiver and argument.
-type Timestamp[T any] interface {
-	comparable
-	// LessEqual reports whether the receiver is less than or equal to t in
-	// the timestamp partial order.
-	LessEqual(t T) bool
-	// Join returns the least upper bound of the receiver and t.
-	Join(t T) T
-	// Meet returns the greatest lower bound of the receiver and t.
-	Meet(t T) T
-}
 
 // Scalar is a totally ordered timestamp: an unsigned integer, typically
 // interpreted as nanoseconds of event time or as an epoch counter.
@@ -37,71 +18,10 @@ type Scalar uint64
 // carry timestamps strictly less than MaxScalar.
 const MaxScalar Scalar = math.MaxUint64
 
-// LessEqual reports s <= t.
-func (s Scalar) LessEqual(t Scalar) bool { return s <= t }
-
-// Less reports s < t.
-func (s Scalar) Less(t Scalar) bool { return s < t }
-
-// Join returns the maximum of s and t.
-func (s Scalar) Join(t Scalar) Scalar {
-	if s >= t {
-		return s
-	}
-	return t
-}
-
-// Meet returns the minimum of s and t.
-func (s Scalar) Meet(t Scalar) Scalar {
-	if s <= t {
-		return s
-	}
-	return t
-}
-
 // String formats the scalar, rendering the sentinel as "∞".
 func (s Scalar) String() string {
 	if s == MaxScalar {
 		return "∞"
 	}
 	return fmt.Sprintf("%d", uint64(s))
-}
-
-// Product is a partially ordered pair of timestamps, ordered coordinate-wise:
-// (a, b) <= (c, d) iff a <= c and b <= d. Product timestamps arise in nested
-// scopes (outer epoch, inner iteration) and exercise the general, set-valued
-// frontier machinery.
-type Product struct {
-	Outer Scalar
-	Inner Scalar
-}
-
-// LessEqual reports whether p <= q coordinate-wise.
-func (p Product) LessEqual(q Product) bool {
-	return p.Outer <= q.Outer && p.Inner <= q.Inner
-}
-
-// Join returns the coordinate-wise maximum of p and q.
-func (p Product) Join(q Product) Product {
-	return Product{p.Outer.Join(q.Outer), p.Inner.Join(q.Inner)}
-}
-
-// Meet returns the coordinate-wise minimum of p and q.
-func (p Product) Meet(q Product) Product {
-	return Product{p.Outer.Meet(q.Outer), p.Inner.Meet(q.Inner)}
-}
-
-// String formats the product as "(outer, inner)".
-func (p Product) String() string { return fmt.Sprintf("(%v, %v)", p.Outer, p.Inner) }
-
-// InAdvanceOf reports whether time t is in advance of frontier elements
-// (Definition 2 of the paper): t is greater than or equal to some element.
-// An empty frontier has nothing in advance of it.
-func InAdvanceOf[T Timestamp[T]](t T, frontier []T) bool {
-	for _, f := range frontier {
-		if f.LessEqual(t) {
-			return true
-		}
-	}
-	return false
 }

@@ -142,18 +142,6 @@ func (fr *FrameReader) Next() (kind byte, seq uint64, payload []byte, err error)
 // returned by Next is invalid afterwards, as it is after the next Next.
 func (fr *FrameReader) Trim() { fr.buf.Trim() }
 
-// appendSubFrame appends the encoding of one coalesced sub-frame to buf: a
-// u32 length covering kind+payload, the kind byte, and the payload. The
-// sub-frame's sequence number is implicit in its position within the
-// enclosing kindBatch frame. The send loop builds sub-frames with vectored
-// writes instead of this helper; it exists for tests and documentation of
-// the format.
-func appendSubFrame(buf []byte, kind byte, payload []byte) []byte {
-	buf = binary.BigEndian.AppendUint32(buf, uint32(1+len(payload)))
-	buf = append(buf, kind)
-	return append(buf, payload...)
-}
-
 // forEachSub walks the payload of a kindBatch frame, invoking f for each
 // sub-frame with its implicit sequence number (firstSeq + position). f
 // returns false to stop the walk early (the caller is tearing the

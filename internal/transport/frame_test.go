@@ -104,6 +104,17 @@ func TestBatchSubFrameRoundTrip(t *testing.T) {
 	}
 }
 
+// appendSubFrame appends the encoding of one coalesced sub-frame to buf: a
+// u32 length covering kind+payload, the kind byte, and the payload. The
+// sub-frame's sequence number is implicit in its position within the
+// enclosing kindBatch frame. The send loop builds sub-frames with vectored
+// writes; the tests build them with this.
+func appendSubFrame(buf []byte, kind byte, payload []byte) []byte {
+	buf = binary.BigEndian.AppendUint32(buf, uint32(1+len(payload)))
+	buf = append(buf, kind)
+	return append(buf, payload...)
+}
+
 // TestBatchTornAndMalformed: any truncation of a batch payload inside a
 // sub-frame is a format error, and an early false from the callback stops the
 // walk without an error (the caller aborted, the format is fine).

@@ -103,8 +103,14 @@ func TestLateJoinRetireLeave(t *testing.T) {
 	}
 	ts[0].Retire(1)
 	ts[2].Retire(1)
-	if !ts[0].Retired(1) || !ts[2].Retired(1) {
-		t.Fatal("peer 1 not marked retired")
+	for _, tr := range []*Transport{ts[0], ts[2]} {
+		p := tr.peers[1]
+		p.mu.Lock()
+		retired := p.retired
+		p.mu.Unlock()
+		if !retired {
+			t.Fatal("peer 1 not marked retired")
+		}
 	}
 	ts[0].Send(1, KindUser, b[:]) // must be dropped, not panic or wedge
 
@@ -157,20 +163,16 @@ func TestRetireStopsRedial(t *testing.T) {
 	}
 }
 
-// TestMembershipEpochCarried: the handshake carries the configured
-// membership epoch and SetMembershipEpoch updates what future handshakes
-// send (observed via the accessor; the wire encoding is pinned by the
-// hello round-trip tests).
+// TestMembershipEpochCarried: SetMembershipEpoch updates the epoch future
+// handshakes send (observed on the field the hellos read; the wire encoding
+// is pinned by the hello round-trip tests).
 func TestMembershipEpochCarried(t *testing.T) {
 	var e atomic.Uint64
 	e.Store(3)
 	tr := &Transport{}
 	tr.memEpoch.Store(3)
-	if tr.MembershipEpoch() != 3 {
-		t.Fatal("initial epoch lost")
-	}
 	tr.SetMembershipEpoch(e.Load() + 1)
-	if tr.MembershipEpoch() != 4 {
+	if tr.memEpoch.Load() != 4 {
 		t.Fatal("SetMembershipEpoch not visible")
 	}
 }

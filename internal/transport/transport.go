@@ -266,21 +266,9 @@ func Dial(cfg Config, handler Handler) (*Transport, error) {
 	return t, nil
 }
 
-// Index returns this process's index.
-func (t *Transport) Index() int { return t.cfg.Index }
-
-// Procs returns the cluster's process count.
-func (t *Transport) Procs() int { return len(t.cfg.Addrs) }
-
-// MaxFrame returns the configured frame size bound.
-func (t *Transport) MaxFrame() int { return t.cfg.MaxFrame }
-
 // SetMembershipEpoch updates the membership view version carried in any
 // future handshake (reconnects and accepted joins).
 func (t *Transport) SetMembershipEpoch(e uint64) { t.memEpoch.Store(e) }
-
-// MembershipEpoch returns the current membership view version.
-func (t *Transport) MembershipEpoch() uint64 { return t.memEpoch.Load() }
 
 // Retire removes a peer from the mesh for good: its session is torn down,
 // reconnect attempts stop (no DialTimeout panic for a declared-dead peer),
@@ -322,17 +310,6 @@ func (t *Transport) Retire(i int) {
 	if !already {
 		t.logf("transport: process %d: retired peer %d", t.cfg.Index, i)
 	}
-}
-
-// Retired reports whether peer i has been retired.
-func (t *Transport) Retired(i int) bool {
-	p := t.peers[i]
-	if p == nil {
-		return false
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.retired
 }
 
 // Joined reports whether a session with peer i was ever installed. An absent

@@ -9,7 +9,8 @@
 #                       dependency-free module, but catches stdlib CVEs)
 #   5. megalint         the project's own invariant analyzers
 #                       (internal/lint: hotalloc, envref, atomicfield,
-#                       sendunderlock, pointstamp — see DESIGN.md)
+#                       sendunderlock, pointstamp, and the whole-program
+#                       unreached check — see DESIGN.md)
 #
 # Tools that are not on PATH are skipped with a notice rather than failing:
 # the module has no dependencies, so the two optional tools cannot be
