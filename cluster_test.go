@@ -127,7 +127,7 @@ func testClusterKeycount(t *testing.T, procs, wpp int) {
 
 	// Single-process reference with the same total worker count.
 	var ref collector
-	refCodec := &tagCount{Codec: core.TransferBinary}
+	refCodec := &binCount{Codec: core.TransferBinary}
 	refCfg := base
 	refCfg.Workers = total
 	refCfg.Transfer = refCodec
@@ -139,12 +139,12 @@ func testClusterKeycount(t *testing.T, procs, wpp int) {
 	if refRes.Records == 0 || len(refRes.MigrationSpans) != 2 {
 		t.Fatalf("reference run degenerate: %d records, %d migrations", refRes.Records, len(refRes.MigrationSpans))
 	}
-	if n := refCodec.binary.Load() + refCodec.gob.Load(); n != 0 {
+	if n := refCodec.bins.Load(); n != 0 {
 		t.Errorf("single-process run encoded %d bins; every move there is in-process", n)
 	}
 
 	specs := localClusterSpecs(t, procs)
-	codec := &tagCount{Codec: core.TransferBinary}
+	codec := &binCount{Codec: core.TransferBinary}
 	var clu collector
 	var wg sync.WaitGroup
 	var mu sync.Mutex
@@ -177,7 +177,7 @@ func testClusterKeycount(t *testing.T, procs, wpp int) {
 	if clusterRecords != refRes.Records {
 		t.Fatalf("cluster injected %d records, single-process %d", clusterRecords, refRes.Records)
 	}
-	if got := codec.binary.Load() + codec.gob.Load(); got != cross {
+	if got := codec.bins.Load(); got != cross {
 		t.Errorf("cluster encoded %d bins, want one per cross-process move: %d (every process completed %d of 2 migrations)",
 			got, cross, finished)
 	}
@@ -187,29 +187,20 @@ func testClusterKeycount(t *testing.T, procs, wpp int) {
 	}
 }
 
-// fbCount is a per-key count the binary format has no encoding for (neither
-// a scalar nor a BinaryRec), so bins of MapState[uint64, fbCount] take the
-// gob fallback.
-type fbCount struct{ N uint64 }
-
-// tagCount wraps the state codec and counts the bins it encodes in each
-// payload format, and records the largest encoding and their total.
-type tagCount struct {
+// binCount wraps the state codec and counts the bins it encodes, and
+// records the largest encoding and their total.
+type binCount struct {
 	core.Codec
-	gob, binary atomic.Int64
+	bins atomic.Int64
 
 	mu             sync.Mutex
 	largest, total int
 }
 
-func (c *tagCount) EncodeBin(bin core.Migratable, buf []byte) ([]byte, error) {
+func (c *binCount) EncodeBin(bin core.Migratable, buf []byte) ([]byte, error) {
 	p, err := c.Codec.EncodeBin(bin, buf)
 	if err == nil && len(p) > len(buf) {
-		if p[len(buf)] == 0x00 {
-			c.gob.Add(1)
-		} else {
-			c.binary.Add(1)
-		}
+		c.bins.Add(1)
 		c.mu.Lock()
 		c.largest = max(c.largest, len(p)-len(buf))
 		c.total += len(p) - len(buf)
@@ -291,25 +282,20 @@ func runCount[W any](spec *dataflow.ClusterSpec, codec core.Codec, migrate bool,
 }
 
 // TestClusterFallbackStateMigration keeps the codec covered where it runs on
-// a migration — across processes — for both payload formats: on a two-mesh
-// loopback cluster, worker 1's bins migrate to process 0 and back, and the
-// output multiset equals that of an unmigrated single-process run. An int64
-// count ships in the binary format; fbCount, which has no binary encoding,
-// in the gob fallback (no benchmark workload's state takes it).
+// a migration — across processes — for MapState, the state of
+// StateMachine: on a two-mesh loopback cluster, worker 1's bins migrate to
+// process 0 and back, and the output multiset equals that of an unmigrated
+// single-process run.
 func TestClusterFallbackStateMigration(t *testing.T) {
-	t.Run("binary", func(t *testing.T) {
-		testCrossProcessMigration(t, func(st *int64, v int64) uint64 { *st += v; return uint64(*st) }, 0x01)
-	})
-	t.Run("fallback", func(t *testing.T) {
-		testCrossProcessMigration(t, func(st *fbCount, v int64) uint64 { st.N += uint64(v); return st.N }, 0x00)
-	})
+	t.Run("binary", testCrossProcessMigration)
 }
 
-// testCrossProcessMigration runs runCount over state W unmigrated in one
-// process and migrating on two meshes, and checks the outputs match and that
-// each of the 8 cross-process moves (4 bins out, 4 back) encoded exactly one
-// bin, in the format tag names.
-func testCrossProcessMigration[W any](t *testing.T, add func(st *W, v int64) uint64, tag byte) {
+// testCrossProcessMigration runs runCount over an int64 count unmigrated in
+// one process and migrating on two meshes, and checks the outputs match and
+// that each of the 8 cross-process moves (4 bins out, 4 back) encoded
+// exactly one bin.
+func testCrossProcessMigration(t *testing.T) {
+	add := func(st *int64, v int64) uint64 { *st += v; return uint64(*st) }
 	var ref collector
 	if err := runCount(nil, nil, false, ref.add, add); err != nil {
 		t.Fatal(err)
@@ -319,7 +305,7 @@ func testCrossProcessMigration[W any](t *testing.T, add func(st *W, v int64) uin
 	}
 
 	specs := localClusterSpecs(t, 2)
-	codec := &tagCount{Codec: core.TransferBinary}
+	codec := &binCount{Codec: core.TransferBinary}
 	var clu collector
 	var wg sync.WaitGroup
 	errs := make([]error, 2)
@@ -336,12 +322,8 @@ func testCrossProcessMigration[W any](t *testing.T, add func(st *W, v int64) uin
 			t.Fatalf("process %d: %v", p, err)
 		}
 	}
-	inTag, other := codec.binary.Load(), codec.gob.Load()
-	if tag == 0x00 {
-		inTag, other = other, inTag
-	}
-	if inTag != 8 || other != 0 {
-		t.Errorf("migrated bins: %d tagged %#x, %d in the other format; want 8 and 0", inTag, tag, other)
+	if n := codec.bins.Load(); n != 8 {
+		t.Errorf("encoded %d migrated bins; want 8", n)
 	}
 	if got, want := clu.canonical(), ref.canonical(); got != want {
 		t.Fatalf("migrated cluster output differs from the unmigrated run (cluster %d lines, reference %d)",
@@ -392,12 +374,22 @@ func (c *epochCollector) canonical() string {
 	return strings.Join(out, "\n")
 }
 
+// TestClusterNexmarkQ4Equivalence runs q4 on a 3-process cluster under a
+// migration plan, in both implementations: its keyed averaging exchanges
+// KV records across processes, through the megaphone operator's routed
+// envelope or the native state machine's exchange.
 func TestClusterNexmarkQ4Equivalence(t *testing.T) {
+	for _, impl := range []nexmark.Impl{nexmark.Megaphone, nexmark.Native} {
+		t.Run(impl.String(), func(t *testing.T) { testClusterNexmarkQ4(t, impl) })
+	}
+}
+
+func testClusterNexmarkQ4(t *testing.T, impl nexmark.Impl) {
 	const procs, wpp = 3, 1
 	base := nexmark.RunConfig{
 		Query: "q4",
 		Params: nexmark.Params{
-			Impl:    nexmark.Megaphone,
+			Impl:    impl,
 			LogBins: 4,
 		},
 		Gen:        nexmark.GenConfig{ActiveAuctions: 100, ActivePeople: 100, AuctionEpochs: 30},

@@ -6,55 +6,68 @@ import (
 	"megaphone/internal/binenc"
 )
 
-// This file gives the generic container types of the package — MapState and
-// Either — implementations of the BinaryState/BinaryRec contracts, so that
-// operators built from them (StateMachine word counts, Binary joins) ride
-// the binary payload format without per-workload code. Support depends
-// on the type parameters: scalar keys/values are encoded inline, struct
-// values delegate to their own BinaryRec implementation, and anything else
-// reports incapable via BinaryCapable, which makes the bin fall back to gob.
+// This file holds the one record contract of the package — which record
+// types can cross a process boundary, and their encoding — and gives the
+// generic container types MapState, Either and KV implementations of the
+// BinaryState/BinaryRec contracts, so that operators built from them
+// (StateMachine word counts, Binary joins, keyed exchanges) ride the binary
+// format without per-workload code. Support depends on the type parameters:
+// scalars are encoded inline, struct types delegate to their own BinaryRec
+// implementation, and any other instantiation reports incapable via
+// BinaryCapable, which keeps it from leaving its process (see Operator and
+// dataflow.Connect).
 
-// scalarCapable reports whether v's dynamic type has an inline encoding.
-func scalarCapable(v any) bool {
-	switch v.(type) {
-	case uint64, int64, int, uint32, int32, uint, string, bool, Time, [2]uint64:
+// wireRecCapable reports whether records of type R can cross a process
+// boundary: either *R implements a capable BinaryRec, or R is one of the
+// scalars appendWireRec encodes inline.
+func wireRecCapable[R any]() bool {
+	var z R
+	switch p := any(&z).(type) {
+	case BinaryRec:
+		return capable(p)
+	case *uint64, *int64, *int, *uint32, *int32, *uint, *string, *bool, *Time, *[2]uint64:
 		return true
 	}
 	return false
 }
 
-// appendScalar appends the inline encoding of a supported scalar. It must
-// only be called for types scalarCapable accepts.
-func appendScalar(buf []byte, v any) []byte {
-	switch x := v.(type) {
-	case uint64:
-		return binenc.AppendUvarint(buf, x)
-	case int64:
-		return binenc.AppendVarint(buf, x)
-	case int:
-		return binenc.AppendVarint(buf, int64(x))
-	case uint32:
-		return binenc.AppendUvarint(buf, uint64(x))
-	case int32:
-		return binenc.AppendVarint(buf, int64(x))
-	case uint:
-		return binenc.AppendUvarint(buf, uint64(x))
-	case string:
-		return binenc.AppendString(buf, x)
-	case bool:
-		return binenc.AppendBool(buf, x)
-	case Time:
-		return binenc.AppendUvarint(buf, uint64(x))
-	case [2]uint64:
-		buf = binenc.AppendU64(buf, x[0])
-		return binenc.AppendU64(buf, x[1])
+// appendWireRec appends one record through its BinaryRec implementation or
+// the scalar fast path (ptr is *R; converting a pointer to an interface
+// does not allocate, which keeps the exchange encode path clean).
+func appendWireRec(ptr any, buf []byte) []byte {
+	switch p := ptr.(type) {
+	case BinaryRec:
+		return p.AppendBinaryRec(buf)
+	case *uint64:
+		return binenc.AppendUvarint(buf, *p)
+	case *int64:
+		return binenc.AppendVarint(buf, *p)
+	case *int:
+		return binenc.AppendVarint(buf, int64(*p))
+	case *uint32:
+		return binenc.AppendUvarint(buf, uint64(*p))
+	case *int32:
+		return binenc.AppendVarint(buf, int64(*p))
+	case *uint:
+		return binenc.AppendUvarint(buf, uint64(*p))
+	case *string:
+		return binenc.AppendString(buf, *p)
+	case *bool:
+		return binenc.AppendBool(buf, *p)
+	case *Time:
+		return binenc.AppendUvarint(buf, uint64(*p))
+	case *[2]uint64:
+		buf = binenc.AppendU64(buf, p[0])
+		return binenc.AppendU64(buf, p[1])
 	}
-	panic(fmt.Sprintf("megaphone: appendScalar on unsupported type %T", v))
+	panic(fmt.Sprintf("megaphone: record type %T cannot cross a process boundary", ptr))
 }
 
-// decodeScalar fills *ptr from the front of data for a supported scalar.
-func decodeScalar(ptr any, data []byte) ([]byte, error) {
+// decodeWireRec fills *ptr from the front of data, mirroring appendWireRec.
+func decodeWireRec(ptr any, data []byte) ([]byte, error) {
 	switch p := ptr.(type) {
+	case BinaryRec:
+		return p.DecodeBinaryRec(data)
 	case *uint64:
 		x, rest, err := binenc.Uvarint(data)
 		*p = x
@@ -100,64 +113,18 @@ func decodeScalar(ptr any, data []byte) ([]byte, error) {
 		p[0], p[1] = x0, x1
 		return rest, err
 	}
-	return nil, fmt.Errorf("megaphone: decodeScalar on unsupported type %T", ptr)
-}
-
-// valueCapable reports whether *ptr (pointing at a map value) can encode:
-// either a supported scalar or a capable BinaryRec.
-func valueCapable(ptr any, v any) bool {
-	if scalarCapable(v) {
-		return true
-	}
-	br, ok := ptr.(BinaryRec)
-	return ok && capable(br)
-}
-
-// appendValue appends a map value: scalar inline, BinaryRec by delegation.
-func appendValue(buf []byte, ptr any, v any) []byte {
-	if scalarCapable(v) {
-		return appendScalar(buf, v)
-	}
-	return ptr.(BinaryRec).AppendBinaryRec(buf)
-}
-
-// decodeValue fills *ptr from the front of data.
-func decodeValue(ptr any, data []byte) ([]byte, error) {
-	if scalarOf(ptr) {
-		return decodeScalar(ptr, data)
-	}
-	if br, ok := ptr.(BinaryRec); ok {
-		return br.DecodeBinaryRec(data)
-	}
-	return nil, fmt.Errorf("megaphone: decodeValue on unsupported type %T", ptr)
-}
-
-// scalarOf reports whether ptr points at a supported scalar type.
-func scalarOf(ptr any) bool {
-	switch ptr.(type) {
-	case *uint64, *int64, *int, *uint32, *int32, *uint, *string, *bool, *Time, *[2]uint64:
-		return true
-	}
-	return false
+	return nil, fmt.Errorf("megaphone: record type %T cannot cross a process boundary", ptr)
 }
 
 // --- MapState ---
 
 // BinaryCapable reports whether this MapState instantiation can use the
-// binary codec: scalar keys and scalar-or-BinaryRec values.
-func (m *MapState[K, W]) BinaryCapable() bool {
-	var k K
-	if !scalarCapable(k) {
-		return false
-	}
-	var w W
-	return valueCapable(&w, w)
-}
+// binary codec: keys and values that can cross a process (wireRecCapable).
+func (m *MapState[K, W]) BinaryCapable() bool { return wireRecCapable[K]() && wireRecCapable[W]() }
 
-// AppendBinaryState implements BinaryState for scalar-keyed maps. The
-// common instantiations are encoded through concrete-typed loops; other
-// capable instantiations go through the generic per-entry path, which
-// boxes each key and value.
+// AppendBinaryState implements BinaryState. The common instantiations are
+// encoded through concrete-typed loops; other capable instantiations go
+// through the record contract entry by entry.
 func (m *MapState[K, W]) AppendBinaryState(buf []byte) []byte {
 	buf = binenc.AppendUvarint(buf, uint64(len(m.M)))
 	switch mm := any(m.M).(type) {
@@ -178,9 +145,11 @@ func (m *MapState[K, W]) AppendBinaryState(buf []byte) []byte {
 			buf = binenc.AppendU64(buf, v[1])
 		}
 	default:
-		for k, w := range m.M {
-			buf = appendScalar(buf, k)
-			buf = appendValue(buf, &w, w)
+		var k K
+		var w W
+		for k, w = range m.M {
+			buf = appendWireRec(&k, buf)
+			buf = appendWireRec(&w, buf)
 		}
 	}
 	return buf
@@ -235,11 +204,11 @@ func (m *MapState[K, W]) DecodeBinaryState(data []byte) ([]byte, error) {
 	default:
 		for i := uint64(0); i < n; i++ {
 			var k K
-			if data, err = decodeScalar(&k, data); err != nil {
+			if data, err = decodeWireRec(&k, data); err != nil {
 				return nil, err
 			}
 			var w W
-			if data, err = decodeValue(&w, data); err != nil {
+			if data, err = decodeWireRec(&w, data); err != nil {
 				return nil, err
 			}
 			m.M[k] = w
@@ -284,4 +253,24 @@ func (e *Either[A, B]) DecodeBinaryRec(data []byte) ([]byte, error) {
 		return any(&e.Right).(BinaryRec).DecodeBinaryRec(data)
 	}
 	return any(&e.Left).(BinaryRec).DecodeBinaryRec(data)
+}
+
+// --- KV ---
+
+// BinaryCapable reports whether both fields of this KV instantiation can
+// cross a process (wireRecCapable).
+func (r *KV[K, V]) BinaryCapable() bool { return wireRecCapable[K]() && wireRecCapable[V]() }
+
+// AppendBinaryRec implements BinaryRec: the key, then the value.
+func (r *KV[K, V]) AppendBinaryRec(buf []byte) []byte {
+	return appendWireRec(&r.Val, appendWireRec(&r.Key, buf))
+}
+
+// DecodeBinaryRec implements BinaryRec.
+func (r *KV[K, V]) DecodeBinaryRec(data []byte) ([]byte, error) {
+	data, err := decodeWireRec(&r.Key, data)
+	if err != nil {
+		return nil, err
+	}
+	return decodeWireRec(&r.Val, data)
 }

@@ -454,8 +454,10 @@ func LoadRestore(dir, op string, epoch Time, peers, first, n int, codec string) 
 }
 
 // loadBins reads one worker's data file, verifying record digests against
-// both the in-file digests and the manifest, and reassembles the payloads
-// of bins split over several records.
+// both the in-file digests and the manifest, reassembles the payloads of
+// bins split over several records, and checks each payload's format tag:
+// checkpoints of earlier builds may hold bins in the retired gob format,
+// under the same codec name.
 func loadBins(dir, op string, epoch Time, worker int, m *Manifest, r *Restore) error {
 	want := make(map[int]*BinManifest, len(m.Bins))
 	for i := range m.Bins {
@@ -524,6 +526,9 @@ func loadBins(dir, op string, epoch Time, worker int, m *Manifest, r *Restore) e
 			return fmt.Errorf("megaphone: checkpoint data for worker %d: %w", worker, err)
 		}
 		if done {
+			if len(payload) == 0 || payload[0] != binFormatBinary {
+				return fmt.Errorf("megaphone: checkpoint of operator %q: bin %d is not in the binary format; the gob format of earlier builds no longer loads", op, msg.Bin)
+			}
 			r.Bins[msg.Bin] = append([]byte(nil), payload...)
 		}
 	}

@@ -224,8 +224,8 @@ func TestShrunkRosterCheckpoint(t *testing.T) {
 }
 
 // TestLoadRestoreDetectsCorruption: flipped payload bytes fail the record
-// digest check, and a truncated data file fails the completeness check, in
-// both record layouts.
+// digest check, a truncated data file fails the completeness check, and a
+// bin in the retired gob format is refused by name, in both record layouts.
 func TestLoadRestoreDetectsCorruption(t *testing.T) {
 	t.Run("record-per-bin", func(t *testing.T) { testLoadRestoreDetectsCorruption(t, 0) })
 	t.Run("split-bins", func(t *testing.T) { testLoadRestoreDetectsCorruption(t, 128) })
@@ -266,5 +266,33 @@ func testLoadRestoreDetectsCorruption(t *testing.T, chunkBytes int) {
 	if _, err := LoadRestore(dir, "test-op", 7, 1, 0, 1, "gob"); err == nil ||
 		!strings.Contains(err.Error(), "codec") {
 		t.Fatalf("codec mismatch not detected: %v", err)
+	}
+
+	// Earlier builds wrote some bins in gob, tagged 0x00, under the same
+	// codec name; loading one is an error naming the operator and the bin,
+	// never a decode that panics the worker.
+	w, err := NewCheckpointWriter(dir, "test-op", 8, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gobBin := append([]byte{0x00}, make([]byte, 300)...)
+	if chunkBytes > 0 {
+		err = writeChunkedBin(w, 1, gobBin, chunkBytes)
+	} else {
+		err = w.WriteBin(1, gobBin)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Finish(1, 1, TransferBinary.Name(), assignment, nil); err != nil {
+		t.Fatal(err)
+	}
+	_, err = LoadRestore(dir, "test-op", 8, 1, 0, 1, TransferBinary.Name())
+	_, err2 := LoadCheckpointBins(dir, "test-op", 8, 1, []int{1}, TransferBinary.Name())
+	for _, err := range []error{err, err2} {
+		if err == nil || !strings.Contains(err.Error(), `"test-op"`) || !strings.Contains(err.Error(), "bin 1") ||
+			!strings.Contains(err.Error(), "gob") {
+			t.Fatalf("gob-format bin not refused by name: %v", err)
+		}
 	}
 }

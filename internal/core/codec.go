@@ -1,8 +1,6 @@
 package core
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 
 	"megaphone/internal/binenc"
@@ -59,10 +57,12 @@ type Migratable interface {
 }
 
 // BinaryState is the contract a workload's per-bin state type implements
-// (on its pointer receiver) to be shipped in the binary format instead of
-// through the gob fallback. Implementations encode with the internal/binenc
-// helpers; see keycount.HashState or nexmark's query states for worked
-// examples.
+// (on its pointer receiver) so its bins can leave their process: migrate to
+// a worker of another process, or land in a checkpoint. It is the only
+// serialization of bin state; Operator refuses, at build, a state type
+// without it in a mesh or with checkpointing configured. Implementations
+// encode with the internal/binenc helpers; see keycount.HashState or
+// nexmark's query states for worked examples.
 type BinaryState interface {
 	// AppendBinaryState appends the state's encoding to buf.
 	AppendBinaryState(buf []byte) []byte
@@ -71,10 +71,12 @@ type BinaryState interface {
 	DecodeBinaryState(data []byte) ([]byte, error)
 }
 
-// BinaryRec is the same contract for a workload's record type R, required
-// only when bins can carry pending post-dated records at migration time
-// (operators that use the Notificator). Implement it on the pointer
-// receiver so DecodeBinaryRec can fill the record in place.
+// BinaryRec is the same contract for a record type: what lets records cross
+// a process boundary on an exchange edge, and lets a bin that leaves its
+// process carry pending post-dated records (operators that use the
+// Notificator). Implement it on the pointer receiver so DecodeBinaryRec can
+// fill the record in place. The scalars wireRecCapable lists need no
+// implementation.
 type BinaryRec interface {
 	// AppendBinaryRec appends the record's encoding to buf.
 	AppendBinaryRec(buf []byte) []byte
@@ -84,7 +86,7 @@ type BinaryRec interface {
 }
 
 // binaryCapable is an optional refinement of BinaryState/BinaryRec for
-// generic types (MapState, Either) whose support depends on their type
+// generic types (MapState, Either, KV) whose support depends on their type
 // parameters: the interface methods exist at every instantiation, but only
 // some instantiations can actually encode.
 type binaryCapable interface{ BinaryCapable() bool }
@@ -98,110 +100,61 @@ func capable(v any) bool {
 	return true
 }
 
-// recBinaryCapable reports whether *R satisfies BinaryRec and is capable.
-func recBinaryCapable[R any]() bool {
-	var r R
-	br, ok := any(&r).(BinaryRec)
-	return ok && capable(br)
+// stateCapable reports whether *S implements a capable BinaryState.
+func stateCapable[S any]() bool {
+	bs, ok := any(new(S)).(BinaryState)
+	return ok && capable(bs)
 }
 
 // --- Migratable implementation on BinState ---
 
-// Payload format tags: the first byte of every payload records which
-// encoding produced the rest, so a bin whose types lack BinaryState support
-// falls back to gob without ambiguity.
-const (
-	binFormatGob    = 0x00
-	binFormatBinary = 0x01
-)
+// binFormatBinary is the first byte of every bin payload. It is the only
+// format: 0x00 tagged the gob encoding of earlier builds, which no longer
+// decodes (see loadBins).
+const binFormatBinary = 0x01
 
-// AppendPayload implements Migratable: the hand-rolled varint/fixed-width
-// encoding defined by the BinaryState and BinaryRec contracts when the bin's
-// types support it, encoding/gob otherwise. The choice is made per bin from
-// the types (and from whether pending records exist), never by the caller.
+// AppendPayload implements Migratable: the format tag, the state's
+// BinaryState encoding, then the pending records (count, then time/record
+// pairs in heap order). A state type without a capable BinaryState, or
+// pending records of a type that cannot cross a process (see
+// wireRecCapable), is an error.
 func (b *BinState[R, S]) AppendPayload(buf []byte) ([]byte, error) {
-	if out, ok := b.appendBinary(append(buf, binFormatBinary)); ok {
-		return out, nil
+	bs, ok := any(b.State).(BinaryState)
+	if !ok || !capable(bs) {
+		return nil, fmt.Errorf("megaphone: bin state %T has no binary encoding", b.State)
 	}
-	return b.appendGob(append(buf, binFormatGob))
+	if len(b.Pending) > 0 && !wireRecCapable[R]() {
+		return nil, fmt.Errorf("megaphone: pending record type %T has no binary encoding", b.Pending[0].Rec)
+	}
+	buf = bs.AppendBinaryState(append(buf, binFormatBinary))
+	buf = binenc.AppendUvarint(buf, uint64(len(b.Pending)))
+	for i := range b.Pending {
+		buf = binenc.AppendUvarint(buf, uint64(b.Pending[i].Time))
+		buf = appendWireRec(&b.Pending[i].Rec, buf)
+	}
+	return buf, nil
 }
 
-// DecodePayload implements Migratable.
+// DecodePayload implements Migratable: it replaces the bin's contents from
+// an AppendPayload payload, which must be consumed exactly. The pending
+// records are appended in the order they were encoded, which is the
+// sender's heap order — a valid heap layout, so heap operations resume
+// without re-heapifying.
 func (b *BinState[R, S]) DecodePayload(data []byte) error {
 	if len(data) == 0 {
 		return fmt.Errorf("megaphone: empty bin payload")
 	}
+	if data[0] != binFormatBinary {
+		return fmt.Errorf("megaphone: bin payload format tag %#x, want %#x", data[0], binFormatBinary)
+	}
 	if b.State == nil {
 		b.State = new(S)
 	}
-	switch data[0] {
-	case binFormatBinary:
-		return b.decodeBinary(data[1:])
-	case binFormatGob:
-		return b.decodeGob(data[1:])
-	default:
-		return fmt.Errorf("megaphone: unknown bin payload format tag %#x", data[0])
-	}
-}
-
-// appendGob appends the gob serialization of the bin: state, then pending.
-func (b *BinState[R, S]) appendGob(buf []byte) ([]byte, error) {
-	w := bytes.NewBuffer(buf)
-	enc := gob.NewEncoder(w)
-	if err := enc.Encode(b.State); err != nil {
-		return nil, fmt.Errorf("megaphone: encoding bin state: %w", err)
-	}
-	if err := enc.Encode(b.Pending); err != nil {
-		return nil, fmt.Errorf("megaphone: encoding pending records: %w", err)
-	}
-	return w.Bytes(), nil
-}
-
-// decodeGob replaces the bin's contents from an appendGob payload.
-func (b *BinState[R, S]) decodeGob(data []byte) error {
-	dec := gob.NewDecoder(bytes.NewReader(data))
-	if err := dec.Decode(b.State); err != nil {
-		return fmt.Errorf("megaphone: decoding bin state: %w", err)
-	}
-	b.Pending = nil
-	if err := dec.Decode(&b.Pending); err != nil {
-		return fmt.Errorf("megaphone: decoding pending records: %w", err)
-	}
-	return nil
-}
-
-// appendBinary appends the hand-rolled serialization of the bin: the
-// state's BinaryState encoding, then the pending records (count, then
-// time/record pairs in heap order). ok is false when S does not implement
-// BinaryState, or when pending records exist and R does not implement
-// BinaryRec.
-func (b *BinState[R, S]) appendBinary(buf []byte) ([]byte, bool) {
 	bs, ok := any(b.State).(BinaryState)
 	if !ok || !capable(bs) {
-		return buf, false
+		return fmt.Errorf("megaphone: bin state %T has no binary encoding", b.State)
 	}
-	if len(b.Pending) > 0 && !recBinaryCapable[R]() {
-		return buf, false
-	}
-	buf = bs.AppendBinaryState(buf)
-	buf = binenc.AppendUvarint(buf, uint64(len(b.Pending)))
-	for i := range b.Pending {
-		buf = binenc.AppendUvarint(buf, uint64(b.Pending[i].Time))
-		buf = any(&b.Pending[i].Rec).(BinaryRec).AppendBinaryRec(buf)
-	}
-	return buf, true
-}
-
-// decodeBinary replaces the bin's contents from an appendBinary payload,
-// which must be consumed exactly. The pending records are appended in the
-// order they were encoded, which is the sender's heap order — a valid heap
-// layout, so heap operations resume without re-heapifying.
-func (b *BinState[R, S]) decodeBinary(data []byte) error {
-	bs, ok := any(b.State).(BinaryState)
-	if !ok || !capable(bs) {
-		return fmt.Errorf("megaphone: binary payload for a bin type without BinaryState support")
-	}
-	data, err := bs.DecodeBinaryState(data)
+	data, err := bs.DecodeBinaryState(data[1:])
 	if err != nil {
 		return fmt.Errorf("megaphone: decoding bin state: %w", err)
 	}
@@ -209,8 +162,8 @@ func (b *BinState[R, S]) decodeBinary(data []byte) error {
 	if err != nil {
 		return fmt.Errorf("megaphone: decoding pending count: %w", err)
 	}
-	if n > 0 && !recBinaryCapable[R]() {
-		return fmt.Errorf("megaphone: binary payload with pending records for a record type without BinaryRec support")
+	if n > 0 && !wireRecCapable[R]() {
+		return fmt.Errorf("megaphone: pending records of type %T, which has no binary encoding", *new(R))
 	}
 	b.Pending = nil
 	if n > 0 {
@@ -223,7 +176,7 @@ func (b *BinState[R, S]) decodeBinary(data []byte) error {
 			return fmt.Errorf("megaphone: decoding pending time: %w", err)
 		}
 		b.Pending[i].Time = Time(t)
-		data, err = any(&b.Pending[i].Rec).(BinaryRec).DecodeBinaryRec(data)
+		data, err = decodeWireRec(&b.Pending[i].Rec, data)
 		if err != nil {
 			return fmt.Errorf("megaphone: decoding pending record: %w", err)
 		}

@@ -9,11 +9,8 @@ import (
 	"megaphone/internal/core"
 )
 
-// Payload format tags (the first byte of every bin payload).
-const (
-	tagGob    = 0x00
-	tagBinary = 0x01
-)
+// tagBinary is the first byte of every bin payload.
+const tagBinary = 0x01
 
 // roundTrip encodes bin and decodes it into a fresh bin whose state was
 // produced by newState, returning the payload's format tag and the
@@ -31,11 +28,6 @@ func roundTrip[R, S any](t *testing.T, bin *core.BinState[R, S], newState func()
 	return payload[0], got
 }
 
-// tally is a per-key count the binary format has no encoding for (neither a
-// scalar nor a BinaryRec), so bins of MapState[uint64, tally] ship through
-// the gob fallback.
-type tally struct{ N int64 }
-
 // TestMapStateRoundTrip: random MapState bins reconstruct identical state in
 // the binary format, including empty and large maps.
 func TestMapStateRoundTrip(t *testing.T) {
@@ -52,7 +44,7 @@ func TestMapStateRoundTrip(t *testing.T) {
 			return &core.MapState[uint64, int64]{M: make(map[uint64]int64)}
 		})
 		if tag != tagBinary {
-			t.Fatalf("size=%d: capable MapState bin fell back (tag %#x)", size, tag)
+			t.Fatalf("size=%d: payload format %#x", size, tag)
 		}
 		if !reflect.DeepEqual(got.State, bin.State) {
 			t.Fatalf("size=%d: state mismatch", size)
@@ -60,33 +52,9 @@ func TestMapStateRoundTrip(t *testing.T) {
 	}
 }
 
-// TestFallbackChosenFromType: a state type with no BinaryState
-// implementation, and a MapState instantiation that reports incapable, must
-// round-trip through the per-bin gob fallback, transparently.
-func TestFallbackChosenFromType(t *testing.T) {
-	type opaque struct{ X, Y int }
-	ob := &core.BinState[uint64, opaque]{State: &opaque{X: 7, Y: -9}}
-	tag, got := roundTrip(t, ob, func() *opaque { return new(opaque) })
-	if tag != tagGob {
-		t.Fatalf("opaque state did not fall back (tag %#x)", tag)
-	}
-	if *got.State != (opaque{X: 7, Y: -9}) {
-		t.Fatalf("fallback round-trip: %+v", got.State)
-	}
-
-	mb := &core.BinState[core.KV[uint64, int64], core.MapState[uint64, tally]]{
-		State: &core.MapState[uint64, tally]{M: map[uint64]tally{3: {N: 4}}},
-	}
-	tag, gotM := roundTrip(t, mb, func() *core.MapState[uint64, tally] { return new(core.MapState[uint64, tally]) })
-	if tag != tagGob || !reflect.DeepEqual(gotM.State, mb.State) {
-		t.Fatalf("incapable MapState: tag %#x, state %+v", tag, gotM.State)
-	}
-}
-
-// TestPendingHeapOrderPreserved: pending post-dated records keep their heap
-// order through the fallback (KV is no BinaryRec, so pending records force
-// it even under a capable state), so notifications fire in time order on the
-// new owner. TestEitherBinaryRec is the binary-format twin.
+// TestPendingHeapOrderPreserved: pending post-dated KV records keep their
+// heap order through the binary format, so notifications fire in time order
+// on the new owner. TestEitherBinaryRec is the Either twin.
 func TestPendingHeapOrderPreserved(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	bin := &core.BinState[core.KV[uint64, int64], core.MapState[uint64, int64]]{
@@ -99,8 +67,8 @@ func TestPendingHeapOrderPreserved(t *testing.T) {
 	tag, got := roundTrip(t, bin, func() *core.MapState[uint64, int64] {
 		return &core.MapState[uint64, int64]{M: map[uint64]int64{}}
 	})
-	if tag != tagGob {
-		t.Fatalf("pending records without BinaryRec did not fall back (tag %#x)", tag)
+	if tag != tagBinary {
+		t.Fatalf("payload format %#x", tag)
 	}
 	if !reflect.DeepEqual(got.Pending, bin.Pending) {
 		t.Fatal("pending layout changed")
@@ -130,7 +98,7 @@ func (r *testRec) DecodeBinaryRec(data []byte) ([]byte, error) {
 
 // TestEitherBinaryRec: Either pending records round-trip through the
 // binary codec when both sides implement BinaryRec, and Either over
-// non-implementing sides reports incapable (forcing the gob fallback).
+// non-implementing sides reports incapable.
 func TestEitherBinaryRec(t *testing.T) {
 	var incapable core.Either[uint64, uint64]
 	if incapable.BinaryCapable() {
@@ -147,7 +115,7 @@ func TestEitherBinaryRec(t *testing.T) {
 		t.Fatal(err)
 	}
 	if payload[0] != 0x01 {
-		t.Fatalf("capable Either bin fell back to gob (tag %#x)", payload[0])
+		t.Fatalf("capable Either bin: payload format %#x", payload[0])
 	}
 	got := &core.BinState[core.Either[testRec, testRec], core.MapState[uint64, int64]]{
 		State: &core.MapState[uint64, int64]{M: map[uint64]int64{}},

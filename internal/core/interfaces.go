@@ -4,7 +4,9 @@ import (
 	"megaphone/internal/dataflow"
 )
 
-// KV is a keyed record for the state-machine interface.
+// KV is a keyed record: the input of StateMachine, and of the native
+// operators.StateMachine (operators.KV names this type). It implements
+// BinaryRec (see binary.go) for keys and values that can cross a process.
 type KV[K comparable, V any] struct {
 	Key K
 	Val V
@@ -35,8 +37,9 @@ func StateMachine[K comparable, V, W, O any](
 	}, handle)
 }
 
-// MapState is per-bin keyed state: a map from keys to per-key state. It is
-// a named struct (not a bare map) so gob round-trips it as a value.
+// MapState is per-bin keyed state: a map from keys to per-key state. It
+// implements BinaryState (see binary.go) for keys and per-key states that
+// can cross a process.
 type MapState[K comparable, W any] struct {
 	M map[K]W
 }

@@ -79,58 +79,51 @@ func TestBinStatePendingHeap(t *testing.T) {
 	}
 }
 
-// TestCodecRoundTrip: the fallback preserves state and pending records.
+// TestCodecRoundTrip: the binary format preserves state and pending records
+// in heap order, and a bin whose state type, or whose pending records' type,
+// has no binary encoding is an encode error.
 func TestCodecRoundTrip(t *testing.T) {
-	type rec struct {
-		Key uint64
-		Val int64
-	}
-	type state struct {
-		M map[uint64]int64
-	}
-	b := &BinState[rec, state]{State: &state{M: map[uint64]int64{1: 10, 2: -5}}}
-	b.PushPending(7, rec{Key: 1, Val: 2})
-	b.PushPending(3, rec{Key: 9, Val: 4})
+	b := &BinState[KV[uint64, int64], MapState[uint64, int64]]{State: &MapState[uint64, int64]{M: map[uint64]int64{1: 10, 2: -5}}}
+	b.PushPending(7, KV[uint64, int64]{Key: 1, Val: 2})
+	b.PushPending(3, KV[uint64, int64]{Key: 9, Val: 4})
 
 	enc, err := TransferBinary.EncodeBin(b, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if enc[0] != binFormatGob {
-		t.Fatalf("a state type without BinaryState took format %#x", enc[0])
+	if enc[0] != binFormatBinary {
+		t.Fatalf("payload format %#x", enc[0])
 	}
-	got := &BinState[rec, state]{State: new(state)}
+	got := &BinState[KV[uint64, int64], MapState[uint64, int64]]{State: new(MapState[uint64, int64])}
 	if err := TransferBinary.DecodeBin(got, enc); err != nil {
 		t.Fatal(err)
 	}
-	if len(got.State.M) != 2 || got.State.M[1] != 10 || got.State.M[2] != -5 {
-		t.Errorf("state mismatch: %+v", got.State.M)
-	}
-	if len(got.Pending) != 2 {
-		t.Fatalf("pending length %d, want 2", len(got.Pending))
+	if !reflect.DeepEqual(got, b) {
+		t.Errorf("round trip: got %+v, want %+v", got, b)
 	}
 	if head, _ := got.headPending(); head != 3 {
 		t.Errorf("pending head = %v, want 3", head)
 	}
+
+	type opaque struct{ N int }
+	if _, err := TransferBinary.EncodeBin(&BinState[uint64, opaque]{State: &opaque{1}}, nil); err == nil {
+		t.Error("a state type without BinaryState encoded")
+	}
+	ob := &BinState[opaque, MapState[uint64, int64]]{State: new(MapState[uint64, int64])}
+	if _, err := TransferBinary.EncodeBin(ob, nil); err != nil {
+		t.Errorf("no pending records: %v", err)
+	}
+	ob.PushPending(1, opaque{2})
+	if _, err := TransferBinary.EncodeBin(ob, nil); err == nil {
+		t.Error("pending records without a binary encoding encoded")
+	}
 }
 
-// TestCodecEmpty: empty bins round-trip in both payload formats.
+// TestCodecEmpty: an empty bin round-trips.
 func TestCodecEmpty(t *testing.T) {
-	fb := &BinState[uint64, int]{State: new(int)}
-	enc, err := TransferBinary.EncodeBin(fb, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotF := &BinState[uint64, int]{State: new(int)}
-	if err := TransferBinary.DecodeBin(gotF, enc); err != nil {
-		t.Fatal(err)
-	}
-	if enc[0] != binFormatGob || len(gotF.Pending) != 0 || *gotF.State != 0 {
-		t.Errorf("fallback: empty bin round-trip: tag %#x, %+v", enc[0], gotF)
-	}
-
 	bb := &BinState[uint64, MapState[uint64, uint64]]{State: new(MapState[uint64, uint64])}
-	if enc, err = TransferBinary.EncodeBin(bb, nil); err != nil {
+	enc, err := TransferBinary.EncodeBin(bb, nil)
+	if err != nil {
 		t.Fatal(err)
 	}
 	gotB := &BinState[uint64, MapState[uint64, uint64]]{State: new(MapState[uint64, uint64])}
@@ -138,14 +131,14 @@ func TestCodecEmpty(t *testing.T) {
 		t.Fatal(err)
 	}
 	if enc[0] != binFormatBinary || len(gotB.Pending) != 0 || len(gotB.State.M) != 0 {
-		t.Errorf("binary: empty bin round-trip: tag %#x, %+v", enc[0], gotB)
+		t.Errorf("empty bin round-trip: tag %#x, %+v", enc[0], gotB)
 	}
 }
 
 // TestNilTransferIsTheNamedCodec pins "one path": what Config.Transfer == nil
 // means and what CodecByName("binary") returns are the same codec. Each
-// decodes the other's payload to an equal bin, under the same format tag,
-// for a BinaryState type and for a fallback type (map order makes the bytes
+// decodes the other's payload to an equal bin, for a BinaryState type and
+// for a bin with scalar pending records (map order makes the bytes
 // themselves nondeterministic, so the decoded state is what is compared).
 func TestNilTransferIsTheNamedCodec(t *testing.T) {
 	var cfg Config
@@ -154,11 +147,10 @@ func TestNilTransferIsTheNamedCodec(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	type opaque struct{ M map[string]int }
 	capable := &BinState[KV[uint64, int64], MapState[uint64, int64]]{
 		State: &MapState[uint64, int64]{M: map[uint64]int64{1: -1, 2: 20, 3: 300}}}
-	fallback := &BinState[uint64, opaque]{State: &opaque{M: map[string]int{"a": 1, "b": 2}}}
-	fallback.PushPending(9, 4)
+	scalars := &BinState[uint64, MapState[string, int]]{State: &MapState[string, int]{M: map[string]int{"a": 1, "b": 2}}}
+	scalars.PushPending(9, 4)
 
 	for _, pair := range [][2]Codec{{cfg.Transfer, named}, {named, cfg.Transfer}} {
 		enc, dec := pair[0], pair[1]
@@ -173,15 +165,15 @@ func TestNilTransferIsTheNamedCodec(t *testing.T) {
 		if p[0] != binFormatBinary || !reflect.DeepEqual(gotC, capable) {
 			t.Errorf("BinaryState type: tag %#x, got %+v want %+v", p[0], gotC, capable)
 		}
-		if p, err = enc.EncodeBin(fallback, nil); err != nil {
+		if p, err = enc.EncodeBin(scalars, nil); err != nil {
 			t.Fatal(err)
 		}
-		gotF := &BinState[uint64, opaque]{State: new(opaque)}
-		if err := dec.DecodeBin(gotF, p); err != nil {
+		gotS := &BinState[uint64, MapState[string, int]]{State: new(MapState[string, int])}
+		if err := dec.DecodeBin(gotS, p); err != nil {
 			t.Fatal(err)
 		}
-		if p[0] != binFormatGob || !reflect.DeepEqual(gotF, fallback) {
-			t.Errorf("fallback type: tag %#x, got %+v want %+v", p[0], gotF, fallback)
+		if p[0] != binFormatBinary || !reflect.DeepEqual(gotS, scalars) {
+			t.Errorf("scalar pending records: tag %#x, got %+v want %+v", p[0], gotS, scalars)
 		}
 	}
 	if cfg.Transfer.Name() != named.Name() || CodecName(nil) != named.Name() {

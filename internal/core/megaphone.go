@@ -162,6 +162,10 @@ func Operator[R, S, O any](
 	handle *Handle[R, S, O],
 ) dataflow.Stream[O] {
 	cfg.defaults()
+	if (w.InMesh() || cfg.Checkpoint != nil || cfg.Restore != nil) && !stateCapable[S]() {
+		panic(fmt.Sprintf("megaphone: operator %q: state type %T has no binary encoding (a capable BinaryState), so its bins cannot cross processes or be checkpointed",
+			cfg.Name, new(S)))
+	}
 	if handle == nil {
 		handle = &Handle[R, S, O]{}
 	}

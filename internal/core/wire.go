@@ -10,9 +10,8 @@ import (
 
 // This file implements the BinaryRec contract for the record types that
 // cross worker boundaries inside a megaphone operator — the control Move,
-// the routed data envelope, and the migrating bin — so that in a
-// multi-process execution their exchange edges ride the hand-rolled wire
-// encoding instead of gob (see dataflow's wire codecs, which discover these
+// the routed data envelope, and the migrating bin — which is what lets their
+// exchange edges span processes (dataflow's wire codecs discover these
 // methods structurally).
 
 // AppendBinaryRec implements BinaryRec.
@@ -83,57 +82,6 @@ func (m *binMsg[R, S]) DecodeBinaryRec(data []byte) ([]byte, error) {
 	}
 	*m = binMsg[R, S]{Bin: int(bin), To: int(to), payload: append([]byte(nil), data[:n]...)}
 	return data[n:], nil
-}
-
-// wireRecCapable reports whether records of type R can cross a process
-// boundary on the binary path: either *R implements a capable BinaryRec, or
-// R is one of the supported scalars.
-func wireRecCapable[R any]() bool {
-	var z R
-	if br, ok := any(&z).(BinaryRec); ok {
-		return capable(br)
-	}
-	return scalarCapable(z)
-}
-
-// appendWireRec appends one record through its BinaryRec implementation or
-// the scalar fast path (ptr is *R; converting a pointer to an interface
-// does not allocate, which keeps the exchange encode path clean).
-func appendWireRec(ptr any, buf []byte) []byte {
-	switch p := ptr.(type) {
-	case BinaryRec:
-		return p.AppendBinaryRec(buf)
-	case *uint64:
-		return binenc.AppendUvarint(buf, *p)
-	case *int64:
-		return binenc.AppendVarint(buf, *p)
-	case *int:
-		return binenc.AppendVarint(buf, int64(*p))
-	case *uint32:
-		return binenc.AppendUvarint(buf, uint64(*p))
-	case *int32:
-		return binenc.AppendVarint(buf, int64(*p))
-	case *uint:
-		return binenc.AppendUvarint(buf, uint64(*p))
-	case *string:
-		return binenc.AppendString(buf, *p)
-	case *bool:
-		return binenc.AppendBool(buf, *p)
-	case *Time:
-		return binenc.AppendUvarint(buf, uint64(*p))
-	case *[2]uint64:
-		buf = binenc.AppendU64(buf, p[0])
-		return binenc.AppendU64(buf, p[1])
-	}
-	panic(fmt.Sprintf("megaphone: record type %T cannot cross a process boundary", ptr))
-}
-
-// decodeWireRec fills *ptr from the front of data, mirroring appendWireRec.
-func decodeWireRec(ptr any, data []byte) ([]byte, error) {
-	if br, ok := ptr.(BinaryRec); ok {
-		return br.DecodeBinaryRec(data)
-	}
-	return decodeScalar(ptr, data)
 }
 
 // BinaryCapable reports whether this routed instantiation can use the

@@ -7,39 +7,36 @@ import (
 	"megaphone/internal/binenc"
 )
 
-// fbVal has no binary encoding, so a MapState holding it takes the gob
-// fallback.
-type fbVal struct{ N uint64 }
-
 type (
-	binaryBin   = BinState[KV[uint64, uint64], MapState[uint64, uint64]]
-	fallbackBin = BinState[KV[uint64, uint64], MapState[uint64, fbVal]]
+	binaryBin = BinState[KV[uint64, uint64], MapState[uint64, uint64]]
+	scalarBin = BinState[uint64, MapState[string, int64]]
 )
 
-// stateRecords returns the wire records of a binary-format bin and of a
-// gob-fallback bin with a pending record, as the state edge's codec would
-// put them in a batch.
-func stateRecords() (bin, fallback []byte) {
+// stateRecords returns the wire records of a bin and of a bin with scalar
+// state and a scalar pending record, as the state edge's codec would put
+// them in a batch.
+func stateRecords() (bin, scalar []byte) {
 	b := mkBin(4, 40)
-	fb := &fallbackBin{State: &MapState[uint64, fbVal]{M: map[uint64]fbVal{1: {7}, 2: {8}}}}
-	fb.PushPending(12, KV[uint64, uint64]{Key: 3, Val: 9})
+	sb := &scalarBin{State: &MapState[string, int64]{M: map[string]int64{"a": 7, "b": -8}}}
+	sb.PushPending(12, 9)
 	m := binMsg[KV[uint64, uint64], MapState[uint64, uint64]]{Bin: 5, To: 1, State: b, codec: TransferBinary}
-	f := binMsg[KV[uint64, uint64], MapState[uint64, fbVal]]{Bin: 300, To: 2, State: fb, codec: TransferBinary}
-	return m.AppendBinaryRec(nil), f.AppendBinaryRec(nil)
+	s := binMsg[uint64, MapState[string, int64]]{Bin: 300, To: 2, State: sb, codec: TransferBinary}
+	return m.AppendBinaryRec(nil), s.AppendBinaryRec(nil)
 }
 
 // TestStateRecordRoundTrip: a migrating bin's wire record carries the bin
-// number, the destination and the codec's payload in both formats, sits in
-// a batch without consuming its neighbour, and decodes back to the bin.
+// number, the destination and the codec's payload, sits in a batch without
+// consuming its neighbour, and decodes back to the bin, pending scalar
+// records included.
 func TestStateRecordRoundTrip(t *testing.T) {
-	rec, fbRec := stateRecords()
+	rec, sRec := stateRecords()
 
 	var m binMsg[KV[uint64, uint64], MapState[uint64, uint64]]
-	rest, err := m.DecodeBinaryRec(append(append([]byte(nil), rec...), fbRec...))
+	rest, err := m.DecodeBinaryRec(append(append([]byte(nil), rec...), sRec...))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rest) != len(fbRec) || m.Bin != 5 || m.To != 1 || m.State != nil || m.payload[0] != binFormatBinary {
+	if len(rest) != len(sRec) || m.Bin != 5 || m.To != 1 || m.State != nil || m.payload[0] != binFormatBinary {
 		t.Fatalf("binary record decoded to bin %d, to %d, %d bytes left over, payload tag %#x", m.Bin, m.To, len(rest), m.payload[0])
 	}
 	got := &binaryBin{State: &MapState[uint64, uint64]{}}
@@ -50,32 +47,34 @@ func TestStateRecordRoundTrip(t *testing.T) {
 		t.Fatal("binary bin differs after the round trip")
 	}
 
-	var f binMsg[KV[uint64, uint64], MapState[uint64, fbVal]]
-	if rest, err := f.DecodeBinaryRec(fbRec); err != nil || len(rest) != 0 || f.Bin != 300 || f.To != 2 || f.payload[0] != binFormatGob {
-		t.Fatalf("fallback record: bin %d, to %d, %d bytes left over, err %v", f.Bin, f.To, len(rest), err)
+	var s binMsg[uint64, MapState[string, int64]]
+	if rest, err := s.DecodeBinaryRec(sRec); err != nil || len(rest) != 0 || s.Bin != 300 || s.To != 2 || s.payload[0] != binFormatBinary {
+		t.Fatalf("scalar record: bin %d, to %d, %d bytes left over, err %v", s.Bin, s.To, len(rest), err)
 	}
-	gotFB := &fallbackBin{State: &MapState[uint64, fbVal]{}}
-	if err := TransferBinary.DecodeBin(gotFB, f.payload); err != nil {
+	gotS := &scalarBin{State: &MapState[string, int64]{}}
+	if err := TransferBinary.DecodeBin(gotS, s.payload); err != nil {
 		t.Fatal(err)
 	}
-	if gotFB.State.M[2] != (fbVal{8}) || len(gotFB.Pending) != 1 {
-		t.Fatalf("fallback bin differs after the round trip: %+v", gotFB)
+	if gotS.State.M["b"] != -8 || len(gotS.Pending) != 1 || gotS.Pending[0] != (TimedRec[uint64]{Time: 12, Rec: 9}) {
+		t.Fatalf("scalar bin differs after the round trip: %+v", gotS)
 	}
 }
 
 // FuzzStateRecordDecode: the state edge's record decoder parses network
 // input, so any bytes either fail to decode or yield a payload no longer
-// than the input; it never panics.
+// than the input; it never panics. A payload S decodes carries the binary
+// format tag: the retired gob tag 0x00, like any other, is an error.
 func FuzzStateRecordDecode(f *testing.F) {
-	rec, fbRec := stateRecords()
+	rec, sRec := stateRecords()
 	f.Add(rec)
-	f.Add(fbRec)
+	f.Add(sRec)
 	f.Add(rec[:len(rec)/2])
-	f.Add(fbRec[:3])
+	f.Add(sRec[:3])
 	f.Add([]byte{})
 	f.Add(binenc.AppendU32([]byte{1, 1}, 1<<31))                         // length far past the end
 	f.Add(append(binenc.AppendU32([]byte{1, 1}, 5), binFormatBinary, 0)) // length just past the end
 	f.Add([]byte{0xff, 0xff, 0xff})                                      // unterminated bin varint
+	f.Add(append(binenc.AppendU32([]byte{1, 1}, 3), 0x00, 0, 0))         // a gob-tagged bin
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var m binMsg[KV[uint64, uint64], MapState[uint64, uint64]]
 		rest, err := m.DecodeBinaryRec(data)
@@ -86,6 +85,9 @@ func FuzzStateRecordDecode(f *testing.F) {
 			t.Fatalf("decoded a %d-byte payload and %d bytes of rest from %d bytes of input", len(m.payload), len(rest), len(data))
 		}
 		// S decodes what the record carried: that may fail, never panic.
-		_ = TransferBinary.DecodeBin(&binaryBin{State: &MapState[uint64, uint64]{}}, m.payload)
+		err = TransferBinary.DecodeBin(&binaryBin{State: &MapState[uint64, uint64]{}}, m.payload)
+		if err == nil && m.payload[0] != binFormatBinary {
+			t.Fatalf("a payload tagged %#x decoded", m.payload[0])
+		}
 	})
 }

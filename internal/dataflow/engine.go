@@ -528,6 +528,10 @@ func (w *Worker) Index() int { return w.index }
 // Peers returns the number of workers across all processes.
 func (w *Worker) Peers() int { return w.exec.totalWorkers }
 
+// InMesh reports whether the worker's execution spans several processes,
+// so that exchanged records and migrating state may leave the process.
+func (w *Worker) InMesh() bool { return w.exec.mesh != nil }
+
 // poke wakes the worker if it is parked.
 //
 //megalint:hotpath

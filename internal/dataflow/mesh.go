@@ -547,14 +547,13 @@ func (m *Mesh) deliverData(worker int, edge progress.Edge, t Time, payload []byt
 // at the latest, at the end of the scheduling that produced it (so
 // coalescing adds no latency and buffers are always empty between
 // schedulings, which the membership barrier's quiescence check relies on).
+// Every edge that gets here has a codec: Connect refuses, at build, a
+// partitioned edge in a mesh whose records have none.
 //
 //megalint:hotpath
 func (w *Worker) sendRemote(m outMsg) {
 	e := w.exec
 	edge := m.msg.edge
-	if int(edge) >= len(e.edgeCodecs) || e.edgeCodecs[edge].enc == nil {
-		panic(fmt.Sprintf("dataflow: edge %d crosses processes but has no wire codec (connect it with dataflow.Connect)", edge))
-	}
 	rec := e.edgeCodecs[edge].enc(m.msg.data, w.wireBuf.B[:0])
 	w.wireBuf.B = rec
 	w.wireBuf.Note(len(rec))

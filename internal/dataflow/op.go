@@ -97,10 +97,11 @@ func (w *Worker) NewOp(name string, outputs int) *OpBuilder {
 	return &OpBuilder{w: w, name: name, numOut: outputs}
 }
 
-// AddInput connects a stream to the next input port of the operator under
+// addInput connects a stream to the next input port of the operator under
 // construction using the given partitioner (nil = pipeline), returning the
-// input port index.
-func (b *OpBuilder) AddInput(s StreamCore, part Partitioner) int {
+// input port index. Connect is its one caller: it also registers the wire
+// codec a partitioned edge needs in a mesh.
+func (b *OpBuilder) addInput(s StreamCore, part Partitioner) int {
 	if s.w != b.w {
 		panic("dataflow: stream from a different worker")
 	}

@@ -1,5 +1,7 @@
 package dataflow
 
+import "fmt"
+
 // Stream is a typed stream of timestamped batches of T. Batches are
 // immutable once sent: multiple consumers may observe the same underlying
 // slice and must not modify it.
@@ -152,14 +154,21 @@ func (Broadcast[T]) partitioner(w *Worker) Partitioner {
 }
 
 // Connect attaches stream s to the next input of builder b under pact p,
-// returning the input port index. In a multi-process execution Connect also
-// registers the edge's wire codec (derived from T), which is what lets the
-// edge's batches cross process boundaries; edges wired through the untyped
-// AddInput cannot.
+// returning the input port index. In a multi-process execution an edge that
+// partitions (any pact but Pipeline) may carry batches across processes, so
+// Connect registers its wire codec, derived from T, and panics when T has
+// none (see wireCodecFor): the graph is refused at build, not at the first
+// batch that leaves the process.
 func Connect[T any](b *OpBuilder, s Stream[T], p Pact[T]) int {
-	i := b.AddInput(s.core, p.partitioner(b.w))
-	if b.w.exec.mesh != nil {
-		b.codecs[i] = wireCodecFor[T]()
+	part := p.partitioner(b.w)
+	i := b.addInput(s.core, part)
+	if b.w.exec.mesh != nil && part != nil {
+		c := wireCodecFor[T]()
+		if c.enc == nil {
+			panic(fmt.Sprintf("dataflow: operator %q input %d: records of type %T have no binary wire codec (AppendBinaryRec/DecodeBinaryRec on the pointer), so they cannot cross processes",
+				b.name, i, *new(T)))
+		}
+		b.codecs[i] = c
 	}
 	return i
 }

@@ -1,8 +1,6 @@
 package dataflow
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"slices"
 
@@ -22,8 +20,8 @@ type wireCodec struct {
 
 // wireRec is the per-record binary contract, the structural twin of
 // core.BinaryRec (declared here too so the runtime does not import core,
-// which sits above it). Types implementing it on their pointer receiver ride
-// the hand-rolled encoding; everything else falls back to gob.
+// which sits above it). Only types implementing it on their pointer
+// receiver, and uint64, can cross a process boundary.
 type wireRec interface {
 	AppendBinaryRec(buf []byte) []byte
 	DecodeBinaryRec(data []byte) ([]byte, error)
@@ -35,7 +33,8 @@ type wireCapableRec interface{ BinaryCapable() bool }
 
 // wireCodecFor resolves the codec for element type T: per-record binary
 // when *T implements the contract (and is capable), a fixed-width fast path
-// for raw uint64 streams, gob otherwise.
+// for raw uint64 streams. Any other T gets the zero wireCodec: its records
+// cannot cross processes, and Connect refuses to partition them in a mesh.
 func wireCodecFor[T any]() wireCodec {
 	var z T
 	if br, ok := any(&z).(wireRec); ok {
@@ -46,7 +45,7 @@ func wireCodecFor[T any]() wireCodec {
 	if _, ok := any(z).(uint64); ok {
 		return wireCodec{enc: encodeWireU64s, dec: decodeWireU64s}
 	}
-	return wireCodec{enc: encodeWireGob[T], dec: decodeWireGob[T]}
+	return wireCodec{}
 }
 
 // encodeWireRecs appends the batch record by record. The scratch it appends
@@ -99,24 +98,4 @@ func decodeWireU64s(payload []byte) (any, error) {
 		return nil, fmt.Errorf("%d trailing bytes after batch", len(rest))
 	}
 	return s, nil
-}
-
-// The gob fallback trades speed for universality: any exported-field type
-// crosses the wire without per-type code, at gob's reflection cost. Hot
-// exchange edges (the megaphone routed envelope, migrating bins, control
-// moves) all implement the binary contract and never take this path.
-func encodeWireGob[T any](data any, buf []byte) []byte {
-	w := bytes.NewBuffer(buf)
-	if err := gob.NewEncoder(w).Encode(asBatch[T](data)); err != nil {
-		panic(fmt.Sprintf("dataflow: gob-encoding %T batch: %v", data, err))
-	}
-	return w.Bytes()
-}
-
-func decodeWireGob[T any](payload []byte) (any, error) {
-	var out []T
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&out); err != nil {
-		return nil, fmt.Errorf("gob batch: %w", err)
-	}
-	return out, nil
 }

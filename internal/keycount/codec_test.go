@@ -9,8 +9,8 @@ import (
 	"megaphone/internal/core"
 )
 
-// binTag is the payload format tag of the BinaryState encoding; a keycount
-// bin carrying any other tag fell back to gob.
+// binTag is the payload format tag of the BinaryState encoding, the first
+// byte of every bin payload.
 const binTag = 0x01
 
 // TestHashStateCodec: hash-count bins reconstruct identically in the binary
@@ -29,7 +29,7 @@ func TestHashStateCodec(t *testing.T) {
 			t.Fatalf("size=%d: encode: %v", size, err)
 		}
 		if payload[0] != binTag {
-			t.Fatalf("size=%d: hash-count bin fell back to gob (tag %#x)", size, payload[0])
+			t.Fatalf("size=%d: hash-count bin payload format %#x", size, payload[0])
 		}
 		got := &core.BinState[uint64, HashState]{State: &HashState{M: make(map[uint64]uint64)}}
 		if err := core.TransferBinary.DecodeBin(got, payload); err != nil {
@@ -58,7 +58,7 @@ func TestArrayStateCodec(t *testing.T) {
 			t.Fatalf("size=%d: encode: %v", size, err)
 		}
 		if payload[0] != binTag {
-			t.Fatalf("size=%d: key-count bin fell back to gob (tag %#x)", size, payload[0])
+			t.Fatalf("size=%d: key-count bin payload format %#x", size, payload[0])
 		}
 		got := &core.BinState[uint64, ArrayState]{State: &ArrayState{}}
 		if err := core.TransferBinary.DecodeBin(got, payload); err != nil {
@@ -96,14 +96,17 @@ func TestDecodeRejectsTrailingBytes(t *testing.T) {
 }
 
 // fuzzDecodeBin is the property FuzzDecodeBin checks for one state type: a
-// binary-format payload either fails to decode or decodes to a bin that
-// re-encodes and decodes to itself. It must never panic, and never allocate
-// from an unchecked count (a giant allocation fails the fuzzer's memory
-// limit).
+// payload either fails to decode or carries the binary format tag and
+// decodes to a bin that re-encodes and decodes to itself. It must never
+// panic, and never allocate from an unchecked count (a giant allocation
+// fails the fuzzer's memory limit).
 func fuzzDecodeBin[S any](t *testing.T, data []byte) {
 	bin := &core.BinState[uint64, S]{State: new(S)}
 	if err := core.TransferBinary.DecodeBin(bin, data); err != nil {
 		return
+	}
+	if data[0] != binTag {
+		t.Fatalf("a payload tagged %#x decoded", data[0])
 	}
 	again, err := core.TransferBinary.EncodeBin(bin, nil)
 	if err != nil {
@@ -118,9 +121,9 @@ func fuzzDecodeBin[S any](t *testing.T, data []byte) {
 	}
 }
 
-// FuzzDecodeBin feeds mutated binary-format payloads to the keycount state
-// decoders (the fallback's decoder is the standard library's). Seeds: one
-// valid payload per state type, and truncations of each.
+// FuzzDecodeBin feeds mutated payloads to the keycount state decoders.
+// Seeds: one valid payload per state type, truncations of each, and a bin
+// tagged 0x00, the retired gob format, which must not decode.
 func FuzzDecodeBin(f *testing.F) {
 	hb := &core.BinState[uint64, HashState]{State: &HashState{M: map[uint64]uint64{1: 2, 1 << 60: 3, 77: 1 << 40}}}
 	ab := &core.BinState[uint64, ArrayState]{State: &ArrayState{Counts: []uint64{0, 5, 1 << 33, 7}}}
@@ -133,10 +136,8 @@ func FuzzDecodeBin(f *testing.F) {
 			f.Add(p[:cut])
 		}
 	}
+	f.Add([]byte{0x00, 0x00, 0x00})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if len(data) == 0 || data[0] != binTag {
-			return // the gob fallback is not under test
-		}
 		fuzzDecodeBin[HashState](t, data)
 		fuzzDecodeBin[ArrayState](t, data)
 	})

@@ -14,13 +14,25 @@ import (
 // sliding windows, registration joins), so every stateful query's bins ship
 // in the binary format; Q3's state is laid out so that its wire form is its
 // memory form. Q6's averaging stage is a core.MapState, which package core
-// already covers, and the stateless Q1/Q2 keep empty struct{} bins, which
-// take the gob fallback at a few bytes each.
+// already covers, and the stateless Q1/Q2 keep noState bins, whose state
+// encodes to zero bytes.
 //
 // Q4 and Q8 additionally schedule post-dated records (auction expiries,
 // registration expiries), so their record types — Bid, Auction, Person and
 // their core.Either merges — implement core.BinaryRec, letting pending
 // heaps migrate in the binary format too.
+
+// --- Q1/Q2: no state ---
+
+// noState is the per-bin state of the stateless Q1 and Q2. A migration
+// still moves their bins (Figures 5 and 6), each an empty state.
+type noState struct{}
+
+// AppendBinaryState implements core.BinaryState: nothing to encode.
+func (*noState) AppendBinaryState(buf []byte) []byte { return buf }
+
+// DecodeBinaryState implements core.BinaryState.
+func (*noState) DecodeBinaryState(data []byte) ([]byte, error) { return data, nil }
 
 // --- Event records (core.BinaryRec) ---
 
@@ -490,8 +502,7 @@ func (s *q7State) DecodeBinaryState(data []byte) ([]byte, error) {
 // AppendBinaryState implements core.BinaryState. Only Since is encoded:
 // the within-epoch auction buffer (q8State.pending) describes a single,
 // already-completed epoch by the time a bin can migrate or checkpoint, so
-// it is dead state on arrival and deliberately omitted (gob omits it too,
-// being unexported).
+// it is dead state on arrival and deliberately omitted.
 func (s *q8State) AppendBinaryState(buf []byte) []byte {
 	buf = binenc.AppendUvarint(buf, uint64(len(s.Since)))
 	for id, p := range s.Since {

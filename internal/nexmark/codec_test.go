@@ -301,14 +301,17 @@ func BenchmarkQ3BinRoundTrip(b *testing.B) {
 }
 
 // fuzzDecodeBin is the property FuzzDecodeBin checks for one bin type: a
-// binary-format payload either fails to decode or decodes to a bin that
-// re-encodes and decodes to itself. It must never panic, and never allocate
-// from an unchecked count (a giant allocation fails the fuzzer's memory
-// limit).
+// payload either fails to decode or carries the binary format tag and
+// decodes to a bin that re-encodes and decodes to itself. It must never
+// panic, and never allocate from an unchecked count (a giant allocation
+// fails the fuzzer's memory limit).
 func fuzzDecodeBin[R, S any](t *testing.T, data []byte, newState func() *S) {
 	bin := &core.BinState[R, S]{State: newState()}
 	if err := core.TransferBinary.DecodeBin(bin, data); err != nil {
 		return
+	}
+	if data[0] != tagBinary {
+		t.Fatalf("a payload tagged %#x decoded", data[0])
 	}
 	again, err := core.TransferBinary.EncodeBin(bin, nil)
 	if err != nil {
@@ -323,10 +326,10 @@ func fuzzDecodeBin[R, S any](t *testing.T, data []byte, newState func() *S) {
 	}
 }
 
-// FuzzDecodeBin feeds mutated binary-format payloads to the q3, q4 and q8
-// state decoders, pending Either records included (the fallback's decoder is
-// the standard library's). Seeds: one valid payload per state type, and
-// truncations of each.
+// FuzzDecodeBin feeds mutated payloads to the q3, q4 and q8 state decoders,
+// pending Either records included. Seeds: one valid payload per state type,
+// truncations of each, and a bin tagged 0x00, the retired gob format, which
+// must not decode.
 func FuzzDecodeBin(f *testing.F) {
 	q3 := &core.BinState[core.Either[Person, Auction], q3State]{State: newQ3State()}
 	q3Feed(q3.State, q3Person(1), q3Person(2), q3Auction(5, 9), q3Auction(6, 1), q3Auction(7, 9), q3Auction(8, 4))
@@ -352,18 +355,16 @@ func FuzzDecodeBin(f *testing.F) {
 		if err != nil {
 			f.Fatal(err)
 		}
-		if p[0] != tagBinary {
-			f.Fatalf("seed fell back to gob (tag %#x)", p[0])
-		}
 		for _, cut := range []int{len(p), len(p) - 1, len(p) / 2, 2, 1} {
 			f.Add(p[:cut])
 		}
 	}
+	f.Add([]byte{0x00, 0x00, 0x00})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if len(data) == 0 || data[0] != tagBinary {
-			return // the gob fallback is not under test
-		}
 		fuzzDecodeBin[core.Either[Person, Auction]](t, data, newQ3State)
+		if len(data) == 0 {
+			return
+		}
 		// A q3 bin that decodes must also join: walk every chain and entry.
 		s := newQ3State()
 		if _, err := s.DecodeBinaryState(data[1:]); err == nil {

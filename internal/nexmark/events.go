@@ -57,7 +57,7 @@ type Bid struct {
 
 // Event is one element of the input stream; exactly one payload is set
 // according to Kind. A flat struct (rather than an interface) keeps batches
-// contiguous and gob-friendly.
+// contiguous.
 type Event struct {
 	Kind    Kind
 	Person  Person

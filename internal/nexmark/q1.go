@@ -26,8 +26,8 @@ func BuildQ1(w *dataflow.Worker, p Params, ctl dataflow.Stream[core.Move], event
 		p.config("q1"),
 		ctl, bids,
 		func(b Bid) uint64 { return core.Mix64(b.Auction) },
-		func() *struct{} { return &struct{}{} },
-		func(t Time, b Bid, _ *struct{}, _ *core.Notificator[Bid, struct{}, Bid], emit func(Bid)) {
+		func() *noState { return &noState{} },
+		func(t Time, b Bid, _ *noState, _ *core.Notificator[Bid, noState, Bid], emit func(Bid)) {
 			b.Price = b.Price * 89 / 100
 			emit(b)
 		}, nil)

@@ -35,8 +35,8 @@ func BuildQ2(w *dataflow.Worker, p Params, ctl dataflow.Stream[core.Move], event
 		p.config("q2"),
 		ctl, bids,
 		func(b Bid) uint64 { return core.Mix64(b.Auction) },
-		func() *struct{} { return &struct{}{} },
-		func(t Time, b Bid, _ *struct{}, _ *core.Notificator[Bid, struct{}, Q2Out], emit func(Q2Out)) {
+		func() *noState { return &noState{} },
+		func(t Time, b Bid, _ *noState, _ *core.Notificator[Bid, noState, Q2Out], emit func(Q2Out)) {
 			if b.Auction%mod == 0 {
 				emit(Q2Out{Auction: b.Auction, Price: b.Price})
 			}

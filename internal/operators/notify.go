@@ -3,6 +3,7 @@ package operators
 import (
 	"container/heap"
 
+	"megaphone/internal/core"
 	"megaphone/internal/dataflow"
 )
 
@@ -103,8 +104,6 @@ func StateMachine[K comparable, V, B, S any](
 		})
 }
 
-// KV is a keyed record.
-type KV[K comparable, V any] struct {
-	Key K
-	Val V
-}
+// KV is a keyed record: core.KV, so that the native and the migrateable
+// state machines share one record type and its binary wire encoding.
+type KV[K comparable, V any] = core.KV[K, V]

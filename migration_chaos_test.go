@@ -389,7 +389,7 @@ func TestMigrationFrameBound(t *testing.T) {
 	for i := range specs {
 		specs[i].MaxFrame = frameBound
 	}
-	codec := &tagCount{Codec: core.TransferBinary}
+	codec := &binCount{Codec: core.TransferBinary}
 	var clu collector
 	errs := [2]error{}
 	done := make(chan struct{})
@@ -412,7 +412,7 @@ func TestMigrationFrameBound(t *testing.T) {
 			t.Fatalf("process %d: %v", p, err)
 		}
 	}
-	bins := codec.binary.Load() + codec.gob.Load()
+	bins := codec.bins.Load()
 	codec.mu.Lock()
 	largest, total := codec.largest, codec.total
 	codec.mu.Unlock()

@@ -11,6 +11,9 @@
 #                       (internal/lint: hotalloc, envref, atomicfield,
 #                       sendunderlock, pointstamp, and the whole-program
 #                       unreached check — see DESIGN.md)
+#   6. no encoding/gob  no non-test package imports it: whatever crosses a
+#                       process or lands in a checkpoint is binary (go
+#                       list's .Imports leaves out test imports)
 #
 # Tools that are not on PATH are skipped with a notice rather than failing:
 # the module has no dependencies, so the two optional tools cannot be
@@ -48,6 +51,14 @@ fi
 
 echo "== megalint ./..."
 go run ./cmd/megalint ./... || fail=1
+
+echo "== no encoding/gob outside tests"
+out=$(go list -f '{{.ImportPath}}: {{join .Imports " "}}' ./... | grep -E ' encoding/gob( |$)')
+if [ -n "$out" ]; then
+  echo "encoding/gob imported by:"
+  echo "$out" | cut -d: -f1
+  fail=1
+fi
 
 if [ "$fail" -ne 0 ]; then
   echo "lint: FAILED"
