@@ -72,6 +72,14 @@ func run(args []string, out io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	switch {
+	case *workers <= 0:
+		return fmt.Errorf("-workers %d: want at least 1", *workers)
+	case *rate < 0:
+		return fmt.Errorf("-rate %d: want 0 (an idle run) or more", *rate)
+	case *duration <= 0:
+		return fmt.Errorf("-duration %v: want a positive run length", *duration)
+	}
 	var v keycount.Variant
 	switch *variant {
 	case "hash":

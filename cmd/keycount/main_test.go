@@ -85,6 +85,11 @@ func TestRunFlagErrors(t *testing.T) {
 		{"-domain", "0"},
 		{"-domain", "-5"},
 		{"-variant", "key", "-domain", "1000"},
+		{"-duration", "0s"},
+		{"-duration", "-1s"},
+		{"-rate", "-5"},
+		{"-workers", "-1"},
+		{"-workers", "0"},
 	} {
 		if err := run(args, io.Discard); err == nil {
 			t.Errorf("run(%v) succeeded, want error", args)

@@ -1,7 +1,9 @@
 // Command megalint is the project's multichecker: it runs the internal/lint
 // analyzer suite — the static proofs of the runtime's concurrency and
-// hot-path invariants, and the whole-program unreached check — over the
-// module's packages and exits non-zero on any finding. It is part of scripts/lint.sh alongside gofmt and go vet.
+// hot-path invariants, and the whole-program unreached check (declarations
+// only tests use, exported fields no running code sets) — over the
+// module's packages and exits non-zero on any finding. It is part of
+// scripts/lint.sh alongside gofmt and go vet.
 //
 // Usage:
 //

@@ -51,6 +51,11 @@ func TestRunFlagErrors(t *testing.T) {
 		{"-auto", "nope"},
 		{"-bins", "40"},
 		{"-bins", "-2"},
+		{"-duration", "0s"},
+		{"-duration", "-1s"},
+		{"-rate", "-5"},
+		{"-workers", "-1"},
+		{"-workers", "0"},
 	} {
 		if err := run(args, io.Discard); err == nil {
 			t.Errorf("run(%v) succeeded, want error", args)

@@ -40,13 +40,6 @@ type CheckpointConfig struct {
 	// OnCheckpoint, when non-nil, observes every completed per-worker
 	// checkpoint write (instrumentation; called on worker goroutines).
 	OnCheckpoint func(epoch Time, worker, bins int, bytes int64, elapsed time.Duration)
-	// OnError, when non-nil, observes a failed checkpoint write. Write
-	// failures are non-fatal by design: the worker's manifest is simply
-	// never committed, which invalidates the epoch for recovery (the
-	// previous complete epoch remains usable) while the run itself keeps
-	// streaming — a full disk must not turn into the process death
-	// checkpoints exist to survive. nil logs to stderr.
-	OnError func(epoch Time, worker int, err error)
 	// LiveAt, when non-nil, names the global worker indices live at a
 	// checkpoint epoch (sorted ascending). Manifests record it, making a
 	// checkpoint taken on a shrunk roster complete — and restorable — once
@@ -65,12 +58,12 @@ func (c *CheckpointConfig) liveWorkers(epoch Time) []int {
 	return c.LiveAt(epoch)
 }
 
-// reportError routes a non-fatal checkpoint failure.
+// reportError logs a failed checkpoint write. Write failures are non-fatal
+// by design: the worker's manifest is simply never committed, which
+// invalidates the epoch for recovery (the previous complete epoch remains
+// usable) while the run itself keeps streaming — a full disk must not turn
+// into the process death checkpoints exist to survive.
 func (c *CheckpointConfig) reportError(epoch Time, worker int, err error) {
-	if c.OnError != nil {
-		c.OnError(epoch, worker, err)
-		return
-	}
 	fmt.Fprintf(os.Stderr, "megaphone: checkpoint at epoch %d on worker %d failed (epoch not committed): %v\n", epoch, worker, err)
 }
 

@@ -99,6 +99,8 @@ type Handle[R, S, O any] struct {
 	// installs on a worker (one that crossed processes once decoded) —
 	// exactly once per bin per migration, which the transport-failure tests
 	// pin.
+	//
+	//megalint:allow unreached test support: TestMigrationSurvivesConnLoss counts installs per bin with it
 	OnInstall func(t Time, bin, worker int)
 	bins      []*binsHolder[R, S]
 	newState  func() *S

@@ -42,23 +42,25 @@ type Config struct {
 	// to 1. With a Mesh, every process contributes Workers workers and the
 	// execution spans Workers * Mesh.Procs() data-parallel workers.
 	Workers int
-	// InboxSize is the per-worker channel buffer, in batches. Defaults to
-	// 4096.
-	InboxSize int
 	// Mesh, when non-nil, spreads the execution across OS processes: this
 	// process runs workers [Process*Workers, (Process+1)*Workers) of the
 	// global index space, cross-process edges serialize through the
 	// transport, and progress deltas are broadcast so every process's
 	// tracker converges. nil keeps today's single-process execution.
 	Mesh *Mesh
+
+	inboxSize int // per-worker channel buffer, in batches; 0 is defaultInboxSize
 }
+
+// defaultInboxSize is the per-worker channel buffer, in batches.
+const defaultInboxSize = 4096
 
 func (c *Config) defaults() {
 	if c.Workers <= 0 {
 		c.Workers = 1
 	}
-	if c.InboxSize <= 0 {
-		c.InboxSize = 4096
+	if c.inboxSize <= 0 {
+		c.inboxSize = defaultInboxSize
 	}
 }
 
@@ -215,7 +217,7 @@ func NewExecution(cfg Config) *Execution {
 			exec:  e,
 			index: e.firstGlobal + i,
 			local: i,
-			inbox: make(chan message, cfg.InboxSize),
+			inbox: make(chan message, cfg.inboxSize),
 			wake:  make(chan struct{}, 1),
 		}
 		if e.mesh != nil {

@@ -27,12 +27,16 @@ type ClusterSpec struct {
 	// batch is never split, so MaxFrame must exceed the largest encoded
 	// batch a worker can emit. A migrating bin is one batch of its own, so
 	// MaxFrame must exceed the largest bin's encoding.
+	//
+	//megalint:allow unreached test support: TestMigrationFrameBound moves more state in one step than a small MaxFrame holds
 	MaxFrame int
 	// CoalesceBytes caps how many encoded batch bytes a worker buffers per
 	// destination process before flushing them as one data frame (default
 	// 128 KiB, clamped under MaxFrame). Buffers also flush at every
 	// scheduling boundary, so coalescing never delays a batch beyond the
 	// scheduling that produced it.
+	//
+	//megalint:allow unreached test support: TestMigrationSurvivesConnLossBatched and TestMeshKeyCountEquivalence shrink it to force many data frames
 	CoalesceBytes int
 	// DialTimeout bounds connection establishment, covering peers that
 	// start late (default 30s).
@@ -58,11 +62,6 @@ type ClusterSpec struct {
 	// absent is a late joiner and dials every present peer itself. Nil means
 	// all slots present (the static-cluster behavior).
 	Absent []bool
-	// MembershipEpoch is the membership view version this process believes
-	// in when it handshakes. A late joiner is handed the current epoch out
-	// of band (by the operator or harness); the value rides the hello so a
-	// future admission check can refuse joiners with a stale view.
-	MembershipEpoch uint64
 }
 
 // Frame kinds of the mesh protocol, layered on the transport's opaque user
@@ -207,16 +206,15 @@ func JoinMesh(spec ClusterSpec) (*Mesh, error) {
 		clusterID = 1 // 0 would make the transport re-derive it unsalted
 	}
 	tr, err := transport.Dial(transport.Config{
-		Addrs:           spec.Hosts,
-		Index:           spec.Process,
-		ClusterID:       clusterID,
-		MaxFrame:        spec.MaxFrame,
-		DialTimeout:     spec.DialTimeout,
-		Listener:        spec.Listener,
-		Logf:            spec.Logf,
-		Absent:          spec.Absent,
-		MembershipEpoch: spec.MembershipEpoch,
-		Fatal:           m.onFatal,
+		Addrs:       spec.Hosts,
+		Index:       spec.Process,
+		ClusterID:   clusterID,
+		MaxFrame:    spec.MaxFrame,
+		DialTimeout: spec.DialTimeout,
+		Listener:    spec.Listener,
+		Logf:        spec.Logf,
+		Absent:      spec.Absent,
+		Fatal:       m.onFatal,
 	}, m.onFrame)
 	if err != nil {
 		return nil, err

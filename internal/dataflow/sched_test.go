@@ -26,7 +26,7 @@ func TestNoLostWakeups(t *testing.T) {
 	for round := 0; round < rounds; round++ {
 		var got atomic.Int64
 		var misordered atomic.Int64
-		exec := dataflow.NewExecution(dataflow.Config{Workers: workers, InboxSize: 2})
+		exec := dataflow.NewExecution(dataflow.WithInboxSize(dataflow.Config{Workers: workers}, 2))
 		inputs := make([]*dataflow.InputHandle[int], 0, workers)
 		exec.Build(func(w *dataflow.Worker) {
 			in, s := dataflow.NewInput[int](w, "input")

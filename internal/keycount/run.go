@@ -16,11 +16,13 @@ type RunConfig struct {
 	// Workers is the number of workers in this process. In a cluster run
 	// (Cluster non-nil) every process contributes Workers workers and the
 	// execution spans Workers * len(Cluster.Hosts) workers total.
-	Workers     int
-	Rate        int           // records per second, cluster-wide
-	Duration    time.Duration // total run
-	EpochEvery  time.Duration // epoch granularity (default 1ms)
-	ReportEvery time.Duration
+	Workers  int
+	Rate     int           // records per second, cluster-wide
+	Duration time.Duration // total run
+	// EpochEvery is the epoch granularity (default 1ms).
+	//
+	//megalint:allow unreached test support: the cluster and membership equivalence tests (TestClusterKeycountEquivalence, TestMembershipJoinCrashDrainEquivalence) pin it
+	EpochEvery time.Duration
 	// Strategy and Batch configure the migration executed mid-run (at half
 	// of the run, rebalancing 25% of the bins as in Section 5: half the
 	// bins of half the workers move to the other half). MigrateAt <= 0
@@ -31,6 +33,8 @@ type RunConfig struct {
 	MigrateTwo bool // also run the re-balancing second migration
 	// MigrateTwoAt pins the second migration's epoch explicitly; zero keeps
 	// the default midpoint between MigrateAt and the end of the run.
+	//
+	//megalint:allow unreached test support: TestMembershipCrashMidMigrationEquivalence places its second kill inside the second migration
 	MigrateTwoAt time.Duration
 	Memory       bool
 	// Workload selects the key distribution (zero value = the paper's
@@ -81,6 +85,8 @@ type RunConfig struct {
 	// CrashAt makes this process abandon the run abruptly at that epoch —
 	// the in-process stand-in for SIGKILL (with Membership; see
 	// harness.MembershipRunOptions.CrashAt).
+	//
+	//megalint:allow unreached test support: TestMembershipJoinCrashDrainEquivalence and TestMembershipCrashMidMigrationEquivalence kill members in process
 	CrashAt int64
 	// ScaleOutAbove and ScaleInBelow close the elasticity loop in
 	// membership+auto runs (plan.MembershipAutoscale): mean records per live
@@ -230,7 +236,6 @@ func Run(cfg RunConfig) (harness.Result, error) {
 		Rate:            cfg.Rate,
 		EpochEvery:      cfg.EpochEvery,
 		Duration:        cfg.Duration,
-		ReportEvery:     cfg.ReportEvery,
 		SampleMemory:    cfg.Memory,
 		Migrations:      migrations,
 		TotalInputs:     totalWorkers,

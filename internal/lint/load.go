@@ -35,7 +35,7 @@ type Program struct {
 	// benchmark module, every declaration of which counts as used.
 	paths     []string
 	benchPkgs map[string]bool
-	reached   map[types.Object]bool // memoized by reachable
+	reach     *reacher // memoized by reachable
 }
 
 // packages type-checks and returns every package of the program.

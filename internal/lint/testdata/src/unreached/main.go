@@ -14,4 +14,6 @@ func main() {
 	fmt.Println(lib.Max(1, 2), lib.Max("a", "b"))
 	var s lib.Stack[int]
 	s.Push(1)
+	d, _ := lib.Decode([]byte(`{"Name":"x"}`))
+	fmt.Println(lib.NewConfig(1).Keyed, d, lib.MakeKV("k", 1))
 }

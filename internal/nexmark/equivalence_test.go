@@ -28,7 +28,7 @@ func collectQuery(t *testing.T, q string, impl nexmark.Impl, migrate bool) map[s
 	var mu sync.Mutex
 	out := make(map[string]int)
 
-	params := nexmark.Params{Impl: impl, LogBins: logBins, WindowEpochs: 40, SlideEpochs: 8}
+	params := nexmark.Params{Impl: impl, LogBins: logBins, WindowEpochs: 40}
 	gen := nexmark.NewGen(nexmark.GenConfig{ActiveAuctions: 50, ActivePeople: 50, AuctionEpochs: 25})
 
 	exec := dataflow.NewExecution(dataflow.Config{Workers: workers})

@@ -13,14 +13,18 @@ import (
 // skew.
 type GenConfig struct {
 	// ActiveAuctions bounds the set of auctions bids are drawn from.
+	//
+	//megalint:allow unreached test support: TestShippedGraphsCrossInBinary and TestClusterNexmarkQ4Equivalence shrink the population so short runs join
 	ActiveAuctions uint64
 	// ActivePeople bounds the set of recently created people referenced by
 	// bids and auctions.
+	//
+	//megalint:allow unreached test support: TestShippedGraphsCrossInBinary and TestClusterNexmarkQ4Equivalence shrink the population so short runs join
 	ActivePeople uint64
-	// Categories is the number of auction categories.
-	Categories uint64
 	// AuctionEpochs is how many epochs an auction stays open (time
 	// dilation is applied by scaling this, as the paper does for Q5/Q8).
+	//
+	//megalint:allow unreached test support: TestShippedGraphsCrossInBinary and TestClusterNexmarkQ4Equivalence close auctions inside short runs
 	AuctionEpochs Time
 	// HotRatio is the proportion (1/HotRatio of draws) of bids that go to
 	// the hottest auction, modelling skew; 0 disables.
@@ -39,9 +43,6 @@ func (c *GenConfig) defaults() {
 	if c.ActivePeople == 0 {
 		c.ActivePeople = 1000
 	}
-	if c.Categories == 0 {
-		c.Categories = 16
-	}
 	if c.AuctionEpochs == 0 {
 		c.AuctionEpochs = 100
 	}
@@ -53,6 +54,9 @@ const (
 	groupSize         = 50
 	personProportion  = 1
 	auctionProportion = 3
+
+	// categories is the number of auction categories.
+	categories = 16
 )
 
 var usStates = []string{"OR", "ID", "CA", "WA", "AZ", "NV", "MT", "UT"}
@@ -95,7 +99,7 @@ func (g *Gen) At(n uint64, epoch Time) Event {
 		return Event{Kind: AuctionKind, Auction: Auction{
 			ID:         seq,
 			Seller:     seller,
-			Category:   rng >> 16 % g.cfg.Categories,
+			Category:   rng >> 16 % categories,
 			InitialBid: 100 + rng%900,
 			Expires:    epoch + g.cfg.AuctionEpochs,
 			ItemName:   fmt.Sprintf("item-%d", seq),

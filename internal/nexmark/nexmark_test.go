@@ -84,7 +84,6 @@ func runShort(t *testing.T, q string) {
 					Impl:         impl,
 					LogBins:      4,
 					WindowEpochs: 40,
-					SlideEpochs:  8,
 				},
 				Gen:      nexmark.GenConfig{ActiveAuctions: 100, ActivePeople: 100, AuctionEpochs: 30},
 				Workers:  2,

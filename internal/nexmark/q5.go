@@ -12,6 +12,9 @@ import (
 // retracted as time advances; the paper dilates time so the sixty-minute
 // window fits the run (Figure 9).
 
+// q5SlideEpochs is Q5's slide.
+const q5SlideEpochs Time = 10
+
 // Q5Count is one auction's bid count over the window ending at Window.
 type Q5Count struct {
 	Window  Time
@@ -51,7 +54,7 @@ func (s *q5State) windowTotal(end, window Time) uint64 {
 
 // q5CounterMegaphone emits per-auction window counts at slide boundaries.
 func q5CounterMegaphone(w *dataflow.Worker, p Params, ctl dataflow.Stream[core.Move], bids dataflow.Stream[Bid]) dataflow.Stream[Q5Count] {
-	slide, window := p.SlideEpochs, p.WindowEpochs
+	slide, window := q5SlideEpochs, p.WindowEpochs
 	// BEGIN Q5 MEGAPHONE COUNTER
 	return core.Unary(w,
 		p.config("q5-count"),
@@ -129,7 +132,7 @@ func BuildQ5(w *dataflow.Worker, p Params, ctl dataflow.Stream[core.Move], event
 	p.defaults()
 	bids := Bids(w, "q5-bids", events)
 	if p.Impl == Native {
-		slide, window := p.SlideEpochs, p.WindowEpochs
+		slide, window := q5SlideEpochs, p.WindowEpochs
 		// BEGIN Q5 NATIVE
 		counts := operators.UnaryScheduled(w, "q5-count", bids,
 			dataflow.Exchange[Bid]{Hash: func(b Bid) uint64 { return core.Mix64(b.Auction) }},

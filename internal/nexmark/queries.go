@@ -35,12 +35,9 @@ type Params struct {
 	// package core, the stateless q1/q2 with an empty state — so every bin
 	// that leaves its process ships in the binary format.
 	Transfer core.Codec
-	// AuctionMod is Q2's filter modulus.
-	AuctionMod uint64
 	// WindowEpochs is the window length for Q5/Q7/Q8 (time-dilated as in
-	// the paper); SlideEpochs is Q5's slide.
+	// the paper).
 	WindowEpochs Time
-	SlideEpochs  Time
 	// Category is Q3's auction category filter.
 	Category uint64
 	// Meter receives per-bin load from every megaphone stage of the query
@@ -74,14 +71,8 @@ func (p Params) config(name string) core.Config {
 }
 
 func (p *Params) defaults() {
-	if p.AuctionMod == 0 {
-		p.AuctionMod = 13
-	}
 	if p.WindowEpochs == 0 {
 		p.WindowEpochs = 60
-	}
-	if p.SlideEpochs == 0 {
-		p.SlideEpochs = 10
 	}
 	if p.Category == 0 {
 		p.Category = 10

@@ -17,11 +17,13 @@ type RunConfig struct {
 	Gen    GenConfig
 	// Workers is the number of workers in this process. In a cluster run
 	// (Cluster non-nil) every process contributes Workers workers.
-	Workers     int
-	Rate        int // events per second, cluster-wide
-	Duration    time.Duration
-	EpochEvery  time.Duration
-	ReportEvery time.Duration
+	Workers  int
+	Rate     int // events per second, cluster-wide
+	Duration time.Duration
+	// EpochEvery is the epoch granularity (default 1ms).
+	//
+	//megalint:allow unreached test support: TestClusterNexmarkQ4Equivalence pins it
+	EpochEvery time.Duration
 	// Strategy/Batch/MigrateAt schedule the paper's two migrations: first
 	// to an imbalanced assignment, then back (Section 5: "we initially
 	// migrate half of the keys on half of the workers to the other half
@@ -29,7 +31,6 @@ type RunConfig struct {
 	Strategy  plan.Strategy
 	Batch     int
 	MigrateAt time.Duration
-	Memory    bool
 	// Auto, when non-nil, installs a metering AutoController that issues
 	// plans from measured load; the scheduled MigrateAt migrations are then
 	// ignored. Auto.Meter is filled in by Run.
@@ -159,8 +160,6 @@ func Run(cfg RunConfig) (harness.Result, error) {
 		Rate:            cfg.Rate,
 		EpochEvery:      cfg.EpochEvery,
 		Duration:        cfg.Duration,
-		ReportEvery:     cfg.ReportEvery,
-		SampleMemory:    cfg.Memory,
 		Migrations:      migrations,
 		TotalInputs:     totalWorkers,
 		FirstInput:      firstWorker,

@@ -35,9 +35,6 @@ type AutoOptions struct {
 	// telemetry is exchanged over the bus, and only the elected lowest-index
 	// live process decides (see ClusterOptions). Nil means single-process.
 	Cluster *ClusterOptions
-	// OnDecision observes each decision this process makes, issued or
-	// declined (instrumentation; not called for mirrored remote decisions).
-	OnDecision func(d Decision)
 }
 
 func (o *AutoOptions) defaults() {
@@ -296,9 +293,6 @@ func (a *AutoController) record(d Decision, assign Assignment) {
 	if a.cluster != nil {
 		a.decBuf = appendDecisionFrame(a.decBuf[:0], d, assign)
 		a.cluster.det.broadcast(a.decBuf)
-	}
-	if a.opts.OnDecision != nil {
-		a.opts.OnDecision(d)
 	}
 }
 

@@ -73,7 +73,7 @@ func TestAutoControllerRebalancesSkew(t *testing.T) {
 	initial := plan.Initial(bins, workers)
 	auto := plan.NewAutoController(ctlIns, probe, initial, plan.AutoOptions{
 		Meter:       meter,
-		Policy:      plan.LoadBalance{Hysteresis: 0.2, MinRecords: 64},
+		Policy:      plan.LoadBalance{Hysteresis: 0.2},
 		Strategy:    plan.Fluid,
 		SampleEvery: 50,
 		Cooldown:    100,

@@ -35,11 +35,10 @@ type ClusterOptions struct {
 	// interval for the autoscaler (election reacts within roughly
 	// SuspectAfter×SampleEvery epochs) and one tick under membership.
 	Liveness Liveness
-	// OnLeadership observes leadership transitions of this process
-	// (instrumentation; called on the ticking goroutine).
-	OnLeadership func(leader bool, epoch core.Time)
 	// Logf, when non-nil, receives control-plane lifecycle messages.
 	Logf func(format string, args ...any)
+
+	onLeadership func(leader bool, epoch core.Time) // observes this process's leadership transitions, on the ticking goroutine
 }
 
 // Telemetry payload kinds (first byte of every frame on the bus; below

@@ -48,21 +48,22 @@ func startMiniProc(t *testing.T, hub *plan.FakeHub, proc, procs, workersPerProc,
 		}
 	})
 	mp.exec.Start()
+	cluster := &plan.ClusterOptions{
+		Bus:            hub.Buses[proc],
+		Procs:          procs,
+		Proc:           proc,
+		WorkersPerProc: workersPerProc,
+		Liveness:       plan.Liveness{TickEvery: tickEvery, SuspectAfter: 3},
+		Logf:           t.Logf,
+	}
+	plan.SetOnLeadership(cluster, onLead)
 	mp.auto = plan.NewAutoController(ctlIns, mp.probe, plan.Initial(bins, workersPerProc), plan.AutoOptions{
 		Meter:       meter,
 		Policy:      alwaysMove{},
 		Strategy:    plan.AllAtOnce,
 		SampleEvery: 10,
 		Cooldown:    20,
-		Cluster: &plan.ClusterOptions{
-			Bus:            hub.Buses[proc],
-			Procs:          procs,
-			Proc:           proc,
-			WorkersPerProc: workersPerProc,
-			Liveness:       plan.Liveness{TickEvery: tickEvery, SuspectAfter: 3},
-			OnLeadership:   onLead,
-			Logf:           t.Logf,
-		},
+		Cluster:     cluster,
 	})
 	return mp
 }

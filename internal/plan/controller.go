@@ -27,9 +27,11 @@ type Controller struct {
 	cooldown int       // idle ticks still owed after the last step (gap)
 	active   bool
 
-	// OnStepIssued and OnStepDone observe plan execution (instrumentation).
+	// OnStepIssued observes each step as it is issued (instrumentation).
+	//
+	//megalint:allow unreached test support: TestMigrationSurvivesConnLoss cuts the connection when a step is issued
 	OnStepIssued func(step int, t core.Time)
-	OnStepDone   func(step int, t core.Time)
+	onStepDone   func(step int, t core.Time) // observes each step as it completes
 
 	started core.Time
 	ended   core.Time
@@ -68,8 +70,8 @@ func (c *Controller) Tick(now core.Time) {
 	if c.active {
 		if c.waitFor != core.None {
 			if f := c.probe.Frontier(); f > c.waitFor || f == core.None {
-				if c.OnStepDone != nil {
-					c.OnStepDone(c.next-1, now)
+				if c.onStepDone != nil {
+					c.onStepDone(c.next-1, now)
 				}
 				step := c.plan.Steps[c.next-1]
 				if step.Gap {

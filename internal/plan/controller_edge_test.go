@@ -99,7 +99,7 @@ func TestControllerSingleStepOneTick(t *testing.T) {
 	ctl := plan.NewController(rig.ctlIn, rig.probe)
 	var issued, done []core.Time
 	ctl.OnStepIssued = func(step int, tm core.Time) { issued = append(issued, tm) }
-	ctl.OnStepDone = func(step int, tm core.Time) { done = append(done, tm) }
+	plan.SetOnStepDone(ctl, func(step int, tm core.Time) { done = append(done, tm) })
 
 	ctl.Start(plan.Plan{Steps: []plan.Step{{Moves: []core.Move{{Bin: 0, Worker: 1}}}}})
 	ctl.Tick(1) // issues the step at epoch 1
@@ -185,7 +185,7 @@ func TestControllerBackToBackStart(t *testing.T) {
 }
 
 // TestControllerCallbackOrdering: under concurrent Idle/Span readers (run
-// with -race), OnStepIssued/OnStepDone strictly alternate per step and
+// with -race), the issued and done hooks strictly alternate per step and
 // never overlap: issued(i) <= done(i) <= issued(i+1).
 func TestControllerCallbackOrdering(t *testing.T) {
 	rig := newCtlRig(t)
@@ -198,7 +198,7 @@ func TestControllerCallbackOrdering(t *testing.T) {
 	}
 	var evs []ev
 	ctl.OnStepIssued = func(step int, tm core.Time) { evs = append(evs, ev{"issued", step, tm}) }
-	ctl.OnStepDone = func(step int, tm core.Time) { evs = append(evs, ev{"done", step, tm}) }
+	plan.SetOnStepDone(ctl, func(step int, tm core.Time) { evs = append(evs, ev{"done", step, tm}) })
 
 	// Hammer the read-side API from another goroutine while the plan runs.
 	stop := make(chan struct{})

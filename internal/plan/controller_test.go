@@ -41,7 +41,7 @@ func TestControllerPacesSteps(t *testing.T) {
 	var issuedAt []core.Time
 	var doneAt []core.Time
 	ctl.OnStepIssued = func(step int, tm core.Time) { issuedAt = append(issuedAt, tm) }
-	ctl.OnStepDone = func(step int, tm core.Time) { doneAt = append(doneAt, tm) }
+	plan.SetOnStepDone(ctl, func(step int, tm core.Time) { doneAt = append(doneAt, tm) })
 
 	p := plan.Build(plan.Fluid, plan.Initial(8, workers), plan.Rebalance(8, []int{1}), 0)
 	wantSteps := len(p.Steps)

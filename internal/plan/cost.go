@@ -14,7 +14,7 @@ import "megaphone/internal/core"
 //
 //	cost = VolumeRecs·MigrateNanosPerRec + StallNanos
 //	gain = (max worker nanos under current − max worker nanos under target)
-//	       per window, credited over Horizon windows
+//	       per window, credited over horizonWindows windows
 //
 // VolumeRecs approximates state size by the cumulative records routed to the
 // moved bins — every applied record left state behind, so the bins that
@@ -28,20 +28,23 @@ type CostModel struct {
 	// broadcast, frontier waits, cache refill (default 1e6 = 1ms, roughly one
 	// epoch of disruption at harness cadence).
 	StallNanos uint64
-	// HorizonWindows is how many future sampling windows the projected gain
-	// is credited for (default 8). A short horizon demands migrations that
-	// repay quickly; an infinite one would accept any positive gain.
-	HorizonWindows int
-	// NominalServiceNanos prices one record when the window carries no
-	// measured service time (records counted but nanos zero — synthetic
-	// workloads with free apply functions). Default 100.
-	NominalServiceNanos uint64
 	// CapToStability caps the credited horizon at the observed stability of
 	// the load shape (the number of consecutive windows the same worker has
 	// been hottest). A hot set that rotated one window ago earns a 1-window
 	// horizon: if it is about to rotate again, chasing it is a losing trade.
 	CapToStability bool
 }
+
+const (
+	// horizonWindows is how many future sampling windows the projected
+	// gain is credited for. A short horizon demands migrations that repay
+	// quickly; an infinite one would accept any positive gain.
+	horizonWindows = 8
+	// nominalServiceNanos prices one record when the window carries no
+	// measured service time (records counted but nanos zero — synthetic
+	// workloads with free apply functions).
+	nominalServiceNanos = 100
+)
 
 // DefaultCostModel returns the model with all defaults.
 func DefaultCostModel() *CostModel {
@@ -86,20 +89,6 @@ func (m *CostModel) stallNanos() uint64 {
 	return m.StallNanos
 }
 
-func (m *CostModel) horizonWindows() int {
-	if m.HorizonWindows <= 0 {
-		return 8
-	}
-	return m.HorizonWindows
-}
-
-func (m *CostModel) nominalServiceNanos() uint64 {
-	if m.NominalServiceNanos == 0 {
-		return 100
-	}
-	return m.NominalServiceNanos
-}
-
 // Evaluate judges moving from current to target given the last window's load
 // and the cumulative snapshot (for state volume). stabilityWindows is the
 // number of consecutive windows the same worker has been hottest, ≥ 1; it
@@ -122,7 +111,7 @@ func (m *CostModel) Evaluate(current, target Assignment, window, cumulative *cor
 	// nominal rate so synthetic workloads still get a meaningful projection.
 	perWindowGain := m.projectedGain(current, target, window)
 
-	horizon := m.horizonWindows()
+	horizon := horizonWindows
 	if m.CapToStability {
 		if stabilityWindows < 1 {
 			stabilityWindows = 1
@@ -157,12 +146,11 @@ func (m *CostModel) projectedGain(current, target Assignment, window *core.LoadS
 		curLoad = window.NanosUnder(current, nil)
 		tgtLoad = window.NanosUnder(target, nil)
 	} else {
-		nominal := m.nominalServiceNanos()
 		curLoad = window.RecsUnder(current, nil)
 		tgtLoad = window.RecsUnder(target, nil)
 		for i := range curLoad {
-			curLoad[i] *= nominal
-			tgtLoad[i] *= nominal
+			curLoad[i] *= nominalServiceNanos
+			tgtLoad[i] *= nominalServiceNanos
 		}
 	}
 	curMax := maxOf(curLoad)

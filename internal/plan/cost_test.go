@@ -158,7 +158,7 @@ func TestCostModelVerdictAccounting(t *testing.T) {
 		BinRecs:  []uint64{111, 2000, 333, 444}, // only bin 1 moves
 		BinNanos: make([]uint64, 4),
 	}
-	m := CostModel{MigrateNanosPerRec: 10, StallNanos: 500, HorizonWindows: 4}
+	m := CostModel{MigrateNanosPerRec: 10, StallNanos: 500}
 	v := m.Evaluate(current, target, window, cumulative, 0)
 	if v.VolumeRecs != 2000 {
 		t.Fatalf("volume = %d, want 2000 (moved bins only)", v.VolumeRecs)
@@ -167,11 +167,11 @@ func TestCostModelVerdictAccounting(t *testing.T) {
 		t.Fatalf("cost = %d, want %d", v.CostNanos, want)
 	}
 	// current max = 8e6 (worker 0), target max = 6e6 (worker 1) → 2e6/window.
-	if want := uint64(2e6 * 4); v.GainNanos != want {
+	if want := uint64(2e6 * horizonWindows); v.GainNanos != want {
 		t.Fatalf("gain = %d, want %d", v.GainNanos, want)
 	}
-	if v.Horizon != 4 {
-		t.Fatalf("horizon = %d, want 4", v.Horizon)
+	if v.Horizon != horizonWindows {
+		t.Fatalf("horizon = %d, want %d", v.Horizon, horizonWindows)
 	}
 	if !v.Migrate {
 		t.Fatalf("profitable trade declined: %+v", v)
@@ -183,10 +183,11 @@ func TestCostModelVerdictAccounting(t *testing.T) {
 // thrashing on a wash), gain == cost+1 must migrate.
 func TestCostModelHysteresisEdges(t *testing.T) {
 	// Both bins start on worker 0; the target offloads bin 1 to worker 1, so
-	// gain per window = (a+b) − max(a,b) = min(a,b) and volume = cumRecs[1].
+	// gain per window = (a+b) − max(a,b) = min(a,b), credited over
+	// horizonWindows (8) windows, and volume = cumRecs[1].
 	current := Assignment{0, 0}
 	target := Assignment{0, 1}
-	m := CostModel{MigrateNanosPerRec: 1, StallNanos: 1, HorizonWindows: 1}
+	m := CostModel{MigrateNanosPerRec: 1, StallNanos: 8}
 
 	eval := func(binNanos []uint64, cumRecs []uint64) Verdict {
 		w := snap(current, 2, binNanos)
@@ -199,15 +200,18 @@ func TestCostModelHysteresisEdges(t *testing.T) {
 	if v := eval([]uint64{100, 0}, []uint64{4, 8}); v.Migrate || v.Reason != ReasonNoGain {
 		t.Fatalf("zero-gain offload migrated: %+v", v)
 	}
-	// Volume 8 at 1ns/rec + 1ns stall = cost 9. Gain == cost exactly must
-	// decline: a wash trade that migrated would let the loop thrash forever.
-	if v := eval([]uint64{100, 9}, []uint64{4, 8}); v.GainNanos != v.CostNanos {
+	// Volume 8 at 1ns/rec + 8ns stall = cost 16 = gain 2×8. Gain == cost
+	// exactly must decline: a wash trade that migrated would let the loop
+	// thrash forever.
+	if v := eval([]uint64{100, 2}, []uint64{4, 8}); v.GainNanos != v.CostNanos {
 		t.Fatalf("setup wrong: gain %d cost %d", v.GainNanos, v.CostNanos)
 	} else if v.Migrate {
 		t.Fatalf("break-even trade migrated: %+v", v)
 	}
-	// One more nano of gain tips it over.
-	if v := eval([]uint64{100, 10}, []uint64{4, 8}); !v.Migrate {
+	// One nano less of cost tips it over.
+	if v := eval([]uint64{100, 2}, []uint64{4, 7}); v.GainNanos != v.CostNanos+1 {
+		t.Fatalf("setup wrong: gain %d cost %d", v.GainNanos, v.CostNanos)
+	} else if !v.Migrate {
 		t.Fatalf("gain=cost+1 declined: %+v", v)
 	}
 }
@@ -215,9 +219,7 @@ func TestCostModelHysteresisEdges(t *testing.T) {
 // TestCostModelDefaults pins the documented default constants.
 func TestCostModelDefaults(t *testing.T) {
 	var m CostModel
-	if m.migrateNanosPerRec() != 250 || m.stallNanos() != 1_000_000 ||
-		m.horizonWindows() != 8 || m.nominalServiceNanos() != 100 {
-		t.Fatalf("defaults drifted: rate=%d stall=%d horizon=%d nominal=%d",
-			m.migrateNanosPerRec(), m.stallNanos(), m.horizonWindows(), m.nominalServiceNanos())
+	if m.migrateNanosPerRec() != 250 || m.stallNanos() != 1_000_000 {
+		t.Fatalf("defaults drifted: rate=%d stall=%d", m.migrateNanosPerRec(), m.stallNanos())
 	}
 }

@@ -95,7 +95,7 @@ func newDetector(c ClusterOptions, windowTicks int) *detector {
 		suspectAfter: int64(c.Liveness.SuspectAfter),
 		now:          c.Liveness.now,
 		logf:         c.Logf,
-		onLeadership: c.OnLeadership,
+		onLeadership: c.onLeadership,
 		lastHeard:    make([]atomic.Int64, c.Procs),
 		lastLeader:   -1,
 	}

@@ -143,8 +143,6 @@ type MembershipOptions struct {
 	// to declare a member dead: without a complete checkpoint the dead
 	// member's bins are unrecoverable.
 	CheckpointDir string
-	// BarrierTimeout bounds one membership barrier (default 60s).
-	BarrierTimeout time.Duration
 	// Slack multiplies Liveness.SuspectAfter, DeathAfter and Margin after
 	// defaulting: one jitter-tolerance knob for environments where
 	// scheduling latency is large relative to the tick interval
@@ -183,10 +181,15 @@ type MembershipAutoscale struct {
 	// the saturation streak, so the next attempt waits another Sustain
 	// windows.
 	Cost *CostModel
-	// MinProcs is the scale-in floor: never drain below this many live
-	// processes (default 2).
-	MinProcs int
 }
+
+const (
+	// minProcs is the scale-in floor: the autoscaler never drains below
+	// this many live processes.
+	minProcs = 2
+	// barrierTimeout bounds one membership barrier.
+	barrierTimeout = 60 * time.Second
+)
 
 func (as *MembershipAutoscale) defaults() {
 	if as.SampleEvery <= 0 {
@@ -194,9 +197,6 @@ func (as *MembershipAutoscale) defaults() {
 	}
 	if as.Sustain <= 0 {
 		as.Sustain = 3
-	}
-	if as.MinProcs < 2 {
-		as.MinProcs = 2
 	}
 }
 
@@ -207,9 +207,6 @@ func (o *MembershipOptions) defaults() {
 	}
 	if o.Margin <= 0 {
 		o.Margin = 8
-	}
-	if o.BarrierTimeout <= 0 {
-		o.BarrierTimeout = 60 * time.Second
 	}
 	if o.Slack > 1 {
 		o.Liveness.SuspectAfter *= o.Slack
@@ -685,12 +682,12 @@ func (mc *MembershipController) AwaitAdmission() (*Transition, error) {
 		panic("plan: AwaitAdmission on a process that is not a joiner")
 	}
 	mc.det.broadcast([]byte{memKindHello})
-	deadline := time.Now().Add(mc.opts.BarrierTimeout)
+	deadline := time.Now().Add(barrierTimeout)
 	mc.mu.Lock()
 	defer mc.mu.Unlock()
 	for mc.joinDecision == nil {
 		if !mc.waitLocked(deadline) {
-			return nil, fmt.Errorf("plan: process %d: no admission decision within %v", mc.opts.Proc, mc.opts.BarrierTimeout)
+			return nil, fmt.Errorf("plan: process %d: no admission decision within %v", mc.opts.Proc, barrierTimeout)
 		}
 	}
 	return mc.joinDecision, nil
@@ -975,7 +972,7 @@ func (mc *MembershipController) autoscaleLocked(now core.Time) {
 			mc.opts.Proc, mc.hotStreak, mean, as.HotRecs, slot)
 		mc.hotStreak, mc.coldStreak = 0, 0
 		mc.decideJoinLocked(now, slot)
-	case mc.coldStreak >= as.Sustain && len(live) > as.MinProcs && mc.helloFrom < 0:
+	case mc.coldStreak >= as.Sustain && len(live) > minProcs && mc.helloFrom < 0:
 		coldest, coldRecs := -1, uint64(0)
 		for _, p := range live {
 			var recs uint64
@@ -1214,7 +1211,7 @@ func (mc *MembershipController) CommitDrain(tr *Transition) {
 // membership view active, tracker rebuilt. For crash-leave the caller must
 // then re-inject the purged window per BarrierResult.Cut.
 func (mc *MembershipController) RunBarrier(tr *Transition) BarrierResult {
-	deadline := time.Now().Add(mc.opts.BarrierTimeout)
+	deadline := time.Now().Add(barrierTimeout)
 	parts := func() []int {
 		mc.mu.Lock()
 		defer mc.mu.Unlock()
@@ -1243,7 +1240,7 @@ func (mc *MembershipController) RunBarrier(tr *Transition) BarrierResult {
 		}
 		if time.Now().After(deadline) {
 			panic(fmt.Sprintf("plan: process %d: %v barrier at epoch %d did not quiesce within %v",
-				mc.opts.Proc, tr.Kind, tr.Epoch, mc.opts.BarrierTimeout))
+				mc.opts.Proc, tr.Kind, tr.Epoch, barrierTimeout))
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
@@ -1463,7 +1460,7 @@ func (mc *MembershipController) collectInventories(epoch core.Time, parts []int,
 		for mc.invs[epoch][p] == nil {
 			if !mc.waitLocked(deadline) {
 				panic(fmt.Sprintf("plan: process %d: no hold inventory from process %d for the barrier at epoch %d within %v",
-					mc.opts.Proc, p, epoch, mc.opts.BarrierTimeout))
+					mc.opts.Proc, p, epoch, barrierTimeout))
 			}
 		}
 		is := mc.invs[epoch][p]
@@ -1494,7 +1491,7 @@ func (mc *MembershipController) awaitResetDone(epoch core.Time, parts []int, dea
 		for !mc.resetOK[epoch][p] {
 			if !mc.waitLocked(deadline) {
 				panic(fmt.Sprintf("plan: process %d: process %d did not confirm its tracker reset for the barrier at epoch %d within %v",
-					mc.opts.Proc, p, epoch, mc.opts.BarrierTimeout))
+					mc.opts.Proc, p, epoch, barrierTimeout))
 			}
 		}
 	}

@@ -184,7 +184,6 @@ func newMemCluster(t *testing.T, procs, wpp, bins int, initialActive []bool, mut
 			Bins:           bins,
 			InitialActive:  initialActive,
 			Margin:         4,
-			BarrierTimeout: 20 * time.Second,
 		}
 		if mutate != nil {
 			mutate(p, &opts)
@@ -722,4 +721,70 @@ func TestMembershipMarginViolationPanics(t *testing.T) {
 		}
 	}()
 	c.mcs[0].Tick(1)
+}
+
+// TestMembershipAutoscaleDrain covers scale-in on the fake bus: under
+// sustained underload the leader drain-leaves the coldest live member (the
+// lowest index among equally idle ones) exactly once, and with only
+// minProcs (2) members live it decides nothing, however long the lull.
+func TestMembershipAutoscaleDrain(t *testing.T) {
+	const wpp, bins, logBins = 2, 8, 3
+	const sampleEvery, sustain = 4, 3
+	for _, tc := range []struct {
+		name     string
+		active   []bool
+		wantSlot int // -1: no decision
+	}{
+		{"three-live-drains-coldest", []bool{true, true, true}, 0},
+		{"two-live-decides-nothing", []bool{true, true, false}, -1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			procs := len(tc.active)
+			c := newMemCluster(t, procs, wpp, bins, tc.active, func(p int, o *plan.MembershipOptions) {
+				o.Autoscale = &plan.MembershipAutoscale{
+					Meter:       core.NewLoadMeter(procs*wpp, logBins),
+					SampleEvery: sampleEvery,
+					ColdRecs:    10, // every window is idle: mean 0 recs/worker
+					Sustain:     sustain,
+				}
+			})
+			var first *plan.Transition
+			var firstAt core.Time
+			for e := core.Time(1); e <= 100*sampleEvery; e++ {
+				for p, mc := range c.mcs {
+					if tc.active[p] {
+						mc.Tick(e)
+					}
+				}
+				tr := c.mcs[0].NextCommit()
+				switch {
+				case tr == nil:
+				case first == nil:
+					first, firstAt = tr, e
+				case tr != first:
+					t.Fatalf("second decision %+v at epoch %d after %+v", tr, e, first)
+				}
+			}
+			if tc.wantSlot < 0 {
+				if first != nil {
+					t.Fatalf("decided %+v at epoch %d with only %d members live", first, firstAt, procs-1)
+				}
+				return
+			}
+			if first == nil {
+				t.Fatal("sustained underload never drained a member")
+			}
+			if first.Kind != plan.TransitionDrain || first.Slot != tc.wantSlot {
+				t.Fatalf("decided %+v, want a drain-leave of process %d", first, tc.wantSlot)
+			}
+			if min := core.Time(sustain * sampleEvery); firstAt < min {
+				t.Fatalf("decided at epoch %d, before %d windows of underload (epoch %d)", firstAt, sustain, min)
+			}
+			for p := 1; p < procs; p++ {
+				if got := c.mcs[p].NextCommit(); got == nil || got.Kind != plan.TransitionDrain || got.Slot != tc.wantSlot {
+					t.Fatalf("process %d did not mirror the drain: %+v", p, got)
+				}
+			}
+		})
+	}
 }

@@ -64,12 +64,8 @@ type LoadBalance struct {
 	// any bin moves (DefaultHysteresis when 0). Small imbalances inside the
 	// band never trigger a plan, so the system cannot thrash.
 	Hysteresis float64
-	// MinRecords ignores windows with fewer records (DefaultMinRecords when
-	// 0; negative values disable the floor).
-	MinRecords int
-	// MaxMoves caps the moves of one decision (0 = bounded only by the bin
-	// count).
-	MaxMoves int
+
+	maxMoves int // caps the moves of one decision; 0 = bounded only by the bin count
 }
 
 // Name implements Policy.
@@ -77,12 +73,12 @@ func (p LoadBalance) Name() string { return "load-balance" }
 
 // Target implements Policy.
 func (p LoadBalance) Target(current Assignment, load *core.LoadSnapshot) (Assignment, bool) {
-	if belowFloor(load, p.MinRecords) {
+	if load.TotalRecs() < DefaultMinRecords {
 		return nil, false
 	}
 	workers := allWorkers(load.Workers)
 	target := append(Assignment(nil), current...)
-	moves := greedyBalance(target, load.BinRecs, workers, hyst(p.Hysteresis), p.MaxMoves)
+	moves := greedyBalance(target, load.BinRecs, workers, hyst(p.Hysteresis), p.maxMoves)
 	return target, moves > 0
 }
 
@@ -91,17 +87,6 @@ func hyst(h float64) float64 {
 		return DefaultHysteresis
 	}
 	return h
-}
-
-func belowFloor(load *core.LoadSnapshot, minRecords int) bool {
-	floor := uint64(DefaultMinRecords)
-	switch {
-	case minRecords > 0:
-		floor = uint64(minRecords)
-	case minRecords < 0:
-		floor = 0
-	}
-	return load.TotalRecs() < floor
 }
 
 func allWorkers(n int) []int {

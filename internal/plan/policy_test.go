@@ -26,23 +26,26 @@ func maxLoad(a plan.Assignment, load *core.LoadSnapshot) uint64 {
 }
 
 // TestLoadBalanceHysteresis: balanced and mildly imbalanced loads inside
-// the hysteresis band produce no plan; an idle window never triggers.
+// the hysteresis band produce no plan; a window below the record floor
+// never triggers.
 func TestLoadBalanceHysteresis(t *testing.T) {
-	p := plan.LoadBalance{Hysteresis: 0.25, MinRecords: -1}
+	p := plan.LoadBalance{Hysteresis: 0.25}
 	cur := plan.Initial(4, 2)
 
 	// Perfectly balanced: bins alternate workers, equal loads.
-	if _, ok := p.Target(cur, snap(2, []uint64{100, 100, 100, 100})); ok {
+	if _, ok := p.Target(cur, snap(2, []uint64{1000, 1000, 1000, 1000})); ok {
 		t.Error("balanced load triggered a rebalance")
 	}
 	// 10% imbalance, inside the 25% band.
-	if _, ok := p.Target(cur, snap(2, []uint64{110, 100, 110, 100})); ok {
+	if _, ok := p.Target(cur, snap(2, []uint64{1100, 1000, 1100, 1000})); ok {
 		t.Error("in-band imbalance triggered a rebalance")
 	}
-	// Idle window with the default record floor.
-	floor := plan.LoadBalance{}
-	if _, ok := floor.Target(cur, snap(2, []uint64{10, 0, 0, 0})); ok {
+	// Near-idle window: the skew would trigger, the record floor holds it.
+	if _, ok := p.Target(cur, snap(2, []uint64{plan.DefaultMinRecords - 1, 0, 0, 0})); ok {
 		t.Error("near-idle window triggered a rebalance")
+	}
+	if _, ok := p.Target(cur, snap(2, []uint64{plan.DefaultMinRecords, 0, 1, 0})); !ok {
+		t.Error("skewed window at the record floor did not trigger")
 	}
 }
 
@@ -50,21 +53,21 @@ func TestLoadBalanceHysteresis(t *testing.T) {
 // until it is inside the hysteresis band, moving as few bins as possible.
 func TestLoadBalanceDrainsHotWorker(t *testing.T) {
 	// 8 bins, 2 workers: worker 0 owns the even bins, which carry all load.
-	load := snap(2, []uint64{400, 0, 300, 0, 200, 0, 100, 0})
+	load := snap(2, []uint64{4000, 0, 3000, 0, 2000, 0, 1000, 0})
 	cur := plan.Initial(8, 2)
-	p := plan.LoadBalance{Hysteresis: 0.25, MinRecords: -1}
+	p := plan.LoadBalance{Hysteresis: 0.25}
 
 	target, ok := p.Target(cur, load)
 	if !ok {
 		t.Fatal("skewed load did not trigger a rebalance")
 	}
-	if maxLoad(cur, load) != 1000 {
+	if maxLoad(cur, load) != 10000 {
 		t.Fatalf("test setup wrong: initial max load %d", maxLoad(cur, load))
 	}
-	// Mean is 500; 25% band allows 625. The greedy drain must bring worker 0
-	// under that.
-	if got := maxLoad(target, load); got > 625 {
-		t.Errorf("post-balance max load %d, want <= 625", got)
+	// Mean is 5000; 25% band allows 6250. The greedy drain must bring
+	// worker 0 under that.
+	if got := maxLoad(target, load); got > 6250 {
+		t.Errorf("post-balance max load %d, want <= 6250", got)
 	}
 	// Zero-load bins never move.
 	for b, w := range target {
@@ -82,8 +85,8 @@ func TestLoadBalanceDrainsHotWorker(t *testing.T) {
 // TestLoadBalanceIndivisibleBin: when one bin carries all the load, no move
 // can help and the policy declines rather than thrashing.
 func TestLoadBalanceIndivisibleBin(t *testing.T) {
-	load := snap(2, []uint64{1000, 0, 0, 0})
-	p := plan.LoadBalance{MinRecords: -1}
+	load := snap(2, []uint64{10000, 0, 0, 0})
+	p := plan.LoadBalance{}
 	if _, ok := p.Target(plan.Initial(4, 2), load); ok {
 		t.Error("an indivisible hot bin produced a plan")
 	}
@@ -91,14 +94,14 @@ func TestLoadBalanceIndivisibleBin(t *testing.T) {
 
 // TestLoadBalanceMaxMoves caps the diff size.
 func TestLoadBalanceMaxMoves(t *testing.T) {
-	load := snap(2, []uint64{100, 0, 100, 0, 100, 0, 100, 0})
+	load := snap(2, []uint64{1000, 0, 1000, 0, 1000, 0, 1000, 0})
 	cur := plan.Initial(8, 2)
-	p := plan.LoadBalance{MinRecords: -1, MaxMoves: 1}
+	p := plan.WithMaxMoves(plan.LoadBalance{}, 1)
 	target, ok := p.Target(cur, load)
 	if !ok {
 		t.Fatal("no plan")
 	}
 	if n := len(plan.Diff(cur, target)); n != 1 {
-		t.Errorf("MaxMoves=1 produced %d moves", n)
+		t.Errorf("maxMoves=1 produced %d moves", n)
 	}
 }

@@ -183,7 +183,7 @@ func TestElectionThreeProcsZeroDies(t *testing.T) {
 		p := p
 		dets[p] = newDetector(ClusterOptions{Bus: buses[p], Procs: procs, Proc: p, Logf: t.Logf,
 			Liveness:     Liveness{TickEvery: testWindow, SuspectAfter: suspectAfter, now: clk.now},
-			OnLeadership: func(lead bool, _ core.Time) { led[p] = append(led[p], lead) }}, 1)
+			onLeadership: func(lead bool, _ core.Time) { led[p] = append(led[p], lead) }}, 1)
 		dets[p].start()
 	}
 	alive := []bool{true, true, true}

@@ -62,10 +62,15 @@ const (
 	subOverhead = 4 + 1
 
 	// defaultCoalesce caps how many payload bytes the send loop coalesces
-	// into one kindBatch frame. Large enough to amortize framing and the
+	// into one kindBatch frame (never more than Config.MaxFrame; a larger
+	// frame travels alone). Large enough to amortize framing and the
 	// writev syscall, small enough to keep per-frame latency and the
 	// receiver's contiguous read buffer modest.
 	defaultCoalesce = 256 << 10
+
+	// ackEvery is the number of received frames between acknowledgements;
+	// it bounds how much a sender retains for replay.
+	ackEvery = 64
 )
 
 // ErrFrameTooLarge reports a frame whose declared length exceeds the

@@ -73,7 +73,7 @@ func TestLateJoinRetireLeave(t *testing.T) {
 	var err error
 	ts[2], err = Dial(Config{
 		Addrs: addrs, Index: 2, Listener: lns[2],
-		DialTimeout: 10 * time.Second, Absent: absent, MembershipEpoch: 1,
+		DialTimeout: 10 * time.Second, Absent: absent,
 	}, mk(2))
 	if err != nil {
 		t.Fatalf("joiner: %v", err)

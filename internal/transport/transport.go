@@ -40,13 +40,6 @@ type Config struct {
 	// DialTimeout bounds how long establishing (or re-establishing) any one
 	// connection may take, covering peers that start late. Default 30s.
 	DialTimeout time.Duration
-	// AckEvery is the number of received frames between acknowledgements
-	// (default 64); it bounds how much a sender retains for replay.
-	AckEvery int
-	// Coalesce caps how many payload bytes the send loop packs into one
-	// batch frame (defaultCoalesce if 0, never more than MaxFrame). Frames
-	// larger than the cap travel alone, up to MaxFrame.
-	Coalesce int
 	// Listener, when non-nil, is a pre-bound listener for Addrs[Index]
 	// (tests bind :0 first to pick free ports without a race).
 	Listener net.Listener
@@ -67,9 +60,6 @@ type Config struct {
 	// every live peer regardless of index order (the usual
 	// higher-index-dials rule assumes everyone starts together).
 	Absent []bool
-	// MembershipEpoch is the initial membership view version carried in
-	// handshakes; bump it via Transport.SetMembershipEpoch as views change.
-	MembershipEpoch uint64
 }
 
 func (c *Config) defaults() {
@@ -78,15 +68,6 @@ func (c *Config) defaults() {
 	}
 	if c.DialTimeout <= 0 {
 		c.DialTimeout = 30 * time.Second
-	}
-	if c.AckEvery <= 0 {
-		c.AckEvery = 64
-	}
-	if c.Coalesce <= 0 {
-		c.Coalesce = defaultCoalesce
-	}
-	if c.Coalesce > c.MaxFrame {
-		c.Coalesce = c.MaxFrame
 	}
 	if c.ClusterID == 0 {
 		h := fnv.New64a()
@@ -203,7 +184,6 @@ func Dial(cfg Config, handler Handler) (*Transport, error) {
 		return nil, fmt.Errorf("transport: index %d out of range for %d addrs", cfg.Index, len(cfg.Addrs))
 	}
 	t := &Transport{cfg: cfg, handler: handler, closed: make(chan struct{})}
-	t.memEpoch.Store(cfg.MembershipEpoch)
 	absent := func(i int) bool { return i < len(cfg.Absent) && cfg.Absent[i] }
 	selfJoiner := absent(cfg.Index)
 	for i := range cfg.Addrs {
@@ -452,7 +432,7 @@ func (p *peer) sendLoop() {
 	var hdrs []byte   // header arena; pre-sized per round so slices into it stay valid
 	var vecs [][]byte // iovec list, rebuilt per round
 	var outerPad [frameOverhead]byte
-	coalesce := p.t.cfg.Coalesce
+	coalesce := min(defaultCoalesce, p.t.cfg.MaxFrame)
 	for {
 		p.mu.Lock()
 		for {
@@ -858,7 +838,7 @@ func (p *peer) recvLoop(io *connIO) {
 	t := p.t
 	fr := NewFrameReader(io.br, t.cfg.MaxFrame)
 	for frames := 1; ; frames++ {
-		if frames%t.cfg.AckEvery == 0 {
+		if frames%ackEvery == 0 {
 			fr.Trim() // the receive side's ack round
 		}
 		kind, seq, payload, err := fr.Next()
@@ -960,7 +940,7 @@ func (p *peer) dispatchOne(io *connIO, kind byte, seq uint64, payload []byte, du
 		return false
 	}
 	p.recvSeq = seq
-	needAck := p.recvSeq-p.lastAck >= uint64(t.cfg.AckEvery) || kind == kindFin
+	needAck := p.recvSeq-p.lastAck >= ackEvery || kind == kindFin
 	if needAck {
 		p.lastAck = p.recvSeq
 	}

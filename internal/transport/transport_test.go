@@ -316,7 +316,7 @@ func TestOversizedSendFails(t *testing.T) {
 // unseen suffix, and a sequence gap inside a batch tears the connection down.
 func TestBatchReplayExactlyOnce(t *testing.T) {
 	var got []uint64
-	tr := &Transport{cfg: Config{Addrs: []string{"a", "b"}, Index: 0, MaxFrame: DefaultMaxFrame, AckEvery: 1 << 30}, closed: make(chan struct{})}
+	tr := &Transport{cfg: Config{Addrs: []string{"a", "b"}, Index: 0, MaxFrame: DefaultMaxFrame}, closed: make(chan struct{})}
 	tr.handler = func(from int, kind byte, payload []byte) {
 		got = append(got, binary.BigEndian.Uint64(payload))
 	}

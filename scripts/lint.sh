@@ -10,7 +10,9 @@
 #   5. megalint         the project's own invariant analyzers
 #                       (internal/lint: hotalloc, envref, atomicfield,
 #                       sendunderlock, pointstamp, and the whole-program
-#                       unreached check — see DESIGN.md)
+#                       unreached check: code under internal/ that only
+#                       tests call, and exported fields no running code
+#                       sets — see DESIGN.md)
 #   6. no encoding/gob  no non-test package imports it: whatever crosses a
 #                       process or lands in a checkpoint is binary (go
 #                       list's .Imports leaves out test imports)
