@@ -86,7 +86,20 @@ type Ops[R, S, O any] struct {
 	// Fold applies one record to its bin's state, optionally emitting
 	// outputs and scheduling future records.
 	Fold func(t Time, rec R, state *S, n *Notificator[R, S, O], emit func(O))
+	// Prefetch, when set, touches the part of state that Fold will touch
+	// for rec, without changing it. S splits each staged batch into chunks
+	// of PrefetchChunk records, calls Prefetch for every record of a chunk
+	// whose bin is present, and only then folds the chunk: the chunk's cache
+	// misses are in flight together instead of paid one record after
+	// another. When nil, S folds each batch in one pass.
+	Prefetch func(rec R, state *S)
 }
+
+// PrefetchChunk is the number of staged records S prefetches before it
+// folds them. A chunk must fit its prefetched lines in cache until the fold
+// reaches them: prefetching a whole 16 384-record warm-load batch first
+// evicted them again (see DESIGN.md).
+const PrefetchChunk = 256
 
 // Handle exposes a built operator's migration-facing state for tests and
 // instrumentation.
@@ -833,9 +846,11 @@ func (s *sOp[R, S, O]) emitOne(o O) {
 
 // processTime applies all work at time t: replayed pending records of every
 // bin notified at t, then the staged data batches at t, folded straight out
-// of the envelopes they arrived in. The Notificator and the emit func are
-// the operator's own (they are only valid during each Fold call), and the
-// emissions accumulate in one pooled envelope that is sent as it is.
+// of the envelopes they arrived in (a chunk at a time, each prefetched before
+// it is folded, when the operator has a Prefetch). The Notificator and the
+// emit func are the operator's own (they are only valid during each Fold
+// call), and the emissions accumulate in one pooled envelope that is sent as
+// it is.
 //
 //megalint:hotpath
 func (s *sOp[R, S, O]) processTime(c *dataflow.OpCtx, t Time) {
@@ -875,17 +890,29 @@ func (s *sOp[R, S, O]) processTime(c *dataflow.OpCtx, t Time) {
 
 	for s.staged.head() == t {
 		batch := s.staged.pop()
-		for _, rr := range batch.Recs {
-			bin := int(rr.Bin)
-			b := s.bins.getOrCreate(bin, s.ops.NewState)
-			n.bin = bin
-			if s.meter != nil {
-				s.noteApply(bin, 1)
+		for recs := batch.Recs; len(recs) > 0; {
+			chunk := recs
+			if s.ops.Prefetch != nil {
+				chunk = recs[:min(len(recs), PrefetchChunk)]
+				for _, rr := range chunk {
+					if b := s.bins.data[rr.Bin]; b != nil {
+						s.ops.Prefetch(rr.Rec, b.State)
+					}
+				}
 			}
-			if s.h.OnApply != nil {
-				s.h.OnApply(t, bin, s.index)
+			recs = recs[len(chunk):]
+			for _, rr := range chunk {
+				bin := int(rr.Bin)
+				b := s.bins.getOrCreate(bin, s.ops.NewState)
+				n.bin = bin
+				if s.meter != nil {
+					s.noteApply(bin, 1)
+				}
+				if s.h.OnApply != nil {
+					s.h.OnApply(t, bin, s.index)
+				}
+				s.ops.Fold(t, rr.Rec, b.State, n, s.emit)
 			}
-			s.ops.Fold(t, rr.Rec, b.State, n, s.emit)
 		}
 		batch.Release(s.w)
 	}

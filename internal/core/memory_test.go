@@ -25,7 +25,8 @@ type phase struct {
 }
 
 // hashCountRun is a hash-count dataflow (F -> S -> sink) over 2 workers, 16
-// bins and a fixed domain of keys, which it owns and drives.
+// bins and a fixed domain of keys, which it owns and drives. Its S runs the
+// prefetch pass, so the allocation pins cover both passes of the apply loop.
 type hashCountRun struct {
 	exec    *dataflow.Execution
 	inputs  []*dataflow.InputHandle[uint64]
@@ -46,14 +47,17 @@ func startHashCount() *hashCountRun {
 		r.ctls = append(r.ctls, ctl)
 		in, data := dataflow.NewInput[uint64](w, "data")
 		r.inputs = append(r.inputs, in)
-		out := core.Unary(w,
+		out := core.Operator(w,
 			core.Config{Name: "hash-count", LogBins: logBins},
 			ctlStream, data,
-			func(k uint64) uint64 { return core.Mix64(k) },
-			func() *map[uint64]uint64 { m := make(map[uint64]uint64); return &m },
-			func(t core.Time, k uint64, s *map[uint64]uint64, _ *core.Notificator[uint64, map[uint64]uint64, countOut], emit func(countOut)) {
-				(*s)[k]++
-				emit(countOut{Key: k, Count: (*s)[k]})
+			core.Ops[uint64, map[uint64]uint64, countOut]{
+				Hash:     func(k uint64) uint64 { return core.Mix64(k) },
+				NewState: func() *map[uint64]uint64 { m := make(map[uint64]uint64); return &m },
+				Fold: func(t core.Time, k uint64, s *map[uint64]uint64, _ *core.Notificator[uint64, map[uint64]uint64, countOut], emit func(countOut)) {
+					(*s)[k]++
+					emit(countOut{Key: k, Count: (*s)[k]})
+				},
+				Prefetch: func(k uint64, s *map[uint64]uint64) { _ = (*s)[k] },
 			}, nil)
 		seen := &r.outputs[w.Index()]
 		operators.Sink(w, "sink", out, func(_ core.Time, data []countOut) { *seen += int64(len(data)) })

@@ -140,6 +140,26 @@ func denseHasher(domain int64) func(uint64) uint64 {
 	return func(key uint64) uint64 { return key << shift }
 }
 
+// hashCountOps is the hash-count variant's operator logic; svc, when set,
+// levies simulated service time in the fold. Prefetch looks the key up and
+// discards the value: the read loads the map group's control word and slots
+// that the fold's increment will write, and leaves the map unchanged when
+// the key is absent.
+func hashCountOps(svc *serviceSleeper) core.Ops[uint64, HashState, Out] {
+	return core.Ops[uint64, HashState, Out]{
+		Hash:     func(k uint64) uint64 { return core.Mix64(k) },
+		NewState: func() *HashState { return &HashState{M: make(map[uint64]uint64)} },
+		Fold: func(t core.Time, k uint64, s *HashState, _ *core.Notificator[uint64, HashState, Out], emit func(Out)) {
+			if svc != nil {
+				svc.apply()
+			}
+			s.M[k]++
+			emit(Out{Key: k, Count: s.M[k]})
+		},
+		Prefetch: func(k uint64, s *HashState) { _ = s.M[k] },
+	}
+}
+
 // Build wires the counting query on worker w, fed by data (keys) and, for
 // migrateable variants, steered by control. It returns the output stream.
 // handle is optional instrumentation shared across workers (allocate one
@@ -157,20 +177,10 @@ func Build(w *dataflow.Worker, p Params, control dataflow.Stream[core.Move], dat
 	}
 	switch p.Variant {
 	case HashCount:
-		return core.Unary(w,
+		return core.Operator(w,
 			core.Config{Name: "hash-count", LogBins: p.LogBins, Transfer: p.Transfer, Meter: p.Meter,
 				Checkpoint: p.Checkpoint, Restore: p.Restore},
-			control, data,
-			func(k uint64) uint64 { return core.Mix64(k) },
-			func() *HashState { return &HashState{M: make(map[uint64]uint64)} },
-			func(t core.Time, k uint64, s *HashState, _ *core.Notificator[uint64, HashState, Out], emit func(Out)) {
-				if svc != nil {
-					svc.apply()
-				}
-				s.M[k]++
-				emit(Out{Key: k, Count: s.M[k]})
-			},
-			h.Hash)
+			control, data, hashCountOps(svc), h.Hash)
 	case KeyCount:
 		binSpan := p.Domain >> uint(p.LogBins)
 		if binSpan < 1 {
@@ -197,9 +207,18 @@ func Build(w *dataflow.Worker, p Params, control dataflow.Stream[core.Move], dat
 			dataflow.Exchange[uint64]{Hash: func(k uint64) uint64 { return core.Mix64(k) }},
 			func() map[uint64]uint64 { return make(map[uint64]uint64) },
 			func(t core.Time, keys []uint64, m map[uint64]uint64, emit func(Out)) {
-				for _, k := range keys {
-					m[k]++
-					emit(Out{Key: k, Count: m[k]})
+				// The same chunked prefetch-then-fold as S's, so the
+				// overhead comparison measures Megaphone, not the prefetch.
+				for len(keys) > 0 {
+					chunk := keys[:min(len(keys), core.PrefetchChunk)]
+					keys = keys[len(chunk):]
+					for _, k := range chunk {
+						_ = m[k]
+					}
+					for _, k := range chunk {
+						m[k]++
+						emit(Out{Key: k, Count: m[k]})
+					}
 				}
 			})
 	case NativeKey:

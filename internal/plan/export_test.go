@@ -8,9 +8,3 @@ func SetOnStepDone(c *Controller, f func(step int, t core.Time)) { c.onStepDone 
 // SetOnLeadership makes f observe the leadership transitions of the process
 // o configures.
 func SetOnLeadership(o *ClusterOptions, f func(leader bool, epoch core.Time)) { o.onLeadership = f }
-
-// WithMaxMoves returns p with every decision capped at n moves.
-func WithMaxMoves(p LoadBalance, n int) LoadBalance {
-	p.maxMoves = n
-	return p
-}

@@ -64,8 +64,6 @@ type LoadBalance struct {
 	// any bin moves (DefaultHysteresis when 0). Small imbalances inside the
 	// band never trigger a plan, so the system cannot thrash.
 	Hysteresis float64
-
-	maxMoves int // caps the moves of one decision; 0 = bounded only by the bin count
 }
 
 // Name implements Policy.
@@ -78,7 +76,7 @@ func (p LoadBalance) Target(current Assignment, load *core.LoadSnapshot) (Assign
 	}
 	workers := allWorkers(load.Workers)
 	target := append(Assignment(nil), current...)
-	moves := greedyBalance(target, load.BinRecs, workers, hyst(p.Hysteresis), p.maxMoves)
+	moves := greedyBalance(target, load.BinRecs, workers, hyst(p.Hysteresis))
 	return target, moves > 0
 }
 
@@ -103,7 +101,7 @@ func allWorkers(n int) []int {
 // load is non-zero and strictly smaller than the pairwise load gap, so every
 // move strictly shrinks the gap and the loop terminates. Mutates target in
 // place and returns the number of moves.
-func greedyBalance(target Assignment, binLoad []uint64, set []int, hysteresis float64, maxMoves int) int {
+func greedyBalance(target Assignment, binLoad []uint64, set []int, hysteresis float64) int {
 	if len(set) < 2 {
 		return 0
 	}
@@ -123,11 +121,8 @@ func greedyBalance(target Assignment, binLoad []uint64, set []int, hysteresis fl
 		total += binLoad[b]
 	}
 	trigger := float64(total) / float64(len(set)) * (1 + hysteresis)
-	if maxMoves <= 0 {
-		maxMoves = len(target)
-	}
 	moves := 0
-	for iter := 0; iter < len(target) && moves < maxMoves; iter++ {
+	for iter := 0; iter < len(target); iter++ {
 		src, dst := 0, 0
 		for i := range loads {
 			if loads[i] > loads[src] {

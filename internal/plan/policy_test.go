@@ -91,17 +91,3 @@ func TestLoadBalanceIndivisibleBin(t *testing.T) {
 		t.Error("an indivisible hot bin produced a plan")
 	}
 }
-
-// TestLoadBalanceMaxMoves caps the diff size.
-func TestLoadBalanceMaxMoves(t *testing.T) {
-	load := snap(2, []uint64{1000, 0, 1000, 0, 1000, 0, 1000, 0})
-	cur := plan.Initial(8, 2)
-	p := plan.WithMaxMoves(plan.LoadBalance{}, 1)
-	target, ok := p.Target(cur, load)
-	if !ok {
-		t.Fatal("no plan")
-	}
-	if n := len(plan.Diff(cur, target)); n != 1 {
-		t.Errorf("maxMoves=1 produced %d moves", n)
-	}
-}
