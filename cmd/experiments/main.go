@@ -1,7 +1,7 @@
 // Command experiments regenerates every table and figure of the Megaphone
 // paper's evaluation at laptop scale, printing the same rows/series the
-// paper reports. See DESIGN.md for the per-experiment index and
-// EXPERIMENTS.md for recorded paper-vs-measured shapes.
+// paper reports. README.md's "Reproducing the paper's experiments" says
+// how to run them, in one process or across several.
 //
 // Usage:
 //
@@ -93,9 +93,16 @@ func run(args []string, out io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if *workers <= 0 {
+		return fmt.Errorf("-workers %d: want at least 1", *workers)
+	}
 	c := config{workers: *workers, quick: *quick, out: out}
 	if *hosts != "" {
-		c.cluster = &dataflow.ClusterSpec{Hosts: strings.Split(*hosts, ","), Process: *proc}
+		hs := strings.Split(*hosts, ",")
+		if *proc < 0 || *proc >= len(hs) {
+			return fmt.Errorf("-process %d: want an index into the %d -hosts", *proc, len(hs))
+		}
+		c.cluster = &dataflow.ClusterSpec{Hosts: hs, Process: *proc}
 		c.runSeq = new(atomic.Uint64)
 	}
 

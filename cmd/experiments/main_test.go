@@ -20,11 +20,16 @@ func TestRunTable1(t *testing.T) {
 	}
 }
 
-// TestRunErrors: unknown experiments and flags are rejected.
+// TestRunErrors: unknown experiments and flags, a non-positive worker
+// count and a process index outside -hosts are rejected before any
+// experiment starts.
 func TestRunErrors(t *testing.T) {
 	for _, args := range [][]string{
 		{"-exp", "fig99"},
 		{"-definitely-not-a-flag"},
+		{"-workers", "0", "-exp", "table1"},
+		{"-hosts", "127.0.0.1:1,127.0.0.1:2", "-process", "5", "-exp", "fig1"},
+		{"-hosts", "127.0.0.1:1,127.0.0.1:2", "-process", "-1", "-exp", "fig1"},
 	} {
 		if err := run(args, io.Discard); err == nil {
 			t.Errorf("run(%v) succeeded, want error", args)

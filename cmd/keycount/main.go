@@ -228,8 +228,7 @@ func run(args []string, out io.Writer) error {
 	fmt.Fprintf(out, "# records=%d overall: %s\n", res.Records, res.Hist.Summary())
 	if res.Elapsed > 0 {
 		// Achieved throughput: when the system keeps up this is ~rate; when
-		// it falls behind, records/elapsed is the sustained capacity
-		// (scripts/bench.sh reads this line for the cluster benchmark).
+		// it falls behind, records/elapsed is the sustained capacity.
 		fmt.Fprintf(out, "# throughput records=%d elapsed=%.3fs records_s=%.0f\n",
 			res.Records, res.Elapsed, float64(res.Records)/res.Elapsed)
 	}

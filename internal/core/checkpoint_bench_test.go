@@ -18,6 +18,21 @@ func benchCheckpointState() (assignment []int, bins map[int]*BinState[KV[uint64,
 	return assignment, bins
 }
 
+// TestCheckpointAllocs pins one checkpoint of benchCheckpointState at 328
+// allocations to write and 356 to restore, about 10 % over the 299 and 325
+// measured: one more allocation per bin breaks either budget.
+func TestCheckpointAllocs(t *testing.T) {
+	for _, c := range []struct {
+		name   string
+		bench  func(*testing.B)
+		budget int64
+	}{{"write", BenchmarkCheckpointWrite, 328}, {"restore", BenchmarkCheckpointRestore, 356}} {
+		if r := testing.Benchmark(c.bench); r.N == 0 || r.AllocsPerOp() > c.budget {
+			t.Errorf("checkpoint %s: %d allocs/op over %d ops, budget %d", c.name, r.AllocsPerOp(), r.N, c.budget)
+		}
+	}
+}
+
 // BenchmarkCheckpointWrite measures one worker draining its bins to disk —
 // the synchronous cost a checkpoint command adds to the epoch it aligns
 // with (the "checkpoint stall" of the recovery ablation).

@@ -172,6 +172,14 @@ func TestDumpDeterministic(t *testing.T) {
 	}
 }
 
+// TestApplySteadyZeroAlloc pins BenchmarkApplySteady's pattern at 0
+// allocations per Apply.
+func TestApplySteadyZeroAlloc(t *testing.T) {
+	if r := testing.Benchmark(BenchmarkApplySteady); r.N == 0 || r.AllocsPerOp() != 0 {
+		t.Fatalf("steady tracker Apply: %d allocs/op over %d ops, want 0", r.AllocsPerOp(), r.N)
+	}
+}
+
 // BenchmarkApplySteady measures the tracker's per-batch cost in the steady
 // pattern one scheduling produces: consume at one time, produce at the next.
 func BenchmarkApplySteady(b *testing.B) {
