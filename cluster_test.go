@@ -93,19 +93,21 @@ func testClusterKeycount(t *testing.T, procs, wpp int) {
 			Domain:  1 << 12,
 			Preload: true,
 		},
-		Workers:  0, // set per run
-		Rate:     20000,
-		Duration: 1200 * time.Millisecond,
-		// Nine workers on a small host (under -race, too) finish both
-		// migrations within the run at 3 ms epochs, not at 1 ms.
-		EpochEvery: time.Duration(wpp) * time.Millisecond,
-		Strategy:   plan.Batched,
-		Batch:      4,
-		MigrateAt:  400 * time.Millisecond,
-		MigrateTwo: true,
+		Config: harness.Config{
+			Workers:  0, // set per run
+			Rate:     20000,
+			Duration: 1200 * time.Millisecond,
+			// Nine workers on a small host (under -race, too) finish both
+			// migrations within the run at 3 ms epochs, not at 1 ms.
+			EpochEvery: time.Duration(wpp) * time.Millisecond,
+			Strategy:   plan.Batched,
+			Batch:      4,
+			MigrateAt:  400 * time.Millisecond,
+		},
+		Extras: harness.Extras{MigrateTwo: true},
 	}
-	// keycount.Run's plan moves the bins of the upper half of the workers to
-	// the lower half and back; every bin is preloaded, so each move ships one.
+	// The Section 5 schedule moves the bins of the upper half of the workers
+	// to the lower half and back; every bin is preloaded, so each move ships one.
 	total := procs * wpp
 	var lower []int
 	for w := 0; w < (total+1)/2; w++ {
@@ -392,13 +394,15 @@ func testClusterNexmarkQ4(t *testing.T, impl nexmark.Impl) {
 			Impl:    impl,
 			LogBins: 4,
 		},
-		Gen:        nexmark.GenConfig{ActiveAuctions: 100, ActivePeople: 100, AuctionEpochs: 30},
-		Rate:       20000,
-		Duration:   1200 * time.Millisecond,
-		EpochEvery: time.Millisecond,
-		Strategy:   plan.Batched,
-		Batch:      4,
-		MigrateAt:  400 * time.Millisecond,
+		Gen: nexmark.GenConfig{ActiveAuctions: 100, ActivePeople: 100, AuctionEpochs: 30},
+		Config: harness.Config{
+			Rate:       20000,
+			Duration:   1200 * time.Millisecond,
+			EpochEvery: time.Millisecond,
+			Strategy:   plan.Batched,
+			Batch:      4,
+			MigrateAt:  400 * time.Millisecond,
+		},
 	}
 
 	var ref epochCollector
@@ -477,10 +481,12 @@ func TestClusterAutoscaleEquivalence(t *testing.T) {
 			Domain:  1 << 12,
 			Preload: true,
 		},
-		Workers:    0, // set per run
-		Rate:       20000,
-		Duration:   1500 * time.Millisecond,
-		EpochEvery: time.Millisecond,
+		Config: harness.Config{
+			Workers:    0, // set per run
+			Rate:       20000,
+			Duration:   1500 * time.Millisecond,
+			EpochEvery: time.Millisecond,
+		},
 		Workload: harness.Workload{
 			Kind:        harness.HotShift,
 			HotFraction: 0.85,

@@ -214,12 +214,14 @@ func fig1(c config) {
 				Domain:  1 << 21,
 				Preload: true,
 			},
-			Workers:   c.workers,
-			Rate:      200_000,
-			Duration:  c.dur(12 * time.Second),
-			Strategy:  st,
-			Batch:     16,
-			MigrateAt: c.dur(6 * time.Second),
+			Config: harness.Config{
+				Workers:   c.workers,
+				Rate:      200_000,
+				Duration:  c.dur(12 * time.Second),
+				Strategy:  st,
+				Batch:     16,
+				MigrateAt: c.dur(6 * time.Second),
+			},
 		})
 		fmt.Fprintf(c.out, "\n--- %v ---\n", st)
 		res.Timeline.Fprint(c.out)
@@ -231,14 +233,16 @@ func fig1(c config) {
 func statelessFig(c config, name, q string) {
 	header(c, name, "NEXMark "+q+" (stateless): reconfigurations cause no spike")
 	res := c.runNexmark(nexmark.RunConfig{
-		Query:     q,
-		Params:    nexmark.Params{Impl: nexmark.Megaphone, LogBins: 8},
-		Workers:   c.workers,
-		Rate:      200_000,
-		Duration:  c.dur(9 * time.Second),
-		Strategy:  plan.Batched,
-		Batch:     16,
-		MigrateAt: c.dur(3 * time.Second),
+		Query:  q,
+		Params: nexmark.Params{Impl: nexmark.Megaphone, LogBins: 8},
+		Config: harness.Config{
+			Workers:   c.workers,
+			Rate:      200_000,
+			Duration:  c.dur(9 * time.Second),
+			Strategy:  plan.Batched,
+			Batch:     16,
+			MigrateAt: c.dur(3 * time.Second),
+		},
 	})
 	res.Timeline.Fprint(c.out)
 	printSpans(c, res)
@@ -249,14 +253,16 @@ func queryFig(c config, name, q string, withNative bool) {
 	header(c, name, "NEXMark "+q+": all-at-once vs Megaphone batched")
 	for _, st := range []plan.Strategy{plan.AllAtOnce, plan.Batched} {
 		res := c.runNexmark(nexmark.RunConfig{
-			Query:     q,
-			Params:    nexmark.Params{Impl: nexmark.Megaphone, LogBins: 8},
-			Workers:   c.workers,
-			Rate:      200_000,
-			Duration:  c.dur(12 * time.Second),
-			Strategy:  st,
-			Batch:     16,
-			MigrateAt: c.dur(4 * time.Second),
+			Query:  q,
+			Params: nexmark.Params{Impl: nexmark.Megaphone, LogBins: 8},
+			Config: harness.Config{
+				Workers:   c.workers,
+				Rate:      200_000,
+				Duration:  c.dur(12 * time.Second),
+				Strategy:  st,
+				Batch:     16,
+				MigrateAt: c.dur(4 * time.Second),
+			},
 		})
 		fmt.Fprintf(c.out, "\n--- %s %v ---\n", q, st)
 		res.Timeline.Fprint(c.out)
@@ -264,11 +270,13 @@ func queryFig(c config, name, q string, withNative bool) {
 	}
 	if withNative {
 		res := c.runNexmark(nexmark.RunConfig{
-			Query:    q,
-			Params:   nexmark.Params{Impl: nexmark.Native},
-			Workers:  c.workers,
-			Rate:     200_000,
-			Duration: c.dur(12 * time.Second),
+			Query:  q,
+			Params: nexmark.Params{Impl: nexmark.Native},
+			Config: harness.Config{
+				Workers:  c.workers,
+				Rate:     200_000,
+				Duration: c.dur(12 * time.Second),
+			},
 		})
 		fmt.Fprintf(c.out, "\n--- %s native ---\n", q)
 		res.Timeline.Fprint(c.out)
@@ -291,9 +299,11 @@ func overheadFig(c config, name string, v keycount.Variant, domain int64) {
 				Domain:  domain,
 				Preload: true,
 			},
-			Workers:  c.workers,
-			Rate:     200_000,
-			Duration: c.dur(6 * time.Second),
+			Config: harness.Config{
+				Workers:  c.workers,
+				Rate:     200_000,
+				Duration: c.dur(6 * time.Second),
+			},
 		})
 		h := res.Hist
 		ms := func(v int64) float64 { return float64(v) / 1e6 }
@@ -320,12 +330,14 @@ func sweepRow(c config, st plan.Strategy, logBins int, domain int64, rate int, l
 			Domain:  domain,
 			Preload: true,
 		},
-		Workers:   c.workers,
-		Rate:      rate,
-		Duration:  c.dur(10 * time.Second),
-		Strategy:  st,
-		Batch:     16,
-		MigrateAt: c.dur(5 * time.Second),
+		Config: harness.Config{
+			Workers:   c.workers,
+			Rate:      rate,
+			Duration:  c.dur(10 * time.Second),
+			Strategy:  st,
+			Batch:     16,
+			MigrateAt: c.dur(5 * time.Second),
+		},
 	})
 	if len(res.MigrationSpans) > 0 {
 		sp := res.MigrationSpans[0]
@@ -410,11 +422,13 @@ func fig19(c config) {
 					Domain:  1 << 21,
 					Preload: true,
 				},
-				Workers:  c.workers,
-				Rate:     r,
-				Duration: c.dur(8 * time.Second),
-				Strategy: v.st,
-				Batch:    16,
+				Config: harness.Config{
+					Workers:  c.workers,
+					Rate:     r,
+					Duration: c.dur(8 * time.Second),
+					Strategy: v.st,
+					Batch:    16,
+				},
 			}
 			if v.mig {
 				cfg.MigrateAt = c.dur(4 * time.Second)
@@ -437,14 +451,15 @@ func fig20(c config) {
 				Domain:  1 << 22,
 				Preload: true,
 			},
-			Workers:    c.workers,
-			Rate:       200_000,
-			Duration:   c.dur(12 * time.Second),
-			Strategy:   st,
-			Batch:      16,
-			MigrateAt:  c.dur(4 * time.Second),
-			MigrateTwo: true,
-			Memory:     true,
+			Config: harness.Config{
+				Workers:   c.workers,
+				Rate:      200_000,
+				Duration:  c.dur(12 * time.Second),
+				Strategy:  st,
+				Batch:     16,
+				MigrateAt: c.dur(4 * time.Second),
+			},
+			Extras: harness.Extras{MigrateTwo: true, Memory: true},
 		})
 		fmt.Fprintf(c.out, "\n--- %v ---  steady p50=%.1f MiB, peak=%.1f MiB\n",
 			st, res.Memory.Quantile(0.5)/(1<<20), res.Memory.Max()/(1<<20))
@@ -473,15 +488,17 @@ func skewExp(c config) {
 				Domain:  1 << 20,
 				Preload: true,
 			},
-			Workers:  c.workers,
-			Rate:     200_000,
-			Duration: c.dur(8 * time.Second),
-			Workload: wl,
-			Auto: &plan.AutoOptions{
-				Policy:   policy,
-				Strategy: plan.Optimized,
-				Batch:    8,
+			Config: harness.Config{
+				Workers:  c.workers,
+				Rate:     200_000,
+				Duration: c.dur(8 * time.Second),
+				Auto: &plan.AutoOptions{
+					Policy:   policy,
+					Strategy: plan.Optimized,
+					Batch:    8,
+				},
 			},
+			Workload: wl,
 		})
 		fmt.Fprintf(c.out, "\n--- policy=%s workload=%s ---\n", policy.Name(), wl)
 		res.Timeline.Fprint(c.out)
@@ -618,35 +635,37 @@ func autoscaleExp(c config) {
 				Preload:      true,
 				ServiceNanos: serviceNanos,
 			},
-			Workers:  c.workers,
-			Rate:     rate,
-			Duration: duration,
-			Workload: wl,
-			Auto: &plan.AutoOptions{
-				Policy:   policy,
-				Strategy: strategy,
-				Batch:    batch,
-				// Sampling trades detection delay against window fidelity:
-				// the sooner a shift is detected, the smaller the backlog
-				// the migration must pace through, but a window much
-				// shorter than the mesh's stall-burst cadence reads mostly
-				// noise. In-process runs can afford 125 ms windows; cluster
-				// runs triple that so one window averages over several
-				// bursts (see the hysteresis note above).
-				SampleEvery: sampleEvery,
-				// Cool down briefly relative to the window: plans land in
-				// one step, so their disturbance is gone well within the
-				// next window — while a long cooldown is actively harmful
-				// when a sampling window straddles a hot-set shift: the
-				// mostly-pre-shift window yields a token plan, and the
-				// cooldown then holds the real correction until the
-				// backlog has compressed the load signal.
-				Cooldown: sampleEvery / 3,
-				// Gate plans on profitability: chasing a hot set that is
-				// about to rotate again would pay migration cost for no
-				// recovered imbalance.
-				Cost: cost,
+			Config: harness.Config{
+				Workers:  c.workers,
+				Rate:     rate,
+				Duration: duration,
+				Auto: &plan.AutoOptions{
+					Policy:   policy,
+					Strategy: strategy,
+					Batch:    batch,
+					// Sampling trades detection delay against window fidelity:
+					// the sooner a shift is detected, the smaller the backlog
+					// the migration must pace through, but a window much
+					// shorter than the mesh's stall-burst cadence reads mostly
+					// noise. In-process runs can afford 125 ms windows; cluster
+					// runs triple that so one window averages over several
+					// bursts (see the hysteresis note above).
+					SampleEvery: sampleEvery,
+					// Cool down briefly relative to the window: plans land in
+					// one step, so their disturbance is gone well within the
+					// next window — while a long cooldown is actively harmful
+					// when a sampling window straddles a hot-set shift: the
+					// mostly-pre-shift window yields a token plan, and the
+					// cooldown then holds the real correction until the
+					// backlog has compressed the load signal.
+					Cooldown: sampleEvery / 3,
+					// Gate plans on profitability: chasing a hot set that is
+					// about to rotate again would pay migration cost for no
+					// recovered imbalance.
+					Cost: cost,
+				},
 			},
+			Workload: wl,
 		})
 		fmt.Fprintf(c.out, "\n--- policy=%s workload=%s ---\n", policy.Name(), wl)
 		res.Timeline.Fprint(c.out)
@@ -695,12 +714,14 @@ func recoveryExp(c config) {
 			Domain:  1 << 20,
 			Preload: true,
 		},
-		Workers:    c.workers,
-		Rate:       200_000,
-		Duration:   c.dur(8 * time.Second),
-		Strategy:   plan.AllAtOnce,
-		MigrateAt:  c.dur(4 * time.Second),
-		MigrateTwo: false,
+		Config: harness.Config{
+			Workers:   c.workers,
+			Rate:      200_000,
+			Duration:  c.dur(8 * time.Second),
+			Strategy:  plan.AllAtOnce,
+			MigrateAt: c.dur(4 * time.Second),
+		},
+		Extras: harness.Extras{MigrateTwo: false},
 	}
 
 	mig := c.runKeycount(base)

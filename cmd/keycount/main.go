@@ -93,7 +93,7 @@ func run(args []string, out io.Writer) error {
 	default:
 		return fmt.Errorf("unknown variant %q", *variant)
 	}
-	st, err := parseStrategy(*strategy)
+	st, err := plan.StrategyByName(*strategy)
 	if err != nil {
 		return err
 	}
@@ -120,15 +120,16 @@ func run(args []string, out io.Writer) error {
 			Preload:      *preload,
 			ServiceNanos: service.Nanoseconds(),
 		},
-		Workers:    *workers,
-		Rate:       *rate,
-		Duration:   *duration,
-		Strategy:   st,
-		Batch:      *batch,
-		MigrateAt:  *migrateAt,
-		MigrateTwo: true,
-		Memory:     *memory,
-		Workload:   wl,
+		Config: harness.Config{
+			Workers:   *workers,
+			Rate:      *rate,
+			Duration:  *duration,
+			Strategy:  st,
+			Batch:     *batch,
+			MigrateAt: *migrateAt,
+		},
+		Extras:   harness.Extras{MigrateTwo: true, Memory: *memory},
+		Workload: wl,
 	}
 	if *auto != "" {
 		pol, err := plan.PolicyByName(*auto, *hyst)
@@ -161,9 +162,6 @@ func run(args []string, out io.Writer) error {
 			// for (it rides the membership controller's schedule broadcast).
 			cfg.MigrateAt = 0
 			cfg.MigrateTwo = false
-		}
-		if cfg.Auto != nil && *scaleOut == 0 && *scaleIn == 0 {
-			return fmt.Errorf("-auto with -membership drives join/leave from load thresholds; give -scale-out-above and/or -scale-in-below")
 		}
 		if cfg.Auto == nil && (*scaleOut != 0 || *scaleIn != 0) {
 			return fmt.Errorf("-scale-out-above/-scale-in-below read the autoscaler's load windows; add -auto")
@@ -212,26 +210,7 @@ func run(args []string, out io.Writer) error {
 
 	fmt.Fprintf(out, "# keycount %v, %d workers, rate=%d, domain=%d, bins=2^%d, strategy=%v, workload=%v\n",
 		v, *workers, *rate, *domain, *bins, st, wl)
-	res.Timeline.Fprint(out)
-	for i, sp := range res.MigrationSpans {
-		fmt.Fprintf(out, "# migration %d: start=%.2fs end=%.2fs duration=%.2fs max-latency=%.2fms\n",
-			i+1, sp.Start, sp.End, sp.Duration, sp.MaxLatency)
-	}
-	res.FprintAdaptive(out)
-	if res.RestoreEpoch > 0 {
-		fmt.Fprintf(out, "# recovered from checkpoint epoch %d (load %.3fs)\n", res.RestoreEpoch, res.RestoreSeconds)
-	}
-	for _, ck := range res.Checkpoints {
-		fmt.Fprintf(out, "# checkpoint epoch=%d bins=%d bytes=%d write=%.1fms\n",
-			ck.Epoch, ck.Bins, ck.Bytes, ck.Write*1e3)
-	}
-	fmt.Fprintf(out, "# records=%d overall: %s\n", res.Records, res.Hist.Summary())
-	if res.Elapsed > 0 {
-		// Achieved throughput: when the system keeps up this is ~rate; when
-		// it falls behind, records/elapsed is the sustained capacity.
-		fmt.Fprintf(out, "# throughput records=%d elapsed=%.3fs records_s=%.0f\n",
-			res.Records, res.Elapsed, float64(res.Records)/res.Elapsed)
-	}
+	res.Fprint(out)
 	if *ccdf {
 		fmt.Fprintln(out, "# CCDF: latency[ms] fraction-greater")
 		for _, p := range res.Hist.CCDF() {
@@ -242,19 +221,4 @@ func run(args []string, out io.Writer) error {
 		res.Memory.Fprint(out)
 	}
 	return nil
-}
-
-func parseStrategy(s string) (plan.Strategy, error) {
-	switch s {
-	case "all-at-once":
-		return plan.AllAtOnce, nil
-	case "fluid":
-		return plan.Fluid, nil
-	case "batched":
-		return plan.Batched, nil
-	case "optimized":
-		return plan.Optimized, nil
-	default:
-		return 0, fmt.Errorf("unknown strategy %q", s)
-	}
 }

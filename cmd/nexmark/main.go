@@ -80,13 +80,18 @@ func run(args []string, out io.Writer) error {
 		return fmt.Errorf("nexmark: dynamic membership is keycount-only for now — the windowed operators (q5/q7/q8) keep unboundedly many in-flight window capabilities and have no purge hooks, so the membership barrier cannot bound or rebuild their progress holds; use cmd/keycount -membership")
 	}
 
-	st, err := parseStrategy(*strategy)
+	st, err := plan.StrategyByName(*strategy)
 	if err != nil {
 		return err
 	}
-	im := nexmark.Megaphone
-	if *impl == "native" {
+	var im nexmark.Impl
+	switch *impl {
+	case "native":
 		im = nexmark.Native
+	case "megaphone":
+		im = nexmark.Megaphone
+	default:
+		return fmt.Errorf("unknown implementation %q (want native or megaphone)", *impl)
 	}
 
 	cfg := nexmark.RunConfig{
@@ -100,11 +105,13 @@ func run(args []string, out io.Writer) error {
 			HotRatio:      *hotRatio,
 			HotShiftEvery: nexmark.Time(*hotShift),
 		},
-		Workers:  *workers,
-		Rate:     *rate,
-		Duration: *duration,
-		Strategy: st,
-		Batch:    *batch,
+		Config: harness.Config{
+			Workers:  *workers,
+			Rate:     *rate,
+			Duration: *duration,
+			Strategy: st,
+			Batch:    *batch,
+		},
 	}
 	if *auto != "" {
 		pol, err := plan.PolicyByName(*auto, *hyst)
@@ -158,34 +165,6 @@ func run(args []string, out io.Writer) error {
 			return err
 		}
 	}
-	res.Timeline.Fprint(out)
-	for i, sp := range res.MigrationSpans {
-		fmt.Fprintf(out, "# migration %d: start=%.2fs end=%.2fs duration=%.2fs max-latency=%.2fms\n",
-			i+1, sp.Start, sp.End, sp.Duration, sp.MaxLatency)
-	}
-	res.FprintAdaptive(out)
-	if res.RestoreEpoch > 0 {
-		fmt.Fprintf(out, "# recovered from checkpoint epoch %d (load %.3fs)\n", res.RestoreEpoch, res.RestoreSeconds)
-	}
-	for _, ck := range res.Checkpoints {
-		fmt.Fprintf(out, "# checkpoint epoch=%d bins=%d bytes=%d write=%.1fms\n",
-			ck.Epoch, ck.Bins, ck.Bytes, ck.Write*1e3)
-	}
-	fmt.Fprintf(out, "# records=%d epochs=%d overall: %s\n", res.Records, res.Epochs, res.Hist.Summary())
+	res.Fprint(out)
 	return nil
-}
-
-func parseStrategy(s string) (plan.Strategy, error) {
-	switch s {
-	case "all-at-once":
-		return plan.AllAtOnce, nil
-	case "fluid":
-		return plan.Fluid, nil
-	case "batched":
-		return plan.Batched, nil
-	case "optimized":
-		return plan.Optimized, nil
-	default:
-		return 0, fmt.Errorf("unknown strategy %q", s)
-	}
 }

@@ -56,6 +56,8 @@ func TestRunFlagErrors(t *testing.T) {
 		{"-rate", "-5"},
 		{"-workers", "-1"},
 		{"-workers", "0"},
+		{"-query", "q9"},
+		{"-impl", "bogus"},
 	} {
 		if err := run(args, io.Discard); err == nil {
 			t.Errorf("run(%v) succeeded, want error", args)

@@ -8,19 +8,22 @@ import (
 	"os"
 	"time"
 
+	"megaphone/internal/harness"
 	"megaphone/internal/nexmark"
 	"megaphone/internal/plan"
 )
 
 func main() {
 	res, err := nexmark.Run(nexmark.RunConfig{
-		Query:     "q3",
-		Params:    nexmark.Params{Impl: nexmark.Megaphone, LogBins: 6},
-		Workers:   4,
-		Rate:      100_000,
-		Duration:  6 * time.Second,
-		Strategy:  plan.Fluid,
-		MigrateAt: 2 * time.Second,
+		Query:  "q3",
+		Params: nexmark.Params{Impl: nexmark.Megaphone, LogBins: 6},
+		Config: harness.Config{
+			Workers:   4,
+			Rate:      100_000,
+			Duration:  6 * time.Second,
+			Strategy:  plan.Fluid,
+			MigrateAt: 2 * time.Second,
+		},
 	})
 	if err != nil {
 		panic(err)

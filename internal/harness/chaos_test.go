@@ -38,8 +38,12 @@ const (
 )
 
 func TestMain(m *testing.M) {
-	if os.Getenv(chaosRoleEnv) == "keycount" {
+	switch os.Getenv(chaosRoleEnv) {
+	case "keycount":
 		chaosWorkerMain()
+		return
+	case "vanish":
+		vanishWorkerMain()
 		return
 	}
 	os.Exit(m.Run())
@@ -58,14 +62,16 @@ func chaosRunConfig() keycount.RunConfig {
 			Domain:  1 << 11,
 			Preload: true,
 		},
-		Workers:         1,
-		Rate:            20000,
-		Duration:        2400 * time.Millisecond,
-		EpochEvery:      time.Millisecond,
-		Strategy:        plan.Batched,
-		Batch:           4,
-		MigrateAt:       500 * time.Millisecond,
-		CheckpointEvery: 300 * time.Millisecond,
+		Config: harness.Config{
+			Workers:         1,
+			Rate:            20000,
+			Duration:        2400 * time.Millisecond,
+			EpochEvery:      time.Millisecond,
+			Strategy:        plan.Batched,
+			Batch:           4,
+			MigrateAt:       500 * time.Millisecond,
+			CheckpointEvery: 300 * time.Millisecond,
+		},
 	}
 }
 

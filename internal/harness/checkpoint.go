@@ -2,6 +2,7 @@ package harness
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -59,42 +60,41 @@ func (c *CheckpointCollector) Stats() []CheckpointStat {
 	return out
 }
 
-// CheckpointPlan is a run's resolved checkpoint/recovery configuration —
-// the part of RunConfig.{CheckpointDir,CheckpointEvery,Recover} handling
-// every workload runner shares. Build it with PlanCheckpoints; the zero
-// value (StartEpoch 1, everything else disabled) is a fresh,
-// non-checkpointing run.
-type CheckpointPlan struct {
-	// Every is the checkpoint cadence in epochs (Options.CheckpointEvery;
+// checkpointPlan is a run's resolved checkpoint/recovery configuration —
+// Launch's handling of Config.{CheckpointDir,CheckpointEvery,Recover}.
+// Build it with planCheckpoints; the zero value (startEpoch 1, everything
+// else disabled) is a fresh, non-checkpointing run.
+type checkpointPlan struct {
+	// every is the checkpoint cadence in epochs (Options.CheckpointEvery;
 	// 0 disables).
-	Every int64
-	// StartEpoch is the first epoch to drive (Options.StartEpoch): the
+	every int64
+	// startEpoch is the first epoch to drive (Options.StartEpoch): the
 	// restored checkpoint's epoch when recovering, 1 otherwise.
-	StartEpoch int64
-	// Config is the operator-facing checkpoint configuration (nil when
+	startEpoch int64
+	// config is the operator-facing checkpoint configuration (nil when
 	// checkpointing is disabled), wired to this plan's collector.
-	Config *core.CheckpointConfig
-	// Restores maps operator names to their loaded checkpoints (nil when
+	config *core.CheckpointConfig
+	// restores maps operator names to their loaded checkpoints (nil when
 	// not recovering).
-	Restores map[string]*core.Restore
+	restores map[string]*core.Restore
 
 	collector      *CheckpointCollector
 	recovered      bool
 	restoreSeconds float64
 }
 
-// PlanCheckpoints validates a run's checkpoint flags and, when recovering,
-// loads the newest complete checkpoint for every operator found under dir.
-// It returns the plan and the run duration to use — trimmed to the
-// schedule remaining after the restore epoch, so a recovered run ends at
-// the same epoch the uninterrupted run would have. workload prefixes
-// errors; the per-workload "does this dataflow have migrateable state"
-// check stays with the caller.
-func PlanCheckpoints(workload, dir string, every time.Duration, recover bool,
+// planCheckpoints validates a run's checkpoint flags and, when recovering,
+// loads the newest complete checkpoint of every operator named in ops,
+// refusing one that holds no state for some of them. It returns the plan
+// and the run duration to use — trimmed to the schedule remaining after the
+// restore epoch, so a recovered run ends at the same epoch the
+// uninterrupted run would have. workload prefixes errors; Launch checks
+// that the dataflow has migrateable state at all.
+func planCheckpoints(workload string, ops []string, dir string, every time.Duration, recover bool,
 	transfer core.Codec, totalWorkers, firstWorker, workers int,
-	epochEvery, duration time.Duration) (*CheckpointPlan, time.Duration, error) {
+	epochEvery, duration time.Duration) (*checkpointPlan, time.Duration, error) {
 
-	p := &CheckpointPlan{StartEpoch: 1}
+	p := &checkpointPlan{startEpoch: 1}
 	if dir == "" && !recover {
 		return p, duration, nil
 	}
@@ -103,87 +103,81 @@ func PlanCheckpoints(workload, dir string, every time.Duration, recover bool,
 			return nil, 0, fmt.Errorf("%s: -recover needs -checkpoint-dir", workload)
 		}
 		loadStart := time.Now()
-		epoch, ops, ok, err := core.LatestCheckpoint(dir, totalWorkers)
+		epoch, held, ok, err := core.LatestCheckpoint(dir, totalWorkers)
 		if err != nil {
 			return nil, 0, err
 		}
 		if !ok {
 			return nil, 0, fmt.Errorf("%s: no complete checkpoint under %s", workload, dir)
 		}
-		p.Restores = make(map[string]*core.Restore, len(ops))
+		p.restores = make(map[string]*core.Restore, len(ops))
 		for _, op := range ops {
+			if !slices.Contains(held, op) {
+				return nil, 0, fmt.Errorf("%s: the checkpoint under %s holds no state for operator %q (it has %v): was it written by another dataflow?", workload, dir, op, held)
+			}
 			r, err := core.LoadRestore(dir, op, epoch, totalWorkers, firstWorker, workers, core.CodecName(transfer))
 			if err != nil {
 				return nil, 0, err
 			}
-			p.Restores[op] = r
+			p.restores[op] = r
 		}
-		p.StartEpoch = int64(epoch)
+		p.startEpoch = int64(epoch)
 		p.recovered = true
 		p.restoreSeconds = time.Since(loadStart).Seconds()
-		remaining := duration - time.Duration(p.StartEpoch-1)*epochEvery
+		remaining := duration - time.Duration(p.startEpoch-1)*epochEvery
 		if remaining <= 0 {
-			return nil, 0, fmt.Errorf("%s: checkpoint epoch %d is past the run's %v duration", workload, p.StartEpoch, duration)
+			return nil, 0, fmt.Errorf("%s: checkpoint epoch %d is past the run's %v duration", workload, p.startEpoch, duration)
 		}
 		duration = remaining
 	}
 	if dir != "" {
 		p.collector = &CheckpointCollector{}
-		p.Config = &core.CheckpointConfig{Dir: dir, OnCheckpoint: p.collector.Note}
+		p.config = &core.CheckpointConfig{Dir: dir, OnCheckpoint: p.collector.Note}
 		if every <= 0 {
 			every = time.Second
 		}
-		if p.Every = int64(every / epochEvery); p.Every < 1 {
-			p.Every = 1
+		if p.every = int64(every / epochEvery); p.every < 1 {
+			p.every = 1
 		}
 	}
 	return p, duration, nil
 }
 
-// Restore returns the loaded checkpoint of one operator, or nil for a
-// fresh run (or an operator absent from the checkpoint).
-func (p *CheckpointPlan) Restore(op string) *core.Restore {
-	if p.Restores == nil {
-		return nil
-	}
-	return p.Restores[op]
-}
-
-// InitialAssignment returns the bin assignment a recovering run's
+// initialAssignment returns the bin assignment a recovering run's
 // controllers must start from, or nil for a fresh run. Every operator of a
 // dataflow shares one control stream, so their checkpointed assignments
 // are identical and any one of them serves.
-func (p *CheckpointPlan) InitialAssignment() plan.Assignment {
-	for _, r := range p.Restores {
+func (p *checkpointPlan) initialAssignment() plan.Assignment {
+	for _, r := range p.restores {
 		return append(plan.Assignment(nil), r.Assignment...)
 	}
 	return nil
 }
 
-// FilterMigrations drops scheduled migrations whose epoch precedes the
+// filterMigrations drops scheduled migrations whose epoch precedes the
 // restore point: they are already reflected in the restored assignment
 // (and control commands are not replayed); outputs do not depend on them
 // either way (Property 1).
-func (p *CheckpointPlan) FilterMigrations(migrations []Migration) []Migration {
-	if p.StartEpoch <= 1 {
+func (p *checkpointPlan) filterMigrations(migrations []Migration) []Migration {
+	if p.startEpoch <= 1 {
 		return migrations
 	}
 	kept := migrations[:0]
 	for _, m := range migrations {
-		if m.AtEpoch > p.StartEpoch {
+		if m.AtEpoch > p.startEpoch {
 			kept = append(kept, m)
 		}
 	}
 	return kept
 }
 
-// Finish backfills the plan's measurements into a run result.
-func (p *CheckpointPlan) Finish(res *Result) {
+// finish backfills the plan's measurements into a run result.
+func (p *checkpointPlan) finish(res *Result) {
 	if p.collector != nil {
 		res.Checkpoints = p.collector.Stats()
 	}
 	if p.recovered {
-		res.RestoreEpoch = p.StartEpoch
+		res.RestoreEpoch = p.startEpoch
 		res.RestoreSeconds = p.restoreSeconds
 	}
 }

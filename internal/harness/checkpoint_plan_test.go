@@ -37,11 +37,11 @@ func TestNewDriverRestoredInitial(t *testing.T) {
 // TestPlanCheckpointsTrimsDuration: a recovered run's schedule ends where
 // the uninterrupted run's would have.
 func TestPlanCheckpointsTrimsDuration(t *testing.T) {
-	p, dur, err := harness.PlanCheckpoints("test", "", 0, false, nil, 2, 0, 2, time.Millisecond, time.Second)
-	if err != nil || dur != time.Second || p.StartEpoch != 1 || p.Every != 0 {
-		t.Fatalf("fresh plan: %+v dur=%v err=%v", p, dur, err)
+	start, every, dur, err := harness.PlanCheckpoints("test", nil, "", 0, false, nil, 2, 0, 2, time.Millisecond, time.Second)
+	if err != nil || dur != time.Second || start != 1 || every != 0 {
+		t.Fatalf("fresh plan: start=%d every=%d dur=%v err=%v", start, every, dur, err)
 	}
-	if _, _, err := harness.PlanCheckpoints("test", "", 0, true, nil, 2, 0, 2, time.Millisecond, time.Second); err == nil {
+	if _, _, _, err := harness.PlanCheckpoints("test", nil, "", 0, true, nil, 2, 0, 2, time.Millisecond, time.Second); err == nil {
 		t.Fatal("recover without a dir must fail")
 	}
 }

@@ -1,8 +1,16 @@
-// Package harness drives dataflows the way the paper's evaluation does: an
+// Package harness runs workloads the way the paper's evaluation does: an
 // open-loop source supplies input at a specified rate even if the system
 // becomes unresponsive (e.g. during a migration), a prober measures the lag
 // of the output frontier behind each epoch's injection deadline, and
 // per-window latency distributions are collected every reporting interval.
+//
+// Launch is the one runner every workload goes through. A workload hands
+// it a Dataflow — its per-worker build function, generator, bin function
+// and checkpointable operator names — and Launch does the rest: defaults
+// and validation, the checkpoint plan, the mesh, the meter and the control
+// plane, the inputs and the probe, the Section 5 migration schedule, and
+// the drive, through Run on a fixed roster or through the membership
+// controller under dynamic membership.
 package harness
 
 import (
@@ -104,14 +112,13 @@ type Result struct {
 	// Decisions lists the decisions an AutoController took during the run —
 	// issued reconfigurations and cost-model declines alike, including, in
 	// cluster runs, decisions mirrored from the elected controller process
-	// (filled in by workload runners that install one; empty for scripted
-	// migrations).
+	// (filled in by Launch; empty for scripted migrations).
 	Decisions []plan.Decision
 	// Load is the final cumulative load snapshot when the run was metered
 	// (nil otherwise).
 	Load *core.LoadSnapshot
 	// Checkpoints lists the completed checkpoints of a checkpointing run
-	// (filled in by workload runners from the operator's OnCheckpoint
+	// (filled in by Launch from the operator's OnCheckpoint
 	// instrumentation; empty otherwise).
 	Checkpoints []CheckpointStat
 	// RestoreEpoch and RestoreSeconds describe a recovery run: the epoch
@@ -119,34 +126,6 @@ type Result struct {
 	// verifying the checkpoint (both zero for fresh runs).
 	RestoreEpoch   int64
 	RestoreSeconds float64
-}
-
-// NewDriver wires a run's migration driver: a plain plan.Controller for
-// scripted plans, or — when auto is non-nil — an AutoController over
-// initial (the default round-robin assignment when nil; a recovering run
-// passes its CheckpointPlan.InitialAssignment so the controller's view of
-// bin ownership matches the restored routing history). The AutoController
-// is also returned directly so the runner can collect its decisions (nil
-// otherwise); auto.Meter must already be set.
-func NewDriver(auto *plan.AutoOptions, handles []*dataflow.InputHandle[core.Move], probe *dataflow.Probe, bins, workers int, initial plan.Assignment) (Driver, *plan.AutoController) {
-	if auto == nil {
-		return plan.NewController(handles, probe), nil
-	}
-	if initial == nil {
-		initial = plan.Initial(bins, workers)
-	}
-	a := plan.NewAutoController(handles, probe, initial, *auto)
-	return a, a
-}
-
-// FinishAdaptive backfills an auto-controlled run's Decisions and final
-// Load into the result; a no-op when auto is nil.
-func (r *Result) FinishAdaptive(auto *plan.AutoController, meter *core.LoadMeter) {
-	if auto == nil {
-		return
-	}
-	r.Decisions = auto.Decisions()
-	r.Load = meter.Snapshot(nil)
 }
 
 // FprintAdaptive writes the decision log and per-worker load report of an
@@ -173,6 +152,35 @@ func (r *Result) FprintAdaptive(w io.Writer) {
 			fmt.Fprintf(w, " w%d=%d (%.1f%%)", wi, recs, share)
 		}
 		fmt.Fprintln(w)
+	}
+}
+
+// Fprint writes the result lines every workload binary prints: the latency
+// timeline, one line per migration, the decision log and load report, the
+// restored checkpoint, every checkpoint taken, and the records with their
+// achieved throughput. Scripts and tests grep the "# recovered from
+// checkpoint epoch", "# decision", "# checkpoint epoch=" and "# records="
+// prefixes.
+func (r *Result) Fprint(w io.Writer) {
+	r.Timeline.Fprint(w)
+	for i, sp := range r.MigrationSpans {
+		fmt.Fprintf(w, "# migration %d: start=%.2fs end=%.2fs duration=%.2fs max-latency=%.2fms\n",
+			i+1, sp.Start, sp.End, sp.Duration, sp.MaxLatency)
+	}
+	r.FprintAdaptive(w)
+	if r.RestoreEpoch > 0 {
+		fmt.Fprintf(w, "# recovered from checkpoint epoch %d (load %.3fs)\n", r.RestoreEpoch, r.RestoreSeconds)
+	}
+	for _, ck := range r.Checkpoints {
+		fmt.Fprintf(w, "# checkpoint epoch=%d bins=%d bytes=%d write=%.1fms\n",
+			ck.Epoch, ck.Bins, ck.Bytes, ck.Write*1e3)
+	}
+	fmt.Fprintf(w, "# records=%d epochs=%d overall: %s\n", r.Records, r.Epochs, r.Hist.Summary())
+	if r.Elapsed > 0 {
+		// Achieved throughput: when the system keeps up this is ~rate; when
+		// it falls behind, records/elapsed is the sustained capacity.
+		fmt.Fprintf(w, "# throughput records=%d elapsed=%.3fs records_s=%.0f\n",
+			r.Records, r.Elapsed, float64(r.Records)/r.Elapsed)
 	}
 }
 
@@ -234,14 +242,16 @@ func Run[T any](
 	// the driver once at the preceding epoch (no plan is active yet, so the
 	// only effect is advancing the control stream to the start epoch too),
 	// and wait for the output frontier to confirm every process has done
-	// the same before starting the clock.
+	// the same before starting the clock. An execution whose transport died
+	// (a peer gone before the clock started) halted short of the start
+	// epoch and never confirms it.
 	for _, in := range inputs {
 		in.AdvanceTo(core.Time(startEpoch))
 	}
 	ctl.Tick(core.Time(startEpoch - 1))
 	for {
 		f := probe.Frontier()
-		if f == core.None || int64(f) >= startEpoch {
+		if f == core.None || int64(f) >= startEpoch || exec.Err() != nil {
 			break
 		}
 		time.Sleep(50 * time.Microsecond)
@@ -305,8 +315,10 @@ func Run[T any](
 			}
 			select {
 			case <-stopProbe:
-				// Final pass to catch the tail.
-				if lastReported >= endEpoch {
+				// Final pass to catch the tail. An execution whose transport
+				// died halted with its frontier short of the end: nothing
+				// more will complete.
+				if lastReported >= endEpoch || exec.Err() != nil {
 					return
 				}
 			default:

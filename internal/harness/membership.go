@@ -1,7 +1,6 @@
 package harness
 
 import (
-	"fmt"
 	"time"
 
 	"megaphone/internal/core"
@@ -10,79 +9,96 @@ import (
 	"megaphone/internal/plan"
 )
 
-// ClusterFabric bundles the two halves of the runtime the membership
+// clusterFabric bundles the two halves of the runtime the membership
 // protocol drives: the local execution (pause/resume, hold inventory,
 // tracker reset, views) and the mesh (peer activity, counters, membership
 // epoch). Together they satisfy plan.Fabric.
-type ClusterFabric struct {
+type clusterFabric struct {
 	*dataflow.Execution
 	*dataflow.Mesh
 }
 
-var _ plan.Fabric = ClusterFabric{}
+var _ plan.Fabric = clusterFabric{}
 
-// MembershipRunOptions configures RunMembership. Every process of the run
-// must use identical values apart from LeaveAt.
-type MembershipRunOptions struct {
-	// Rate is the cluster-wide offered load in records per second;
-	// EpochEvery the epoch granularity; Duration the total run length
-	// measured from the base start epoch — a joiner admitted at epoch J
-	// drives [J, end] of the same global epoch range, so every process
-	// computes the same end epoch from the same flags.
-	Rate       int
-	EpochEvery time.Duration
-	Duration   time.Duration
-	// TotalInputs is the cluster-wide input count (the full roster's worker
-	// count, absent slots included: their slots are covered by the live
-	// processes, so the input multiset is membership-independent).
-	TotalInputs int
-	// CheckpointEvery issues a checkpoint command at every epoch divisible
-	// by it. Required in practice: crash-leave restores from the latest
-	// complete checkpoint.
-	CheckpointEvery int64
-	// LeaveAt, when positive, makes this process request drain-leave once
-	// its loop passes that epoch.
-	LeaveAt int64
-	// CrashAt, when positive, makes this process abandon the run abruptly
-	// when its loop reaches that epoch: no input close, no goodbye, no FIN —
-	// the in-process stand-in for SIGKILL (multi-process fixtures use the
-	// real signal). Survivors must declare the slot dead and recover. Keep
-	// it away from commit epochs; a process parked in a barrier cannot
-	// crash through this hook.
-	CrashAt int64
-	// CheckpointDir, when set together with CrashAt, delays the abandon
-	// until a complete full-roster checkpoint exists: without one the dead
-	// member's bins are unrecoverable and the survivors can never declare
-	// the death (the scenario every crash fixture scripts is a kill after a
-	// durable checkpoint, matching the declaration gate). On a loaded
-	// machine the probe frontier can lag the wall-clock epoch by hundreds of
-	// epochs, so an unconditional abandon at CrashAt could outrun the first
-	// checkpoint's completion.
-	CheckpointDir string
-}
-
-// RunMembership drives one process of a dynamic-membership run: the
+// runMembership drives one process of a dynamic-membership run: the
 // open-loop injection of Run, plus the membership controller's transitions —
 // admission barrier for a joiner, drain-out for a leaver, crash barrier and
-// bounded input replay when a member is declared dead. Latency probing and
-// migration scheduling are deliberately absent: membership runs measure
-// output equivalence, not latency, and scripted migrations would race the
-// controller's assignment mirror.
-func RunMembership[T any](
-	fab ClusterFabric,
-	mc *plan.MembershipController,
-	inputs []*dataflow.InputHandle[T],
-	ctl []*dataflow.InputHandle[core.Move],
-	probe *dataflow.Probe,
-	gen Gen[T],
-	binOf func(T) int,
-	opts MembershipRunOptions,
-) (Result, error) {
-	if opts.EpochEvery <= 0 {
-		opts.EpochEvery = time.Millisecond
+// bounded input replay when a member is declared dead. Latency probing is
+// deliberately absent: membership runs measure output equivalence, not
+// latency. Scripted migrations route through the controller's schedule
+// broadcast, so the move set stays canonical across leader failovers; Auto
+// hands it the autoscaler's telemetry half (load deltas over the same
+// control bus, behind the same failure detector), and the leader turns the
+// cluster-wide load windows into standby admissions and drain-leaves.
+// Every process of the run must use the same config apart from LeaveAt and
+// CrashAt. Duration is measured from the base start epoch: a joiner
+// admitted at epoch J drives [J, end] of the same global epoch range. The
+// cluster-wide input count is the full roster's, absent slots included:
+// their slots are covered by the live processes, so the input multiset is
+// membership-independent.
+func runMembership[T any](env Env, exec *dataflow.Execution, mesh *dataflow.Mesh, ckpt *checkpointPlan, parts Parts[T],
+	inputs []*dataflow.InputHandle[T], ctl []*dataflow.InputHandle[core.Move], probe *dataflow.Probe, bins int) (Result, error) {
+	var initialActive []bool
+	if env.Cluster.Absent != nil {
+		initialActive = make([]bool, len(env.Cluster.Absent))
+		for p := range initialActive {
+			initialActive[p] = !env.Cluster.Absent[p]
+		}
 	}
-	totalInputs := int64(opts.TotalInputs)
-	perEpoch := int64(float64(opts.Rate) * opts.EpochEvery.Seconds())
+	// In membership mode Auto is telemetry-only: bin moves must route
+	// through the membership plane, so no AutoController (and no policy)
+	// runs.
+	var autoscale *plan.MembershipAutoscale
+	if env.Auto != nil {
+		autoscale = &plan.MembershipAutoscale{
+			Meter:       env.Meter,
+			SampleEvery: env.Auto.SampleEvery,
+			HotRecs:     env.ScaleOutAbove,
+			ColdRecs:    env.ScaleInBelow,
+			Sustain:     env.ScaleSustain,
+			Cost:        env.Auto.Cost,
+		}
+	}
+	fab := clusterFabric{Execution: exec, Mesh: mesh}
+	mc := plan.NewMembershipController(plan.MembershipOptions{
+		ClusterOptions: *env.clusterOptions(mesh),
+		Fabric:         fab,
+		Frontier:       probe.Frontier,
+		Bins:           bins,
+		InitialActive:  initialActive,
+		CheckpointDir:  env.CheckpointDir,
+		Slack:          env.MembershipSlack,
+		Autoscale:      autoscale,
+	})
+	// Manifests record the roster live at each checkpoint epoch, so a
+	// checkpoint taken after a death completes (and restores) without the
+	// dead slots' manifests. Wired before Start: worker goroutines read the
+	// config when a checkpoint command reaches them.
+	ckpt.config.LiveAt = mc.LiveWorkersAt
+	// The Section 5 schedule, rendered against the live roster at decision
+	// time. Every process registers the same specs; only the leader renders
+	// and broadcasts the schedules.
+	for i, at := range env.schedule {
+		mc.ScheduleMigration(plan.MigrationSpec{
+			At:       core.Time(at),
+			Strategy: env.Strategy,
+			Batch:    env.Batch,
+			Target: func(cur plan.Assignment, live []int) plan.Assignment {
+				return paperTargets(len(cur), live)[i]
+			},
+		})
+	}
+	if parts.Preload != nil {
+		// The membership initial assignment is live-only when the roster
+		// starts with absent slots; a joiner owns no bins at start, so this
+		// is naturally a no-op on its process.
+		parts.Preload(mc.Assignment())
+	}
+	exec.Start()
+
+	gen, binOf := parts.Gen, parts.BinOf
+	totalInputs := int64(env.TotalWorkers)
+	perEpoch := int64(float64(env.Rate) * env.EpochEvery.Seconds())
 	nOf := func(g int64) int {
 		n := perEpoch / totalInputs
 		if g < perEpoch%totalInputs {
@@ -90,7 +106,7 @@ func RunMembership[T any](
 		}
 		return int(n)
 	}
-	endEpoch := int64(opts.Duration / opts.EpochEvery) // base start epoch is 1
+	endEpoch := int64(env.Duration / env.EpochEvery) // base start epoch is 1
 
 	res := Result{Timeline: metrics.NewTimeline(), Hist: &metrics.Histogram{}, Memory: &metrics.Series{Name: "heap-bytes"}}
 
@@ -151,7 +167,7 @@ func RunMembership[T any](
 
 	start := time.Now()
 	deadline := func(e int64) time.Time {
-		return start.Add(time.Duration(e-startEpoch+1) * opts.EpochEvery)
+		return start.Add(time.Duration(e-startEpoch+1) * env.EpochEvery)
 	}
 
 	// replay re-injects, at the crash commit epoch, this process's replay
@@ -194,14 +210,11 @@ func RunMembership[T any](
 	leaveRequested := false
 	departing := false
 	recoverable := func() bool {
-		if opts.CheckpointDir == "" {
-			return true
-		}
-		_, _, ok, err := core.LatestCheckpoint(opts.CheckpointDir, int(totalInputs))
+		_, _, ok, err := core.LatestCheckpoint(env.CheckpointDir, int(totalInputs))
 		return err == nil && ok
 	}
 	for e := startEpoch; e <= endEpoch; e++ {
-		if opts.CrashAt > 0 && e >= opts.CrashAt && recoverable() {
+		if env.CrashAt > 0 && e >= env.CrashAt && recoverable() {
 			fab.Mesh.Abandon()
 			fab.Execution.Halt()
 			fab.Execution.Wait()
@@ -232,7 +245,7 @@ func RunMembership[T any](
 		if mv := mc.MovesAt(t); len(mv) > 0 {
 			ctl[0].SendAt(t, mv...)
 		}
-		if opts.CheckpointEvery > 0 && e%opts.CheckpointEvery == 0 && e != startEpoch {
+		if ckpt.every > 0 && e%ckpt.every == 0 && e != startEpoch {
 			ctl[0].SendAt(t, core.CheckpointMove())
 		}
 		for _, g := range mc.Covered(t) {
@@ -257,7 +270,7 @@ func RunMembership[T any](
 		}
 		res.Epochs = e
 
-		if opts.LeaveAt > 0 && e >= opts.LeaveAt && !leaveRequested {
+		if env.LeaveAt > 0 && e >= env.LeaveAt && !leaveRequested {
 			mc.RequestLeave()
 			leaveRequested = true
 		}
@@ -312,10 +325,4 @@ func RunMembership[T any](
 	fab.Execution.Wait()
 	res.Elapsed = time.Since(start).Seconds()
 	return res, fab.Execution.Err()
-}
-
-// MembershipSpecError builds the common validation error for options that
-// membership mode rejects.
-func MembershipSpecError(workload, what string) error {
-	return fmt.Errorf("%s: %s cannot be combined with dynamic membership", workload, what)
 }

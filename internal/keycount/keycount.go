@@ -243,22 +243,11 @@ func Build(w *dataflow.Worker, p Params, control dataflow.Stream[core.Move], dat
 	}
 }
 
-// PreloadLocal preloads only the bins initially assigned to workers in
-// [first, first+n): in a cluster run each process holds state for its own
-// workers only, and the initial assignment is computed against the global
-// worker count.
-func PreloadLocal(p Params, peers int, h *Handles, first, n int) {
-	bins := 1 << uint(p.LogBins)
-	assign := make([]int, bins)
-	for b := range assign {
-		assign[b] = core.InitialWorker(b, peers)
-	}
-	PreloadAssigned(p, assign, h, first, n)
-}
-
 // PreloadAssigned preloads the bins the given assignment places on workers in
-// [first, first+n). Dynamic-membership runs pass the membership controller's
-// initial (live-roster) assignment, under which absent slots own no bins.
+// [first, first+n): in a cluster run each process holds state for its own
+// workers only. Fixed-roster runs pass plan.Initial over the global worker
+// count; dynamic-membership runs pass the membership controller's initial
+// (live-roster) assignment, under which absent slots own no bins.
 func PreloadAssigned(p Params, assign []int, h *Handles, first, n int) {
 	local := func(w int) bool { return w >= first && w < first+n }
 	switch p.Variant {

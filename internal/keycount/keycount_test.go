@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"megaphone/internal/harness"
 	"megaphone/internal/keycount"
 	"megaphone/internal/plan"
 )
@@ -20,13 +21,15 @@ func TestRunWithMigration(t *testing.T) {
 					LogBins: 4,
 					Domain:  1 << 12,
 				},
-				Workers:    2,
-				Rate:       20000,
-				Duration:   1500 * time.Millisecond,
-				EpochEvery: time.Millisecond,
-				Strategy:   strat,
-				Batch:      4,
-				MigrateAt:  500 * time.Millisecond,
+				Config: harness.Config{
+					Workers:    2,
+					Rate:       20000,
+					Duration:   1500 * time.Millisecond,
+					EpochEvery: time.Millisecond,
+					Strategy:   strat,
+					Batch:      4,
+					MigrateAt:  500 * time.Millisecond,
+				},
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -60,9 +63,11 @@ func TestVariantsComplete(t *testing.T) {
 					Domain:  1 << 10,
 					Preload: true,
 				},
-				Workers:  2,
-				Rate:     10000,
-				Duration: 400 * time.Millisecond,
+				Config: harness.Config{
+					Workers:  2,
+					Rate:     10000,
+					Duration: 400 * time.Millisecond,
+				},
 			})
 			if err != nil {
 				t.Fatal(err)

@@ -1,12 +1,14 @@
 package keycount_test
 
 import (
+	"math"
 	"strconv"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"megaphone/internal/harness"
 	"megaphone/internal/keycount"
 	"megaphone/internal/plan"
 )
@@ -92,12 +94,14 @@ func TestRecoveryEquivalence(t *testing.T) {
 			Domain:  1 << 10,
 			Preload: true,
 		},
-		Workers:    2,
-		Rate:       20000,
-		Duration:   900 * time.Millisecond,
-		EpochEvery: time.Millisecond,
-		Strategy:   plan.AllAtOnce,
-		MigrateAt:  150 * time.Millisecond,
+		Config: harness.Config{
+			Workers:    2,
+			Rate:       20000,
+			Duration:   900 * time.Millisecond,
+			EpochEvery: time.Millisecond,
+			Strategy:   plan.AllAtOnce,
+			MigrateAt:  150 * time.Millisecond,
+		},
 	}
 
 	var ref maxCounts
@@ -146,16 +150,80 @@ func TestRecoveryEquivalence(t *testing.T) {
 	diffMax(t, ref.m, merged.m)
 }
 
+// TestRecoveredScheduleMatches: the default second migration sits halfway
+// from MigrateAt to the end of the whole run, so a run recovered after the
+// first migration, which drives only the epochs left after its checkpoint,
+// still starts the second one at the epoch the uninterrupted run does.
+func TestRecoveredScheduleMatches(t *testing.T) {
+	base := keycount.RunConfig{
+		Params: keycount.Params{
+			Variant: keycount.HashCount,
+			LogBins: 4,
+			Domain:  1 << 10,
+			Preload: true,
+		},
+		Config: harness.Config{
+			Workers:    2,
+			Rate:       20000,
+			Duration:   900 * time.Millisecond,
+			EpochEvery: time.Millisecond,
+			Strategy:   plan.AllAtOnce,
+			MigrateAt:  150 * time.Millisecond,
+		},
+		Extras: harness.Extras{MigrateTwo: true},
+	}
+	const second = 150 + (900-150)/2 // the second migration's epoch
+	epochOf := func(sp harness.Span) int64 { return int64(math.Round(sp.Start * 1e3)) }
+
+	ref, err := keycount.Run(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ref.MigrationSpans) != 2 || epochOf(ref.MigrationSpans[1]) < second {
+		t.Fatalf("reference migrations %+v, want two, the second from epoch %d", ref.MigrationSpans, second)
+	}
+
+	// The uninterrupted run, cut short after its first migration and
+	// before its second.
+	dir := t.TempDir()
+	crashed := base
+	crashed.Duration = 450 * time.Millisecond
+	crashed.MigrateTwo = false
+	crashed.CheckpointDir = dir
+	crashed.CheckpointEvery = 200 * time.Millisecond
+	if _, err := keycount.Run(crashed); err != nil {
+		t.Fatal(err)
+	}
+
+	recovered := base
+	recovered.CheckpointDir = dir
+	recovered.CheckpointEvery = 200 * time.Millisecond
+	recovered.Recover = true
+	res, err := keycount.Run(recovered)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.RestoreEpoch != 400 {
+		t.Fatalf("recovered from epoch %d, want the checkpoint at 400", res.RestoreEpoch)
+	}
+	if len(res.MigrationSpans) != 1 || epochOf(res.MigrationSpans[0]) != second {
+		t.Fatalf("recovered run's migrations %+v, want one from epoch %d (the reference's second started at %d)",
+			res.MigrationSpans, second, epochOf(ref.MigrationSpans[1]))
+	}
+}
+
 // TestRecoverWithoutCheckpointFails: recovery is explicit about an empty
 // checkpoint directory instead of silently starting fresh.
 func TestRecoverWithoutCheckpointFails(t *testing.T) {
 	cfg := keycount.RunConfig{
-		Params:        keycount.Params{Variant: keycount.HashCount, LogBins: 4, Domain: 1 << 10},
-		Workers:       1,
-		Rate:          1000,
-		Duration:      20 * time.Millisecond,
-		CheckpointDir: t.TempDir(),
-		Recover:       true,
+		Params: keycount.Params{Variant: keycount.HashCount, LogBins: 4, Domain: 1 << 10},
+		Config: harness.Config{
+			Workers:       1,
+			Rate:          1000,
+			Duration:      20 * time.Millisecond,
+			CheckpointDir: t.TempDir(),
+			Recover:       true,
+		},
 	}
 	if _, err := keycount.Run(cfg); err == nil || !strings.Contains(err.Error(), "no complete checkpoint") {
 		t.Fatalf("expected a no-checkpoint error, got %v", err)
@@ -167,13 +235,15 @@ func TestRecoverWithoutCheckpointFails(t *testing.T) {
 // would fall back to an earlier one), and the stream keeps flowing.
 func TestCheckpointWriteFailureNonFatal(t *testing.T) {
 	cfg := keycount.RunConfig{
-		Params:          keycount.Params{Variant: keycount.HashCount, LogBins: 4, Domain: 1 << 10},
-		Workers:         1,
-		Rate:            2000,
-		Duration:        120 * time.Millisecond,
-		EpochEvery:      time.Millisecond,
-		CheckpointDir:   "/dev/null/not-a-directory",
-		CheckpointEvery: 40 * time.Millisecond,
+		Params: keycount.Params{Variant: keycount.HashCount, LogBins: 4, Domain: 1 << 10},
+		Config: harness.Config{
+			Workers:         1,
+			Rate:            2000,
+			Duration:        120 * time.Millisecond,
+			EpochEvery:      time.Millisecond,
+			CheckpointDir:   "/dev/null/not-a-directory",
+			CheckpointEvery: 40 * time.Millisecond,
+		},
 	}
 	res, err := keycount.Run(cfg)
 	if err != nil {
@@ -189,7 +259,7 @@ func TestCheckpointWriteFailureNonFatal(t *testing.T) {
 
 // TestAutoRecover: a policy-driven run checkpoints and recovers too (the
 // AutoController is reseeded from the restored assignment; see
-// harness.NewDriver).
+// harness's newDriver).
 func TestAutoRecover(t *testing.T) {
 	dir := t.TempDir()
 	base := keycount.RunConfig{
@@ -199,13 +269,15 @@ func TestAutoRecover(t *testing.T) {
 			Domain:  1 << 10,
 			Preload: true,
 		},
-		Workers:         2,
-		Rate:            10000,
-		Duration:        500 * time.Millisecond,
-		EpochEvery:      time.Millisecond,
-		CheckpointDir:   dir,
-		CheckpointEvery: 150 * time.Millisecond,
-		Auto:            &plan.AutoOptions{Policy: plan.LoadBalance{Hysteresis: 0.1}, Strategy: plan.Batched, Batch: 4, SampleEvery: 50, Cooldown: 50},
+		Config: harness.Config{
+			Workers:         2,
+			Rate:            10000,
+			Duration:        500 * time.Millisecond,
+			EpochEvery:      time.Millisecond,
+			CheckpointDir:   dir,
+			CheckpointEvery: 150 * time.Millisecond,
+			Auto:            &plan.AutoOptions{Policy: plan.LoadBalance{Hysteresis: 0.1}, Strategy: plan.Batched, Batch: 4, SampleEvery: 50, Cooldown: 50},
+		},
 	}
 	crashed := base
 	crashed.Duration = 350 * time.Millisecond
@@ -228,8 +300,10 @@ func TestAutoRecover(t *testing.T) {
 // state to drain.
 func TestCheckpointRejectsNativeVariant(t *testing.T) {
 	cfg := keycount.RunConfig{
-		Params:        keycount.Params{Variant: keycount.NativeHash, LogBins: 4, Domain: 1 << 10},
-		CheckpointDir: t.TempDir(),
+		Params: keycount.Params{Variant: keycount.NativeHash, LogBins: 4, Domain: 1 << 10},
+		Config: harness.Config{
+			CheckpointDir: t.TempDir(),
+		},
 	}
 	if _, err := keycount.Run(cfg); err == nil || !strings.Contains(err.Error(), "migrateable") {
 		t.Fatalf("expected a variant error, got %v", err)

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"megaphone/internal/harness"
 	"megaphone/internal/nexmark"
 	"megaphone/internal/plan"
 )
@@ -85,10 +86,12 @@ func runShort(t *testing.T, q string) {
 					LogBins:      4,
 					WindowEpochs: 40,
 				},
-				Gen:      nexmark.GenConfig{ActiveAuctions: 100, ActivePeople: 100, AuctionEpochs: 30},
-				Workers:  2,
-				Rate:     20_000,
-				Duration: 700 * time.Millisecond,
+				Gen: nexmark.GenConfig{ActiveAuctions: 100, ActivePeople: 100, AuctionEpochs: 30},
+				Config: harness.Config{
+					Workers:  2,
+					Rate:     20_000,
+					Duration: 700 * time.Millisecond,
+				},
 			}
 			if impl == nexmark.Megaphone {
 				cfg.Strategy = plan.Batched

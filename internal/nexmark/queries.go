@@ -82,8 +82,13 @@ func (p *Params) defaults() {
 	}
 }
 
-// QueryNames lists the implemented queries.
-var QueryNames = []string{"q1", "q2", "q3", "q4", "q5", "q6", "q7", "q8"}
+// queryOps lists the implemented queries, each with the names of its
+// megaphone operators: its checkpointable state, one checkpoint
+// subdirectory per operator.
+var queryOps = map[string][]string{
+	"q1": {"q1"}, "q2": {"q2"}, "q3": {"q3"}, "q4": {"q4-closed", "q4-avg"},
+	"q5": {"q5-count", "q5-winner"}, "q6": {"q6-closed", "q6-avg"}, "q7": {"q7-max"}, "q8": {"q8"},
+}
 
 // BuildQuery constructs the named query on worker w over the events stream,
 // returning a probe on its output. Megaphone variants take their commands

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"megaphone/internal/harness"
 	"megaphone/internal/nexmark"
 	"megaphone/internal/plan"
 )
@@ -76,14 +77,16 @@ func TestQ8RecoveryEquivalence(t *testing.T) {
 			LogBins:      4,
 			WindowEpochs: 60,
 		},
-		Gen:        nexmark.GenConfig{ActiveAuctions: 50, ActivePeople: 50, AuctionEpochs: 25},
-		Workers:    2,
-		Rate:       20000,
-		Duration:   700 * time.Millisecond,
-		EpochEvery: time.Millisecond,
-		Strategy:   plan.Batched,
-		Batch:      4,
-		MigrateAt:  120 * time.Millisecond,
+		Gen: nexmark.GenConfig{ActiveAuctions: 50, ActivePeople: 50, AuctionEpochs: 25},
+		Config: harness.Config{
+			Workers:    2,
+			Rate:       20000,
+			Duration:   700 * time.Millisecond,
+			EpochEvery: time.Millisecond,
+			Strategy:   plan.Batched,
+			Batch:      4,
+			MigrateAt:  120 * time.Millisecond,
+		},
 	}
 
 	var ref epochLines

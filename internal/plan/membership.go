@@ -98,7 +98,7 @@ type BarrierResult struct {
 
 // Fabric is the slice of the dataflow runtime the membership protocol
 // drives. dataflow.Execution plus dataflow.Mesh implement it together (see
-// harness.ClusterFabric); membership unit tests substitute fakes.
+// harness's clusterFabric); membership unit tests substitute fakes.
 type Fabric interface {
 	Pause()
 	Resume()

@@ -129,3 +129,18 @@ func TestOptimizedHasGaps(t *testing.T) {
 	}
 	_ = core.Move{}
 }
+
+// TestStrategyByName: every strategy resolves from its String name, and an
+// unknown name is an error.
+func TestStrategyByName(t *testing.T) {
+	for _, want := range []Strategy{AllAtOnce, Fluid, Batched, Optimized} {
+		if got, err := StrategyByName(want.String()); err != nil || got != want {
+			t.Errorf("StrategyByName(%q) = %v, %v; want %v", want.String(), got, err, want)
+		}
+	}
+	for _, bad := range []string{"", "nope", "Fluid", "Strategy(4)"} {
+		if _, err := StrategyByName(bad); err == nil {
+			t.Errorf("StrategyByName(%q) succeeded, want an error", bad)
+		}
+	}
+}

@@ -44,6 +44,17 @@ func PolicyByName(name string, hysteresis float64) (Policy, error) {
 	}
 }
 
+// StrategyByName resolves a strategy from the name its String method
+// gives, as command-line flags spell it.
+func StrategyByName(name string) (Strategy, error) {
+	for s := AllAtOnce; s <= Optimized; s++ {
+		if s.String() == name {
+			return s, nil
+		}
+	}
+	return 0, fmt.Errorf("plan: unknown strategy %q (want all-at-once, fluid, batched or optimized)", name)
+}
+
 // Static never reconfigures: the do-nothing baseline that still meters, so
 // ablations can report per-worker load without acting on it.
 type Static struct{}

@@ -68,9 +68,11 @@ func TestMembershipJoinCrashDrainEquivalence(t *testing.T) {
 			Domain:  1 << 10,
 			Preload: false,
 		},
-		Rate:       20000,
-		Duration:   durationEpochs * time.Millisecond,
-		EpochEvery: time.Millisecond,
+		Config: harness.Config{
+			Rate:       20000,
+			Duration:   durationEpochs * time.Millisecond,
+			EpochEvery: time.Millisecond,
+		},
 	}
 
 	// Uninterrupted single-process reference with the same total worker
@@ -251,9 +253,11 @@ func TestMembershipCrashMidMigrationEquivalence(t *testing.T) {
 			Domain:  1 << 10,
 			Preload: false,
 		},
-		Rate:       20000,
-		Duration:   durationEpochs * time.Millisecond,
-		EpochEvery: time.Millisecond,
+		Config: harness.Config{
+			Rate:       20000,
+			Duration:   durationEpochs * time.Millisecond,
+			EpochEvery: time.Millisecond,
+		},
 	}
 
 	var ref collector
@@ -359,8 +363,8 @@ func TestMembershipCrashMidMigrationEquivalence(t *testing.T) {
 // reading the autoscaler's load windows over the multiplexed control bus,
 // must admit the standby — plain hello auto-admission is disabled when the
 // autoscaler drives membership — after which the joiner runs to the end and
-// the merged output still matches the uninterrupted reference. (RunMembership
-// has no latency probe, so the "p99 settles" half of the story is asserted
+// the merged output still matches the uninterrupted reference. (The membership
+// drive loop has no latency probe, so the "p99 settles" half of the story is asserted
 // by scripts/cluster.sh autoscale against the real binaries; here admission
 // and output equivalence are the invariants.)
 func TestMembershipAutoscaleJoin(t *testing.T) {
@@ -377,9 +381,11 @@ func TestMembershipAutoscaleJoin(t *testing.T) {
 			Domain:  1 << 10,
 			Preload: false,
 		},
-		Rate:       20000,
-		Duration:   durationEpochs * time.Millisecond,
-		EpochEvery: time.Millisecond,
+		Config: harness.Config{
+			Rate:       20000,
+			Duration:   durationEpochs * time.Millisecond,
+			EpochEvery: time.Millisecond,
+		},
 		Workload: harness.Workload{
 			Kind:        harness.HotShift,
 			HotFraction: 0.85,

@@ -9,6 +9,7 @@ import (
 
 	"megaphone/internal/core"
 	"megaphone/internal/dataflow"
+	"megaphone/internal/harness"
 	"megaphone/internal/keycount"
 	"megaphone/internal/nexmark"
 	"megaphone/internal/plan"
@@ -32,12 +33,14 @@ func TestShippedGraphsCrossInBinary(t *testing.T) {
 		graphs = append(graphs, graph{"keycount-" + v.String(), v == keycount.HashCount || v == keycount.KeyCount,
 			func(spec *dataflow.ClusterSpec, codec core.Codec) error {
 				_, err := keycount.Run(keycount.RunConfig{
-					Params:   keycount.Params{Variant: v, LogBins: 3, Domain: 1 << 10, Preload: true, Transfer: codec},
-					Workers:  1,
-					Rate:     20000,
-					Duration: 250 * time.Millisecond,
-					Strategy: plan.Fluid, Batch: 1, MigrateAt: 40 * time.Millisecond,
-					Cluster: spec,
+					Params: keycount.Params{Variant: v, LogBins: 3, Domain: 1 << 10, Preload: true, Transfer: codec},
+					Config: harness.Config{
+						Workers:  1,
+						Rate:     20000,
+						Duration: 250 * time.Millisecond,
+						Strategy: plan.Fluid, Batch: 1, MigrateAt: 40 * time.Millisecond,
+						Cluster: spec,
+					},
 				})
 				return err
 			}})
@@ -47,14 +50,16 @@ func TestShippedGraphsCrossInBinary(t *testing.T) {
 			graphs = append(graphs, graph{fmt.Sprintf("q%d-%v", q, impl), impl == nexmark.Megaphone,
 				func(spec *dataflow.ClusterSpec, codec core.Codec) error {
 					_, err := nexmark.Run(nexmark.RunConfig{
-						Query:    fmt.Sprintf("q%d", q),
-						Params:   nexmark.Params{Impl: impl, LogBins: 3, WindowEpochs: 4, Transfer: codec},
-						Gen:      nexmark.GenConfig{ActiveAuctions: 50, ActivePeople: 50, AuctionEpochs: 20},
-						Workers:  1,
-						Rate:     20000,
-						Duration: 250 * time.Millisecond,
-						Strategy: plan.Fluid, Batch: 1, MigrateAt: 40 * time.Millisecond,
-						Cluster: spec,
+						Query:  fmt.Sprintf("q%d", q),
+						Params: nexmark.Params{Impl: impl, LogBins: 3, WindowEpochs: 4, Transfer: codec},
+						Gen:    nexmark.GenConfig{ActiveAuctions: 50, ActivePeople: 50, AuctionEpochs: 20},
+						Config: harness.Config{
+							Workers:  1,
+							Rate:     20000,
+							Duration: 250 * time.Millisecond,
+							Strategy: plan.Fluid, Batch: 1, MigrateAt: 40 * time.Millisecond,
+							Cluster: spec,
+						},
 					})
 					return err
 				}})
