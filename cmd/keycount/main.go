@@ -17,12 +17,9 @@ import (
 	"os"
 	"strconv"
 	"strings"
-	"time"
 
-	"megaphone/internal/dataflow"
 	"megaphone/internal/harness"
 	"megaphone/internal/keycount"
-	"megaphone/internal/plan"
 )
 
 func main() {
@@ -34,31 +31,17 @@ func main() {
 
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("keycount", flag.ContinueOnError)
+	runConfig := harness.RunFlags(fs, 200000)
 	var (
-		variant   = fs.String("variant", "hash", "hash, key, native-hash or native-key")
-		workers   = fs.Int("workers", 4, "number of workers")
-		rate      = fs.Int("rate", 200000, "records per second")
-		duration  = fs.Duration("duration", 10*time.Second, "run length")
-		bins      = fs.Int("bins", 8, "log2 bin count")
-		domain    = fs.Int64("domain", 1<<20, "number of distinct keys (power of two)")
-		strategy  = fs.String("strategy", "batched", "all-at-once, fluid, batched, optimized")
-		batch     = fs.Int("batch", 16, "bins per step")
-		migrateAt = fs.Duration("migrate-at", 4*time.Second, "first migration time (0 disables)")
-		workload  = fs.String("workload", "uniform", "key distribution: uniform, zipf[:S], hotshift[:FRAC,KEYS,EVERY[,STRIDE]]")
-		auto      = fs.String("auto", "", "auto-controller policy (load-balance or static); replaces -migrate-at plans")
-		hyst      = fs.Float64("hysteresis", 0.25, "auto-controller rebalance trigger above mean load")
-		cost      = fs.Bool("cost", true, "with -auto, gate migrations on the cost model (decline unprofitable plans)")
-		service   = fs.Duration("service", 0, "simulated per-record service time (0 disables)")
-		ccdf      = fs.Bool("ccdf", false, "print per-record latency CCDF")
-		memory    = fs.Bool("memory", false, "print heap series")
-		preload   = fs.Bool("preload", true, "pre-create per-bin state")
-		hosts     = fs.String("hosts", "", "comma-separated host:port list, one per process; enables the multi-process runtime (every process runs -workers workers)")
-		proc      = fs.Int("process", 0, "this process's index into -hosts")
-		dump      = fs.String("dump", "", "write one line per output record to this file (for cross-run output-equivalence checks)")
-
-		ckptDir   = fs.String("checkpoint-dir", "", "enable epoch-aligned checkpoints into this directory")
-		ckptEvery = fs.Duration("checkpoint-every", time.Second, "checkpoint cadence (with -checkpoint-dir)")
-		recov     = fs.Bool("recover", false, "resume from the newest complete checkpoint in -checkpoint-dir")
+		variant  = fs.String("variant", "hash", "hash, key, native-hash or native-key")
+		bins     = fs.Int("bins", 8, "log2 bin count")
+		domain   = fs.Int64("domain", 1<<20, "number of distinct keys (power of two)")
+		workload = fs.String("workload", "uniform", "key distribution: uniform, zipf[:S], hotshift[:FRAC,KEYS,EVERY[,STRIDE]]")
+		service  = fs.Duration("service", 0, "simulated per-record service time (0 disables)")
+		ccdf     = fs.Bool("ccdf", false, "print per-record latency CCDF")
+		memory   = fs.Bool("memory", false, "print heap series")
+		preload  = fs.Bool("preload", true, "pre-create per-bin state")
+		dump     = fs.String("dump", "", "write one line per output record to this file (for cross-run output-equivalence checks)")
 
 		membership = fs.Bool("membership", false, "enable dynamic membership (join, drain-leave, crash-leave); requires -hosts and -checkpoint-dir")
 		absent     = fs.String("absent", "", "comma-separated roster indexes that start absent (with -membership); a process whose own index is listed is a late joiner")
@@ -72,13 +55,9 @@ func run(args []string, out io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	switch {
-	case *workers <= 0:
-		return fmt.Errorf("-workers %d: want at least 1", *workers)
-	case *rate < 0:
-		return fmt.Errorf("-rate %d: want 0 (an idle run) or more", *rate)
-	case *duration <= 0:
-		return fmt.Errorf("-duration %v: want a positive run length", *duration)
+	runCfg, err := runConfig()
+	if err != nil {
+		return err
 	}
 	var v keycount.Variant
 	switch *variant {
@@ -93,10 +72,6 @@ func run(args []string, out io.Writer) error {
 	default:
 		return fmt.Errorf("unknown variant %q", *variant)
 	}
-	st, err := plan.StrategyByName(*strategy)
-	if err != nil {
-		return err
-	}
 	wl, err := harness.ParseWorkload(*workload)
 	if err != nil {
 		return err
@@ -104,7 +79,7 @@ func run(args []string, out io.Writer) error {
 	if v == keycount.NativeHash || v == keycount.NativeKey {
 		// The native variants have no megaphone operator behind them: no
 		// meter for -auto to read and no fold for -service to throttle.
-		if *auto != "" {
+		if runCfg.Auto != nil {
 			return fmt.Errorf("-auto requires a migrateable variant (hash or key), not %v", v)
 		}
 		if *service != 0 {
@@ -120,33 +95,10 @@ func run(args []string, out io.Writer) error {
 			Preload:      *preload,
 			ServiceNanos: service.Nanoseconds(),
 		},
-		Config: harness.Config{
-			Workers:   *workers,
-			Rate:      *rate,
-			Duration:  *duration,
-			Strategy:  st,
-			Batch:     *batch,
-			MigrateAt: *migrateAt,
-		},
+		Config:   runCfg,
 		Extras:   harness.Extras{MigrateTwo: true, Memory: *memory},
 		Workload: wl,
 	}
-	if *auto != "" {
-		pol, err := plan.PolicyByName(*auto, *hyst)
-		if err != nil {
-			return err
-		}
-		cfg.Auto = &plan.AutoOptions{Policy: pol, Strategy: st, Batch: *batch}
-		if *cost {
-			cfg.Auto.Cost = plan.DefaultCostModel()
-		}
-	}
-	if *hosts != "" {
-		cfg.Cluster = &dataflow.ClusterSpec{Hosts: strings.Split(*hosts, ","), Process: *proc}
-	}
-	cfg.CheckpointDir = *ckptDir
-	cfg.CheckpointEvery = *ckptEvery
-	cfg.Recover = *recov
 	explicit := map[string]bool{}
 	fs.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
 	if *membership {
@@ -209,7 +161,7 @@ func run(args []string, out io.Writer) error {
 	}
 
 	fmt.Fprintf(out, "# keycount %v, %d workers, rate=%d, domain=%d, bins=2^%d, strategy=%v, workload=%v\n",
-		v, *workers, *rate, *domain, *bins, st, wl)
+		v, cfg.Workers, cfg.Rate, *domain, *bins, cfg.Strategy, wl)
 	res.Fprint(out)
 	if *ccdf {
 		fmt.Fprintln(out, "# CCDF: latency[ms] fraction-greater")

@@ -17,13 +17,9 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strings"
-	"time"
 
-	"megaphone/internal/dataflow"
 	"megaphone/internal/harness"
 	"megaphone/internal/nexmark"
-	"megaphone/internal/plan"
 )
 
 func main() {
@@ -35,29 +31,24 @@ func main() {
 
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("nexmark", flag.ContinueOnError)
+	runConfig := harness.RunFlags(fs, 100000)
+	// nexmark's own wording of the shared flags' help.
+	for name, usage := range map[string]string{
+		"rate":       "events per second",
+		"strategy":   "migration strategy: all-at-once, fluid, batched, optimized",
+		"batch":      "bins per step for batched/optimized",
+		"migrate-at": "when to start the first migration (0 disables)",
+	} {
+		fs.Lookup(name).Usage = usage
+	}
 	var (
-		query     = fs.String("query", "q3", "query to run (q1..q8)")
-		impl      = fs.String("impl", "megaphone", "implementation: native or megaphone")
-		workers   = fs.Int("workers", 4, "number of workers")
-		rate      = fs.Int("rate", 100000, "events per second")
-		duration  = fs.Duration("duration", 10*time.Second, "run length")
-		bins      = fs.Int("bins", 8, "log2 bin count")
-		strategy  = fs.String("strategy", "batched", "migration strategy: all-at-once, fluid, batched, optimized")
-		batch     = fs.Int("batch", 16, "bins per step for batched/optimized")
-		migrateAt = fs.Duration("migrate-at", 4*time.Second, "when to start the first migration (0 disables)")
-		window    = fs.Uint64("window", 60, "window epochs for q5/q7/q8 (time dilation)")
-		hotRatio  = fs.Uint64("hot-ratio", 0, "1/N of bids hit the hot auction (0 disables skew)")
-		hotShift  = fs.Uint64("hot-shift-every", 0, "epochs between hot-auction jumps (0 pins it to the newest)")
-		auto      = fs.String("auto", "", "auto-controller policy (load-balance or static); replaces -migrate-at plans")
-		hyst      = fs.Float64("hysteresis", 0.25, "auto-controller rebalance trigger above mean load")
-		cost      = fs.Bool("cost", true, "with -auto, gate migrations on the cost model (decline unprofitable plans)")
-		hosts     = fs.String("hosts", "", "comma-separated host:port list, one per process; enables the multi-process runtime (every process runs -workers workers)")
-		proc      = fs.Int("process", 0, "this process's index into -hosts")
-		dump      = fs.String("dump", "", "write one line per output record to this file (for cross-run output-equivalence checks)")
-
-		ckptDir   = fs.String("checkpoint-dir", "", "enable epoch-aligned checkpoints into this directory")
-		ckptEvery = fs.Duration("checkpoint-every", time.Second, "checkpoint cadence (with -checkpoint-dir)")
-		recov     = fs.Bool("recover", false, "resume from the newest complete checkpoint in -checkpoint-dir")
+		query    = fs.String("query", "q3", "query to run (q1..q8)")
+		impl     = fs.String("impl", "megaphone", "implementation: native or megaphone")
+		bins     = fs.Int("bins", 8, "log2 bin count")
+		window   = fs.Uint64("window", 60, "window epochs for q5/q7/q8 (time dilation)")
+		hotRatio = fs.Uint64("hot-ratio", 0, "1/N of bids hit the hot auction (0 disables skew)")
+		hotShift = fs.Uint64("hot-shift-every", 0, "epochs between hot-auction jumps (0 pins it to the newest)")
+		dump     = fs.String("dump", "", "write one line per output record to this file (for cross-run output-equivalence checks)")
 
 		membership = fs.Bool("membership", false, "not supported for nexmark (see cmd/keycount)")
 		absent     = fs.String("absent", "", "not supported for nexmark (see cmd/keycount)")
@@ -66,13 +57,9 @@ func run(args []string, out io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	switch {
-	case *workers <= 0:
-		return fmt.Errorf("-workers %d: want at least 1", *workers)
-	case *rate < 0:
-		return fmt.Errorf("-rate %d: want 0 (an idle run) or more", *rate)
-	case *duration <= 0:
-		return fmt.Errorf("-duration %v: want a positive run length", *duration)
+	runCfg, err := runConfig()
+	if err != nil {
+		return err
 	}
 	if *membership || *absent != "" || *leaveAt != 0 {
 		// Reject at parse time, before the mesh is joined: a cluster whose
@@ -80,10 +67,6 @@ func run(args []string, out io.Writer) error {
 		return fmt.Errorf("nexmark: dynamic membership is keycount-only for now — the windowed operators (q5/q7/q8) keep unboundedly many in-flight window capabilities and have no purge hooks, so the membership barrier cannot bound or rebuild their progress holds; use cmd/keycount -membership")
 	}
 
-	st, err := plan.StrategyByName(*strategy)
-	if err != nil {
-		return err
-	}
 	var im nexmark.Impl
 	switch *impl {
 	case "native":
@@ -105,36 +88,15 @@ func run(args []string, out io.Writer) error {
 			HotRatio:      *hotRatio,
 			HotShiftEvery: nexmark.Time(*hotShift),
 		},
-		Config: harness.Config{
-			Workers:  *workers,
-			Rate:     *rate,
-			Duration: *duration,
-			Strategy: st,
-			Batch:    *batch,
-		},
+		Config: runCfg,
 	}
-	if *auto != "" {
-		pol, err := plan.PolicyByName(*auto, *hyst)
-		if err != nil {
-			return err
-		}
-		cfg.Auto = &plan.AutoOptions{Policy: pol, Strategy: st, Batch: *batch}
-		if *cost {
-			cfg.Auto.Cost = plan.DefaultCostModel()
-		}
-	}
-	if im == nexmark.Megaphone {
-		cfg.MigrateAt = *migrateAt
-	} else if cfg.Auto != nil {
+	if im != nexmark.Megaphone {
 		// Native queries have no megaphone operators to meter or migrate.
-		return fmt.Errorf("-auto requires -impl megaphone")
+		if cfg.Auto != nil {
+			return fmt.Errorf("-auto requires -impl megaphone")
+		}
+		cfg.MigrateAt = 0
 	}
-	if *hosts != "" {
-		cfg.Cluster = &dataflow.ClusterSpec{Hosts: strings.Split(*hosts, ","), Process: *proc}
-	}
-	cfg.CheckpointDir = *ckptDir
-	cfg.CheckpointEvery = *ckptEvery
-	cfg.Recover = *recov
 	var finishDump func() error
 	if *dump != "" {
 		write, finish, err := harness.LineSink(*dump)
@@ -155,7 +117,7 @@ func run(args []string, out io.Writer) error {
 	}
 
 	fmt.Fprintf(out, "# nexmark %s (%s), %d workers, %d ev/s, %v, strategy=%v\n",
-		*query, im, *workers, *rate, *duration, st)
+		*query, im, cfg.Workers, cfg.Rate, cfg.Duration, cfg.Strategy)
 	res, err := nexmark.Run(cfg)
 	if err != nil {
 		return err

@@ -25,7 +25,7 @@ import (
 // F serializes them with the operator's migration codec — the bytes a bin
 // crossing processes puts on the wire — and writes one record per bin plus
 // a manifest (epoch, the bin→worker assignment in effect, the live roster,
-// per-record digests) to CheckpointConfig.Dir. A restarting process loads
+// per-bin digests) to CheckpointConfig.Dir. A restarting process loads
 // the newest epoch whose every *live* worker's manifest is present (dead
 // slots own no bins and write nothing), reinstalls its workers' bins through
 // the same install path a migration uses, and resumes input at T.
@@ -115,23 +115,24 @@ func (m *Manifest) liveSet(peers int) []int {
 }
 
 // BinManifest records one drained bin: its payload size and the FNV-64a
-// digest of each of its records, in record order (one digest for a bin
-// this build wrote; see ckptRecord).
+// digest of its payload.
 type BinManifest struct {
-	Bin     int      `json:"bin"`
-	Bytes   int64    `json:"bytes"`
-	Digests []string `json:"chunk_digests"`
+	Bin    int    `json:"bin"`
+	Bytes  int64  `json:"bytes"`
+	Digest string `json:"digest"`
 }
 
 // checkpoint file layout under CheckpointConfig.Dir:
 //
-//	<dir>/<op>/epoch-<E>/bins-w<idx>.dat      record stream (see ckptRecord)
+//	<dir>/<op>/epoch-<E>/bins-w<idx>.dat      magic, then one record per bin
 //	<dir>/<op>/epoch-<E>/manifest-w<idx>.json commit record, written last
 //
-// A record is: uvarint bin, uvarint seq, bool last, uvarint len, payload
-// bytes, 8-byte big-endian FNV-64a digest of the payload.
+// After the magic, the data file holds one record per bin: uvarint bin,
+// uvarint len, payload bytes, 8-byte big-endian FNV-64a digest of the
+// payload. (MPCK1 files could split a bin over several records; they are
+// refused as bad magic.)
 const (
-	ckptMagic       = "MPCK1\n"
+	ckptMagic       = "MPCK2\n"
 	ckptEpochPrefix = "epoch-"
 )
 
@@ -147,21 +148,10 @@ func ckptBinsPath(dir, op string, epoch Time, worker int) string {
 	return filepath.Join(ckptEpochDir(dir, op, epoch), fmt.Sprintf("bins-w%d.dat", worker))
 }
 
-func chunkDigest(b []byte) uint64 {
+func payloadDigest(b []byte) uint64 {
 	h := fnv.New64a()
 	h.Write(b)
 	return h.Sum64()
-}
-
-// ckptRecord is one record of a checkpoint data file: a bin's payload, or a
-// piece of it. The writer emits each bin as a single record (Seq 0, Last);
-// the reader also accepts a bin split over several records in Seq order,
-// the layout earlier builds wrote, so their checkpoints still restore.
-type ckptRecord struct {
-	Bin   int
-	Seq   int    // index of this piece within the bin's payload
-	Last  bool   // final piece of the bin
-	Bytes []byte // the piece of the codec-serialized BinState
 }
 
 // CheckpointWriter streams one worker's bins into a checkpoint epoch
@@ -196,34 +186,22 @@ func NewCheckpointWriter(dir, op string, epoch Time, worker int) (*CheckpointWri
 	return w, nil
 }
 
-// WriteBin appends one bin's codec payload to the data file as a single
-// record and notes its digest for the manifest.
+// WriteBin appends one bin's codec payload to the data file as one record
+// and notes its digest for the manifest.
 func (w *CheckpointWriter) WriteBin(bin int, payload []byte) error {
-	d, err := w.writeRecord(ckptRecord{Bin: bin, Last: true, Bytes: payload})
-	if err != nil {
-		return err
-	}
-	w.bytes += int64(len(payload))
-	w.bins = append(w.bins, BinManifest{Bin: bin, Bytes: int64(len(payload)), Digests: []string{strconv.FormatUint(d, 16)}})
-	return nil
-}
-
-// writeRecord appends one record to the data file and returns the digest
-// of its payload.
-func (w *CheckpointWriter) writeRecord(r ckptRecord) (uint64, error) {
 	buf := w.scratch[:0]
-	buf = binenc.AppendUvarint(buf, uint64(r.Bin))
-	buf = binenc.AppendUvarint(buf, uint64(r.Seq))
-	buf = binenc.AppendBool(buf, r.Last)
-	buf = binenc.AppendUvarint(buf, uint64(len(r.Bytes)))
-	buf = append(buf, r.Bytes...)
-	d := chunkDigest(r.Bytes)
+	buf = binenc.AppendUvarint(buf, uint64(bin))
+	buf = binenc.AppendUvarint(buf, uint64(len(payload)))
+	buf = append(buf, payload...)
+	d := payloadDigest(payload)
 	buf = binary.BigEndian.AppendUint64(buf, d)
 	w.scratch = buf
 	if _, err := w.f.Write(buf); err != nil {
-		return 0, fmt.Errorf("megaphone: writing checkpoint record: %w", err)
+		return fmt.Errorf("megaphone: writing checkpoint record: %w", err)
 	}
-	return d, nil
+	w.bytes += int64(len(payload))
+	w.bins = append(w.bins, BinManifest{Bin: bin, Bytes: int64(len(payload)), Digest: strconv.FormatUint(d, 16)})
+	return nil
 }
 
 // Bins returns the number of bins written so far.
@@ -365,12 +343,11 @@ func anyManifest(dir, op string, epoch Time, peers int) *Manifest {
 
 // LoadRestore reads one operator's checkpoint at epoch for the workers in
 // [first, first+n): it verifies every manifest (peer count, codec,
-// assignment agreement) and every record digest, reassembles bins split
-// over several records, and returns the Restore to hand to Config.Restore.
-// codec must name the codec the recovering run will decode with. Workers
-// outside the checkpoint's recorded live roster wrote no manifest and own no
-// bins; their absence is tolerated, so a shrunk-roster checkpoint maps onto
-// the full worker space.
+// assignment agreement) and every bin's digest, and returns the Restore to
+// hand to Config.Restore. codec must name the codec the recovering run will
+// decode with. Workers outside the checkpoint's recorded live roster wrote
+// no manifest and own no bins; their absence is tolerated, so a
+// shrunk-roster checkpoint maps onto the full worker space.
 func LoadRestore(dir, op string, epoch Time, peers, first, n int, codec string) (*Restore, error) {
 	r := &Restore{Epoch: epoch, Bins: make(map[int][]byte)}
 	var live []int // live roster per the first manifest read
@@ -446,11 +423,10 @@ func LoadRestore(dir, op string, epoch Time, peers, first, n int, codec string) 
 	return r, nil
 }
 
-// loadBins reads one worker's data file, verifying record digests against
-// both the in-file digests and the manifest, reassembles the payloads of
-// bins split over several records, and checks each payload's format tag:
-// checkpoints of earlier builds may hold bins in the retired gob format,
-// under the same codec name.
+// loadBins reads one worker's data file, verifying each bin's digest against
+// both the in-file digest and the manifest, and checks each payload's format
+// tag: a bin in the retired gob format, under the same codec name, is
+// refused by name.
 func loadBins(dir, op string, epoch Time, worker int, m *Manifest, r *Restore) error {
 	want := make(map[int]*BinManifest, len(m.Bins))
 	for i := range m.Bins {
@@ -472,110 +448,47 @@ func loadBins(dir, op string, epoch Time, worker int, m *Manifest, r *Restore) e
 	}
 	data = data[len(ckptMagic):]
 
-	var asm chunkAssembler
-	seen := make(map[int]int) // bin -> records consumed (index into digests)
+	seen := make(map[int]bool, len(want))
 	for len(data) > 0 {
-		var msg ckptRecord
 		var v uint64
 		if v, data, err = binenc.Uvarint(data); err != nil {
-			return chunkErr(worker, err)
+			return recordErr(worker, err)
 		}
-		msg.Bin = int(v)
+		bin := int(v)
 		if v, data, err = binenc.Uvarint(data); err != nil {
-			return chunkErr(worker, err)
+			return recordErr(worker, err)
 		}
-		msg.Seq = int(v)
-		if msg.Last, data, err = binenc.Bool(data); err != nil {
-			return chunkErr(worker, err)
+		if v > uint64(len(data)) || uint64(len(data))-v < 8 {
+			return recordErr(worker, io.ErrUnexpectedEOF)
 		}
-		if v, data, err = binenc.Uvarint(data); err != nil {
-			return chunkErr(worker, err)
-		}
-		if uint64(len(data)) < v+8 {
-			return chunkErr(worker, io.ErrUnexpectedEOF)
-		}
-		msg.Bytes = data[:v]
-		data = data[v:]
-		fileDigest := binary.BigEndian.Uint64(data[:8])
-		data = data[8:]
+		payload := data[:v]
+		fileDigest := binary.BigEndian.Uint64(data[v : v+8])
+		data = data[v+8:]
 
-		bm := want[msg.Bin]
+		bm := want[bin]
 		if bm == nil {
-			return fmt.Errorf("megaphone: checkpoint data for worker %d holds bin %d absent from its manifest", worker, msg.Bin)
+			return fmt.Errorf("megaphone: checkpoint data for worker %d holds bin %d absent from its manifest", worker, bin)
 		}
-		idx := seen[msg.Bin]
-		if idx >= len(bm.Digests) {
-			return fmt.Errorf("megaphone: checkpoint bin %d has more records than its manifest lists", msg.Bin)
+		if seen[bin] {
+			return fmt.Errorf("megaphone: checkpoint data for worker %d holds bin %d twice", worker, bin)
 		}
-		d := chunkDigest(msg.Bytes)
-		if d != fileDigest || strconv.FormatUint(d, 16) != bm.Digests[idx] {
-			return fmt.Errorf("megaphone: checkpoint bin %d record %d digest mismatch (corrupt checkpoint)", msg.Bin, idx)
+		seen[bin] = true
+		d := payloadDigest(payload)
+		if d != fileDigest || strconv.FormatUint(d, 16) != bm.Digest {
+			return fmt.Errorf("megaphone: checkpoint bin %d digest mismatch (corrupt checkpoint)", bin)
 		}
-		seen[msg.Bin] = idx + 1
-		// The assembler copies nothing for single-record bins, so detach the
-		// payload from the file buffer explicitly.
-		payload, done, err := asm.add(msg)
-		if err != nil {
-			return fmt.Errorf("megaphone: checkpoint data for worker %d: %w", worker, err)
+		if len(payload) == 0 || payload[0] != binFormatBinary {
+			return fmt.Errorf("megaphone: checkpoint of operator %q: bin %d is not in the binary format; the gob format of earlier builds no longer loads", op, bin)
 		}
-		if done {
-			if len(payload) == 0 || payload[0] != binFormatBinary {
-				return fmt.Errorf("megaphone: checkpoint of operator %q: bin %d is not in the binary format; the gob format of earlier builds no longer loads", op, msg.Bin)
-			}
-			r.Bins[msg.Bin] = append([]byte(nil), payload...)
-		}
+		// Detach the payload from the file buffer.
+		r.Bins[bin] = append([]byte(nil), payload...)
 	}
-	for bin, bm := range want {
-		if seen[bin] != len(bm.Digests) {
-			return fmt.Errorf("megaphone: checkpoint bin %d truncated: %d of %d records present", bin, seen[bin], len(bm.Digests))
+	for bin := range want {
+		if !seen[bin] {
+			return fmt.Errorf("megaphone: checkpoint bin %d truncated: its record is missing", bin)
 		}
 	}
 	return nil
-}
-
-// chunkAssembler reassembles the payloads of bins that a checkpoint data
-// file splits over several records. A bin's records follow each other in
-// Seq order; a payload is complete when its Last record arrives. Each
-// record's Seq is checked against the expected next index, so a file that
-// breaks the order is an error instead of a corrupt payload.
-type chunkAssembler struct {
-	partial map[int]*partialBin // bin -> accumulation in progress
-}
-
-type partialBin struct {
-	buf  []byte
-	next int // expected Seq of the next record
-}
-
-// add folds one record into the assembler and returns the complete payload
-// when r finishes its bin, or done == false while records remain. An
-// out-of-order or duplicate record is an error: the digests cover payloads,
-// not the Seq and Last fields.
-func (a *chunkAssembler) add(r ckptRecord) (payload []byte, done bool, err error) {
-	if r.Seq == 0 && r.Last {
-		if _, open := a.partial[r.Bin]; open {
-			return nil, false, fmt.Errorf("single-record bin %d amid its record stream", r.Bin)
-		}
-		return r.Bytes, true, nil
-	}
-	if a.partial == nil {
-		a.partial = make(map[int]*partialBin)
-	}
-	p := a.partial[r.Bin]
-	if p == nil {
-		p = &partialBin{}
-		a.partial[r.Bin] = p
-	}
-	if r.Seq != p.next {
-		return nil, false, fmt.Errorf("bin %d record out of order: got Seq %d, want %d", r.Bin, r.Seq, p.next)
-	}
-	p.next++
-	p.buf = append(p.buf, r.Bytes...)
-	if !r.Last {
-		return nil, false, nil
-	}
-	delete(a.partial, r.Bin)
-	return p.buf, true, nil
 }
 
 // LoadCheckpointBins reads the payloads of a specific set of bins from one
@@ -621,7 +534,7 @@ func LoadCheckpointBins(dir, op string, epoch Time, peers int, bins []int, codec
 	return out, nil
 }
 
-func chunkErr(worker int, err error) error {
+func recordErr(worker int, err error) error {
 	return fmt.Errorf("megaphone: checkpoint data for worker %d: corrupt record: %w", worker, err)
 }
 

@@ -4,9 +4,10 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
-	"strconv"
 	"strings"
 	"testing"
+
+	"megaphone/internal/binenc"
 )
 
 // mkBin builds a MapState bin with n entries keyed off seed.
@@ -22,18 +23,16 @@ func mkBin(seed uint64, n int) *BinState[KV[uint64, uint64], MapState[uint64, ui
 }
 
 // writeTestCheckpoint drains bins (bin id -> state) for one worker at the
-// given epoch and commits the manifest. chunkBytes > 0 writes the layout of
-// earlier builds, each bin split into records of at most chunkBytes (see
-// writeChunkedBin); 0 writes one record per bin, as the operator does.
-func writeTestCheckpoint(t *testing.T, dir string, epoch Time, worker, peers, logBins, chunkBytes int,
+// given epoch and commits the manifest.
+func writeTestCheckpoint(t *testing.T, dir string, epoch Time, worker, peers, logBins int,
 	assignment []int, binStates map[int]*BinState[KV[uint64, uint64], MapState[uint64, uint64]]) {
 	t.Helper()
-	writeLiveCheckpoint(t, dir, epoch, worker, peers, logBins, chunkBytes, assignment, nil, binStates)
+	writeLiveCheckpoint(t, dir, epoch, worker, peers, logBins, assignment, nil, binStates)
 }
 
 // writeLiveCheckpoint is writeTestCheckpoint with an explicit live roster
 // recorded in the manifest (a shrunk-roster checkpoint).
-func writeLiveCheckpoint(t *testing.T, dir string, epoch Time, worker, peers, logBins, chunkBytes int,
+func writeLiveCheckpoint(t *testing.T, dir string, epoch Time, worker, peers, logBins int,
 	assignment, live []int, binStates map[int]*BinState[KV[uint64, uint64], MapState[uint64, uint64]]) {
 	t.Helper()
 	w, err := NewCheckpointWriter(dir, "test-op", epoch, worker)
@@ -49,12 +48,7 @@ func writeLiveCheckpoint(t *testing.T, dir string, epoch Time, worker, peers, lo
 		if err != nil {
 			t.Fatal(err)
 		}
-		if chunkBytes > 0 {
-			err = writeChunkedBin(w, b, payload, chunkBytes)
-		} else {
-			err = w.WriteBin(b, payload)
-		}
-		if err != nil {
+		if err := w.WriteBin(b, payload); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -63,46 +57,26 @@ func writeLiveCheckpoint(t *testing.T, dir string, epoch Time, worker, peers, lo
 	}
 }
 
-// writeChunkedBin writes one bin the way earlier builds did: its payload
-// split into records of at most chunk bytes (see splitRecords), with one
-// manifest digest per record.
-func writeChunkedBin(w *CheckpointWriter, bin int, payload []byte, chunk int) error {
-	bm := BinManifest{Bin: bin, Bytes: int64(len(payload))}
-	for _, r := range splitRecords(bin, payload, chunk) {
-		d, err := w.writeRecord(r)
-		if err != nil {
-			return err
-		}
-		bm.Digests = append(bm.Digests, strconv.FormatUint(d, 16))
-	}
-	w.bytes += bm.Bytes
-	w.bins = append(w.bins, bm)
-	return nil
-}
-
-// TestCheckpointRoundTrip: bins written through the checkpoint writer come
-// back bit-identical through LoadRestore, and the recorded assignment
-// survives — in the layout the operator writes, one record per bin, and in
-// the layout earlier builds wrote, where a bin spans many records, so
-// checkpoints those builds left behind still restore.
+// TestCheckpointRoundTrip: bins written through the checkpoint writer, one
+// record per bin, come back bit-identical through LoadRestore, and the
+// recorded assignment survives.
 func TestCheckpointRoundTrip(t *testing.T) {
-	t.Run("record-per-bin", func(t *testing.T) { testCheckpointRoundTrip(t, 0) })
-	t.Run("split-bins", func(t *testing.T) { testCheckpointRoundTrip(t, 64) })
+	t.Run("record-per-bin", testCheckpointRoundTrip)
 }
 
-func testCheckpointRoundTrip(t *testing.T, chunkBytes int) {
+func testCheckpointRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	const peers, logBins = 2, 2
 	assignment := []int{1, 0, 1, 1} // bins 0,2,3 on worker 1; bin 1 on worker 0
 	bins := map[int]*BinState[KV[uint64, uint64], MapState[uint64, uint64]]{
 		0: mkBin(1, 3),
-		1: mkBin(2, 500), // many records at the tiny split size
-		2: mkBin(3, 0),   // occupied but empty map
+		1: mkBin(2, 500),
+		2: mkBin(3, 0), // occupied but empty map
 	}
 	// Pending records must survive too (they migrate with the bin).
 	bins[0].PushPending(9, KV[uint64, uint64]{Key: 7, Val: 7})
 	for w := 0; w < peers; w++ {
-		writeTestCheckpoint(t, dir, 5, w, peers, logBins, chunkBytes, assignment, bins)
+		writeTestCheckpoint(t, dir, 5, w, peers, logBins, assignment, bins)
 	}
 
 	epoch, ops, ok, err := LatestCheckpoint(dir, peers)
@@ -130,9 +104,6 @@ func testCheckpointRoundTrip(t *testing.T, chunkBytes int) {
 			if !ok {
 				t.Fatalf("bin %d missing from worker %d's restore", b, w)
 			}
-			if b == 1 && chunkBytes > 0 && len(payload) <= 4*chunkBytes {
-				t.Fatalf("bin 1 is %d bytes: too small to span many %d-byte records", len(payload), chunkBytes)
-			}
 			got := &BinState[KV[uint64, uint64], MapState[uint64, uint64]]{
 				State: &MapState[uint64, uint64]{},
 			}
@@ -154,10 +125,10 @@ func TestLatestCheckpointSkipsIncomplete(t *testing.T) {
 	assignment := []int{0, 1}
 	bins := map[int]*BinState[KV[uint64, uint64], MapState[uint64, uint64]]{0: mkBin(1, 4), 1: mkBin(2, 4)}
 	for w := 0; w < 2; w++ {
-		writeTestCheckpoint(t, dir, 10, w, 2, 1, 0, assignment, bins)
+		writeTestCheckpoint(t, dir, 10, w, 2, 1, assignment, bins)
 	}
 	// Epoch 20: only worker 0 committed before the "crash".
-	writeTestCheckpoint(t, dir, 20, 0, 2, 1, 0, assignment, bins)
+	writeTestCheckpoint(t, dir, 20, 0, 2, 1, assignment, bins)
 
 	epoch, _, ok, err := LatestCheckpoint(dir, 2)
 	if err != nil || !ok {
@@ -184,7 +155,7 @@ func TestShrunkRosterCheckpoint(t *testing.T) {
 	assignment := []int{1, 1}
 	live := []int{1}
 	bins := map[int]*BinState[KV[uint64, uint64], MapState[uint64, uint64]]{0: mkBin(1, 8), 1: mkBin(2, 8)}
-	writeLiveCheckpoint(t, dir, 30, 1, peers, logBins, 0, assignment, live, bins)
+	writeLiveCheckpoint(t, dir, 30, 1, peers, logBins, assignment, live, bins)
 
 	epoch, _, ok, err := LatestCheckpoint(dir, peers)
 	if err != nil || !ok || epoch != 30 {
@@ -214,7 +185,7 @@ func TestShrunkRosterCheckpoint(t *testing.T) {
 
 	// A manifest missing for a worker the epoch records as LIVE still marks
 	// the epoch incomplete.
-	writeLiveCheckpoint(t, dir, 40, 1, peers, logBins, 0, assignment, []int{0, 1}, bins)
+	writeLiveCheckpoint(t, dir, 40, 1, peers, logBins, assignment, []int{0, 1}, bins)
 	if epoch, _, ok, err := LatestCheckpoint(dir, peers); err != nil || !ok || epoch != 30 {
 		t.Fatalf("incomplete live epoch not skipped: epoch=%d ok=%v err=%v", epoch, ok, err)
 	}
@@ -223,19 +194,19 @@ func TestShrunkRosterCheckpoint(t *testing.T) {
 	}
 }
 
-// TestLoadRestoreDetectsCorruption: flipped payload bytes fail the record
-// digest check, a truncated data file fails the completeness check, and a
-// bin in the retired gob format is refused by name, in both record layouts.
+// TestLoadRestoreDetectsCorruption: flipped payload bytes fail the digest
+// check, a truncated data file fails the completeness check, a data file of
+// the older split-record layout is refused as bad magic, and a bin in the
+// retired gob format is refused by name.
 func TestLoadRestoreDetectsCorruption(t *testing.T) {
-	t.Run("record-per-bin", func(t *testing.T) { testLoadRestoreDetectsCorruption(t, 0) })
-	t.Run("split-bins", func(t *testing.T) { testLoadRestoreDetectsCorruption(t, 128) })
+	t.Run("record-per-bin", testLoadRestoreDetectsCorruption)
 }
 
-func testLoadRestoreDetectsCorruption(t *testing.T, chunkBytes int) {
+func testLoadRestoreDetectsCorruption(t *testing.T) {
 	dir := t.TempDir()
 	assignment := []int{0, 0}
 	bins := map[int]*BinState[KV[uint64, uint64], MapState[uint64, uint64]]{0: mkBin(1, 300), 1: mkBin(2, 300)}
-	writeTestCheckpoint(t, dir, 7, 0, 1, 1, chunkBytes, assignment, bins)
+	writeTestCheckpoint(t, dir, 7, 0, 1, 1, assignment, bins)
 
 	path := filepath.Join(dir, "test-op", "epoch-7", "bins-w0.dat")
 	data, err := os.ReadFile(path)
@@ -259,6 +230,26 @@ func testLoadRestoreDetectsCorruption(t *testing.T, chunkBytes int) {
 		t.Fatal("truncated data file not detected")
 	}
 
+	// A record length near 2^64 is corrupt input, not a slice bound to
+	// trust.
+	huge := binenc.AppendUvarint(binenc.AppendUvarint([]byte(ckptMagic), 0), ^uint64(0))
+	if err := os.WriteFile(path, append(huge, make([]byte, 16)...), 0o666); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadRestore(dir, "test-op", 7, 1, 0, 1, TransferBinary.Name()); err == nil ||
+		!strings.Contains(err.Error(), "corrupt record") {
+		t.Fatalf("record length beyond the file not detected: %v", err)
+	}
+
+	old := append([]byte("MPCK1\n"), data[len(ckptMagic):]...)
+	if err := os.WriteFile(path, old, 0o666); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadRestore(dir, "test-op", 7, 1, 0, 1, TransferBinary.Name()); err == nil ||
+		!strings.Contains(err.Error(), "bad magic") {
+		t.Fatalf("split-record layout not refused as bad magic: %v", err)
+	}
+
 	// Codec mismatch is a configuration error, reported as such.
 	if err := os.WriteFile(path, data, 0o666); err != nil {
 		t.Fatal(err)
@@ -275,13 +266,7 @@ func testLoadRestoreDetectsCorruption(t *testing.T, chunkBytes int) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gobBin := append([]byte{0x00}, make([]byte, 300)...)
-	if chunkBytes > 0 {
-		err = writeChunkedBin(w, 1, gobBin, chunkBytes)
-	} else {
-		err = w.WriteBin(1, gobBin)
-	}
-	if err != nil {
+	if err := w.WriteBin(1, append([]byte{0x00}, make([]byte, 300)...)); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Finish(1, 1, TransferBinary.Name(), assignment, nil); err != nil {

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -178,72 +177,6 @@ func TestNilTransferIsTheNamedCodec(t *testing.T) {
 	}
 	if cfg.Transfer.Name() != named.Name() || CodecName(nil) != named.Name() {
 		t.Errorf("names differ: nil config %q, CodecName(nil) %q, named %q", cfg.Transfer.Name(), CodecName(nil), named.Name())
-	}
-}
-
-// splitRecords cuts payload into checkpoint records of at most chunk bytes
-// for bin, in the layout earlier builds wrote: numbered by Seq, the final
-// one marked Last.
-func splitRecords(bin int, payload []byte, chunk int) []ckptRecord {
-	var recs []ckptRecord
-	for seq, off := 0, 0; seq == 0 || off < len(payload); seq++ {
-		end := min(off+chunk, len(payload))
-		recs = append(recs, ckptRecord{Bin: bin, Seq: seq, Last: end == len(payload), Bytes: payload[off:end]})
-		off = end
-	}
-	return recs
-}
-
-// TestChunkAssembler: bins split over several checkpoint records reassemble
-// bin-by-bin, interleaved bins do not collide, single-record payloads pass
-// through unbuffered, and records out of order are an error.
-func TestChunkAssembler(t *testing.T) {
-	var a chunkAssembler
-	p1 := []byte("the first payload")
-	p2 := []byte("another payload entirely")
-	recs1 := splitRecords(1, p1, 5)
-	recs2 := splitRecords(2, p2, 7)
-	// Interleave the two bins' records; each bin's records stay in order.
-	var interleaved []ckptRecord
-	for i := 0; i < len(recs1) || i < len(recs2); i++ {
-		if i < len(recs1) {
-			interleaved = append(interleaved, recs1[i])
-		}
-		if i < len(recs2) {
-			interleaved = append(interleaved, recs2[i])
-		}
-	}
-	got := map[int][]byte{}
-	for _, r := range interleaved {
-		payload, done, err := a.add(r)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if done {
-			got[r.Bin] = payload
-		}
-	}
-	if !bytes.Equal(got[1], p1) || !bytes.Equal(got[2], p2) {
-		t.Fatalf("reassembly mismatch: %q %q", got[1], got[2])
-	}
-	if len(a.partial) != 0 {
-		t.Fatalf("assembler retained %d partial payloads", len(a.partial))
-	}
-	// Single-record payload returns the original slice without copying.
-	single := ckptRecord{Bin: 9, Bytes: p1, Last: true}
-	if payload, done, err := a.add(single); err != nil || !done || &payload[0] != &p1[0] {
-		t.Fatal("single-record payload was copied or buffered")
-	}
-	// Out-of-order records, and a single-record bin amid its own split
-	// records, are corrupt files.
-	var b chunkAssembler
-	if _, _, err := b.add(ckptRecord{Bin: 1, Seq: 1, Bytes: []byte("x")}); err == nil {
-		t.Fatal("out-of-order record accepted")
-	}
-	var c chunkAssembler
-	c.add(ckptRecord{Bin: 1, Bytes: []byte("x")})
-	if _, _, err := c.add(ckptRecord{Bin: 1, Last: true, Bytes: []byte("y")}); err == nil {
-		t.Fatal("single-record bin amid its split records accepted")
 	}
 }
 

@@ -266,10 +266,6 @@ func (m *Mesh) Leave() { m.finMode.Store(1) }
 // leaking the transport's goroutines into later tests.
 func (m *Mesh) Abandon() { m.finMode.Store(2) }
 
-// SetMembershipEpoch records the membership view version this process now
-// believes in; future transport handshakes carry it.
-func (m *Mesh) SetMembershipEpoch(e uint64) { m.tr.SetMembershipEpoch(e) }
-
 // DataCounters snapshots the per-peer dataflow frame counters: sent[p] and
 // recv[p] count progress/data/graph frames exchanged with slot p since the
 // mesh joined. Counter reads are individually atomic but the snapshot is

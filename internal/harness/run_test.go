@@ -102,7 +102,9 @@ func vanishWorkerMain() {
 // first output) or before the clock starts (a peer that joined the mesh
 // and never built its dataflow holds the start alignment until it dies).
 // The surviving process dials (it has the higher index), so it gives up
-// once its short dial timeout passes.
+// once its short dial timeout passes. The 30 s row pins that the run then
+// stops injecting instead of running out its duration: it must return
+// within the dial timeout and a few seconds of the kill.
 func TestRunPeerVanishes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns OS processes")
@@ -111,15 +113,23 @@ func TestRunPeerVanishes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	const short = 1500 * time.Millisecond
 	for _, row := range []struct {
-		workload    string
-		beforeStart bool
-	}{{"keycount", false}, {"nexmark", false}, {"keycount", true}, {"nexmark", true}} {
-		name, peer := row.workload, row.workload
+		name, workload string
+		beforeStart    bool
+		duration       time.Duration
+	}{
+		{"keycount", "keycount", false, short},
+		{"nexmark", "nexmark", false, short},
+		{"keycount/before-start", "keycount", true, short},
+		{"nexmark/before-start", "nexmark", true, short},
+		{"keycount/before-start-30s", "keycount", true, 30 * time.Second},
+	} {
+		peer := row.workload
 		if row.beforeStart {
-			name, peer = row.workload+"/before-start", "join-only"
+			peer = "join-only"
 		}
-		t.Run(name, func(t *testing.T) {
+		t.Run(row.name, func(t *testing.T) {
 			hosts := freeHosts(t, 2)
 			c := &harness.Chaos{Procs: []harness.ChaosProc{{
 				Name: "vanishing-" + peer,
@@ -154,7 +164,7 @@ func TestRunPeerVanishes(t *testing.T) {
 			}
 			done := make(chan outcome, 1)
 			go func() {
-				res, err := vanishRun(row.workload, spec, 1500*time.Millisecond, func() {
+				res, err := vanishRun(row.workload, spec, row.duration, func() {
 					startedOnce.Do(func() { close(started) })
 				})
 				done <- outcome{res, err}
@@ -173,16 +183,20 @@ func TestRunPeerVanishes(t *testing.T) {
 			if err := c.Kill(0); err != nil {
 				t.Fatal(err)
 			}
+			killed := time.Now()
 			select {
 			case o := <-done:
 				if o.err == nil {
 					t.Fatal("run whose peer vanished returned no error")
 				}
+				if took, bound := time.Since(killed), spec.DialTimeout+3*time.Second; took > bound {
+					t.Fatalf("run returned %v after its peer vanished, want within %v", took, bound)
+				}
 				if n := o.res.Hist.Count(); row.beforeStart && n != 0 {
 					t.Fatalf("%d epochs completed without the peer", n)
 				}
 				t.Logf("error as expected: %v", o.err)
-			case <-time.After(30 * time.Second):
+			case <-time.After(40 * time.Second):
 				t.Fatal("run whose peer vanished did not return")
 			}
 		})

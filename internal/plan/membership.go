@@ -109,7 +109,6 @@ type Fabric interface {
 	InstallView(from core.Time, active []bool)
 	Activate(p int)
 	RetirePeer(p int)
-	SetMembershipEpoch(e uint64)
 	DataCounters() (sent, recv []uint64)
 }
 
@@ -1082,7 +1081,6 @@ func (mc *MembershipController) applyDecisionLocked(tr *Transition, schedule []t
 		viewFrom++
 	}
 	mc.opts.Fabric.InstallView(viewFrom, after)
-	mc.opts.Fabric.SetMembershipEpoch(tr.MemEpoch)
 	if tr.Kind == TransitionCrash {
 		mc.reconcilePendingLocked(tr, schedule)
 	}

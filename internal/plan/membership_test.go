@@ -30,7 +30,6 @@ type fakeFabric struct {
 	views     []fakeView
 	retired   []int
 	activated []int
-	memEpochs []uint64
 	purgeCuts []core.Time
 	reset     []progress.CountDelta // deltas of the last ResetProgress batch
 	bounds    map[int]core.Time     // what AppliedBounds() reports
@@ -102,12 +101,6 @@ func (f *fakeFabric) Activate(p int) {
 func (f *fakeFabric) RetirePeer(p int) {
 	f.mu.Lock()
 	f.retired = append(f.retired, p)
-	f.mu.Unlock()
-}
-
-func (f *fakeFabric) SetMembershipEpoch(e uint64) {
-	f.mu.Lock()
-	f.memEpochs = append(f.memEpochs, e)
 	f.mu.Unlock()
 }
 
@@ -412,8 +405,8 @@ func TestMembershipJoinProtocol(t *testing.T) {
 		if len(v) != 1 || v[0].from != tr0.Epoch || !v[0].active[0] || !v[0].active[1] || !v[0].active[2] {
 			t.Fatalf("process %d: installed views %+v, want one all-active view from %d", p, v, tr0.Epoch)
 		}
-		if len(c.fabs[p].memEpochs) != 1 || c.fabs[p].memEpochs[0] != 1 {
-			t.Fatalf("process %d: membership epochs %v, want [1]", p, c.fabs[p].memEpochs)
+		if e := plan.MemEpoch(c.mcs[p]); e != 1 {
+			t.Fatalf("process %d: membership epoch %d, want 1", p, e)
 		}
 		// The reset baseline must sum every participant's inventory: each
 		// process contributed one distinctive hold delta.

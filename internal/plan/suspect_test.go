@@ -217,8 +217,8 @@ func TestElectionThreeProcsZeroDies(t *testing.T) {
 }
 
 // nullFabric satisfies Fabric for declaration-gate tests that never run a
-// barrier: only the decision-time calls (RetirePeer, InstallView,
-// SetMembershipEpoch) land, and nothing observes them.
+// barrier: only the decision-time calls (RetirePeer, InstallView) land, and
+// nothing observes them.
 type nullFabric struct{}
 
 func (nullFabric) Pause()                               {}
@@ -230,7 +230,6 @@ func (nullFabric) ResetProgress(b *progress.Batch)      {}
 func (nullFabric) InstallView(from core.Time, a []bool) {}
 func (nullFabric) Activate(p int)                       {}
 func (nullFabric) RetirePeer(p int)                     {}
-func (nullFabric) SetMembershipEpoch(e uint64)          {}
 func (nullFabric) DataCounters() (sent, recv []uint64)  { return nil, nil }
 
 // writeManifests writes manifest files for the given workers at one epoch,

@@ -39,9 +39,10 @@ const (
 	// Version is the wire protocol version; a handshake with any other
 	// version is rejected rather than defaulted, so a stale binary cannot
 	// silently join with a framing the rest of the cluster does not speak.
-	// Version 4 is batched framing over one connection per peer pair
-	// (version 3 striped a pair over several).
-	Version uint16 = 4
+	// Version 5 drops version 4's unread membership epoch from the hello;
+	// version 4 introduced batched framing over one connection per peer
+	// pair (version 3 striped a pair over several).
+	Version uint16 = 5
 	// DefaultMaxFrame bounds the total encoded size of one frame unless
 	// Config.MaxFrame overrides it. Oversized frames are rejected on both
 	// sides: Send reports it through the transport's fatal error path (the
@@ -88,11 +89,14 @@ func (e ErrFrameTooLarge) Error() string {
 // extended slice. Sequence number 0 marks an unnumbered frame (handshake,
 // ack); numbered frames start at 1.
 func AppendFrame(buf []byte, kind byte, seq uint64, payload []byte) []byte {
-	n := 1 + 8 + len(payload)
-	buf = binary.BigEndian.AppendUint32(buf, uint32(n))
+	return append(appendHeader(buf, kind, seq, len(payload)), payload...)
+}
+
+// appendHeader appends the header of a frame whose payload is n bytes long.
+func appendHeader(buf []byte, kind byte, seq uint64, n int) []byte {
+	buf = binary.BigEndian.AppendUint32(buf, uint32(1+8+n))
 	buf = append(buf, kind)
-	buf = binary.BigEndian.AppendUint64(buf, seq)
-	return append(buf, payload...)
+	return binary.BigEndian.AppendUint64(buf, seq)
 }
 
 // FrameReader decodes frames from a byte stream, reusing one internal
@@ -180,14 +184,6 @@ type hello struct {
 	From      int // process index of the hello's sender
 	Procs     int // total roster size, verified to match
 	RecvSeq   uint64
-	// MembershipEpoch is the sender's current membership view version. The
-	// roster (Procs) is fixed for a cluster's lifetime; which roster slots
-	// are active changes at membership epochs, and a connection between two
-	// processes whose views have diverged is still valid — the view is
-	// reconciled by the control plane, not the transport — so the epoch is
-	// carried for observability and for the acceptor to admit dials from
-	// peers it has not itself activated yet.
-	MembershipEpoch uint64
 }
 
 // appendHello encodes h.
@@ -197,8 +193,7 @@ func appendHello(buf []byte, h hello) []byte {
 	buf = binary.BigEndian.AppendUint64(buf, h.ClusterID)
 	buf = binary.BigEndian.AppendUint16(buf, uint16(h.From))
 	buf = binary.BigEndian.AppendUint16(buf, uint16(h.Procs))
-	buf = binary.BigEndian.AppendUint64(buf, h.RecvSeq)
-	return binary.BigEndian.AppendUint64(buf, h.MembershipEpoch)
+	return binary.BigEndian.AppendUint64(buf, h.RecvSeq)
 }
 
 // parseHello decodes and validates a handshake payload.
@@ -215,14 +210,13 @@ func parseHello(p []byte) (hello, error) {
 	if v := binary.BigEndian.Uint16(p[4:6]); v != Version {
 		return hello{}, fmt.Errorf("transport: protocol version mismatch: peer speaks %d, this build speaks %d", v, Version)
 	}
-	if len(p) != 4+2+8+2+2+8+8 {
+	if len(p) != 4+2+8+2+2+8 {
 		return hello{}, fmt.Errorf("transport: handshake payload of %d bytes", len(p))
 	}
 	return hello{
-		ClusterID:       binary.BigEndian.Uint64(p[6:14]),
-		From:            int(binary.BigEndian.Uint16(p[14:16])),
-		Procs:           int(binary.BigEndian.Uint16(p[16:18])),
-		RecvSeq:         binary.BigEndian.Uint64(p[18:26]),
-		MembershipEpoch: binary.BigEndian.Uint64(p[26:34]),
+		ClusterID: binary.BigEndian.Uint64(p[6:14]),
+		From:      int(binary.BigEndian.Uint16(p[14:16])),
+		Procs:     int(binary.BigEndian.Uint16(p[16:18])),
+		RecvSeq:   binary.BigEndian.Uint64(p[18:26]),
 	}, nil
 }

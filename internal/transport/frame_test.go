@@ -66,7 +66,7 @@ func TestFrameTornReads(t *testing.T) {
 }
 
 func TestHandshakeRoundTrip(t *testing.T) {
-	h := hello{ClusterID: 0xfeedface, From: 3, Procs: 5, RecvSeq: 42, MembershipEpoch: 7}
+	h := hello{ClusterID: 0xfeedface, From: 3, Procs: 5, RecvSeq: 42}
 	got, err := parseHello(appendHello(nil, h))
 	if err != nil {
 		t.Fatal(err)
@@ -153,17 +153,18 @@ func helloAtVersion(h hello, version uint16) []byte {
 }
 
 // TestHandshakeOtherVersionsRejected pins the one version check: a hello
-// carrying any other protocol version — older, newer, or the striping
-// build's 3, whose payload was 4 bytes longer — is rejected as the version
-// skew it is, whatever its length, never misreported as a malformed payload.
+// carrying any other protocol version — older, newer, version 4, whose
+// payload carried an 8-byte membership epoch, or the striping build's 3,
+// longer still — is rejected as the version skew it is, whatever its length,
+// never misreported as a malformed payload.
 func TestHandshakeOtherVersionsRejected(t *testing.T) {
-	h := hello{ClusterID: 1, From: 1, Procs: 2, RecvSeq: 3, MembershipEpoch: 4}
+	h := hello{ClusterID: 1, From: 1, Procs: 2, RecvSeq: 3}
 	for v := uint16(0); v <= Version+1; v++ {
 		if v == Version {
 			continue
 		}
 		p := helloAtVersion(h, v)
-		for _, payload := range [][]byte{p, p[:26], append(p[:len(p):len(p)], 0, 2, 0, 4)} {
+		for _, payload := range [][]byte{p, p[:18], append(p[:len(p):len(p)], 0, 0, 0, 0, 0, 0, 0, 4)} {
 			_, err := parseHello(payload)
 			if err == nil || !bytes.Contains([]byte(err.Error()), []byte("version mismatch")) {
 				t.Fatalf("version %d hello of %d bytes: got %v, want a version mismatch", v, len(payload), err)
@@ -172,10 +173,10 @@ func TestHandshakeOtherVersionsRejected(t *testing.T) {
 	}
 }
 
-// TestHandshakeCurrentVersionTruncated: a current-version hello with the
-// membership epoch cut off is a length error, not a crash.
+// TestHandshakeCurrentVersionTruncated: a current-version hello with its
+// tail cut off is a length error, not a crash.
 func TestHandshakeCurrentVersionTruncated(t *testing.T) {
-	p := appendHello(nil, hello{ClusterID: 1, From: 1, Procs: 2, MembershipEpoch: 9})
+	p := appendHello(nil, hello{ClusterID: 1, From: 1, Procs: 2, RecvSeq: 9})
 	for cut := 6; cut < len(p); cut++ {
 		if _, err := parseHello(p[:cut]); err == nil {
 			t.Fatalf("truncation to %d bytes accepted", cut)
@@ -234,7 +235,8 @@ func FuzzFrameRoundTrip(f *testing.F) {
 
 func FuzzParseHello(f *testing.F) {
 	f.Add(appendHello(nil, hello{ClusterID: 1, From: 1, Procs: 2, RecvSeq: 3}))
-	f.Add(appendHello(nil, hello{ClusterID: 1, From: 1, Procs: 2, RecvSeq: 3, MembershipEpoch: 12}))
+	// A version-4 hello, which carried an 8-byte membership epoch.
+	f.Add(append(helloAtVersion(hello{ClusterID: 1, From: 1, Procs: 2, RecvSeq: 3}, 4), 0, 0, 0, 0, 0, 0, 0, 12))
 	f.Add(helloAtVersion(hello{ClusterID: 9, From: 0, Procs: 4, RecvSeq: 8}, 3)[:26])
 	f.Fuzz(func(t *testing.T, data []byte) {
 		parseHello(data) // must not panic
@@ -242,14 +244,13 @@ func FuzzParseHello(f *testing.F) {
 }
 
 // FuzzHelloRoundTrip: every hello survives encode/decode field-for-field
-// (membership epoch included), and stamped with the previous version it is
+// and stamped with the previous version it is
 // always rejected.
 func FuzzHelloRoundTrip(f *testing.F) {
-	f.Add(uint64(1), 1, 2, uint64(3), uint64(4))
-	f.Add(uint64(0xfeedface), 3, 5, uint64(42), uint64(0))
-	f.Fuzz(func(t *testing.T, cluster uint64, from, procs int, recvSeq, memEpoch uint64) {
-		h := hello{ClusterID: cluster, From: from & 0xffff, Procs: procs & 0xffff,
-			RecvSeq: recvSeq, MembershipEpoch: memEpoch}
+	f.Add(uint64(1), 1, 2, uint64(3))
+	f.Add(uint64(0xfeedface), 3, 5, uint64(42))
+	f.Fuzz(func(t *testing.T, cluster uint64, from, procs int, recvSeq uint64) {
+		h := hello{ClusterID: cluster, From: from & 0xffff, Procs: procs & 0xffff, RecvSeq: recvSeq}
 		got, err := parseHello(appendHello(nil, h))
 		if err != nil {
 			t.Fatalf("round trip failed: %v", err)

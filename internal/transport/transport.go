@@ -82,8 +82,8 @@ func (c *Config) defaults() {
 // only valid for the duration of the call.
 type Handler func(from int, kind byte, payload []byte)
 
-// frame is one queued or retained outbound frame. data is pool-owned and
-// recycled once the frame is acknowledged.
+// frame is one numbered outbound frame (a user frame or the FIN). data is
+// pool-owned and recycled once the frame is acknowledged.
 type frame struct {
 	seq  uint64
 	kind byte
@@ -97,45 +97,58 @@ type connIO struct {
 	br *bufio.Reader
 }
 
-// peer is the session with one remote process: the outbound queue and
-// retained frames, the live connection, and receive-side bookkeeping.
+// state is where a session stands. Every change goes through
+// peer.setLocked.
+type state uint8
+
+const (
+	connecting    state = iota // no connection yet, or (if we dial) one redial goroutine reconnects
+	absent                     // roster slot inactive at our startup; it may join by dialing us
+	replaying                  // conn is fresh: the sender adopts it and rewinds to the peer's cursor
+	streaming                  // the sender writes on conn
+	down                       // no connection and no dial of ours: the peer redials, or we shut down
+	retired                    // the peer left for good: sends are dropped, nothing is dialed
+	retiredByPeer              // the peer rejected our dial as retired: it never acks again
+)
+
+// peer is the session with one remote process.
+//
+// Every numbered frame sent to it (the FIN included) is appended once to
+// ring. Two cursors split the ring: [acked, written) was written on some
+// connection and is retained until the peer acknowledges it; [written, len)
+// is queued. Adopting a new connection only moves written back to the first
+// frame the peer has not received. Acks are cumulative, so none passes
+// through the ring: ackDue marks that the receive cursor is to be announced,
+// and each send round writes at most one ack frame.
+//
+// Only sendLoop moves the cursors, compacts the ring and recycles payload
+// buffers. After a reconnect the peer can ack frames the sender is still
+// replaying (it received them on the dead connection), so only the
+// goroutine that writes from a buffer may recycle it: the receive side
+// records the highest ack in ackedSeq and pokes the sender, and Retire sets
+// the state and pokes.
 type peer struct {
-	t      *Transport
-	index  int
-	dials  bool // we dial this peer (our index is higher, or we are a joiner)
-	absent bool // roster slot inactive at our startup; may join later
+	t     *Transport
+	index int
+	dials bool // we dial this peer (our index is higher, or we are a joiner)
 
-	mu      sync.Mutex
-	notify  chan struct{} // latched wake for the sender goroutine
-	q       []frame       // enqueued, not yet written
-	spareQ  []frame       // recycled batch backing array
-	unacked []frame       // written on some conn, awaiting ack
-	// unackedHead indexes the first retained frame in unacked: acks advance
-	// the cursor instead of memmoving the (potentially large) retained tail
-	// on every ack; the array compacts only when the dead prefix dominates.
-	unackedHead int
-	pool        freelist.List[[]byte] // recycled frame payload buffers; an interval is one ack round
-	sendSeq     uint64                // last assigned outbound sequence number
-	ackedSeq    uint64                // highest outbound seq acked by the peer
-	recvSeq     uint64                // highest contiguous inbound seq received
-	lastAck     uint64                // recvSeq when we last enqueued an ack
-	finRecvd    bool
-	finSeq      uint64 // our FIN's seq (0 until Finish)
-	inFlight    bool   // sender is mid-write on a batch taken from q
-	joined      bool   // a connection was installed at least once
-	retired     bool   // peer left the cluster for good; drop sends, no redial
-	retiredUs   bool   // the peer rejected our dial as retired: it will never
-	// ack another frame of ours, so shutdown barriers must not wait for it.
-	// Set only on a leaver (survivors retire a departed member on its
-	// goodbye, which can close the connection before the leaver's FIN is
-	// acknowledged).
-
-	conn    *connIO // adopted by the sender goroutine
-	pending *struct {
-		io       *connIO
-		peerRecv uint64
-	}
-	redialing bool
+	mu       sync.Mutex
+	notify   chan struct{} // latched wake for the sender goroutine
+	state    state
+	conn     *connIO // the connection of a replaying or streaming session
+	peerRecv uint64  // the peer's receive cursor from conn's handshake
+	ring     []frame
+	acked    int                   // ring index of the first unacknowledged frame
+	written  int                   // ring index of the first frame not yet written
+	inFlight bool                  // the sender is mid-write
+	pool     freelist.List[[]byte] // recycled frame payload buffers; an interval is one ack round
+	sendSeq  uint64                // last assigned outbound sequence number
+	ackedSeq uint64                // highest outbound seq acked by the peer
+	recvSeq  uint64                // highest contiguous inbound seq received
+	lastAck  uint64                // recvSeq when an ack was last marked due
+	ackDue   bool                  // recvSeq is to be announced to the peer
+	finRecvd bool
+	finSeq   uint64 // our FIN's seq (0 until Finish)
 
 	upOnce sync.Once
 	up     chan struct{} // closed when the first conn is established
@@ -151,14 +164,27 @@ type peer struct {
 	dispatch sync.Mutex
 }
 
+// setLocked moves the session to state s holding connection io (nil for a
+// state without one), closing the connection it held unless that is io.
+// Retired is final. The caller holds p.mu and, unless it is the sender or
+// shutdown (whose closed channel wakes the sender), pokes the sender.
+func (p *peer) setLocked(s state, io *connIO) {
+	if p.state == retired {
+		return
+	}
+	if p.conn != nil && p.conn != io {
+		p.conn.c.Close()
+	}
+	p.state, p.conn = s, io
+}
+
 // Transport is one process's endpoint of the cluster mesh: N-1 reliable,
 // FIFO, exactly-once frame sessions, one per peer process.
 type Transport struct {
-	cfg      Config
-	handler  Handler
-	peers    []*peer // nil at this process's own index
-	ln       net.Listener
-	memEpoch atomic.Uint64
+	cfg     Config
+	handler Handler
+	peers   []*peer // nil at this process's own index
+	ln      net.Listener
 
 	closeOnce sync.Once
 	closed    chan struct{}
@@ -184,22 +210,25 @@ func Dial(cfg Config, handler Handler) (*Transport, error) {
 		return nil, fmt.Errorf("transport: index %d out of range for %d addrs", cfg.Index, len(cfg.Addrs))
 	}
 	t := &Transport{cfg: cfg, handler: handler, closed: make(chan struct{})}
-	absent := func(i int) bool { return i < len(cfg.Absent) && cfg.Absent[i] }
-	selfJoiner := absent(cfg.Index)
+	isAbsent := func(i int) bool { return i < len(cfg.Absent) && cfg.Absent[i] }
+	selfJoiner := isAbsent(cfg.Index)
 	for i := range cfg.Addrs {
 		if i == cfg.Index {
 			t.peers = append(t.peers, nil)
 			continue
 		}
-		t.peers = append(t.peers, &peer{
+		p := &peer{
 			t:      t,
 			index:  i,
 			dials:  cfg.Index > i || selfJoiner,
-			absent: absent(i),
 			notify: make(chan struct{}, 1),
 			up:     make(chan struct{}),
 			pool:   freelist.New[[]byte](&t.poolBytes),
-		})
+		}
+		if isAbsent(i) {
+			p.state = absent
+		}
+		t.peers = append(t.peers, p)
 	}
 
 	ln := cfg.Listener
@@ -220,17 +249,16 @@ func Dial(cfg Config, handler Handler) (*Transport, error) {
 		}
 		t.wg.Add(1)
 		go p.sendLoop()
-		if p.dials && !p.absent {
-			p.mu.Lock()
-			p.startRedialLocked()
-			p.mu.Unlock()
+		if p.dials && !isAbsent(p.index) {
+			t.wg.Add(1)
+			go p.redial()
 		}
 	}
 
 	waited := 0
 	deadline := time.After(cfg.DialTimeout)
 	for _, p := range t.peers {
-		if p == nil || p.absent {
+		if p == nil || isAbsent(p.index) {
 			continue
 		}
 		waited++
@@ -246,10 +274,6 @@ func Dial(cfg Config, handler Handler) (*Transport, error) {
 	return t, nil
 }
 
-// SetMembershipEpoch updates the membership view version carried in any
-// future handshake (reconnects and accepted joins).
-func (t *Transport) SetMembershipEpoch(e uint64) { t.memEpoch.Store(e) }
-
 // Retire removes a peer from the mesh for good: its session is torn down,
 // reconnect attempts stop (no DialTimeout panic for a declared-dead peer),
 // queued and retained frames are dropped, further Sends to it are dropped
@@ -261,41 +285,20 @@ func (t *Transport) Retire(i int) {
 		return
 	}
 	p.mu.Lock()
-	already := p.retired
-	p.retired = true
-	if p.conn != nil {
-		p.conn.c.Close()
-		p.conn = nil
-	}
-	if p.pending != nil {
-		p.pending.io.c.Close()
-		p.pending = nil
-	}
-	for _, f := range p.q {
-		if f.data != nil {
-			p.putBufLocked(f.data)
-		}
-	}
-	p.q = p.q[:0]
-	for _, f := range p.unacked[p.unackedHead:] {
-		if f.data != nil {
-			p.putBufLocked(f.data)
-		}
-	}
-	p.unacked = p.unacked[:0]
-	p.unackedHead = 0
+	already := p.state == retired
+	p.setLocked(retired, nil)
 	p.mu.Unlock()
-	p.upOnce.Do(func() { close(p.up) })
 	p.poke()
 	if !already {
 		t.logf("transport: process %d: retired peer %d", t.cfg.Index, i)
 	}
 }
 
-// Joined reports whether a session with peer i was ever installed. An absent
-// roster slot flips to joined when the late process dials in; the mesh's
-// control-plane broadcast uses this to reach a joiner that is connected but
-// not yet an active dataflow participant.
+// Joined reports whether a session with peer i was ever installed and the
+// peer is not retired. An absent roster slot flips to joined when the late
+// process dials in; the mesh's control-plane broadcast uses this to reach a
+// joiner that is connected but not yet an active dataflow participant.
+// (Every other peer was connected by the time Dial returned.)
 func (t *Transport) Joined(i int) bool {
 	p := t.peers[i]
 	if p == nil {
@@ -303,7 +306,7 @@ func (t *Transport) Joined(i int) bool {
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.joined && !p.retired
+	return p.state != absent && p.state != retired
 }
 
 func (t *Transport) logf(format string, args ...any) {
@@ -321,16 +324,16 @@ func (t *Transport) isClosed() bool {
 	}
 }
 
-// Send enqueues one user frame to a peer process and copies payload, so
-// the caller's buffer is immediately reusable. It never blocks on the
-// network: the per-peer queue is deliberately unbounded, which is what
-// rules out cross-process send deadlocks (a worker blocked sending to a
-// peer whose worker is blocked sending back). The flip side is that
-// memory, not backpressure, absorbs a stalled peer — retention stays small
-// only while the peer drains and acks; if it stops doing either, queued
-// and retained frames grow until the peer recovers or the run is killed.
-// The enqueue itself is allocation-free at steady state: the payload copy
-// lands in a recycled buffer and the queue reuses its backing array.
+// Send appends one user frame to a peer process's ring and copies payload,
+// so the caller's buffer is immediately reusable. It never blocks on the
+// network: the ring is deliberately unbounded, which is what rules out
+// cross-process send deadlocks (a worker blocked sending to a peer whose
+// worker is blocked sending back). The flip side is that memory, not
+// backpressure, absorbs a stalled peer — retention stays small only while
+// the peer drains and acks; if it stops doing either, queued and retained
+// frames grow until the peer recovers or the run is killed. The append
+// itself is allocation-free at steady state: the payload copy lands in a
+// recycled buffer and the ring reuses its backing array.
 //
 // An oversized frame (payload beyond MaxFrame) is not a recoverable
 // condition — the layer above sized its batches against MaxFrame, so the
@@ -355,27 +358,15 @@ func (t *Transport) Send(to int, kind byte, payload []byte) {
 	if p == nil {
 		panic(fmt.Sprintf("transport: Send to self (process %d)", to))
 	}
-	p.enqueue(kind, payload, true)
-}
-
-// enqueue appends one frame (numbered when numbered is true) to the peer's
-// outbound queue, copying payload into a pooled buffer.
-//
-//megalint:hotpath
-func (p *peer) enqueue(kind byte, payload []byte, numbered bool) {
 	p.mu.Lock()
-	if p.retired {
+	if p.state == retired {
 		p.mu.Unlock()
 		return
 	}
 	buf := p.getBufLocked(len(payload))
 	buf = append(buf[:0], payload...)
-	var seq uint64
-	if numbered {
-		p.sendSeq++
-		seq = p.sendSeq
-	}
-	p.q = append(p.q, frame{seq: seq, kind: kind, data: buf})
+	p.sendSeq++
+	p.ring = append(p.ring, frame{seq: p.sendSeq, kind: kind, data: buf})
 	p.mu.Unlock()
 	p.poke()
 }
@@ -400,209 +391,169 @@ func (p *peer) getBufLocked(n int) []byte {
 	return make([]byte, 0, n)
 }
 
-// putBufLocked recycles a frame's payload buffer. The pool has to cover the
-// whole in-flight window — enqueued, written, awaiting ack — or the enqueue
-// path falls back to the allocator between ack roundtrips; freelist's rule
-// sizes it to exactly that: every buffer of the window is taken again
-// within an ack round or two, while what a burst (an all-at-once migration's
-// state frames, a catch-up backlog) added on top, in count or in buffer
-// size, ages out two ack rounds after the session last needed it.
+// sendLoop is the session's single sender goroutine: it alone adopts new
+// connections, moves the ring's cursors and recycles payload buffers.
 //
-//megalint:hotpath
-func (p *peer) putBufLocked(buf []byte) {
-	p.pool.Put(buf[:0], len(buf), cap(buf))
-}
-
-// sendLoop is the session's single sender goroutine. It alone adopts new
-// connections and moves frames between q and unacked, which keeps replay
-// ordering trivially correct: frames enter unacked only after a write
-// attempt, and a newly adopted connection first drains unacked (minus what
-// the peer already acknowledged) back into the front of q.
-//
-// Each round drains the queue into one vectored write (net.Buffers): runs of
-// numbered frames coalesce into kindBatch frames whose 5-byte sub-headers
-// live in a reused header arena and whose payloads are referenced in place
-// from their pooled buffers — nothing is copied into a scratch frame buffer,
-// and one writev replaces per-frame Write calls. Replay after a reconnect
-// re-coalesces naturally: retention is per frame, and the receiver
-// deduplicates by the sub-frames' implicit sequence numbers.
+// Each round writes the ack, if one is due, and every queued frame in one
+// vectored write (net.Buffers): runs of frames coalesce into kindBatch
+// frames whose 5-byte sub-headers live in a reused header arena and whose
+// payloads are referenced in place from their pooled buffers — nothing is
+// copied into a scratch frame buffer, and one writev replaces per-frame
+// Write calls. Replay after a reconnect re-coalesces naturally: retention is
+// per frame, and the receiver deduplicates by the sub-frames' implicit
+// sequence numbers.
 func (p *peer) sendLoop() {
 	defer p.t.wg.Done()
 	var conn *connIO
 	var hdrs []byte   // header arena; pre-sized per round so slices into it stay valid
 	var vecs [][]byte // iovec list, rebuilt per round
-	var outerPad [frameOverhead]byte
 	coalesce := min(defaultCoalesce, p.t.cfg.MaxFrame)
 	for {
 		p.mu.Lock()
-		for {
-			if p.pending != nil {
-				// Adopt the new connection: requeue retained frames the
-				// peer has not acknowledged, in sequence order, ahead of
-				// everything queued since.
-				nd := p.pending
-				p.pending = nil
-				p.trimUnackedLocked(nd.peerRecv)
-				if retained := p.unacked[p.unackedHead:]; len(retained) > 0 {
-					p.q = append(retained, p.q...)
-					p.unacked = nil
-					p.unackedHead = 0
-				}
-				conn = nd.io
-				p.conn = conn
-			}
-			if len(p.q) > 0 && conn != nil {
-				break
-			}
+		switch p.state {
+		case streaming:
+		case replaying:
+			// Adopt the new connection: what the peer received counts as
+			// acknowledged, and everything after it goes out again.
+			conn = p.conn
+			p.setLocked(streaming, conn)
+			p.ackedSeq = max(p.ackedSeq, p.peerRecv)
+			p.recycleLocked()
+			p.written = p.acked
+		case retired:
+			clear(p.ring)
+			p.ring, p.acked, p.written = p.ring[:0], 0, 0
+			fallthrough
+		default:
+			conn = nil
+		}
+		p.recycleLocked()
+		if conn == nil || (p.written == len(p.ring) && !p.ackDue) {
 			p.mu.Unlock()
 			select {
 			case <-p.notify:
 			case <-p.t.closed:
 				return
 			}
-			p.mu.Lock()
+			continue
 		}
-		batch := p.q
-		p.q = p.spareQ[:0]
-		p.spareQ = nil
+		end := len(p.ring)
+		batch := p.ring[p.written:end]
+		ackDue, ack := p.ackDue, p.recvSeq
+		p.ackDue = false
 		p.inFlight = true
 		p.mu.Unlock()
 
-		// Worst case every frame opens its own group (plain header + first
+		// Worst case every frame opens its own group (outer header + first
 		// sub-header); sizing the arena up front means later appends never
 		// reallocate, so the header slices already in vecs stay valid.
-		if need := (frameOverhead + subOverhead) * len(batch); cap(hdrs) < need {
+		if need := frameOverhead + 8 + (frameOverhead+subOverhead)*len(batch); cap(hdrs) < need {
 			hdrs = make([]byte, 0, need)
 		}
 		hdrs = hdrs[:0]
 		vecs = vecs[:0]
-
-		// Open-group state: arena offset of the outer header, vec index of
-		// the group's first entry, first sequence number, accumulated
-		// sub-frame bytes, and sub count.
-		groupOff, groupVec, groupLen, groupN := -1, -1, 0, 0
-		var groupSeq uint64
-		closeGroup := func() {
-			if groupOff < 0 {
-				return
-			}
-			h := hdrs[groupOff:]
-			if groupN == 1 {
-				// A lone frame reverts to the plain format in place: the
-				// reserved outer+sub header region is rewritten as one
-				// 13-byte frame header and its vec entry shrunk to match.
-				binary.BigEndian.PutUint32(h, uint32(1+8+groupLen-subOverhead))
-				h[4] = h[frameOverhead+4] // the sub's kind byte
-				binary.BigEndian.PutUint64(h[5:], groupSeq)
-				vecs[groupVec] = vecs[groupVec][:frameOverhead]
-			} else {
-				binary.BigEndian.PutUint32(h, uint32(1+8+groupLen))
-				h[4] = kindBatch
-				binary.BigEndian.PutUint64(h[5:], groupSeq)
-			}
-			groupOff, groupVec, groupLen, groupN = -1, -1, 0, 0
+		if ackDue {
+			// One cumulative ack, unnumbered, in the plain format.
+			hdrs = binary.BigEndian.AppendUint64(appendHeader(hdrs, kindAck, 0, 8), ack)
+			vecs = append(vecs, hdrs)
 		}
-		for _, f := range batch {
-			if f.seq == 0 {
-				// Unnumbered frames (acks) travel alone in the plain format.
-				closeGroup()
-				off := len(hdrs)
-				hdrs = binary.BigEndian.AppendUint32(hdrs, uint32(1+8+len(f.data)))
-				hdrs = append(hdrs, f.kind)
-				hdrs = binary.BigEndian.AppendUint64(hdrs, 0)
-				vecs = append(vecs, hdrs[off:off+frameOverhead])
+
+		for i := 0; i < len(batch); {
+			// A group is the longest run of frames from i that fits one
+			// coalesced frame; a lone frame travels in the plain format.
+			j, size := i+1, subOverhead+len(batch[i].data)
+			for j < len(batch) && frameOverhead+1+8+size+subOverhead+len(batch[j].data) <= coalesce {
+				size += subOverhead + len(batch[j].data)
+				j++
+			}
+			off := len(hdrs)
+			if j == i+1 {
+				hdrs = appendHeader(hdrs, batch[i].kind, batch[i].seq, len(batch[i].data))
+			} else {
+				hdrs = appendHeader(hdrs, kindBatch, batch[i].seq, size)
+			}
+			for k, f := range batch[i:j] {
+				if j > i+1 {
+					// The outer header and the first sub-header share one
+					// vec entry.
+					if k > 0 {
+						off = len(hdrs)
+					}
+					hdrs = binary.BigEndian.AppendUint32(hdrs, uint32(1+len(f.data)))
+					hdrs = append(hdrs, f.kind)
+				}
+				vecs = append(vecs, hdrs[off:])
 				if len(f.data) > 0 {
 					vecs = append(vecs, f.data)
 				}
-				continue
 			}
-			if groupOff >= 0 && frameOverhead+1+8+groupLen+subOverhead+len(f.data) > coalesce {
-				closeGroup()
-			}
-			if groupOff < 0 {
-				// Start a group: reserve the outer header and the first
-				// sub-header contiguously (one vec entry; patched on close).
-				groupOff, groupVec, groupSeq = len(hdrs), len(vecs), f.seq
-				hdrs = append(hdrs, outerPad[:]...)
-			}
-			off := len(hdrs)
-			hdrs = binary.BigEndian.AppendUint32(hdrs, uint32(1+len(f.data)))
-			hdrs = append(hdrs, f.kind)
-			if groupN == 0 {
-				vecs = append(vecs, hdrs[groupOff:off+subOverhead])
-			} else {
-				vecs = append(vecs, hdrs[off:off+subOverhead])
-			}
-			if len(f.data) > 0 {
-				vecs = append(vecs, f.data)
-			}
-			groupLen += subOverhead + len(f.data)
-			groupN++
+			i = j
 		}
-		closeGroup()
 
 		bufs := net.Buffers(vecs)
 		_, err := bufs.WriteTo(conn.c)
-		writeErr := err != nil
 
 		p.mu.Lock()
-		for _, f := range batch {
-			if f.seq == 0 {
-				p.putBufLocked(f.data) // unnumbered frames are never replayed
-				continue
-			}
-			p.unacked = append(p.unacked, f)
-		}
-		p.spareQ = batch[:0]
+		p.written = end
 		p.inFlight = false
 		p.mu.Unlock()
-		if writeErr {
+		if err != nil {
 			p.connBroken(conn)
 			conn = nil
 		}
 	}
 }
 
-// trimUnackedLocked recycles retained frames up to and including seq.
-func (p *peer) trimUnackedLocked(seq uint64) {
-	if seq > p.ackedSeq {
-		p.ackedSeq = seq
+// recycleLocked moves acked past every frame the peer has acknowledged,
+// recycling their payloads, and compacts the ring. An acked frame is never
+// written again, so written moves with it. Only sendLoop calls it, between
+// writes.
+//
+// The pool has to cover the whole in-flight window — queued, written,
+// awaiting ack — or Send falls back to the allocator between ack
+// roundtrips; freelist's rule sizes it to exactly that: every buffer of the
+// window is taken again within an ack round or two, while what a burst (an
+// all-at-once migration's state frames, a catch-up backlog) added on top, in
+// count or in buffer size, ages out two ack rounds after the session last
+// needed it.
+func (p *peer) recycleLocked() {
+	i := p.acked
+	for ; i < len(p.ring) && p.ring[i].seq <= p.ackedSeq; i++ {
+		if buf := p.ring[i].data; buf != nil {
+			p.pool.Put(buf[:0], len(buf), cap(buf))
+			p.ring[i].data = nil
+		}
 	}
-	i := p.unackedHead
-	for ; i < len(p.unacked) && p.unacked[i].seq <= seq; i++ {
-		p.putBufLocked(p.unacked[i].data)
-		p.unacked[i].data = nil
+	if i == p.acked {
+		return
 	}
-	p.unackedHead = i
-	if i == len(p.unacked) {
-		p.unacked = p.unacked[:0]
-		p.unackedHead = 0
-	} else if i > 1024 && i > len(p.unacked)-i {
-		p.unacked = p.unacked[:copy(p.unacked, p.unacked[i:])]
-		p.unackedHead = 0
+	p.pool.Trim() // the pool's ack round
+	p.acked, p.written = i, max(p.written, i)
+	if i == len(p.ring) {
+		p.ring, p.acked, p.written = p.ring[:0], 0, 0
+	} else if i > 1024 && i > len(p.ring)-i {
+		// Compact only when the dead prefix dominates, not on every ack:
+		// the retained tail may be large.
+		p.ring = p.ring[:copy(p.ring, p.ring[i:])]
+		p.acked, p.written = 0, p.written-i
 	}
 }
 
 // connBroken reacts to a read or write error on io: if io is still the
-// peer's current or pending connection, tear it down and (on the dialing
-// side) start reconnecting. The accepting side waits for the dialer.
+// peer's connection, tear it down and (on the dialing side) start
+// reconnecting. The accepting side waits for the dialer.
 func (p *peer) connBroken(io *connIO) {
-	if io == nil || p.t.isClosed() {
+	if p.t.isClosed() {
 		return
 	}
 	p.mu.Lock()
-	current := p.conn == io || (p.pending != nil && p.pending.io == io)
-	if current {
-		io.c.Close()
-		if p.conn == io {
-			p.conn = nil
-		}
-		if p.pending != nil && p.pending.io == io {
-			p.pending = nil
-		}
-		if p.dials && !p.retired && !p.retiredUs {
-			p.startRedialLocked()
-		}
+	current := p.conn == io
+	if current && p.dials {
+		p.setLocked(connecting, nil)
+		p.t.wg.Add(1)
+		go p.redial()
+	} else if current {
+		p.setLocked(down, nil)
 	}
 	p.mu.Unlock()
 	if current {
@@ -611,43 +562,29 @@ func (p *peer) connBroken(io *connIO) {
 	}
 }
 
-// startRedialLocked launches the single-flight redial goroutine.
-func (p *peer) startRedialLocked() {
-	if p.redialing {
-		return
-	}
-	p.redialing = true
-	p.t.wg.Add(1)
-	go p.redial()
+// wantsDial is redial's loop condition: the session still awaits our dial.
+func (p *peer) wantsDial() bool {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.state == connecting && !p.t.isClosed()
 }
 
 // redial connects to the peer with exponential backoff, performs the
 // handshake (carrying our receive cursor so the peer replays what we
-// missed), and installs the connection. It gives up — declaring the
-// transport dead via fail, since the dataflow above cannot make progress
-// without the session — only after DialTimeout of consecutive failures.
+// missed), and installs the connection. One runs while the session is
+// connecting on the dialing side. It gives up — declaring the transport dead
+// via fail, since the dataflow above cannot make progress without the
+// session — only after DialTimeout of consecutive failures.
 func (p *peer) redial() {
 	defer p.t.wg.Done()
 	t := p.t
 	start := time.Now()
 	backoff := 50 * time.Millisecond
-	for {
-		p.mu.Lock()
-		retired := p.retired
-		p.mu.Unlock()
-		if t.isClosed() || retired {
-			p.mu.Lock()
-			p.redialing = false
-			p.mu.Unlock()
-			return
-		}
+	for p.wantsDial() {
 		c, err := net.DialTimeout("tcp", t.cfg.Addrs[p.index], 2*time.Second)
 		if err == nil {
 			io := &connIO{c: c, br: bufio.NewReaderSize(c, 256<<10)}
 			if err = p.handshakeDial(io); err == nil {
-				p.mu.Lock()
-				p.redialing = false
-				p.mu.Unlock()
 				return
 			}
 			c.Close()
@@ -655,8 +592,7 @@ func (p *peer) redial() {
 				// The peer retired us for good: nothing of ours will ever
 				// be acked again, so stand the session down.
 				p.mu.Lock()
-				p.retiredUs = true
-				p.redialing = false
+				p.setLocked(retiredByPeer, nil)
 				p.mu.Unlock()
 				p.poke()
 				t.logf("transport: process %d: peer %d has retired us; standing down", t.cfg.Index, p.index)
@@ -664,15 +600,10 @@ func (p *peer) redial() {
 			}
 		}
 		if time.Since(start) > t.cfg.DialTimeout {
-			p.mu.Lock()
-			p.redialing = false
-			retired = p.retired
-			p.mu.Unlock()
-			if t.isClosed() || retired {
-				return
+			if p.wantsDial() {
+				t.fail(fmt.Errorf("transport: process %d: cannot reach peer %d at %s after %v: %w",
+					t.cfg.Index, p.index, t.cfg.Addrs[p.index], t.cfg.DialTimeout, err))
 			}
-			t.fail(fmt.Errorf("transport: process %d: cannot reach peer %d at %s after %v: %w",
-				t.cfg.Index, p.index, t.cfg.Addrs[p.index], t.cfg.DialTimeout, err))
 			return
 		}
 		select {
@@ -692,8 +623,7 @@ func (p *peer) handshakeDial(io *connIO) error {
 	p.mu.Lock()
 	recv := p.recvSeq
 	p.mu.Unlock()
-	h := hello{ClusterID: t.cfg.ClusterID, From: t.cfg.Index, Procs: len(t.cfg.Addrs),
-		RecvSeq: recv, MembershipEpoch: t.memEpoch.Load()}
+	h := hello{ClusterID: t.cfg.ClusterID, From: t.cfg.Index, Procs: len(t.cfg.Addrs), RecvSeq: recv}
 	io.c.SetDeadline(time.Now().Add(5 * time.Second))
 	if _, err := io.c.Write(AppendFrame(nil, kindHello, 0, appendHello(nil, h))); err != nil {
 		return err
@@ -777,10 +707,10 @@ func (t *Transport) acceptOne(c net.Conn) error {
 	}
 	p := t.peers[h.From]
 	p.mu.Lock()
-	retired := p.retired
+	isRetired := p.state == retired
 	recv := p.recvSeq
 	p.mu.Unlock()
-	if retired {
+	if isRetired {
 		// Tell the dialer before closing: a retired process redialing us is
 		// usually a leaver chasing the ack of its final frames, and without
 		// the reject frame it cannot distinguish retirement from an outage
@@ -788,8 +718,7 @@ func (t *Transport) acceptOne(c net.Conn) error {
 		c.Write(AppendFrame(nil, kindReject, 0, []byte(rejectRetired)))
 		return fmt.Errorf("dial from retired process %d at %s", h.From, remote)
 	}
-	ack := hello{ClusterID: t.cfg.ClusterID, From: t.cfg.Index, Procs: len(t.cfg.Addrs),
-		RecvSeq: recv, MembershipEpoch: t.memEpoch.Load()}
+	ack := hello{ClusterID: t.cfg.ClusterID, From: t.cfg.Index, Procs: len(t.cfg.Addrs), RecvSeq: recv}
 	if _, err := c.Write(AppendFrame(nil, kindHelloAck, 0, appendHello(nil, ack))); err != nil {
 		return err
 	}
@@ -798,33 +727,23 @@ func (t *Transport) acceptOne(c net.Conn) error {
 	return nil
 }
 
-// install hands a fresh connection to the peer: tear down any previous one,
-// start its receive loop, and leave it pending for the sender goroutine to
-// adopt (which is when retained frames past peerRecv are requeued).
+// install hands a fresh connection to the peer: the previous one is closed,
+// the new one's receive loop starts, and the sender adopts it on its next
+// round (which is when the frames past peerRecv are replayed).
 func (p *peer) install(io *connIO, peerRecv uint64) {
-	if p.t.isClosed() {
-		io.c.Close()
-		return
-	}
 	p.mu.Lock()
-	if p.retired {
-		p.mu.Unlock()
+	// Checked under p.mu: shutdown closes t.closed before it takes each
+	// peer's lock, so a connection installed here is one it will close.
+	ok := p.state != retired && !p.t.isClosed()
+	if ok {
+		p.setLocked(replaying, io)
+		p.peerRecv = peerRecv
+	}
+	p.mu.Unlock()
+	if !ok {
 		io.c.Close()
 		return
 	}
-	if p.conn != nil {
-		p.conn.c.Close()
-		p.conn = nil
-	}
-	if p.pending != nil {
-		p.pending.io.c.Close()
-	}
-	p.pending = &struct {
-		io       *connIO
-		peerRecv uint64
-	}{io: io, peerRecv: peerRecv}
-	p.joined = true
-	p.mu.Unlock()
 	p.upOnce.Do(func() { close(p.up) })
 	p.poke()
 	p.t.wg.Add(1)
@@ -848,51 +767,36 @@ func (p *peer) recvLoop(io *connIO) {
 		}
 		if kind == kindAck {
 			if len(payload) == 8 {
+				// Record the ack only: the sender recycles (see peer).
 				p.mu.Lock()
-				p.trimUnackedLocked(binary.BigEndian.Uint64(payload))
-				p.pool.Trim()
+				p.ackedSeq = max(p.ackedSeq, binary.BigEndian.Uint64(payload))
 				p.mu.Unlock()
+				p.poke()
 			}
 			continue
 		}
-		if kind == kindBatch {
-			if !p.dispatchBatch(io, seq, payload) {
-				return
-			}
-			continue
-		}
-		if !p.dispatchFrame(io, kind, seq, payload) {
+		if !p.receive(io, kind, seq, payload) {
 			return
 		}
 	}
 }
 
-// dispatchFrame performs the receive step for one numbered frame under the
-// peer's dispatch lock, so receive loops of overlapping connection
-// generations never process frames concurrently or out of order. It
-// reports false when the frame is a sequence-gap protocol violation (the
-// connection is torn down and the caller's loop must exit).
-func (p *peer) dispatchFrame(io *connIO, kind byte, seq uint64, payload []byte) bool {
-	p.dispatch.Lock()
-	defer p.dispatch.Unlock()
-	dup := false
-	ok := p.dispatchOne(io, kind, seq, payload, &dup)
-	if ok && dup {
-		p.reack()
-	}
-	return ok
-}
-
-// dispatchBatch performs the receive step for every sub-frame of one
-// coalesced frame under a single dispatch-lock acquisition. Sub-frame i
-// carries the implicit sequence number firstSeq+i; a replayed prefix (from a
-// reconnect whose ack died with the old connection) is deduplicated
-// sub-frame by sub-frame and re-acknowledged once at the end.
-func (p *peer) dispatchBatch(io *connIO, firstSeq uint64, payload []byte) bool {
+// receive performs the receive step for one numbered frame, or for every
+// sub-frame of a kindBatch frame (sub-frame i carries the implicit sequence
+// number seq+i), under the dispatch lock, so receive loops of overlapping
+// connection generations never process frames concurrently or out of order.
+// A replayed prefix (from a reconnect whose ack died with the old
+// connection) is deduplicated frame by frame and re-acknowledged once: the
+// sender retains the frames — blocking its shutdown barrier — until some ack
+// covers them. It reports false when the frame is corrupt or breaks the
+// sequence (the connection is torn down; the caller's loop must exit).
+func (p *peer) receive(io *connIO, kind byte, seq uint64, payload []byte) bool {
 	p.dispatch.Lock()
 	defer p.dispatch.Unlock()
 	dup, ok := false, true
-	if err := forEachSub(firstSeq, payload, func(seq uint64, kind byte, body []byte) bool {
+	if kind != kindBatch {
+		ok = p.dispatchOne(io, kind, seq, payload, &dup)
+	} else if err := forEachSub(seq, payload, func(seq uint64, kind byte, body []byte) bool {
 		ok = p.dispatchOne(io, kind, seq, body, &dup)
 		return ok
 	}); err != nil {
@@ -901,23 +805,12 @@ func (p *peer) dispatchBatch(io *connIO, firstSeq uint64, payload []byte) bool {
 		return false
 	}
 	if ok && dup {
-		p.reack()
+		p.mu.Lock()
+		p.lastAck, p.ackDue = p.recvSeq, true
+		p.mu.Unlock()
+		p.poke()
 	}
 	return ok
-}
-
-// reack re-announces the receive cursor: a replayed duplicate means the
-// sender never saw our covering ack (it died with the old connection) and
-// retains the frame — blocking its shutdown barrier — until some ack covers
-// it.
-func (p *peer) reack() {
-	p.mu.Lock()
-	cur := p.recvSeq
-	p.lastAck = cur
-	p.mu.Unlock()
-	var ab [8]byte
-	binary.BigEndian.PutUint64(ab[:], cur)
-	p.enqueue(kindAck, ab[:], false)
 }
 
 // dispatchOne is the receive step for one numbered frame; the caller holds
@@ -940,25 +833,17 @@ func (p *peer) dispatchOne(io *connIO, kind byte, seq uint64, payload []byte, du
 		return false
 	}
 	p.recvSeq = seq
-	needAck := p.recvSeq-p.lastAck >= ackEvery || kind == kindFin
+	p.finRecvd = p.finRecvd || kind == kindFin
+	needAck := seq-p.lastAck >= ackEvery || kind == kindFin
 	if needAck {
-		p.lastAck = p.recvSeq
+		p.lastAck, p.ackDue = seq, true
 	}
 	p.mu.Unlock()
 	if needAck {
-		var ab [8]byte
-		binary.BigEndian.PutUint64(ab[:], seq)
-		p.enqueue(kindAck, ab[:], false)
+		p.poke()
 	}
-	switch {
-	case kind == kindFin:
-		p.mu.Lock()
-		p.finRecvd = true
-		p.mu.Unlock()
-	case kind >= KindUser:
-		if t.handler != nil {
-			t.handler(p.index, kind, payload)
-		}
+	if kind >= KindUser && t.handler != nil {
+		t.handler(p.index, kind, payload)
 	}
 	return true
 }
@@ -986,26 +871,16 @@ func (t *Transport) finish(timeout time.Duration, waitPeerFin bool) error {
 	if timeout <= 0 {
 		timeout = 60 * time.Second
 	}
-	// skip reports peers outside the barrier: retired ones (in either
-	// direction — a peer that retired us will never ack again), and absent
-	// slots that never joined. Re-evaluated every pass — a peer may be
-	// retired while we wait, which must release the barrier for it.
-	skip := func(p *peer) bool {
-		return p.retired || p.retiredUs || (p.absent && !p.joined)
-	}
 	for _, p := range t.peers {
 		if p == nil {
 			continue
 		}
 		p.mu.Lock()
-		if skip(p) {
-			p.mu.Unlock()
-			continue
+		if !p.outsideBarrierLocked() {
+			p.sendSeq++
+			p.finSeq = p.sendSeq
+			p.ring = append(p.ring, frame{seq: p.finSeq, kind: kindFin})
 		}
-		p.sendSeq++
-		fin := frame{seq: p.sendSeq, kind: kindFin}
-		p.finSeq = fin.seq
-		p.q = append(p.q, fin)
 		p.mu.Unlock()
 		p.poke()
 	}
@@ -1023,21 +898,7 @@ func (t *Transport) finish(timeout time.Duration, waitPeerFin bool) error {
 				continue
 			}
 			p.mu.Lock()
-			// Drained means: the peer acknowledged our FIN (so every frame we
-			// sent was received), their FIN arrived (so every frame they sent
-			// was handled — unless this is a one-sided leave), and nothing of
-			// ours — acks included — is still queued or mid-write. In a
-			// one-sided leave a session whose connection is down with no
-			// redial in flight will never ack again — survivors retire a
-			// leaver on its goodbye and drop the connection, and when the peer
-			// owns the dialing there is no reject handshake to tell us so. The
-			// leaver verified application of everything it sent (probe past
-			// its hold epoch) before saying goodbye, so the unacknowledged
-			// tail is only the FIN formality.
-			drained := skip(p) ||
-				((p.finRecvd || !waitPeerFin) && p.ackedSeq >= p.finSeq &&
-					len(p.q) == 0 && !p.inFlight) ||
-				(!waitPeerFin && p.joined && p.conn == nil && !p.redialing)
+			drained := p.drainedLocked(waitPeerFin)
 			p.mu.Unlock()
 			if !drained {
 				done = false
@@ -1054,6 +915,32 @@ func (t *Transport) finish(timeout time.Duration, waitPeerFin bool) error {
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
+}
+
+// outsideBarrierLocked reports a peer the shutdown barriers skip: a
+// retired one (in either direction — a peer that retired us will never ack
+// again), or an absent slot that never joined. The barrier re-evaluates it
+// every pass, so a peer retired while we wait releases it.
+func (p *peer) outsideBarrierLocked() bool {
+	return p.state == absent || p.state == retired || p.state == retiredByPeer
+}
+
+// drainedLocked reports whether the shutdown barrier may release the peer:
+// it acknowledged our FIN (so every frame we sent was received), its FIN
+// arrived (so every frame it sent was handled — unless this is a one-sided
+// leave), and nothing of ours — the ack included — is still queued or
+// mid-write. In a one-sided leave a session that is down will never ack
+// again — survivors retire a leaver on its goodbye and drop the connection,
+// and when the peer owns the dialing there is no reject handshake to tell
+// us so. The leaver verified application of everything it sent (probe past
+// its hold epoch) before saying goodbye, so the unacknowledged tail is only
+// the FIN formality.
+func (p *peer) drainedLocked(waitPeerFin bool) bool {
+	if p.outsideBarrierLocked() || (!waitPeerFin && p.state == down) {
+		return true
+	}
+	return (p.finRecvd || !waitPeerFin) && p.ackedSeq >= p.finSeq &&
+		p.written == len(p.ring) && !p.ackDue && !p.inFlight
 }
 
 // fail records the transport's first fatal error, tears the sessions down
@@ -1097,13 +984,9 @@ func (t *Transport) shutdown() {
 			}
 			p.mu.Lock()
 			if p.conn != nil {
-				p.conn.c.Close()
-			}
-			if p.pending != nil {
-				p.pending.io.c.Close()
+				p.setLocked(down, nil)
 			}
 			p.mu.Unlock()
-			p.poke()
 		}
 	})
 }

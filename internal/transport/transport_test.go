@@ -1,14 +1,19 @@
 package transport
 
 import (
+	"bufio"
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"megaphone/internal/freelist"
 )
 
 // newLocalCluster builds n transports over pre-bound loopback listeners (so
@@ -309,7 +314,7 @@ func TestOversizedSendFails(t *testing.T) {
 	}
 }
 
-// TestBatchReplayExactlyOnce drives dispatchBatch directly with crafted
+// TestBatchReplayExactlyOnce drives receive directly with crafted
 // coalesced frames, pinning the replay semantics deterministically: a full
 // replay delivers nothing new but re-acks, a partially overlapping batch
 // (replay re-coalesced differently after a reconnect) delivers only the
@@ -336,18 +341,21 @@ func TestBatchReplayExactlyOnce(t *testing.T) {
 	defer c1.Close()
 	defer c2.Close()
 	io := &connIO{c: c1}
-	p.conn = io
+	p.state, p.conn = streaming, io
 
-	if !p.dispatchBatch(io, 1, mkBatch(1, 3)) {
+	if !p.receive(io, kindBatch, 1, mkBatch(1, 3)) {
 		t.Fatal("initial batch rejected")
 	}
-	if !p.dispatchBatch(io, 1, mkBatch(1, 3)) {
+	if p.ackDue {
+		t.Fatal("three frames marked an ack due")
+	}
+	if !p.receive(io, kindBatch, 1, mkBatch(1, 3)) {
 		t.Fatal("full replay rejected")
 	}
-	if len(p.q) != 1 || p.q[0].kind != kindAck {
-		t.Fatalf("full replay enqueued %d frames, want exactly one re-ack", len(p.q))
+	if !p.ackDue {
+		t.Fatal("full replay marked no re-ack due")
 	}
-	if !p.dispatchBatch(io, 2, mkBatch(2, 5)) {
+	if !p.receive(io, kindBatch, 2, mkBatch(2, 5)) {
 		t.Fatal("overlapping replay rejected")
 	}
 	want := []uint64{1, 2, 3, 4, 5}
@@ -361,7 +369,7 @@ func TestBatchReplayExactlyOnce(t *testing.T) {
 	}
 	// A gap (seq 8 after 5) is a protocol violation: the dispatch fails and
 	// the connection is torn down.
-	if p.dispatchBatch(io, 8, mkBatch(8, 9)) {
+	if p.receive(io, kindBatch, 8, mkBatch(8, 9)) {
 		t.Fatal("sequence-gap batch accepted")
 	}
 	if p.conn == io {
@@ -533,5 +541,87 @@ func TestUnreachablePeerFailsWithoutPanic(t *testing.T) {
 	}
 	if n := fatals.Load(); n != 1 {
 		t.Fatalf("Fatal hook invoked %d times, want 1", n)
+	}
+}
+
+// TestAckDuringReplayKeepsBuffers pins the ring's ownership rule: only the
+// sender recycles payload buffers. After a reconnect the peer may ack frames
+// the sender is still replaying — it received them on the dead connection.
+// If that ack recycled their buffers, the Sends that follow would take them
+// from the pool and overwrite the bytes under the replay write.
+func TestAckDuringReplayKeepsBuffers(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := &Transport{cfg: Config{Addrs: []string{"a", "b"}, Index: 0, MaxFrame: DefaultMaxFrame}, ln: ln, closed: make(chan struct{})}
+	p := &peer{t: tr, index: 1, notify: make(chan struct{}, 1), up: make(chan struct{}), pool: freelist.New[[]byte](&tr.poolBytes)}
+	tr.peers = []*peer{nil, p}
+	tr.wg.Add(1)
+	go p.sendLoop()
+	defer tr.Close()
+	session := func(cond func() bool) func() bool {
+		return func() bool {
+			p.mu.Lock()
+			defer p.mu.Unlock()
+			return cond()
+		}
+	}
+
+	const n = 16
+	payload := func(b byte) []byte { return bytes.Repeat([]byte{b}, 64) }
+
+	// The first connection carries every frame to a reader that never
+	// acks, so the session retains them all.
+	a, aPeer := net.Pipe()
+	go io.Copy(io.Discard, aPeer)
+	p.install(&connIO{c: a, br: bufio.NewReader(a)}, 0)
+	for i := 1; i <= n; i++ {
+		tr.Send(1, KindUser, payload(byte(i)))
+	}
+	waitFor(t, session(func() bool { return p.written == n && !p.inFlight }))
+
+	// The second connection's reader is held, so the replay write blocks.
+	b, bPeer := net.Pipe()
+	defer bPeer.Close()
+	p.install(&connIO{c: b, br: bufio.NewReader(b)}, 0)
+	waitFor(t, session(func() bool { return p.state == streaming && p.inFlight }))
+
+	// The peer acks every replayed frame, and new frames with other bytes
+	// follow while the replay is still being written.
+	var ack [8]byte
+	binary.BigEndian.PutUint64(ack[:], n)
+	if _, err := bPeer.Write(AppendFrame(nil, kindAck, 0, ack[:])); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, session(func() bool { return p.ackedSeq == n }))
+	for i := 0; i < n; i++ {
+		tr.Send(1, KindUser, payload(0xee))
+	}
+
+	// Release the reader: every replayed payload arrives as it was sent.
+	fr := NewFrameReader(bPeer, 0)
+	replayed := 0
+	check := func(seq uint64, kind byte, body []byte) bool {
+		if seq <= n {
+			replayed++
+			if !bytes.Equal(body, payload(byte(seq))) {
+				t.Errorf("replayed frame %d arrived as %x", seq, body[:8])
+			}
+		}
+		return true
+	}
+	for replayed < n {
+		kind, seq, body, err := fr.Next()
+		if err != nil {
+			t.Fatalf("after %d replayed frames: %v", replayed, err)
+		}
+		if kind == kindBatch {
+			if err := forEachSub(seq, body, check); err != nil {
+				t.Fatal(err)
+			}
+		} else if kind >= KindUser {
+			check(seq, kind, body)
+		}
 	}
 }
