@@ -9,15 +9,15 @@
 // and checkpointable operator names — and Launch does the rest: defaults
 // and validation, the checkpoint plan, the mesh, the meter and the control
 // plane, the inputs and the probe, the Section 5 migration schedule, and
-// the drive, through Run on a fixed roster or through the membership
-// controller under dynamic membership.
+// the drive: Run's one loop, on a fixed roster or, under dynamic
+// membership, on a roster that changes.
 package harness
 
 import (
 	"fmt"
 	"io"
 	"runtime"
-	"sync"
+	"sync/atomic"
 	"time"
 
 	"megaphone/internal/core"
@@ -208,6 +208,50 @@ func Run[T any](
 	gen Gen[T],
 	opts Options,
 ) Result {
+	res, _ := drive(exec, inputs, ctl, probe, gen, opts, nil)
+	return res
+}
+
+// roster is what a run whose processes change adds to Run's loop (dynamic
+// membership, membership.go). The nil roster is the fixed one: this
+// process drives its own inputs from the start epoch to the end.
+type roster interface {
+	// enter opens this process's inputs at its first epoch, at or after
+	// start, and returns it; every wait the roster makes goes through sl.
+	enter(start int64, sl *sleeper) (int64, error)
+	// exiting reports, before epoch e, that this process leaves the run
+	// instead; exit then takes it out in place of closing its inputs.
+	exiting(e int64) bool
+	exit()
+	// step commits the transition due at epoch t, if any, and returns the
+	// input slots this process drives at t and the records it re-injected.
+	step(t core.Time) (slots []int, replayed int64)
+}
+
+// share is global input g's part of perEpoch records split over total.
+func share(perEpoch, total int64, g int) int {
+	n := perEpoch / total
+	if int64(g) < perEpoch%total {
+		n++
+	}
+	return int(n)
+}
+
+// awaitFrontier waits until the output frontier reaches t, the output is
+// complete, or the transport died.
+func awaitFrontier(exec *dataflow.Execution, probe *dataflow.Probe, sl *sleeper, t int64) {
+	for {
+		if f := probe.Frontier(); f == core.None || int64(f) >= t || exec.Err() != nil {
+			return
+		}
+		sl.sleep(50 * time.Microsecond)
+	}
+}
+
+// drive is Run's loop over a roster (nil: the fixed one). Its error is the
+// one that kept this process from entering the run.
+func drive[T any](exec *dataflow.Execution, inputs []*dataflow.InputHandle[T], ctl Driver,
+	probe *dataflow.Probe, gen Gen[T], opts Options, r roster) (Result, error) {
 	if opts.EpochEvery <= 0 {
 		opts.EpochEvery = time.Millisecond
 	}
@@ -217,9 +261,9 @@ func Run[T any](
 	totalEpochs := int64(opts.Duration / opts.EpochEvery)
 	perEpoch := int64(float64(opts.Rate) * opts.EpochEvery.Seconds())
 	workers := len(inputs)
-	totalInputs := opts.TotalInputs
+	totalInputs := int64(opts.TotalInputs)
 	if totalInputs <= 0 {
-		totalInputs = workers
+		totalInputs = int64(workers)
 	}
 	startEpoch := opts.StartEpoch
 	if startEpoch <= 0 {
@@ -227,39 +271,34 @@ func Run[T any](
 	}
 	endEpoch := startEpoch + totalEpochs - 1
 
-	res := Result{
-		Timeline: metrics.NewTimeline(),
-		Hist:     &metrics.Histogram{},
-		Memory:   &metrics.Series{Name: "heap-bytes"},
-	}
+	res := Result{Timeline: metrics.NewTimeline(), Hist: &metrics.Histogram{}, Memory: &metrics.Series{Name: "heap-bytes"}}
 
 	// Cluster processes reach Run staggered by their own join and preload
 	// times, and injection is paced off this process's wall clock — so
 	// without alignment, one late process holds every epoch's completion a
 	// constant offset behind an early process's deadlines for the whole
-	// run, which reads as a flat latency plateau from t=0. Align on
-	// cluster-wide readiness: open the data inputs at the start epoch, tick
-	// the driver once at the preceding epoch (no plan is active yet, so the
-	// only effect is advancing the control stream to the start epoch too),
-	// and wait for the output frontier to confirm every process has done
-	// the same before starting the clock. An execution whose transport died
-	// (a peer gone before the clock started) halted short of the start
-	// epoch and never confirms it. The alignment polls and the pacing
-	// sleeps go through a sleeper: with time.Sleep each could last a whole
+	// run. Align on cluster-wide readiness: open the data inputs at the
+	// start epoch and tick the driver once at the preceding epoch (which
+	// only advances the control stream to the start epoch too), or let the
+	// roster enter, and wait for the output frontier to confirm every
+	// process has done the same. An execution whose transport died halted
+	// short of the start epoch and never confirms it. Every wait of the
+	// drive goes through a sleeper: with time.Sleep each could last a whole
 	// millisecond (see sleeper).
 	sl := newSleeper()
 	defer sl.close()
-	for _, in := range inputs {
-		in.AdvanceTo(core.Time(startEpoch))
-	}
-	ctl.Tick(core.Time(startEpoch - 1))
-	for {
-		f := probe.Frontier()
-		if f == core.None || int64(f) >= startEpoch || exec.Err() != nil {
-			break
+	if r == nil {
+		for _, in := range inputs {
+			in.AdvanceTo(core.Time(startEpoch))
 		}
-		sl.sleep(50 * time.Microsecond)
+		ctl.Tick(core.Time(startEpoch - 1))
+	} else {
+		var err error
+		if startEpoch, err = r.enter(startEpoch, sl); err != nil {
+			return res, err
+		}
 	}
+	awaitFrontier(exec, probe, sl, startEpoch)
 
 	start := time.Now()
 	deadline := func(e int64) time.Time {
@@ -267,34 +306,34 @@ func Run[T any](
 	}
 
 	// Prober: watch the output frontier; when it passes epoch e, the
-	// latency of e is now - deadline(e).
-	var probeWG sync.WaitGroup
-	stopProbe := make(chan struct{})
-	var mu sync.Mutex
-	probeWG.Add(1)
+	// latency of e is now - deadline(e). It measures no epoch past driven,
+	// the last one whose records went in, so a process that leaves the run
+	// early stops measuring where it stopped driving. Until it is done, it
+	// alone touches res's latency and memory series.
+	var driven atomic.Int64
+	driven.Store(startEpoch - 1)
+	var stopProbe atomic.Bool
+	probeDone := make(chan struct{})
 	go func() {
-		defer probeWG.Done()
+		defer close(probeDone)
 		lastReported := startEpoch - 1 // epochs <= lastReported measured
 		nextFlush := start.Add(opts.ReportEvery)
 		nextMem := start
 		for {
+			// The pass after the stop is the last: the execution has
+			// drained, or halted short of the end (its transport died or
+			// the process left the run), and nothing more completes.
+			stopping := stopProbe.Load()
 			now := time.Now()
 			f := probe.Frontier()
-			var passed int64
-			if f == core.None {
-				passed = endEpoch
-			} else {
+			passed := driven.Load()
+			if f != core.None && int64(f)-1 < passed {
 				passed = int64(f) - 1 // epochs strictly below the frontier are complete
-			}
-			if passed > endEpoch {
-				passed = endEpoch
 			}
 			for e := lastReported + 1; e <= passed; e++ {
 				lat := now.Sub(deadline(e)).Nanoseconds()
-				mu.Lock()
 				res.Timeline.Record(lat)
 				res.Hist.Record(lat)
-				mu.Unlock()
 			}
 			// The frontier may transiently regress (operators can acquire
 			// earlier capabilities while covered by their input frontier);
@@ -304,28 +343,17 @@ func Run[T any](
 			}
 
 			if !now.Before(nextFlush) {
-				mu.Lock()
 				res.Timeline.Flush(now.Sub(start).Seconds())
-				mu.Unlock()
 				nextFlush = nextFlush.Add(opts.ReportEvery)
 			}
 			if opts.SampleMemory && !now.Before(nextMem) {
 				var ms runtime.MemStats
 				runtime.ReadMemStats(&ms)
-				mu.Lock()
 				res.Memory.Add(now.Sub(start).Seconds(), float64(ms.HeapAlloc))
-				mu.Unlock()
 				nextMem = now.Add(100 * time.Millisecond)
 			}
-			select {
-			case <-stopProbe:
-				// Final pass to catch the tail. An execution whose transport
-				// died halted with its frontier short of the end: nothing
-				// more will complete.
-				if lastReported >= endEpoch || exec.Err() != nil {
-					return
-				}
-			default:
+			if stopping {
+				return
 			}
 			// Not a sleeper: in an idle process this poll stretches to
 			// about 1 ms, but a timerfd wake every 100 µs cost 5 % more
@@ -334,78 +362,10 @@ func Run[T any](
 		}
 	}()
 
-	migIdx := 0
-	type pendingSpan struct{ started bool }
-	var spanStates []pendingSpan
-	for range opts.Migrations {
-		spanStates = append(spanStates, pendingSpan{})
-	}
-
-	// Open-loop injection: epoch e's records go in at deadline(e) — or as
-	// soon as possible if we are running behind, without ever skipping. An
-	// execution whose transport died completes nothing more, so injection
-	// stops there and the run shuts down with the error.
-	for e := startEpoch; e <= endEpoch; e++ {
-		if d := time.Until(deadline(e)); d > 0 {
-			sl.sleep(d)
-		}
-		if exec.Err() != nil {
-			break
-		}
-		t := core.Time(e)
-		for w := 0; w < workers; w++ {
-			g := opts.FirstInput + w // global worker index
-			n := int(perEpoch / int64(totalInputs))
-			if int64(g) < perEpoch%int64(totalInputs) {
-				n++
-			}
-			if n > 0 {
-				batch := gen(g, e, n)
-				inputs[w].SendBatchAt(t, batch)
-				res.Records += int64(len(batch))
-			}
-		}
-		if opts.CheckpointEvery > 0 && e%opts.CheckpointEvery == 0 && e != startEpoch {
-			ctl.Checkpoint(t)
-		}
-		if migIdx < len(opts.Migrations) && e >= opts.Migrations[migIdx].AtEpoch && ctl.Idle() {
-			if !spanStates[migIdx].started {
-				ctl.Start(opts.Migrations[migIdx].Plan)
-				spanStates[migIdx].started = true
-			} else {
-				// The plan has completed (controller idle again).
-				s, eEnd, ok := ctl.Span()
-				if ok {
-					res.MigrationSpans = append(res.MigrationSpans, Span{
-						Start: float64(s) * opts.EpochEvery.Seconds(),
-						End:   float64(eEnd) * opts.EpochEvery.Seconds(),
-					})
-				}
-				migIdx++
-			}
-		}
-		ctl.Tick(t)
-		for _, in := range inputs {
-			in.AdvanceTo(t + 1)
-		}
-		res.Epochs = e
-	}
-
-	// Shut down: close inputs, drain, stop measurement.
-	ctl.Close()
-	for _, in := range inputs {
-		in.Close()
-	}
-	exec.Wait()
-	res.Elapsed = time.Since(start).Seconds()
-	close(stopProbe)
-	probeWG.Wait()
-	mu.Lock()
-	res.Timeline.Flush(time.Since(start).Seconds())
-	mu.Unlock()
-
-	// A plan that completed only while draining is captured here.
-	if migIdx < len(opts.Migrations) && spanStates[migIdx].started {
+	// migIdx is the scheduled migration due next; started, whether its
+	// plan is running. A plan that completed is recorded by addSpan.
+	migIdx, started := 0, false
+	addSpan := func() {
 		if s, eEnd, ok := ctl.Span(); ok {
 			res.MigrationSpans = append(res.MigrationSpans, Span{
 				Start: float64(s) * opts.EpochEvery.Seconds(),
@@ -413,12 +373,90 @@ func Run[T any](
 			})
 		}
 	}
+	own := make([]int, workers) // the fixed roster's slots
+	for w := range own {
+		own[w] = opts.FirstInput + w
+	}
 
-	// Fill in migration span latencies.
+	// Open-loop injection: epoch e's records go in at deadline(e) — or as
+	// soon as possible if we are running behind, without ever skipping. An
+	// execution whose transport died completes nothing more, so injection
+	// stops there and the run shuts down with the error.
+	exited := false
+	for e := startEpoch; e <= endEpoch; e++ {
+		if r != nil && r.exiting(e) {
+			exited = true
+			break
+		}
+		if d := time.Until(deadline(e)); d > 0 {
+			sl.sleep(d)
+		}
+		if exec.Err() != nil {
+			break
+		}
+		t := core.Time(e)
+		slots := own
+		if r != nil {
+			var replayed int64
+			slots, replayed = r.step(t)
+			res.Records += replayed
+		}
+		for _, g := range slots {
+			n := share(perEpoch, totalInputs, g)
+			if n == 0 {
+				continue
+			}
+			w := g - opts.FirstInput
+			if w < 0 || w >= workers {
+				w = g % workers // an absent process's slot
+			}
+			batch := gen(g, e, n)
+			inputs[w].SendBatchAt(t, batch)
+			res.Records += int64(len(batch))
+		}
+		if opts.CheckpointEvery > 0 && e%opts.CheckpointEvery == 0 && e != startEpoch {
+			ctl.Checkpoint(t)
+		}
+		if migIdx < len(opts.Migrations) && e >= opts.Migrations[migIdx].AtEpoch && ctl.Idle() {
+			if !started {
+				ctl.Start(opts.Migrations[migIdx].Plan)
+				started = true
+			} else { // the plan has completed (controller idle again)
+				addSpan()
+				migIdx, started = migIdx+1, false
+			}
+		}
+		res.Epochs = e
+		driven.Store(e)
+		ctl.Tick(t)
+		for _, in := range inputs {
+			in.AdvanceTo(t + 1)
+		}
+	}
+
+	// Shut down: close inputs (or leave the run), drain, stop measurement.
+	if exited {
+		r.exit()
+	} else {
+		ctl.Close()
+		for _, in := range inputs {
+			in.Close()
+		}
+	}
+	exec.Wait()
+	res.Elapsed = time.Since(start).Seconds()
+	stopProbe.Store(true)
+	<-probeDone
+	res.Timeline.Flush(time.Since(start).Seconds())
+
+	// A plan that completed only while draining is captured here.
+	if started {
+		addSpan()
+	}
 	for i := range res.MigrationSpans {
 		sp := &res.MigrationSpans[i]
 		sp.MaxLatency = res.Timeline.MaxOver(sp.Start, sp.End+0.5)
 		sp.Duration = sp.End - sp.Start
 	}
-	return res
+	return res, nil
 }

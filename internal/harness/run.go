@@ -67,7 +67,9 @@ type Extras struct {
 	Memory       bool // sample the heap into Result.Memory
 	// Membership enables the dynamic-membership control plane: the roster
 	// may grow (Cluster.Absent slots joining mid-run) and shrink (drain- and
-	// crash-leave) while the dataflow keeps running. Requires Cluster and
+	// crash-leave) while the dataflow keeps running. The run goes through
+	// Run's loop like any other, paced and latency-probed the same way, with
+	// the membership controller as its driver. Requires Cluster and
 	// CheckpointDir; incompatible with Recover (crash recovery is per-member,
 	// inside the run). Scripted migrations ride the membership schedule
 	// broadcast, Preload consults the live-roster initial assignment, and
@@ -159,11 +161,12 @@ type Parts[T any] struct {
 // Launch runs one process's share of a workload and returns its
 // measurements (in a cluster run, this process's local view). It is the
 // one place that validates a run, joins the mesh, plans checkpoints, wires
-// the meter and the control plane, builds the inputs, and drives the run:
-// through Run with a scripted or adaptive driver on a fixed roster, or
-// through the membership controller when Membership is set. Every refusal
-// comes before the mesh is joined, so a refused process never leaves a
-// peer waiting out its dial timeout.
+// the meter and the control plane, builds the inputs, and drives the run
+// through Run's one loop: with a scripted or adaptive driver on a fixed
+// roster, or, when Membership is set, with the membership controller as
+// the driver of a roster that changes. Every refusal comes before the mesh
+// is joined, so a refused process never leaves a peer waiting out its dial
+// timeout.
 func Launch[T any](cfg Config, x Extras, df Dataflow[T]) (Result, error) {
 	if cfg.Workers <= 0 {
 		cfg.Workers = 4
@@ -213,11 +216,30 @@ func Launch[T any](cfg Config, x Extras, df Dataflow[T]) (Result, error) {
 	})
 
 	bins := 1 << uint(df.LogBins)
-	var res Result
+	opts := Options{
+		Rate:            env.Rate,
+		EpochEvery:      env.EpochEvery,
+		Duration:        env.Duration,
+		SampleMemory:    env.Memory,
+		TotalInputs:     env.TotalWorkers,
+		FirstInput:      env.FirstWorker,
+		CheckpointEvery: ckpt.every,
+		StartEpoch:      ckpt.startEpoch,
+	}
+	var ctl Driver
+	var r roster // nil: the fixed roster
+	var adaptive *plan.AutoController
 	if x.Membership {
-		res, err = runMembership(env, exec, mesh, ckpt, parts, dataIns, ctlIns, probe, bins)
+		m := newMembership(env, exec, mesh, ckpt, parts, dataIns, ctlIns, probe, bins)
+		ctl, r = m, m
 	} else {
-		res = runFixed(env, exec, mesh, ckpt, parts, dataIns, ctlIns, probe, bins)
+		ctl, adaptive, opts.Migrations = fixedDriver(env, exec, mesh, ckpt, parts, ctlIns, probe, bins)
+	}
+	res, err := drive(exec, dataIns, ctl, probe, parts.Gen, opts, r)
+	if adaptive != nil {
+		res.Decisions = adaptive.Decisions()
+	}
+	if err == nil {
 		// A cluster run whose transport died (a peer unreachable past its
 		// dial timeout) halts instead of wedging; surface the cause
 		// alongside the partial measurements.
@@ -251,10 +273,11 @@ func (c Env) validate(name string, migrateable bool) error {
 	return nil
 }
 
-// runFixed drives a fixed-roster run through Run: a scripted
-// plan.Controller, or an AutoController when Auto is set.
-func runFixed[T any](env Env, exec *dataflow.Execution, mesh *dataflow.Mesh, ckpt *checkpointPlan, parts Parts[T],
-	dataIns []*dataflow.InputHandle[T], ctlIns []*dataflow.InputHandle[core.Move], probe *dataflow.Probe, bins int) Result {
+// fixedDriver starts a fixed-roster run and returns its driver: a scripted
+// plan.Controller with the Section 5 migrations, or an AutoController (also
+// returned, for its decisions) when Auto is set.
+func fixedDriver[T any](env Env, exec *dataflow.Execution, mesh *dataflow.Mesh, ckpt *checkpointPlan, parts Parts[T],
+	ctlIns []*dataflow.InputHandle[core.Move], probe *dataflow.Probe, bins int) (Driver, *plan.AutoController, []Migration) {
 	if parts.Preload != nil && env.Restores == nil {
 		parts.Preload(plan.Initial(bins, env.TotalWorkers))
 	}
@@ -286,21 +309,7 @@ func runFixed[T any](env Env, exec *dataflow.Execution, mesh *dataflow.Mesh, ckp
 		}
 	}
 	ctl, adaptive := newDriver(auto, ctlIns, probe, bins, env.TotalWorkers, ckpt.initialAssignment())
-	res := Run(exec, dataIns, ctl, probe, parts.Gen, Options{
-		Rate:            env.Rate,
-		EpochEvery:      env.EpochEvery,
-		Duration:        env.Duration,
-		SampleMemory:    env.Memory,
-		Migrations:      ckpt.filterMigrations(migrations),
-		TotalInputs:     env.TotalWorkers,
-		FirstInput:      env.FirstWorker,
-		CheckpointEvery: ckpt.every,
-		StartEpoch:      ckpt.startEpoch,
-	})
-	if adaptive != nil {
-		res.Decisions = adaptive.Decisions()
-	}
-	return res
+	return ctl, adaptive, ckpt.filterMigrations(migrations)
 }
 
 // clusterOptions is the control plane's view of this process in the mesh.

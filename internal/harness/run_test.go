@@ -46,22 +46,31 @@ func TestPaperTargetsFixedRoster(t *testing.T) {
 }
 
 // vanishWorkloadEnv names the workload a vanishing peer runs, or
-// "join-only" for a peer that joins the mesh and goes no further.
-const vanishWorkloadEnv = "MEGAPHONE_VANISH_WORKLOAD"
+// "join-only" for a peer that joins the mesh and goes no further;
+// vanishCheckpointEnv is the checkpoint directory of a membership run.
+const (
+	vanishWorkloadEnv   = "MEGAPHONE_VANISH_WORKLOAD"
+	vanishCheckpointEnv = "MEGAPHONE_VANISH_CHECKPOINTS"
+)
 
-// vanishRun runs one of the two workloads the peer-loss test drives:
-// small, unmigrated, identical on both processes apart from the cluster
-// spec, the duration and out, which is called on every output batch (a
-// sink is part of the dataflow, so both processes attach one).
-func vanishRun(workload string, spec *dataflow.ClusterSpec, duration time.Duration, out func()) (harness.Result, error) {
+// vanishRun runs one of the workloads the peer-loss test drives: small,
+// unmigrated, identical on both processes apart from the cluster spec, the
+// duration and out, which is called on every output batch (a sink is part
+// of the dataflow, so both processes attach one). keycount-membership is
+// keycount under dynamic membership, checkpointing into ckptDir.
+func vanishRun(workload string, spec *dataflow.ClusterSpec, duration time.Duration, ckptDir string, out func()) (harness.Result, error) {
 	cfg := harness.Config{Workers: 1, Rate: 2000, Duration: duration, Cluster: spec}
 	switch workload {
-	case "keycount":
-		return keycount.Run(keycount.RunConfig{
+	case "keycount", "keycount-membership":
+		rc := keycount.RunConfig{
 			Params: keycount.Params{Variant: keycount.HashCount, LogBins: 4, Domain: 1 << 10},
 			Config: cfg,
 			Sink:   func(string) { out() },
-		})
+		}
+		if workload == "keycount-membership" {
+			rc.Membership, rc.CheckpointDir = true, ckptDir
+		}
+		return keycount.Run(rc)
 	case "nexmark":
 		return nexmark.Run(nexmark.RunConfig{
 			Query:  "q3",
@@ -87,7 +96,7 @@ func vanishWorkerMain() {
 			select {}
 		}
 	} else {
-		_, err = vanishRun(workload, &spec, 30*time.Second, func() {})
+		_, err = vanishRun(workload, &spec, 30*time.Second, os.Getenv(vanishCheckpointEnv), func() {})
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -104,7 +113,10 @@ func vanishWorkerMain() {
 // The surviving process dials (it has the higher index), so it gives up
 // once its short dial timeout passes. The 30 s row pins that the run then
 // stops injecting instead of running out its duration: it must return
-// within the dial timeout and a few seconds of the kill.
+// within the dial timeout and a few seconds of the kill, and so must a
+// membership run, whose peer dies before any checkpoint completes: without
+// one the survivor cannot declare the death, so only its transport's error
+// can end the run early.
 func TestRunPeerVanishes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns OS processes")
@@ -124,13 +136,14 @@ func TestRunPeerVanishes(t *testing.T) {
 		{"keycount/before-start", "keycount", true, short},
 		{"nexmark/before-start", "nexmark", true, short},
 		{"keycount/before-start-30s", "keycount", true, 30 * time.Second},
+		{"keycount/membership-30s", "keycount-membership", false, 30 * time.Second},
 	} {
 		peer := row.workload
 		if row.beforeStart {
 			peer = "join-only"
 		}
 		t.Run(row.name, func(t *testing.T) {
-			hosts := freeHosts(t, 2)
+			hosts, ckptDir := freeHosts(t, 2), t.TempDir()
 			c := &harness.Chaos{Procs: []harness.ChaosProc{{
 				Name: "vanishing-" + peer,
 				Path: exe,
@@ -139,6 +152,7 @@ func TestRunPeerVanishes(t *testing.T) {
 					chaosRoleEnv + "=vanish",
 					chaosHostsEnv + "=" + strings.Join(hosts, ","),
 					vanishWorkloadEnv + "=" + peer,
+					vanishCheckpointEnv + "=" + ckptDir,
 				},
 				Log: filepath.Join(t.TempDir(), "log"),
 			}}}
@@ -164,7 +178,7 @@ func TestRunPeerVanishes(t *testing.T) {
 			}
 			done := make(chan outcome, 1)
 			go func() {
-				res, err := vanishRun(row.workload, spec, row.duration, func() {
+				res, err := vanishRun(row.workload, spec, row.duration, ckptDir, func() {
 					startedOnce.Do(func() { close(started) })
 				})
 				done <- outcome{res, err}

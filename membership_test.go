@@ -11,6 +11,7 @@ package megaphone_test
 
 import (
 	"fmt"
+	"regexp"
 	"strconv"
 	"strings"
 	"sync"
@@ -95,10 +96,12 @@ func TestMembershipJoinCrashDrainEquivalence(t *testing.T) {
 	absent[procs-1] = true
 	ckptDir := t.TempDir()
 
+	var logs logCapture
 	var clu collector
 	var wg sync.WaitGroup
 	errs := make([]error, procs)
 	epochs := make([]int64, procs)
+	results := make([]harness.Result, procs)
 	for p := 0; p < procs; p++ {
 		wg.Add(1)
 		go func(p int) {
@@ -107,9 +110,7 @@ func TestMembershipJoinCrashDrainEquivalence(t *testing.T) {
 			cfg.Workers = wpp
 			cfg.Cluster = &specs[p]
 			cfg.Cluster.Absent = absent
-			cfg.Cluster.Logf = func(format string, args ...any) {
-				t.Logf("proc %d: "+format, append([]any{p}, args...)...)
-			}
+			cfg.Cluster.Logf = logs.logf(t, p)
 			cfg.Sink = clu.add
 			cfg.Membership = true
 			cfg.CheckpointDir = ckptDir
@@ -127,6 +128,7 @@ func TestMembershipJoinCrashDrainEquivalence(t *testing.T) {
 			res, err := keycount.Run(cfg)
 			errs[p] = err
 			epochs[p] = res.Epochs
+			results[p] = res
 		}(p)
 	}
 	wg.Wait()
@@ -151,6 +153,7 @@ func TestMembershipJoinCrashDrainEquivalence(t *testing.T) {
 			t.Fatalf("survivor %d stopped at epoch %d, want %d", p, epochs[p], durationEpochs)
 		}
 	}
+	checkLatency(t, results, map[int]int64{0: 1, procs - 1: logs.joinEpoch(t, procs-1)}, durationEpochs)
 
 	// Output equivalence under at-least-once replay: final count per key.
 	want := maxCounts(t, ref.lines)
@@ -197,6 +200,37 @@ func (l *logCapture) logf(t *testing.T, p int) func(string, ...any) {
 		l.lines = append(l.lines, line)
 		l.mu.Unlock()
 		t.Logf("proc %d: %s", p, line)
+	}
+}
+
+// joinEpoch returns the epoch at which joiner p's admission barrier
+// committed: its first epoch.
+func (l *logCapture) joinEpoch(t *testing.T, p int) int64 {
+	re := regexp.MustCompile(fmt.Sprintf(`process %d: join barrier at epoch (\d+) complete`, p))
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	for _, line := range l.lines {
+		if m := re.FindStringSubmatch(line); m != nil {
+			e, _ := strconv.ParseInt(m[1], 10, 64)
+			return e
+		}
+	}
+	t.Fatalf("process %d logged no completed join barrier", p)
+	return 0
+}
+
+// checkLatency: each process in first drove from its first epoch there to
+// end, through the same loop as a fixed-roster run, so it measured the
+// latency of every epoch it drove and reported a latency timeline.
+func checkLatency(t *testing.T, results []harness.Result, first map[int]int64, end int64) {
+	t.Helper()
+	for p, f := range first {
+		if got, want := results[p].Hist.Count(), end-f+1; got != want {
+			t.Errorf("process %d measured %d epoch latencies, want %d (epochs %d..%d)", p, got, want, f, end)
+		}
+		if len(results[p].Timeline.Samples()) == 0 {
+			t.Errorf("process %d reported an empty latency timeline", p)
+		}
 	}
 }
 
@@ -363,10 +397,11 @@ func TestMembershipCrashMidMigrationEquivalence(t *testing.T) {
 // reading the autoscaler's load windows over the multiplexed control bus,
 // must admit the standby — plain hello auto-admission is disabled when the
 // autoscaler drives membership — after which the joiner runs to the end and
-// the merged output still matches the uninterrupted reference. (The membership
-// drive loop has no latency probe, so the "p99 settles" half of the story is asserted
-// by scripts/cluster.sh autoscale against the real binaries; here admission
-// and output equivalence are the invariants.)
+// the merged output still matches the uninterrupted reference. Every
+// process, the joiner from its commit epoch on, measures the latency of each
+// epoch it drove. (Whether p99 settles after a shift is asserted by
+// scripts/cluster.sh autoscale against the real binaries; here admission,
+// output equivalence and latency accounting are the invariants.)
 func TestMembershipAutoscaleJoin(t *testing.T) {
 	const (
 		procs           = 4
@@ -416,6 +451,7 @@ func TestMembershipAutoscaleJoin(t *testing.T) {
 	var wg sync.WaitGroup
 	errs := make([]error, procs)
 	epochs := make([]int64, procs)
+	results := make([]harness.Result, procs)
 	for p := 0; p < procs; p++ {
 		wg.Add(1)
 		go func(p int) {
@@ -444,6 +480,7 @@ func TestMembershipAutoscaleJoin(t *testing.T) {
 			res, err := keycount.Run(cfg)
 			errs[p] = err
 			epochs[p] = res.Epochs
+			results[p] = res
 		}(p)
 	}
 	wg.Wait()
@@ -464,6 +501,7 @@ func TestMembershipAutoscaleJoin(t *testing.T) {
 			t.Fatalf("process %d stopped at epoch %d, want %d", p, epochs[p], durationEpochs)
 		}
 	}
+	checkLatency(t, results, map[int]int64{0: 1, 1: 1, 2: 1, procs - 1: logs.joinEpoch(t, procs-1)}, durationEpochs)
 
 	want := maxCounts(t, ref.lines)
 	got := maxCounts(t, clu.lines)

@@ -35,7 +35,9 @@
 # only its bins), and process 1 drain-leaves via -leave-at. The merged
 # final counts (max per key, as in recovery) must equal the uninterrupted
 # single-process run's. Timing-sensitive like autoscale, so failed attempts
-# retry up to MEMBERSHIP_ATTEMPTS times with per-attempt logs kept.
+# retry up to MEMBERSHIP_ATTEMPTS times with per-attempt logs kept. Each
+# survivor must also report measured latency (a `# records=` line with a
+# non-zero max=); a survivor that does not fails the mode at once.
 #
 # A sixth mode, `crash-mid-migration`, crosses membership with scripted
 # migrations: an all-live keycount roster runs with -migrate-at under
@@ -265,6 +267,7 @@ if [[ $TARGET == join-leave ]]; then
     # the checkpoint never completing in time under host contention) is
     # retried. Every attempt's logs are kept.
     membership_ok=
+    latency_bad=
     for ((attempt = 1; attempt <= MATTEMPTS; attempt++)); do
         CKPT=$TMP/mem-ckpt.$attempt
         rm -f "$TMP"/mem.proc.*
@@ -333,6 +336,23 @@ if [[ $TARGET == join-leave ]]; then
         if [[ -n $crashed ]]; then
             continue
         fi
+        # A survivor drives to the end through the same loop as a fixed
+        # roster, so its result line reports measured latency. A missing
+        # line or a zero max is a broken measurement, not host noise: it
+        # fails the gauntlet without another attempt.
+        for ((p = 0; p < MPROCS; p++)); do
+            ((p == VICTIM || p == LEAVER)) && continue
+            log=$LOGDIR/join-leave.attempt$attempt.proc.$p.log
+            max=$(sed -n 's/^# records=.* max=\([0-9.]*\)ms.*/\1/p' "$log" | head -1)
+            if [[ -z $max ]]; then
+                echo "join-leave: survivor $p logged no '# records=' line with a max= latency (see $log)" >&2
+                latency_bad=1
+            elif ! awk -v m="$max" 'BEGIN { exit !(m > 0) }'; then
+                echo "join-leave: survivor $p measured no latency (max=${max}ms on its '# records=' line)" >&2
+                latency_bad=1
+            fi
+        done
+        [[ -z $latency_bad ]] || break
         if [[ -z $killed ]]; then
             echo "join-leave: no complete full-roster checkpoint appeared before the drain window (attempt $attempt/$MATTEMPTS)" >&2
             continue
@@ -359,7 +379,10 @@ if [[ $TARGET == join-leave ]]; then
         echo "join-leave: OUTPUT MISMATCH (attempt $attempt/$MATTEMPTS; see $LOGDIR)" >&2
         diff "$TMP/mem.single.canon" "$TMP/mem.cluster.canon" | head -20 >&2 || true
     done
-    if [[ -z $membership_ok ]]; then
+    if [[ -n $latency_bad ]]; then
+        echo "join-leave: a survivor reported no measured latency (see $LOGDIR)" | tee -a "$LOGDIR/verdict.txt" >&2
+        fail=1
+    elif [[ -z $membership_ok ]]; then
         echo "join-leave: no attempt passed the dynamic-membership gauntlet (see $LOGDIR)" | tee -a "$LOGDIR/verdict.txt" >&2
         fail=1
     fi
