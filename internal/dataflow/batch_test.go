@@ -49,16 +49,29 @@ func TestEnvelopeRefcountAndPool(t *testing.T) {
 		t.Fatalf("envelope not recycled by its last consumer")
 	}
 
-	// Owned envelope dropped without consumers (retired destination, no
-	// out edges) recycles immediately. adoptEnv reuses the pooled struct,
-	// so the pool round-trips through empty and back to one.
+	// A driver's buffer never enters the runtime's free list: adoptEnv
+	// leaves the pooled envelope and its buffer alone, and the last release
+	// of an adopted envelope (here its owner's, as when the destination is
+	// retired or there are no out edges) drops the driver's slice, keeping
+	// only the bare envelope for the next adoption.
+	held := w.envRetained.Load()
 	ow := adoptEnv(w, []uint64{7})
-	if pooled(w) != 0 {
-		t.Fatalf("adoptEnv did not reuse the pooled envelope")
+	if pooled(w) != 1 {
+		t.Fatalf("adoptEnv took an envelope from the runtime's free list")
 	}
 	ow.release(w)
-	if pooled(w) != 1 {
-		t.Fatalf("owned envelope without consumers not recycled")
+	if ow.s != nil {
+		t.Fatalf("released adopted envelope still references the driver's buffer")
+	}
+	if pooled(w) != 2 || w.envRetained.Load() != held {
+		t.Fatalf("after an adopted release: %d envelopes pooled holding %d bytes, want 2 holding %d",
+			pooled(w), w.envRetained.Load(), held)
+	}
+	if again := adoptEnv(w, []uint64{8}); again != ow || again.refs.Load() != 1 || again.s[0] != 8 {
+		t.Fatalf("adoptEnv did not reuse the bare adopted envelope as an owned one")
+	}
+	if got := getEnv[uint64](w, 4); got != sh || cap(got.s) < 4 {
+		t.Fatalf("the runtime's pooled buffer was not kept for the next build")
 	}
 
 	// Type segregation: each element type is served from its own list, so
@@ -107,42 +120,51 @@ func TestEnvelopeConcurrentRelease(t *testing.T) {
 	}
 }
 
-// TestSendBatchCopies pins the aliasing contract that makes forwarding
-// safe: SendBatch leaves the caller's slice untouched and owned by the
-// caller, so an operator may forward the very slice
-// they received from ForEachBatch while the runtime recycles the original
-// envelope underneath.
-func TestSendBatchCopies(t *testing.T) {
+// TestForwardAndBuild pins the two ways an operator passes records on
+// without SendBatch's old copy. A forwarder keeps its input batch
+// (TakeEachBatch) and sends that very envelope on (SendOwned); a builder
+// reads the lent slice in place and appends what it derives into a
+// recycled envelope (NewBatch). The sink must see both streams intact
+// while the runtime drops the driver's buffers and recycles its own
+// underneath.
+func TestForwardAndBuild(t *testing.T) {
 	exec := NewExecution(Config{Workers: 1})
 	var in *InputHandle[uint64]
-	var got []uint64
+	var fwdGot, builtGot []uint64
+	collect := func(w *Worker, name string, s Stream[uint64], got *[]uint64) {
+		sink := w.NewOp(name, 0)
+		Connect(sink, s, Pipeline[uint64]{})
+		sink.Build(func(c *OpCtx) {
+			ForEachBatch(c, 0, func(_ Time, data []uint64) {
+				*got = append(*got, data...)
+			})
+		})
+	}
 	exec.Build(func(w *Worker) {
 		h, s := NewInput[uint64](w, "in")
 		in = h
 		fwd := w.NewOp("forward", 1)
 		Connect(fwd, s, Pipeline[uint64]{})
-		outs := fwd.Build(func(c *OpCtx) {
+		fwdOut := fwd.Build(func(c *OpCtx) {
+			TakeEachBatch(c, 0, func(t Time, b Batch[uint64]) { SendOwned(c, 0, t, b) })
+		})
+		build := w.NewOp("build", 1)
+		Connect(build, s, Pipeline[uint64]{})
+		builtOut := build.Build(func(c *OpCtx) {
 			ForEachBatch(c, 0, func(t Time, data []uint64) {
-				SendBatch(c, 0, t, data) // forward the borrowed slice
-				// The batch must still be intact after SendBatch returns.
-				for i, v := range data {
-					if v != uint64(i)*3 {
-						panic("SendBatch mutated the caller's slice")
-					}
+				out := NewBatch[uint64](c, len(data))
+				for i := range data {
+					out.Recs = append(out.Recs, data[i]+1)
 				}
+				SendOwned(c, 0, t, out)
 			})
 		})
-		sink := w.NewOp("sink", 0)
-		Connect(sink, Typed[uint64](outs[0]), Pipeline[uint64]{})
-		sink.Build(func(c *OpCtx) {
-			ForEachBatch(c, 0, func(_ Time, data []uint64) {
-				got = append(got, data...)
-			})
-		})
+		collect(w, "fwd-sink", Typed[uint64](fwdOut[0]), &fwdGot)
+		collect(w, "built-sink", Typed[uint64](builtOut[0]), &builtGot)
 	})
 	exec.Start()
-	const n = 64
-	for e := 1; e <= 20; e++ {
+	const n, epochs = 64, 20
+	for e := 1; e <= epochs; e++ {
 		batch := make([]uint64, n)
 		for i := range batch {
 			batch[i] = uint64(i) * 3
@@ -152,12 +174,33 @@ func TestSendBatchCopies(t *testing.T) {
 	}
 	in.Close()
 	exec.Wait()
-	if len(got) != 20*n {
-		t.Fatalf("sink saw %d records, want %d", len(got), 20*n)
-	}
-	for i, v := range got {
-		if v != uint64(i%n)*3 {
-			t.Fatalf("record %d corrupted: got %d want %d (buffer recycled while referenced?)", i, v, uint64(i%n)*3)
+	for _, c := range []struct {
+		name string
+		got  []uint64
+		add  uint64
+	}{{"forwarded", fwdGot, 0}, {"built", builtGot, 1}} {
+		if len(c.got) != epochs*n {
+			t.Fatalf("%s: sink saw %d records, want %d", c.name, len(c.got), epochs*n)
+		}
+		for i, v := range c.got {
+			if want := uint64(i%n)*3 + c.add; v != want {
+				t.Fatalf("%s record %d corrupted: got %d want %d (buffer recycled while referenced?)", c.name, i, v, want)
+			}
 		}
 	}
+}
+
+// TestAdoptedReleasedTwicePanics: an adopted envelope starts owned, so a
+// release past zero can only be a consumer releasing twice, and it must be
+// loud — the bare envelope may already carry the driver's next batch.
+func TestAdoptedReleasedTwicePanics(t *testing.T) {
+	w := &Worker{}
+	e := adoptEnv(w, []uint64{1})
+	e.release(w)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("second release of an adopted envelope did not panic")
+		}
+	}()
+	e.release(w)
 }

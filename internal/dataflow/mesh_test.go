@@ -66,12 +66,12 @@ func buildKeyCount(w *Worker, collect func(kcOut)) *InputHandle[uint64] {
 	counts := map[uint64]uint64{}
 	outs := b.Build(func(c *OpCtx) {
 		ForEachBatch(c, 0, func(t Time, data []uint64) {
-			out := make([]kcOut, 0, len(data))
+			out := NewBatch[kcOut](c, len(data))
 			for _, k := range data {
 				counts[k]++
-				out = append(out, kcOut{K: k, C: counts[k]})
+				out.Recs = append(out.Recs, kcOut{K: k, C: counts[k]})
 			}
-			SendBatch(c, 0, t, out)
+			SendOwned(c, 0, t, out)
 		})
 	})
 	res := Typed[kcOut](outs[0])
@@ -395,7 +395,7 @@ func TestMeshScratchGivesBackALargeFrame(t *testing.T) {
 				b := w.NewOp("exchange", 1)
 				Connect(b, s, Exchange[uint64]{Hash: func(k uint64) uint64 { return k }})
 				outs := b.Build(func(c *OpCtx) {
-					ForEachBatch(c, 0, func(t Time, data []uint64) { SendBatch(c, 0, t, data) })
+					TakeEachBatch(c, 0, func(t Time, b Batch[uint64]) { SendOwned(c, 0, t, b) })
 				})
 				probe = NewProbe(w, Typed[uint64](outs[0]))
 			})

@@ -266,8 +266,8 @@ func (c *OpCtx) Frontier(i int) Time { return c.frontiers[i] }
 // ForEach drains input port i, invoking f once per queued batch. The data
 // argument is the batch the producer sent, lent for the duration of the
 // callback: the runtime may recycle the buffer afterwards. A callee that
-// wants the records beyond the callback either copies them out (SendBatch
-// does) or drains with TakeEachBatch, which hands it the batch to keep.
+// wants the records beyond the callback either copies them out (into a
+// NewBatch) or drains with TakeEachBatch, which hands it the batch to keep.
 //
 //megalint:hotpath
 func (c *OpCtx) ForEach(i int, f func(t Time, data any)) { c.drain(i, false, f) }

@@ -239,24 +239,10 @@ func SendOwned[T any](c *OpCtx, o int, t Time, b Batch[T]) {
 	}
 }
 
-// SendBatch emits a typed batch on output port o at time t. The records are
-// copied into a recycled envelope, so the caller keeps ownership of data
-// and may reuse it immediately — forwarding a slice received from
-// ForEachBatch is safe.
-//
-//megalint:hotpath
-func SendBatch[T any](c *OpCtx, o int, t Time, data []T) {
-	if len(data) == 0 {
-		return
-	}
-	b := NewBatch[T](c, len(data))
-	b.Recs = append(b.Recs, data...)
-	SendOwned(c, o, t, b)
-}
-
 // ForEachBatch drains input i, invoking f once per batch with its typed
-// contents. The slice is lent for the duration of the callback; copy
-// records out, or drain with TakeEachBatch, to retain them.
+// contents. The slice is lent for the duration of the callback: build what
+// outlives it in a NewBatch, or drain with TakeEachBatch to keep or forward
+// the batch itself.
 //
 //megalint:hotpath
 func ForEachBatch[T any](c *OpCtx, i int, f func(t Time, data []T)) {

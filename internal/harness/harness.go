@@ -218,6 +218,7 @@ func Run[T any](
 type roster interface {
 	// enter opens this process's inputs at its first epoch, at or after
 	// start, and returns it; every wait the roster makes goes through sl.
+	// With an error, the process has left the run instead, as after exit.
 	enter(start int64, sl *sleeper) (int64, error)
 	// exiting reports, before epoch e, that this process leaves the run
 	// instead; exit then takes it out in place of closing its inputs.
@@ -295,6 +296,7 @@ func drive[T any](exec *dataflow.Execution, inputs []*dataflow.InputHandle[T], c
 	} else {
 		var err error
 		if startEpoch, err = r.enter(startEpoch, sl); err != nil {
+			exec.Wait()
 			return res, err
 		}
 	}

@@ -57,6 +57,7 @@ func newMembership[T any](env Env, exec *dataflow.Execution, mesh *dataflow.Mesh
 		InitialActive:  initialActive,
 		CheckpointDir:  env.CheckpointDir,
 		Slack:          env.MembershipSlack,
+		AdmitWithin:    env.AdmitWithin,
 		Autoscale:      autoscale,
 	})
 	// Manifests record the roster live at each checkpoint epoch, so a
@@ -138,13 +139,16 @@ func (*membership[T]) Span() (_, _ core.Time, _ bool) { return }
 
 // enter: members start at the base epoch and seed the live-only
 // assignment; a joiner asks for admission, advances straight to the commit
-// epoch, and runs the admission barrier before its first epoch.
+// epoch, and runs the admission barrier before its first epoch. A joiner
+// that is not admitted abandons the run it never entered, as a crash does.
 func (m *membership[T]) enter(start int64, sl *sleeper) (int64, error) {
 	m.sl = sl
 	var tr *plan.Transition
 	if m.mc.Joiner() {
 		var err error
 		if tr, err = m.mc.AwaitAdmission(); err != nil {
+			m.abandon = true
+			m.exit()
 			return 0, err
 		}
 		start = int64(tr.Epoch)

@@ -3,6 +3,7 @@ package harness_test
 import (
 	"fmt"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -13,6 +14,7 @@ import (
 	"megaphone/internal/dataflow"
 	"megaphone/internal/harness"
 	"megaphone/internal/keycount"
+	"megaphone/internal/leakcheck"
 	"megaphone/internal/nexmark"
 	"megaphone/internal/plan"
 )
@@ -116,7 +118,8 @@ func vanishWorkerMain() {
 // within the dial timeout and a few seconds of the kill, and so must a
 // membership run, whose peer dies before any checkpoint completes: without
 // one the survivor cannot declare the death, so only its transport's error
-// can end the run early.
+// can end the run early. The rows run in parallel, each on its own hosts
+// with its own peer, since most of a row is waiting out a dial timeout.
 func TestRunPeerVanishes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns OS processes")
@@ -143,6 +146,7 @@ func TestRunPeerVanishes(t *testing.T) {
 			peer = "join-only"
 		}
 		t.Run(row.name, func(t *testing.T) {
+			t.Parallel()
 			hosts, ckptDir := freeHosts(t, 2), t.TempDir()
 			c := &harness.Chaos{Procs: []harness.ChaosProc{{
 				Name: "vanishing-" + peer,
@@ -214,6 +218,54 @@ func TestRunPeerVanishes(t *testing.T) {
 				t.Fatal("run whose peer vanished did not return")
 			}
 		})
+	}
+}
+
+// TestJoinerNeverAdmitted: a joiner whose admission never comes — its only
+// member joined the mesh and never built a dataflow — returns the admission
+// error, and leaves nothing of the execution it had started running: no
+// worker, no transport goroutine. The member stays up until the check is
+// done (its death would end the joiner's transport too, and hide a leak),
+// started without a Chaos supervisor, whose waiter goroutine the check
+// would count.
+func TestJoinerNeverAdmitted(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns OS processes")
+	}
+	exe, err := os.Executable()
+	if err != nil {
+		t.Fatal(err)
+	}
+	hosts, ckptDir := freeHosts(t, 2), t.TempDir()
+	member := exec.Command(exe, "-test.run", "xxx")
+	member.Env = append(os.Environ(),
+		chaosRoleEnv+"=vanish",
+		chaosHostsEnv+"="+strings.Join(hosts, ","),
+		vanishWorkloadEnv+"=join-only")
+	if err := member.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		member.Process.Kill()
+		member.Wait()
+	}()
+	spec := &dataflow.ClusterSpec{
+		Hosts:       hosts,
+		Process:     1,
+		Absent:      []bool{false, true}, // this process joins later
+		DialTimeout: 2 * time.Second,
+	}
+	_, err = keycount.Run(keycount.RunConfig{
+		Params: keycount.Params{Variant: keycount.HashCount, LogBins: 4, Domain: 1 << 10},
+		Config: harness.Config{Workers: 1, Rate: 2000, Duration: 30 * time.Second, Cluster: spec, CheckpointDir: ckptDir},
+		Extras: harness.Extras{Membership: true, AdmitWithin: time.Second},
+	})
+	if err == nil || !strings.Contains(err.Error(), "no admission decision") {
+		t.Fatalf("joiner that was never admitted returned %v, want its admission error", err)
+	}
+	t.Logf("error as expected: %v", err)
+	if err := leakcheck.Check(5 * time.Second); err != nil {
+		t.Fatal(err)
 	}
 }
 

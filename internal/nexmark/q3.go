@@ -173,8 +173,8 @@ func BuildQ3(w *dataflow.Worker, p Params, ctl dataflow.Stream[core.Move], event
 			}},
 			newQ3State,
 			func(t Time, data []core.Either[Person, Auction], s *q3State, emit func(Q3Out)) {
-				for _, e := range data {
-					q3Apply(e, s, emit)
+				for i := range data {
+					q3Apply(data[i], s, emit)
 				}
 			})
 		// END Q3 NATIVE

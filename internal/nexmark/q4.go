@@ -134,10 +134,10 @@ func closedAuctionsNative(w *dataflow.Worker, name string, events dataflow.Strea
 			return &wheelState{q4State: *newQ4State(), expiring: make(map[Time][]uint64)}
 		},
 		func(t Time, data []core.Either[Bid, Auction], s *wheelState, schedule func(Time), emit func(ClosedAuction)) {
-			for _, e := range data {
-				if e.IsRight {
-					a := e.Right
-					s.q4Open(a)
+			for i := range data {
+				if e := &data[i]; e.IsRight {
+					a := &e.Right
+					s.q4Open(*a)
 					s.expiring[a.Expires+1] = append(s.expiring[a.Expires+1], a.ID)
 					schedule(a.Expires + 1)
 				} else {

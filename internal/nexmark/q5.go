@@ -138,7 +138,8 @@ func BuildQ5(w *dataflow.Worker, p Params, ctl dataflow.Stream[core.Move], event
 			dataflow.Exchange[Bid]{Hash: func(b Bid) uint64 { return core.Mix64(b.Auction) }},
 			func() map[uint64]*q5State { return make(map[uint64]*q5State) },
 			func(t Time, data []Bid, s map[uint64]*q5State, schedule func(Time), emit func(Q5Count)) {
-				for _, b := range data {
+				for i := range data {
+					b := &data[i]
 					st, ok := s[b.Auction]
 					if !ok {
 						st = newQ5State()
@@ -167,7 +168,8 @@ func BuildQ5(w *dataflow.Worker, p Params, ctl dataflow.Stream[core.Move], event
 			dataflow.Exchange[Q5Count]{Hash: func(c Q5Count) uint64 { return core.Mix64(uint64(c.Window)) }},
 			func() map[Time]best { return make(map[Time]best) },
 			func(t Time, data []Q5Count, s map[Time]best, schedule func(Time), emit func(Q5Out)) {
-				for _, c := range data {
+				for i := range data {
+					c := &data[i]
 					if b := s[c.Window]; c.Count > b.Count {
 						s[c.Window] = best{Auction: c.Auction, Count: c.Count}
 						schedule(c.Window + 1)

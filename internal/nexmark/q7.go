@@ -32,7 +32,8 @@ func q7Pre(w *dataflow.Worker, windowEpochs Time, bids dataflow.Stream[Bid]) dat
 		dataflow.Pipeline[Bid]{},
 		func() map[Time]Q7Out { return make(map[Time]Q7Out) },
 		func(t Time, data []Bid, s map[Time]Q7Out, schedule func(Time), emit func(Q7Out)) {
-			for _, b := range data {
+			for i := range data {
+				b := &data[i]
 				win := b.DateTime / windowEpochs * windowEpochs
 				if cur := s[win]; b.Price > cur.Price {
 					s[win] = Q7Out{Window: win, Price: b.Price, Bidder: b.Bidder}
@@ -59,9 +60,9 @@ func BuildQ7(w *dataflow.Worker, p Params, ctl dataflow.Stream[core.Move], event
 			dataflow.Exchange[Q7Out]{Hash: func(o Q7Out) uint64 { return core.Mix64(uint64(o.Window)) }},
 			func() map[Time]Q7Out { return make(map[Time]Q7Out) },
 			func(t Time, data []Q7Out, s map[Time]Q7Out, schedule func(Time), emit func(Q7Out)) {
-				for _, o := range data {
-					if cur := s[o.Window]; o.Price > cur.Price {
-						s[o.Window] = o
+				for i := range data {
+					if o := &data[i]; o.Price > s[o.Window].Price {
+						s[o.Window] = *o
 						schedule(t + 1)
 					}
 				}

@@ -103,17 +103,17 @@ func BuildQ8(w *dataflow.Worker, p Params, ctl dataflow.Stream[core.Move], event
 				}
 				delete(s.expiring, t)
 				// 2. Registrations at t.
-				for _, e := range data {
-					if !e.IsRight {
-						pe := e.Left
-						s.Since[pe.ID] = pe
+				for i := range data {
+					if e := &data[i]; !e.IsRight {
+						pe := &e.Left
+						s.Since[pe.ID] = *pe
 						s.expiring[t+window] = append(s.expiring[t+window], pe.ID)
 						schedule(t + window)
 					}
 				}
 				// 3. Joins at t.
-				for _, e := range data {
-					if e.IsRight {
+				for i := range data {
+					if e := &data[i]; e.IsRight {
 						if pe, ok := s.Since[e.Right.Seller]; ok {
 							emit(Q8Out{Person: pe.ID, Name: pe.Name, Auction: e.Right.ID})
 						}

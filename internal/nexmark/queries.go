@@ -143,18 +143,18 @@ func mergeNative[A, B any](w *dataflow.Worker, name string, s1 dataflow.Stream[A
 	dataflow.Connect(b, s2, dataflow.Pipeline[B]{})
 	outs := b.Build(func(c *dataflow.OpCtx) {
 		dataflow.ForEachBatch(c, 0, func(t Time, data []A) {
-			out := make([]core.Either[A, B], len(data))
-			for i, a := range data {
-				out[i] = core.Left[A, B](a)
+			out := dataflow.NewBatch[core.Either[A, B]](c, len(data))
+			for i := range data {
+				out.Recs = append(out.Recs, core.Left[A, B](data[i]))
 			}
-			dataflow.SendBatch(c, 0, t, out)
+			dataflow.SendOwned(c, 0, t, out)
 		})
 		dataflow.ForEachBatch(c, 1, func(t Time, data []B) {
-			out := make([]core.Either[A, B], len(data))
-			for i, v := range data {
-				out[i] = core.Right[A, B](v)
+			out := dataflow.NewBatch[core.Either[A, B]](c, len(data))
+			for i := range data {
+				out.Recs = append(out.Recs, core.Right[A, B](data[i]))
 			}
-			dataflow.SendBatch(c, 0, t, out)
+			dataflow.SendOwned(c, 0, t, out)
 		})
 	})
 	return dataflow.Typed[core.Either[A, B]](outs[0])

@@ -42,6 +42,8 @@ func UnaryNotify[A, B, S any](
 	state := newState()
 	pending := make(map[Time][]A)
 	var times timeHeap
+	var out dataflow.Batch[B] // the batch being built for the time f runs on
+	emit := func(r B) { out.Recs = append(out.Recs, r) }
 
 	b := w.NewOp(name, 1)
 	dataflow.Connect(b, s, pact)
@@ -63,9 +65,9 @@ func UnaryNotify[A, B, S any](
 			heap.Pop(&times)
 			data := pending[t]
 			delete(pending, t)
-			var out []B
-			f(t, data, state, func(r B) { out = append(out, r) })
-			dataflow.SendBatch(c, 0, t, out)
+			out = dataflow.NewBatch[B](c, 0)
+			f(t, data, state, emit)
+			dataflow.SendOwned(c, 0, t, out)
 		}
 		if t, ok := times.Peek(); ok {
 			c.Hold(0, t)

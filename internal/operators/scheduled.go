@@ -28,6 +28,8 @@ func UnaryScheduled[A, B, S any](
 	var times timeHeap          // times with pending data
 	var scheduled timeHeap      // requested notification times
 	schedSet := map[Time]bool{} // dedup for scheduled
+	var out dataflow.Batch[B]   // the batch being built for the time f runs on
+	emit := func(r B) { out.Recs = append(out.Recs, r) }
 
 	b := w.NewOp(name, 1)
 	dataflow.Connect(b, s, pact)
@@ -59,7 +61,6 @@ func UnaryScheduled[A, B, S any](
 			}
 			data := pending[t]
 			delete(pending, t)
-			var out []B
 			sched := func(at Time) {
 				if at <= t {
 					panic("operators: schedule not after current time")
@@ -69,8 +70,9 @@ func UnaryScheduled[A, B, S any](
 					heap.Push(&scheduled, at)
 				}
 			}
-			f(t, data, state, sched, func(r B) { out = append(out, r) })
-			dataflow.SendBatch(c, 0, t, out)
+			out = dataflow.NewBatch[B](c, 0)
+			f(t, data, state, sched, emit)
+			dataflow.SendOwned(c, 0, t, out)
 		}
 		holdAt := dataflow.None
 		if len(times) > 0 {
