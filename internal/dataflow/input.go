@@ -66,9 +66,9 @@ func (h *InputHandle[T]) SendAt(t Time, data ...T) {
 }
 
 // SendBatchAt stages an already-built batch at time t without copying.
-// Ownership of data passes to the runtime, which recycles the buffer once
-// the batch is consumed: the caller must not reuse or read the slice after
-// the call.
+// Ownership of data passes to the runtime, which drops the buffer for the
+// garbage collector once the batch is consumed: the caller must not reuse
+// or read the slice after the call.
 func (h *InputHandle[T]) SendBatchAt(t Time, data []T) {
 	if len(data) == 0 {
 		return
@@ -153,7 +153,7 @@ func (h *InputHandle[T]) schedule(c *OpCtx) {
 	for _, b := range staged {
 		if len(b.data) > 0 {
 			// The staged buffer is owned by the runtime (see SendBatchAt):
-			// adopt it into an envelope so consumers recycle it.
+			// adopt it into an envelope its consumers share.
 			c.Send(0, b.time, adoptEnv(c.w, b.data))
 		}
 	}

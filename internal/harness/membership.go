@@ -57,7 +57,6 @@ func newMembership[T any](env Env, exec *dataflow.Execution, mesh *dataflow.Mesh
 		InitialActive:  initialActive,
 		CheckpointDir:  env.CheckpointDir,
 		Slack:          env.MembershipSlack,
-		AdmitWithin:    env.AdmitWithin,
 		Autoscale:      autoscale,
 	})
 	// Manifests record the roster live at each checkpoint epoch, so a
@@ -139,14 +138,17 @@ func (*membership[T]) Span() (_, _ core.Time, _ bool) { return }
 
 // enter: members start at the base epoch and seed the live-only
 // assignment; a joiner asks for admission, advances straight to the commit
-// epoch, and runs the admission barrier before its first epoch. A joiner
-// that is not admitted abandons the run it never entered, as a crash does.
+// epoch, and runs the admission barrier before its first epoch. It waits
+// no longer than the run lasts, counted from its request: admitted at
+// epoch J it drives only [J, end], so once Duration has passed it has
+// nothing left to drive. A joiner that is not admitted abandons the run it
+// never entered, as a crash does.
 func (m *membership[T]) enter(start int64, sl *sleeper) (int64, error) {
 	m.sl = sl
 	var tr *plan.Transition
 	if m.mc.Joiner() {
 		var err error
-		if tr, err = m.mc.AwaitAdmission(); err != nil {
+		if tr, err = m.mc.AwaitAdmission(time.Now().Add(m.env.Duration)); err != nil {
 			m.abandon = true
 			m.exit()
 			return 0, err

@@ -84,12 +84,6 @@ type Extras struct {
 	// death and margin windows (plan.MembershipOptions.Slack): raise it
 	// where scheduling jitter is large relative to the epoch interval.
 	MembershipSlack int
-	// AdmitWithin bounds how long a joining process waits to be admitted
-	// (plan.MembershipOptions.AdmitWithin; default 60 s) before it gives
-	// the run up.
-	//
-	//megalint:allow unreached test support: TestJoinerNeverAdmitted is not admitted within a second
-	AdmitWithin time.Duration
 	// CrashAt makes this process abandon the run abruptly when its drive
 	// loop reaches that epoch (with Membership): no input close, no goodbye,
 	// no FIN — the in-process stand-in for SIGKILL (multi-process fixtures

@@ -223,7 +223,8 @@ func TestRunPeerVanishes(t *testing.T) {
 
 // TestJoinerNeverAdmitted: a joiner whose admission never comes — its only
 // member joined the mesh and never built a dataflow — returns the admission
-// error, and leaves nothing of the execution it had started running: no
+// error once the run's Duration has passed, not at the 60 s barrier
+// timeout, and leaves nothing of the execution it had started running: no
 // worker, no transport goroutine. The member stays up until the check is
 // done (its death would end the joiner's transport too, and hide a leak),
 // started without a Chaos supervisor, whose waiter goroutine the check
@@ -255,15 +256,20 @@ func TestJoinerNeverAdmitted(t *testing.T) {
 		Absent:      []bool{false, true}, // this process joins later
 		DialTimeout: 2 * time.Second,
 	}
+	began := time.Now()
 	_, err = keycount.Run(keycount.RunConfig{
 		Params: keycount.Params{Variant: keycount.HashCount, LogBins: 4, Domain: 1 << 10},
-		Config: harness.Config{Workers: 1, Rate: 2000, Duration: 30 * time.Second, Cluster: spec, CheckpointDir: ckptDir},
-		Extras: harness.Extras{Membership: true, AdmitWithin: time.Second},
+		Config: harness.Config{Workers: 1, Rate: 2000, Duration: time.Second, Cluster: spec, CheckpointDir: ckptDir},
+		Extras: harness.Extras{Membership: true},
 	})
+	took := time.Since(began)
 	if err == nil || !strings.Contains(err.Error(), "no admission decision") {
 		t.Fatalf("joiner that was never admitted returned %v, want its admission error", err)
 	}
-	t.Logf("error as expected: %v", err)
+	t.Logf("error as expected after %v: %v", took.Round(time.Millisecond), err)
+	if took > 20*time.Second {
+		t.Errorf("the joiner waited %v for its admission in a 1 s run", took)
+	}
 	if err := leakcheck.Check(5 * time.Second); err != nil {
 		t.Fatal(err)
 	}

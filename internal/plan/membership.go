@@ -147,11 +147,6 @@ type MembershipOptions struct {
 	// scheduling latency is large relative to the tick interval
 	// (race-instrumented fixtures, single-core CI machines). Default 1.
 	Slack int
-	// AdmitWithin bounds how long a joiner waits for its admission decision
-	// (default: the barrier timeout, 60 s).
-	//
-	//megalint:allow unreached test support: harness's TestJoinerNeverAdmitted, through harness.Extras.AdmitWithin
-	AdmitWithin time.Duration
 	// Autoscale, when non-nil, drives elasticity from load telemetry: a
 	// registered standby is admitted only when the cluster is saturated, and
 	// the coldest member is drain-left on sustained underload. Without it a
@@ -678,24 +673,25 @@ func (mc *MembershipController) RequestLeave() {
 }
 
 // AwaitAdmission is the joiner's entry point: broadcast the admission request
-// and block until the leader's join decision arrives, or AdmitWithin
-// passes. The caller must then advance every local input to the returned
-// transition's epoch and call RunBarrier.
-func (mc *MembershipController) AwaitAdmission() (*Transition, error) {
+// and block until the leader's join decision arrives, or until the earlier
+// of end (the end of the run: a later admission has nothing to drive) and
+// the barrier timeout. The caller must then advance every local input to
+// the returned transition's epoch and call RunBarrier.
+func (mc *MembershipController) AwaitAdmission(end time.Time) (*Transition, error) {
 	if !mc.Joiner() {
 		panic("plan: AwaitAdmission on a process that is not a joiner")
 	}
 	mc.det.broadcast([]byte{memKindHello})
-	within := mc.opts.AdmitWithin
-	if within <= 0 {
-		within = barrierTimeout
+	began := time.Now()
+	deadline := began.Add(barrierTimeout)
+	if end.Before(deadline) {
+		deadline = end
 	}
-	deadline := time.Now().Add(within)
 	mc.mu.Lock()
 	defer mc.mu.Unlock()
 	for mc.joinDecision == nil {
 		if !mc.waitLocked(deadline) {
-			return nil, fmt.Errorf("plan: process %d: no admission decision within %v", mc.opts.Proc, within)
+			return nil, fmt.Errorf("plan: process %d: no admission decision within %v", mc.opts.Proc, deadline.Sub(began).Round(time.Millisecond))
 		}
 	}
 	return mc.joinDecision, nil

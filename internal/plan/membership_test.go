@@ -293,7 +293,7 @@ func TestMembershipJoinProtocol(t *testing.T) {
 
 	admitted := make(chan *plan.Transition, 1)
 	go func() {
-		tr, err := c.mcs[2].AwaitAdmission()
+		tr, err := c.mcs[2].AwaitAdmission(time.Now().Add(time.Minute))
 		if err != nil {
 			t.Error(err)
 		}
