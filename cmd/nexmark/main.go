@@ -49,10 +49,6 @@ func run(args []string, out io.Writer) error {
 		hotRatio = fs.Uint64("hot-ratio", 0, "1/N of bids hit the hot auction (0 disables skew)")
 		hotShift = fs.Uint64("hot-shift-every", 0, "epochs between hot-auction jumps (0 pins it to the newest)")
 		dump     = fs.String("dump", "", "write one line per output record to this file (for cross-run output-equivalence checks)")
-
-		membership = fs.Bool("membership", false, "not supported for nexmark (see cmd/keycount)")
-		absent     = fs.String("absent", "", "not supported for nexmark (see cmd/keycount)")
-		leaveAt    = fs.Int64("leave-at", 0, "not supported for nexmark (see cmd/keycount)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -60,11 +56,6 @@ func run(args []string, out io.Writer) error {
 	runCfg, err := runConfig()
 	if err != nil {
 		return err
-	}
-	if *membership || *absent != "" || *leaveAt != 0 {
-		// Reject at parse time, before the mesh is joined: a cluster whose
-		// processes disagree on this would otherwise hang in the handshake.
-		return fmt.Errorf("nexmark: dynamic membership is keycount-only for now — the windowed operators (q5/q7/q8) keep unboundedly many in-flight window capabilities and have no purge hooks, so the membership barrier cannot bound or rebuild their progress holds; use cmd/keycount -membership")
 	}
 
 	var im nexmark.Impl

@@ -1,8 +1,6 @@
 package core
 
-import (
-	"container/heap"
-)
+import "megaphone/internal/dataflow"
 
 // TimedRec is a post-dated record scheduled by an operator for a future
 // timestamp (the paper's pending (val, time) list). Pending records are part
@@ -12,23 +10,16 @@ type TimedRec[R any] struct {
 	Rec  R
 }
 
-// recHeap is a min-heap of pending records by time.
-type recHeap[R any] []TimedRec[R]
-
-func (h recHeap[R]) Len() int           { return len(h) }
-func (h recHeap[R]) Less(i, j int) bool { return h[i].Time < h[j].Time }
-func (h recHeap[R]) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *recHeap[R]) Push(x any)        { *h = append(*h, x.(TimedRec[R])) }
-func (h *recHeap[R]) Pop() any {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
-}
+func pendingBefore[R any](a, b *TimedRec[R]) bool { return a.Time < b.Time }
 
 // BinState is the migrateable unit: the user state of one bin plus its
-// pending post-dated records.
+// pending post-dated records, the paper's per-bin notificator queue.
+// Pending is a binary min-heap ordered by Time alone, kept with the engine's
+// one sift code (dataflow.HeapPush and HeapPop); records of equal time pop
+// in the order the heap places them, not in arrival order. A bin's
+// encoding writes Pending in heap order and its decoding keeps that order,
+// so a migrated or checkpointed bin replays exactly as it would have where
+// it was.
 type BinState[R, S any] struct {
 	State   *S
 	Pending []TimedRec[R] // heap-ordered by Time
@@ -37,23 +28,22 @@ type BinState[R, S any] struct {
 // PushPending schedules r at time t in the bin's pending heap. Operator
 // logic schedules through the Notificator; this is exposed for tests and
 // benchmarks that build bins directly.
+//
+//megalint:hotpath
 func (b *BinState[R, S]) PushPending(t Time, r R) {
-	h := recHeap[R](b.Pending)
-	heap.Push(&h, TimedRec[R]{Time: t, Rec: r})
-	b.Pending = h
+	dataflow.HeapPush(&b.Pending, TimedRec[R]{Time: t, Rec: r}, pendingBefore[R])
 }
 
 // popPendingAt removes and returns all pending records with exactly time t
 // from the head of the heap, appending them to buf (pass a zero-length
 // scratch slice to reuse its capacity).
+//
+//megalint:hotpath
 func (b *BinState[R, S]) popPendingAt(t Time, buf []TimedRec[R]) []TimedRec[R] {
-	h := recHeap[R](b.Pending)
-	out := buf
-	for len(h) > 0 && h[0].Time == t {
-		out = append(out, heap.Pop(&h).(TimedRec[R]))
+	for len(b.Pending) > 0 && b.Pending[0].Time == t {
+		buf = append(buf, dataflow.HeapPop(&b.Pending, pendingBefore[R]))
 	}
-	b.Pending = h
-	return out
+	return buf
 }
 
 func (b *BinState[R, S]) headPending() (Time, bool) {
@@ -78,9 +68,7 @@ func (b *BinState[R, S]) clampPending(t Time) {
 		}
 	}
 	if changed {
-		h := recHeap[R](b.Pending)
-		heap.Init(&h)
-		b.Pending = h
+		dataflow.HeapInit(b.Pending, pendingBefore[R])
 	}
 }
 

@@ -558,12 +558,3 @@ func equalInts(a, b []int) bool {
 	}
 	return true
 }
-
-// CodecName resolves the name of a (possibly nil) Config.Transfer value, for
-// recording in checkpoint manifests.
-func CodecName(c Codec) string {
-	if c == nil {
-		return TransferBinary.Name()
-	}
-	return c.Name()
-}

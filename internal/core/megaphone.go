@@ -1,7 +1,6 @@
 package core
 
 import (
-	"container/heap"
 	"fmt"
 	"sort"
 	"time"
@@ -67,13 +66,14 @@ type Notificator[R, S, O any] struct {
 // NotifyAt schedules rec for redelivery at time t, which must be strictly
 // greater than the timestamp currently being processed. The Notificator is
 // only valid for the duration of the Fold call it was passed to.
+//
+//megalint:hotpath
 func (n *Notificator[R, S, O]) NotifyAt(t Time, rec R) {
 	if t <= n.now {
 		panic(fmt.Sprintf("megaphone: NotifyAt(%v) not after current time %v", t, n.now))
 	}
-	b := n.s.bins.data[n.bin]
-	b.PushPending(t, rec)
-	heap.Push(&n.s.notify, binTime{time: t, bin: n.bin})
+	n.s.bins.data[n.bin].PushPending(t, rec)
+	n.s.notify.Push(t, n.bin)
 }
 
 // Ops bundles the user logic of a migrateable operator.
@@ -139,27 +139,6 @@ type routed[R any] struct {
 	To  int32
 	Bin int32
 	Rec R
-}
-
-// binTime pairs a pending time with the bin that owns it (lazy index into
-// the per-bin pending heaps).
-type binTime struct {
-	time Time
-	bin  int
-}
-
-type binTimeHeap []binTime
-
-func (h binTimeHeap) Len() int           { return len(h) }
-func (h binTimeHeap) Less(i, j int) bool { return h[i].time < h[j].time }
-func (h binTimeHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *binTimeHeap) Push(x any)        { *h = append(*h, x.(binTime)) }
-func (h *binTimeHeap) Pop() any {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
 }
 
 // Operator builds a migrateable stateful operator over records R with
@@ -246,7 +225,7 @@ func Operator[R, S, O any](
 	if cfg.Restore != nil {
 		// Restored bins can carry pending post-dated records (all at times
 		// >= the checkpoint epoch: earlier ones were replayed before the
-		// checkpoint's frontier). Re-index them in S's notification heap and
+		// checkpoint's frontier). Re-index them in S's notification queue and
 		// pin the output capability at the epoch until S's first scheduling
 		// recomputes its holds — without the initial hold, the frontier
 		// could pass a restored notification before S ever runs.
@@ -254,7 +233,7 @@ func Operator[R, S, O any](
 		for b, bs := range bins.data {
 			if bs != nil {
 				if ht, ok := bs.headPending(); ok {
-					heap.Push(&s.notify, binTime{time: ht, bin: b})
+					s.notify.Push(ht, b)
 				}
 			}
 		}
@@ -334,25 +313,11 @@ type assign struct {
 	Worker int
 }
 
-// pendingConfig is a configuration batch whose time is still in advance of
-// the control frontier.
-type pendingConfig struct {
+// installedConfig is a final configuration: every move commanded at its
+// time, merged and canonicalized, awaiting its state movement.
+type installedConfig struct {
 	time  Time
 	moves []Move
-}
-
-type configHeap []pendingConfig
-
-func (h configHeap) Len() int           { return len(h) }
-func (h configHeap) Less(i, j int) bool { return h[i].time < h[j].time }
-func (h configHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *configHeap) Push(x any)        { *h = append(*h, x.(pendingConfig)) }
-func (h *configHeap) Pop() any {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
 }
 
 // fOp is one worker's instance of the F (routing and migration) operator.
@@ -368,10 +333,13 @@ type fOp[R, S, O any] struct {
 
 	hist [][]assign // per-bin assignment history; nil = initial assignment only
 
-	pendingCfg configHeap // configs not yet final (time in advance of control frontier)
-	installed  configHeap // final configs awaiting state movement
+	pendingCfg stage[Move] // kept control batches not yet final (time in advance of the control frontier)
+	// installed lists the final configs awaiting state movement, in time
+	// order: each is installed below the control frontier, and every later
+	// control batch arrives at or above it.
+	installed []installedConfig
 
-	staged deferred[R] // kept data batches whose routing is not yet determined
+	staged stage[R] // kept data batches whose routing is not yet determined
 }
 
 const (
@@ -393,13 +361,9 @@ func (f *fOp[R, S, O]) ownerAt(bin int, t Time) int {
 }
 
 func (f *fOp[R, S, O]) schedule(c *dataflow.OpCtx) {
-	// 1. Ingest configuration commands; their capability is pinned by a
+	// 1. Keep configuration commands; their capability is pinned by a
 	// hold on the state output so migrations can be sent at their time.
-	dataflow.ForEachBatch(c, fCtl, func(t Time, moves []Move) {
-		cp := make([]Move, len(moves))
-		copy(cp, moves)
-		heap.Push(&f.pendingCfg, pendingConfig{time: t, moves: cp})
-	})
+	dataflow.TakeEachBatch(c, fCtl, f.pendingCfg.Push)
 	ctl := c.Frontier(fCtl)
 
 	// 2. Install configurations that are final: no command at a time less
@@ -412,21 +376,23 @@ func (f *fOp[R, S, O]) schedule(c *dataflow.OpCtx) {
 	// the move *set*, which the control frontier guarantees is complete
 	// and identical on every worker of every process. In a single process
 	// duplicate same-time moves for a bin always carry the same target, so
-	// this is behaviour-preserving there.
-	for len(f.pendingCfg) > 0 && f.pendingCfg[0].time < ctl {
-		pc := heap.Pop(&f.pendingCfg).(pendingConfig)
-		for len(f.pendingCfg) > 0 && f.pendingCfg[0].time == pc.time {
-			more := heap.Pop(&f.pendingCfg).(pendingConfig)
-			pc.moves = append(pc.moves, more.moves...)
+	// this is behaviour-preserving there. The merge is the one copy of the
+	// moves: the kept batches are shared with the other workers' F.
+	for t := f.pendingCfg.Head(); t < ctl; t = f.pendingCfg.Head() {
+		var moves []Move
+		for f.pendingCfg.Head() == t {
+			b := f.pendingCfg.Pop()
+			moves = append(moves, b.Recs...)
+			b.Release(f.w)
 		}
-		pc.moves = canonMoves(pc.moves)
-		for _, m := range pc.moves {
+		moves = canonMoves(moves)
+		for _, m := range moves {
 			if m.IsCheckpoint() {
 				continue // checkpoints change no ownership
 			}
-			f.hist[m.Bin] = append(f.hist[m.Bin], assign{From: pc.time, Worker: m.Worker})
+			f.hist[m.Bin] = append(f.hist[m.Bin], assign{From: t, Worker: m.Worker})
 		}
-		heap.Push(&f.installed, pc)
+		f.installed = append(f.installed, installedConfig{time: t, moves: moves})
 	}
 
 	// 3. Route data. Batches whose time is in advance of the control
@@ -437,11 +403,10 @@ func (f *fOp[R, S, O]) schedule(c *dataflow.OpCtx) {
 			b.Release(f.w)
 			return
 		}
-		f.staged.push(t, b)
+		f.staged.Push(t, b)
 	})
-	for f.staged.head() < ctl {
-		t := f.staged.head()
-		b := f.staged.pop()
+	for t := f.staged.Head(); t < ctl; t = f.staged.Head() {
+		b := f.staged.Pop()
 		f.route(c, t, b.Recs)
 		b.Release(f.w)
 	}
@@ -453,25 +418,20 @@ func (f *fOp[R, S, O]) schedule(c *dataflow.OpCtx) {
 		if p == nil || p.Frontier() < f.installed[0].time {
 			break
 		}
-		mg := heap.Pop(&f.installed).(pendingConfig)
+		mg := f.installed[0]
+		f.installed[0] = installedConfig{}
+		f.installed = f.installed[1:]
 		f.execute(c, mg)
 	}
 
 	// 5. Maintain capability holds: the data output covers staged
 	// batches; the state output covers pending and installed migrations.
-	if t := f.staged.head(); t != None {
+	if t := f.staged.Head(); t != None {
 		c.Hold(fOutData, t)
 	} else {
 		c.DropHold(fOutData)
 	}
-	stateHold := None
-	if len(f.pendingCfg) > 0 {
-		stateHold = f.pendingCfg[0].time
-	}
-	if len(f.installed) > 0 && f.installed[0].time < stateHold {
-		stateHold = f.installed[0].time
-	}
-	if stateHold != None {
+	if stateHold := f.stateHold(); stateHold != None {
 		c.Hold(fOutState, stateHold)
 	} else {
 		c.DropHold(fOutState)
@@ -507,7 +467,7 @@ func (f *fOp[R, S, O]) route(c *dataflow.OpCtx, t Time, data []R) {
 // moves of the same time, so the snapshot records the pre-move assignment together
 // with the bins still at their pre-move owners — a consistent cut either
 // way.
-func (f *fOp[R, S, O]) execute(c *dataflow.OpCtx, mg pendingConfig) {
+func (f *fOp[R, S, O]) execute(c *dataflow.OpCtx, mg installedConfig) {
 	moves := mg.moves
 	if len(moves) > 0 && moves[0].IsCheckpoint() {
 		if f.cfg.Checkpoint != nil {
@@ -567,7 +527,7 @@ func (f *fOp[R, S, O]) ship(c *dataflow.OpCtx, t Time, bin, to int, b *BinState[
 // by restore commands taking effect at time `at` — from the checkpoint at
 // epoch ckpt, and ships them to this worker's own S instance at `at`, like
 // any move. Riding the normal migration install path (rather than poking the
-// shared bins holder directly) re-indexes S's notification heap and fires
+// shared bins holder directly) re-indexes S's notification queue and fires
 // OnInstall exactly as a migration would. Pending records
 // that came due while the owner was dead are clamped up to `at` (see
 // clampPending). Failure to read the checkpoint is fatal: the dead member's
@@ -656,24 +616,27 @@ func (f *fOp[R, S, O]) checkpoint(t Time) {
 // identically by every live process, so the survivors' own copies complete
 // each batch.
 func (f *fOp[R, S, O]) purge(cut Time) []dataflow.Time {
-	f.staged.purge(f.w, cut, f.cfg.Name+"-F")
-	stateHold := None
-	if len(f.pendingCfg) > 0 {
-		stateHold = f.pendingCfg[0].time
+	purgeStaged(&f.staged, f.w, cut, f.cfg.Name+"-F")
+	return []dataflow.Time{None, f.stateHold()}
+}
+
+// stateHold is where F's state output must be held: at its earliest pending
+// or installed configuration.
+func (f *fOp[R, S, O]) stateHold() Time {
+	hold := f.pendingCfg.Head()
+	if len(f.installed) > 0 && f.installed[0].time < hold {
+		hold = f.installed[0].time
 	}
-	if len(f.installed) > 0 && f.installed[0].time < stateHold {
-		stateHold = f.installed[0].time
-	}
-	return []dataflow.Time{None, stateHold}
+	return hold
 }
 
 // purge implements the crash-barrier deferred-work purge for S: staged
 // data batches (all at times at or above the cut — earlier times completed
 // and were applied before the barrier quiesced) are released for replay.
-// The notification heap survives: pending post-dated records are bin state,
+// The notification queue survives: pending post-dated records are bin state,
 // not unapplied input, and migrate or restore with their bin.
 func (s *sOp[R, S, O]) purge(cut Time) []dataflow.Time {
-	s.staged.purge(s.w, cut, s.cfg.Name+"-S")
+	purgeStaged(&s.staged, s.w, cut, s.cfg.Name+"-S")
 	hold := None
 	if nt, ok := s.notifyHead(); ok {
 		hold = nt
@@ -727,9 +690,12 @@ type sOp[R, S, O any] struct {
 	index int
 	h     *Handle[R, S, O]
 
-	staged  deferred[routed[R]] // kept data batches, deferred until their time completes
-	applied Time                // bound of the latest schedule: all data below it is folded in
-	notify  binTimeHeap         // (time, bin) index into per-bin pending heaps
+	staged  stage[routed[R]] // kept data batches, deferred until their time completes
+	applied Time             // bound of the latest schedule: all data below it is folded in
+	// notify queues a bin at the time of each record it holds pending: a
+	// lazy index into the per-bin pending heaps (an entry is stale once its
+	// bin has replayed that time or left this worker).
+	notify dataflow.TimeQueue[int]
 
 	replayBuf []TimedRec[R] // reusable scratch for popPendingAt
 
@@ -775,14 +741,14 @@ func (s *sOp[R, S, O]) schedule(c *dataflow.OpCtx) {
 				s.h.OnInstall(t, m.Bin, s.index)
 			}
 			if ht, ok := b.headPending(); ok {
-				heap.Push(&s.notify, binTime{time: ht, bin: m.Bin})
+				s.notify.Push(ht, m.Bin)
 			}
 		}
 	})
 
 	// 2. Defer data until its time is not in advance of both frontiers: the
 	// batches are kept, not copied.
-	dataflow.TakeEachBatch(c, sData, s.staged.push)
+	dataflow.TakeEachBatch(c, sData, s.staged.Push)
 
 	bound := c.Frontier(sData)
 	if sf := c.Frontier(sState); sf < bound {
@@ -793,7 +759,7 @@ func (s *sOp[R, S, O]) schedule(c *dataflow.OpCtx) {
 	// 3. Apply complete times in timestamp order: first replayed pending
 	// records, then fresh data, per time.
 	for {
-		t := s.staged.head()
+		t := s.staged.Head()
 		if nt, ok := s.notifyHead(); ok && nt < t {
 			t = nt
 		}
@@ -804,7 +770,7 @@ func (s *sOp[R, S, O]) schedule(c *dataflow.OpCtx) {
 	}
 
 	// 4. Hold the output at the earliest deferred work.
-	holdAt := s.staged.head()
+	holdAt := s.staged.Head()
 	if nt, ok := s.notifyHead(); ok && nt < holdAt {
 		holdAt = nt
 	}
@@ -818,15 +784,13 @@ func (s *sOp[R, S, O]) schedule(c *dataflow.OpCtx) {
 // notifyHead returns the earliest valid (time, bin) notification, skipping
 // entries staled by replay or by bin migration.
 func (s *sOp[R, S, O]) notifyHead() (Time, bool) {
-	for len(s.notify) > 0 {
-		bt := s.notify[0]
-		b := s.bins.data[bt.bin]
-		if b != nil {
-			if ht, ok := b.headPending(); ok && ht == bt.time {
-				return bt.time, true
+	for t := s.notify.Head(); t != None; t = s.notify.Head() {
+		if b := s.bins.data[s.notify.Peek()]; b != nil {
+			if ht, ok := b.headPending(); ok && ht == t {
+				return t, true
 			}
 		}
-		heap.Pop(&s.notify)
+		s.notify.Pop()
 	}
 	return 0, false
 }
@@ -868,28 +832,27 @@ func (s *sOp[R, S, O]) processTime(c *dataflow.OpCtx, t Time) {
 		if !ok || nt != t {
 			break
 		}
-		bt := heap.Pop(&s.notify).(binTime)
-		b := s.bins.data[bt.bin]
+		bin := s.notify.Pop()
+		b := s.bins.data[bin]
 		recs := b.popPendingAt(t, s.replayBuf[:0])
 		s.replayBuf = recs
-		n.bin = bt.bin
+		n.bin = bin
 		if s.meter != nil {
-			s.noteApply(bt.bin, len(recs))
+			s.noteApply(bin, len(recs))
 		}
 		if s.h.OnApply != nil {
-			s.h.OnApply(t, bt.bin, s.index)
+			s.h.OnApply(t, bin, s.index)
 		}
 		for _, tr := range recs {
 			s.ops.Fold(t, tr.Rec, b.State, n, s.emit)
 		}
 		if ht, ok := b.headPending(); ok {
-			//megalint:allow hotalloc the notification index is a container/heap: re-indexing a bin with more post-dated records boxes one entry; only operators that schedule records pay it
-			heap.Push(&s.notify, binTime{time: ht, bin: bt.bin})
+			s.notify.Push(ht, bin)
 		}
 	}
 
-	for s.staged.head() == t {
-		batch := s.staged.pop()
+	for s.staged.Head() == t {
+		batch := s.staged.Pop()
 		for recs := batch.Recs; len(recs) > 0; {
 			chunk := recs
 			if s.ops.Prefetch != nil {

@@ -27,6 +27,9 @@ type phase struct {
 // hashCountRun is a hash-count dataflow (F -> S -> sink) over 2 workers, 16
 // bins and a fixed domain of keys, which it owns and drives. Its S runs the
 // prefetch pass, so the allocation pins cover both passes of the apply loop.
+// A scheduling run (startCountRun(true)) also has every fresh record schedule
+// itself for the next time through the Notificator, and counts it again
+// when it is replayed there.
 type hashCountRun struct {
 	exec    *dataflow.Execution
 	inputs  []*dataflow.InputHandle[uint64]
@@ -38,7 +41,12 @@ type hashCountRun struct {
 
 const hashCountDomain = 1 << 15
 
-func startHashCount() *hashCountRun {
+// replayed marks a record S replays from a bin's pending heap.
+const replayed = 1 << 63
+
+func startHashCount() *hashCountRun { return startCountRun(false) }
+
+func startCountRun(schedule bool) *hashCountRun {
 	const workers, logBins = 2, 4
 	r := &hashCountRun{outputs: make([]int64, workers)}
 	r.exec = dataflow.NewExecution(dataflow.Config{Workers: workers})
@@ -53,9 +61,16 @@ func startHashCount() *hashCountRun {
 			core.Ops[uint64, map[uint64]uint64, countOut]{
 				Hash:     func(k uint64) uint64 { return core.Mix64(k) },
 				NewState: func() *map[uint64]uint64 { m := make(map[uint64]uint64); return &m },
-				Fold: func(t core.Time, k uint64, s *map[uint64]uint64, _ *core.Notificator[uint64, map[uint64]uint64, countOut], emit func(countOut)) {
+				Fold: func(t core.Time, k uint64, s *map[uint64]uint64, n *core.Notificator[uint64, map[uint64]uint64, countOut], emit func(countOut)) {
+					if k&replayed != 0 {
+						(*s)[k&^replayed]++
+						return
+					}
 					(*s)[k]++
 					emit(countOut{Key: k, Count: (*s)[k]})
+					if schedule {
+						n.NotifyAt(t+1, k|replayed)
+					}
 				},
 				Prefetch: func(k uint64, s *map[uint64]uint64) { _ = (*s)[k] },
 			}, nil)
@@ -222,6 +237,35 @@ func TestApplyPathAllocsPerRecord(t *testing.T) {
 	t.Logf("%.0f allocs over %d epochs, %.0f over %d: %.2f per worker per logical time", a, coarse.epochs, b, fine.epochs, perTime)
 	if perTime > 1.5 {
 		t.Errorf("a logical time costs %.2f allocations per worker; the driver's input batch accounts for 1 and processTime for none", perTime)
+	}
+}
+
+// TestNotifyPathAllocsPerRecord pins the extended notificator's path at
+// zero allocations per record: NotifyAt into a bin's pending heap and S's
+// notification queue, and the replay that pops both. A run in which every
+// record is scheduled and replayed once may allocate no more than the same
+// run without scheduling.
+func TestNotifyPathAllocsPerRecord(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation pin is not meaningful under -short")
+	}
+	p := phase{epochs: 200, perEpoch: 256, paced: true}
+	run := func(schedule bool) float64 {
+		r := startCountRun(schedule)
+		r.drive(phase{epochs: 200, perEpoch: hashCountDomain / 200, paced: true}) // touch every key: no map growth below
+		r.drive(p)
+		before := mallocs()
+		r.drive(p)
+		allocs := mallocs() - before
+		r.finish()
+		return float64(allocs)
+	}
+	plain, scheduled := run(false), run(true)
+	records := float64(p.epochs * p.perEpoch * 2)
+	perRecord := (scheduled - plain) / records
+	t.Logf("%.0f allocs without scheduling, %.0f with every record scheduled and replayed: %.4f per scheduled record", plain, scheduled, perRecord)
+	if perRecord > 0.02 {
+		t.Errorf("scheduling and replaying a record allocates %.4f objects (budget 0.02)", perRecord)
 	}
 }
 

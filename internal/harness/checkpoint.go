@@ -91,7 +91,7 @@ type checkpointPlan struct {
 // uninterrupted run would have. workload prefixes errors; Launch checks
 // that the dataflow has migrateable state at all.
 func planCheckpoints(workload string, ops []string, dir string, every time.Duration, recover bool,
-	transfer core.Codec, totalWorkers, firstWorker, workers int,
+	totalWorkers, firstWorker, workers int,
 	epochEvery, duration time.Duration) (*checkpointPlan, time.Duration, error) {
 
 	p := &checkpointPlan{startEpoch: 1}
@@ -115,7 +115,7 @@ func planCheckpoints(workload string, ops []string, dir string, every time.Durat
 			if !slices.Contains(held, op) {
 				return nil, 0, fmt.Errorf("%s: the checkpoint under %s holds no state for operator %q (it has %v): was it written by another dataflow?", workload, dir, op, held)
 			}
-			r, err := core.LoadRestore(dir, op, epoch, totalWorkers, firstWorker, workers, core.CodecName(transfer))
+			r, err := core.LoadRestore(dir, op, epoch, totalWorkers, firstWorker, workers, core.TransferBinary.Name())
 			if err != nil {
 				return nil, 0, err
 			}

@@ -1,10 +1,6 @@
 package harness
 
-import (
-	"time"
-
-	"megaphone/internal/core"
-)
+import "time"
 
 // NewDriver is newDriver, for the driver-wiring tests.
 var NewDriver = newDriver
@@ -15,9 +11,9 @@ var PaperTargets = paperTargets
 // PlanCheckpoints is planCheckpoints, for the checkpoint-plan tests; it
 // reports the plan's start epoch and cadence in epochs.
 func PlanCheckpoints(workload string, ops []string, dir string, every time.Duration, recover bool,
-	transfer core.Codec, totalWorkers, firstWorker, workers int,
+	totalWorkers, firstWorker, workers int,
 	epochEvery, duration time.Duration) (startEpoch, everyEpochs int64, trimmed time.Duration, err error) {
-	p, trimmed, err := planCheckpoints(workload, ops, dir, every, recover, transfer, totalWorkers, firstWorker, workers, epochEvery, duration)
+	p, trimmed, err := planCheckpoints(workload, ops, dir, every, recover, totalWorkers, firstWorker, workers, epochEvery, duration)
 	if err != nil {
 		return 0, 0, 0, err
 	}

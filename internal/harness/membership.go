@@ -17,6 +17,9 @@ type clusterFabric struct {
 	*dataflow.Mesh
 }
 
+// Err is the execution's: the transport's error once it halted the run.
+func (f clusterFabric) Err() error { return f.Execution.Err() }
+
 // newMembership starts one process of a dynamic-membership run and returns
 // its driver and roster for Run's loop, around the membership controller.
 // Scripted migrations route through the controller's schedule broadcast, so

@@ -110,14 +110,11 @@ type Extras struct {
 }
 
 // Dataflow is what a workload hands Launch: its name, which prefixes every
-// error, its bin count and state codec, the names of its checkpointable
-// operators, and the parts it builds once the run is resolved.
+// error, its bin count, the names of its checkpointable operators, and the
+// parts it builds once the run is resolved.
 type Dataflow[T any] struct {
 	Name    string
 	LogBins int
-	// Transfer is the state codec its checkpoints are written in (nil:
-	// core.TransferBinary).
-	Transfer core.Codec
 	// Ops names the megaphone operators, one checkpoint subdirectory each.
 	// A dataflow with none has no migrateable state: it can neither
 	// checkpoint nor run under dynamic membership.
@@ -184,7 +181,7 @@ func Launch[T any](cfg Config, x Extras, df Dataflow[T]) (Result, error) {
 	}
 	env.schedule = env.migrationEpochs()
 	ckpt, duration, err := planCheckpoints(df.Name, df.Ops, cfg.CheckpointDir, cfg.CheckpointEvery,
-		cfg.Recover, df.Transfer, env.TotalWorkers, env.FirstWorker, cfg.Workers, cfg.EpochEvery, cfg.Duration)
+		cfg.Recover, env.TotalWorkers, env.FirstWorker, cfg.Workers, cfg.EpochEvery, cfg.Duration)
 	if err != nil {
 		return Result{}, err
 	}

@@ -222,12 +222,15 @@ func TestRunPeerVanishes(t *testing.T) {
 }
 
 // TestJoinerNeverAdmitted: a joiner whose admission never comes — its only
-// member joined the mesh and never built a dataflow — returns the admission
-// error once the run's Duration has passed, not at the 60 s barrier
-// timeout, and leaves nothing of the execution it had started running: no
-// worker, no transport goroutine. The member stays up until the check is
-// done (its death would end the joiner's transport too, and hide a leak),
-// started without a Chaos supervisor, whose waiter goroutine the check
+// member joined the mesh and never built a dataflow — returns an error and
+// leaves nothing of the execution it had started running: no worker, no
+// transport goroutine. While the member lives, the error is the admission's,
+// returned once the run's Duration has passed, not at the 60 s barrier
+// timeout; the member stays up until the check is done (its death would end
+// the joiner's transport too, and hide a leak). When the member is killed
+// while the joiner waits, the joiner returns the transport's error within
+// the dial timeout of the kill, not at the end of its 30 s run. The member
+// is started without a Chaos supervisor, whose waiter goroutine the check
 // would count.
 func TestJoinerNeverAdmitted(t *testing.T) {
 	if testing.Short() {
@@ -237,41 +240,83 @@ func TestJoinerNeverAdmitted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hosts, ckptDir := freeHosts(t, 2), t.TempDir()
-	member := exec.Command(exe, "-test.run", "xxx")
-	member.Env = append(os.Environ(),
-		chaosRoleEnv+"=vanish",
-		chaosHostsEnv+"="+strings.Join(hosts, ","),
-		vanishWorkloadEnv+"=join-only")
-	if err := member.Start(); err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		member.Process.Kill()
-		member.Wait()
-	}()
-	spec := &dataflow.ClusterSpec{
-		Hosts:       hosts,
-		Process:     1,
-		Absent:      []bool{false, true}, // this process joins later
-		DialTimeout: 2 * time.Second,
-	}
-	began := time.Now()
-	_, err = keycount.Run(keycount.RunConfig{
-		Params: keycount.Params{Variant: keycount.HashCount, LogBins: 4, Domain: 1 << 10},
-		Config: harness.Config{Workers: 1, Rate: 2000, Duration: time.Second, Cluster: spec, CheckpointDir: ckptDir},
-		Extras: harness.Extras{Membership: true},
-	})
-	took := time.Since(began)
-	if err == nil || !strings.Contains(err.Error(), "no admission decision") {
-		t.Fatalf("joiner that was never admitted returned %v, want its admission error", err)
-	}
-	t.Logf("error as expected after %v: %v", took.Round(time.Millisecond), err)
-	if took > 20*time.Second {
-		t.Errorf("the joiner waited %v for its admission in a 1 s run", took)
-	}
-	if err := leakcheck.Check(5 * time.Second); err != nil {
-		t.Fatal(err)
+	for _, row := range []struct {
+		name     string
+		duration time.Duration
+		kill     bool // kill the member once the joiner has connected to it
+		want     string
+		within   time.Duration // from the start, or from the kill
+	}{
+		{"member-stays-1s", time.Second, false, "no admission decision", 20 * time.Second},
+		{"member-killed-30s", 30 * time.Second, true, "halted awaiting admission", 10 * time.Second},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			hosts, ckptDir := freeHosts(t, 2), t.TempDir()
+			member := exec.Command(exe, "-test.run", "xxx")
+			member.Env = append(os.Environ(),
+				chaosRoleEnv+"=vanish",
+				chaosHostsEnv+"="+strings.Join(hosts, ","),
+				vanishWorkloadEnv+"=join-only")
+			if err := member.Start(); err != nil {
+				t.Fatal(err)
+			}
+			defer func() {
+				member.Process.Kill()
+				member.Wait()
+			}()
+			connected := make(chan struct{})
+			var connectedOnce sync.Once
+			spec := &dataflow.ClusterSpec{
+				Hosts:       hosts,
+				Process:     1,
+				Absent:      []bool{false, true}, // this process joins later
+				DialTimeout: 2 * time.Second,
+				Logf: func(format string, args ...any) {
+					if strings.Contains(format, "connected to") {
+						connectedOnce.Do(func() { close(connected) })
+					}
+				},
+			}
+			done := make(chan error, 1)
+			began := time.Now()
+			go func() {
+				_, err := keycount.Run(keycount.RunConfig{
+					Params: keycount.Params{Variant: keycount.HashCount, LogBins: 4, Domain: 1 << 10},
+					Config: harness.Config{Workers: 1, Rate: 2000, Duration: row.duration, Cluster: spec, CheckpointDir: ckptDir},
+					Extras: harness.Extras{Membership: true},
+				})
+				done <- err
+			}()
+			if row.kill {
+				select {
+				case <-connected:
+				case err := <-done:
+					t.Fatalf("joiner returned before its member was killed: %v", err)
+				case <-time.After(20 * time.Second):
+					t.Fatal("the joiner never connected")
+				}
+				time.Sleep(200 * time.Millisecond) // into AwaitAdmission
+				member.Process.Kill()
+				began = time.Now()
+			}
+			var err error
+			select {
+			case err = <-done:
+			case <-time.After(row.duration + 40*time.Second):
+				t.Fatal("the joiner did not return")
+			}
+			took := time.Since(began)
+			if err == nil || !strings.Contains(err.Error(), row.want) {
+				t.Fatalf("joiner that was never admitted returned %v, want an error containing %q", err, row.want)
+			}
+			t.Logf("error as expected after %v: %v", took.Round(time.Millisecond), err)
+			if took > row.within {
+				t.Errorf("the joiner returned %v after it began waiting (or its member was killed), want within %v", took, row.within)
+			}
+			if err := leakcheck.Check(5 * time.Second); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
 

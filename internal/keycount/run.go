@@ -35,11 +35,10 @@ func Run(cfg RunConfig) (harness.Result, error) {
 		ops = []string{op}
 	}
 	return harness.Launch(cfg.Config, cfg.Extras, harness.Dataflow[uint64]{
-		Name:     "keycount",
-		LogBins:  cfg.LogBins,
-		Transfer: cfg.Transfer,
-		Ops:      ops,
-		Parts:    cfg.parts,
+		Name:    "keycount",
+		LogBins: cfg.LogBins,
+		Ops:     ops,
+		Parts:   cfg.parts,
 	})
 }
 

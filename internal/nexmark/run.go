@@ -43,11 +43,10 @@ func Run(cfg RunConfig) (harness.Result, error) {
 		ops = nil
 	}
 	return harness.Launch(cfg.Config, harness.Extras{MigrateTwo: true}, harness.Dataflow[Event]{
-		Name:     "nexmark",
-		LogBins:  cfg.Params.LogBins,
-		Transfer: cfg.Params.Transfer,
-		Ops:      ops,
-		Parts:    cfg.parts,
+		Name:    "nexmark",
+		LogBins: cfg.Params.LogBins,
+		Ops:     ops,
+		Parts:   cfg.parts,
 	})
 }
 

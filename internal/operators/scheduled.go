@@ -1,16 +1,16 @@
 package operators
 
-import (
-	"container/heap"
+import "megaphone/internal/dataflow"
 
-	"megaphone/internal/dataflow"
-)
-
-// UnaryScheduled is UnaryNotify plus timely's Notificator: the logic can
-// request a callback at a future timestamp (e.g. a window boundary or an
-// auction's expiry). f runs once per completed time, with that time's data
-// (possibly empty, when only a scheduled notification fired) and a schedule
-// function valid during the call.
+// UnaryScheduled builds a frontier-driven stateful operator whose logic can
+// request a callback at a future timestamp (timely's Notificator: a window
+// boundary, an auction's expiry). Input batches are kept as they arrive,
+// queued by time; once the input frontier passes a time, f runs once for
+// it, with all of that time's records in arrival order (possibly none, when
+// only a scheduled notification fired), the per-worker state, and a
+// schedule function that requests a later run. The records are copied into
+// one slice the operator reuses for every time, so f must not keep data
+// after it returns.
 //
 // This is the native building block for windowed NEXMark queries; unlike
 // Megaphone's notificator, the scheduled times and the state they refer to
@@ -24,65 +24,49 @@ func UnaryScheduled[A, B, S any](
 	f func(t Time, data []A, state S, schedule func(Time), emit func(B)),
 ) dataflow.Stream[B] {
 	state := newState()
-	pending := make(map[Time][]A)
-	var times timeHeap          // times with pending data
-	var scheduled timeHeap      // requested notification times
-	schedSet := map[Time]bool{} // dedup for scheduled
-	var out dataflow.Batch[B]   // the batch being built for the time f runs on
+	var (
+		kept      dataflow.TimeQueue[dataflow.Batch[A]] // input batches whose time is incomplete
+		scheduled dataflow.TimeQueue[struct{}]          // requested times, duplicates included
+		data      []A                                   // the records of the time f runs on
+		now       Time                                  // the time f runs on
+		out       dataflow.Batch[B]                     // the batch being built for it
+	)
 	emit := func(r B) { out.Recs = append(out.Recs, r) }
+	schedule := func(at Time) {
+		if at <= now {
+			panic("operators: schedule not after current time")
+		}
+		scheduled.Push(at, struct{}{})
+	}
 
 	b := w.NewOp(name, 1)
 	dataflow.Connect(b, s, pact)
 	outs := b.Build(func(c *dataflow.OpCtx) {
-		dataflow.ForEachBatch(c, 0, func(t Time, data []A) {
-			if _, ok := pending[t]; !ok {
-				heap.Push(&times, t)
-			}
-			pending[t] = append(pending[t], data...)
-		})
+		dataflow.TakeEachBatch(c, 0, kept.Push)
 		frontier := c.Frontier(0)
 		for {
-			t := dataflow.None
-			if len(times) > 0 {
-				t = times[0]
-			}
-			if len(scheduled) > 0 && scheduled[0] < t {
-				t = scheduled[0]
-			}
-			if t >= frontier {
+			now = min(kept.Head(), scheduled.Head())
+			if now >= frontier {
 				break
 			}
-			if len(times) > 0 && times[0] == t {
-				heap.Pop(&times)
+			for scheduled.Head() == now {
+				scheduled.Pop()
 			}
-			if len(scheduled) > 0 && scheduled[0] == t {
-				heap.Pop(&scheduled)
-				delete(schedSet, t)
-			}
-			data := pending[t]
-			delete(pending, t)
-			sched := func(at Time) {
-				if at <= t {
-					panic("operators: schedule not after current time")
-				}
-				if !schedSet[at] {
-					schedSet[at] = true
-					heap.Push(&scheduled, at)
-				}
+			data = data[:0]
+			for kept.Head() == now {
+				in := kept.Pop()
+				data = append(data, in.Recs...)
+				in.Release(w)
 			}
 			out = dataflow.NewBatch[B](c, 0)
-			f(t, data, state, sched, emit)
-			dataflow.SendOwned(c, 0, t, out)
+			f(now, data, state, schedule, emit)
+			clear(data) // the slice is kept; the records' references are not
+			dataflow.SendOwned(c, 0, now, out)
 		}
-		holdAt := dataflow.None
-		if len(times) > 0 {
-			holdAt = times[0]
-		}
-		if len(scheduled) > 0 && scheduled[0] < holdAt {
-			holdAt = scheduled[0]
-		}
-		if holdAt != dataflow.None {
-			c.Hold(0, holdAt)
+		// Hold the output at the earliest incomplete time so the downstream
+		// frontier cannot pass work still to do.
+		if t := min(kept.Head(), scheduled.Head()); t != dataflow.None {
+			c.Hold(0, t)
 		} else {
 			c.DropHold(0)
 		}

@@ -110,6 +110,9 @@ type Fabric interface {
 	Activate(p int)
 	RetirePeer(p int)
 	DataCounters() (sent, recv []uint64)
+	// Err is why the execution halted (its transport failed), nil while it
+	// runs.
+	Err() error
 }
 
 // MembershipOptions configures a MembershipController.
@@ -188,6 +191,9 @@ const (
 	minProcs = 2
 	// barrierTimeout bounds one membership barrier.
 	barrierTimeout = 60 * time.Second
+	// haltPoll is how often a joiner awaiting admission checks whether its
+	// execution halted.
+	haltPoll = 100 * time.Millisecond
 )
 
 func (as *MembershipAutoscale) defaults() {
@@ -673,10 +679,11 @@ func (mc *MembershipController) RequestLeave() {
 }
 
 // AwaitAdmission is the joiner's entry point: broadcast the admission request
-// and block until the leader's join decision arrives, or until the earlier
-// of end (the end of the run: a later admission has nothing to drive) and
-// the barrier timeout. The caller must then advance every local input to
-// the returned transition's epoch and call RunBarrier.
+// and block until the leader's join decision arrives, until the execution
+// halts (no decision can reach it then; its error is returned), or until
+// the earlier of end (the end of the run: a later admission has nothing to
+// drive) and the barrier timeout. The caller must then advance every local
+// input to the returned transition's epoch and call RunBarrier.
 func (mc *MembershipController) AwaitAdmission(end time.Time) (*Transition, error) {
 	if !mc.Joiner() {
 		panic("plan: AwaitAdmission on a process that is not a joiner")
@@ -690,9 +697,17 @@ func (mc *MembershipController) AwaitAdmission(end time.Time) (*Transition, erro
 	mc.mu.Lock()
 	defer mc.mu.Unlock()
 	for mc.joinDecision == nil {
-		if !mc.waitLocked(deadline) {
+		if err := mc.opts.Fabric.Err(); err != nil {
+			return nil, fmt.Errorf("plan: process %d: execution halted awaiting admission: %w", mc.opts.Proc, err)
+		}
+		if !time.Now().Before(deadline) {
 			return nil, fmt.Errorf("plan: process %d: no admission decision within %v", mc.opts.Proc, deadline.Sub(began).Round(time.Millisecond))
 		}
+		wake := time.Now().Add(haltPoll)
+		if deadline.Before(wake) {
+			wake = deadline
+		}
+		mc.waitLocked(wake)
 	}
 	return mc.joinDecision, nil
 }

@@ -104,6 +104,8 @@ func (f *fakeFabric) RetirePeer(p int) {
 	f.mu.Unlock()
 }
 
+func (f *fakeFabric) Err() error { return nil }
+
 func (f *fakeFabric) DataCounters() (sent, recv []uint64) {
 	return make([]uint64, f.procs), make([]uint64, f.procs)
 }

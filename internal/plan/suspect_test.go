@@ -231,6 +231,7 @@ func (nullFabric) InstallView(from core.Time, a []bool) {}
 func (nullFabric) Activate(p int)                       {}
 func (nullFabric) RetirePeer(p int)                     {}
 func (nullFabric) DataCounters() (sent, recv []uint64)  { return nil, nil }
+func (nullFabric) Err() error                           { return nil }
 
 // writeManifests writes manifest files for the given workers at one epoch,
 // each recording the given live roster (nil = full roster). Writing a strict

@@ -16,6 +16,9 @@
 #   6. no encoding/gob  no non-test package imports it: whatever crosses a
 #                       process or lands in a checkpoint is binary (go
 #                       list's .Imports leaves out test imports)
+#      no container/heap  likewise: what waits for a logical time queues in
+#                       dataflow.TimeQueue, and every other heap sifts with
+#                       its HeapPush/HeapPop (one typed heap, nothing boxed)
 #
 # Tools that are not on PATH are skipped with a notice rather than failing:
 # the module has no dependencies, so the two optional tools cannot be
@@ -54,13 +57,16 @@ fi
 echo "== megalint ./..."
 go run ./cmd/megalint ./... || fail=1
 
-echo "== no encoding/gob outside tests"
-out=$(go list -f '{{.ImportPath}}: {{join .Imports " "}}' ./... | grep -E ' encoding/gob( |$)')
-if [ -n "$out" ]; then
-  echo "encoding/gob imported by:"
-  echo "$out" | cut -d: -f1
-  fail=1
-fi
+imports=$(go list -f '{{.ImportPath}}: {{join .Imports " "}}' ./...)
+for pkg in encoding/gob container/heap; do
+  echo "== no $pkg outside tests"
+  out=$(echo "$imports" | grep -E " $pkg( |\$)")
+  if [ -n "$out" ]; then
+    echo "$pkg imported by:"
+    echo "$out" | cut -d: -f1
+    fail=1
+  fi
+done
 
 if [ "$fail" -ne 0 ]; then
   echo "lint: FAILED"
