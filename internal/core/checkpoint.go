@@ -8,6 +8,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -25,10 +26,12 @@ import (
 // F serializes them with the operator's migration codec — the bytes a bin
 // crossing processes puts on the wire — and writes one record per bin plus
 // a manifest (epoch, the bin→worker assignment in effect, the live roster,
-// per-bin digests) to CheckpointConfig.Dir. A restarting process loads
+// per-bin digests) to CheckpointConfig.Dir. A restarting process finds
 // the newest epoch whose every *live* worker's manifest is present (dead
-// slots own no bins and write nothing), reinstalls its workers' bins through
-// the same install path a migration uses, and resumes input at T.
+// slots own no bins and write nothing) and puts a RestoreMove for each bin
+// its workers owned there on the control stream, one epoch before T: each
+// F rebuilds its bins from disk and ships them to its own S through the
+// same install path a migration uses, and input resumes at T.
 
 // CheckpointConfig enables checkpointing on a megaphone operator
 // (Config.Checkpoint). The directory is shared by every worker of the
@@ -67,18 +70,16 @@ func (c *CheckpointConfig) reportError(epoch Time, worker int, err error) {
 	fmt.Fprintf(os.Stderr, "megaphone: checkpoint at epoch %d on worker %d failed (epoch not committed): %v\n", epoch, worker, err)
 }
 
-// Restore carries a loaded checkpoint into Operator via Config.Restore: the
-// bin→worker assignment in effect at the checkpoint epoch and the
-// serialized payloads of the bins owned by this process's workers. Build it
-// with LoadRestore.
+// Restore is what LoadCheckpointBins reads from one operator's checkpoint:
+// the bin→worker assignment in effect at the checkpoint epoch and the
+// serialized payloads of the bins asked for.
 type Restore struct {
-	// Epoch is the checkpoint's logical time; drivers resume input there.
-	Epoch Time
-	// LogBins must match the operator's Config.LogBins.
+	// LogBins is the log2 of the checkpointed operator's bin count.
 	LogBins int
-	// Assignment maps every bin to its owning worker at Epoch.
+	// Assignment maps every bin to its owning worker at the checkpoint.
 	Assignment []int
-	// Bins maps locally-owned bins to their codec payloads.
+	// Bins maps the requested bins to their codec payloads; a bin owned
+	// but empty at the checkpoint is absent.
 	Bins map[int][]byte
 }
 
@@ -276,7 +277,7 @@ func LatestCheckpoint(dir string, peers int) (epoch Time, ops []string, ok bool,
 	sort.Strings(ops)
 
 	// Candidate epochs: those listed under the first operator; an epoch is
-	// complete when every op has every worker's manifest for it.
+	// complete when every op has every live worker's manifest for it.
 	var epochs []Time
 	sub, err := os.ReadDir(filepath.Join(dir, ops[0]))
 	if err != nil {
@@ -298,22 +299,8 @@ func LatestCheckpoint(dir string, peers int) (epoch Time, ops []string, ok bool,
 	for _, ep := range epochs {
 		complete := true
 		for _, op := range ops {
-			// Any present manifest names the roster live at the epoch; the
-			// epoch is complete for this op when every live worker committed.
-			// A dead slot's manifest is never written post-crash, and never
-			// required: its bins belong to survivors at the epoch.
-			m := anyManifest(dir, op, ep, peers)
-			if m == nil || m.Peers != peers {
+			if _, err := epochManifest(dir, op, ep, peers); err != nil {
 				complete = false
-				break
-			}
-			for _, w := range m.liveSet(peers) {
-				if _, serr := os.Stat(ckptManifestPath(dir, op, ep, w)); serr != nil {
-					complete = false
-					break
-				}
-			}
-			if !complete {
 				break
 			}
 		}
@@ -329,105 +316,110 @@ func LatestCheckpoint(dir string, peers int) (epoch Time, ops []string, ok bool,
 // when none is readable.
 func anyManifest(dir, op string, epoch Time, peers int) *Manifest {
 	for w := 0; w < peers; w++ {
-		data, err := os.ReadFile(ckptManifestPath(dir, op, epoch, w))
-		if err != nil {
-			continue
-		}
-		var m Manifest
-		if json.Unmarshal(data, &m) == nil {
-			return &m
+		if m, err := readManifest(dir, op, epoch, w); err == nil {
+			return m
 		}
 	}
 	return nil
 }
 
-// LoadRestore reads one operator's checkpoint at epoch for the workers in
-// [first, first+n): it verifies every manifest (peer count, codec,
-// assignment agreement) and every bin's digest, and returns the Restore to
-// hand to Config.Restore. codec must name the codec the recovering run will
-// decode with. Workers outside the checkpoint's recorded live roster wrote
-// no manifest and own no bins; their absence is tolerated, so a
-// shrunk-roster checkpoint maps onto the full worker space.
-func LoadRestore(dir, op string, epoch Time, peers, first, n int, codec string) (*Restore, error) {
-	r := &Restore{Epoch: epoch, Bins: make(map[int][]byte)}
-	var live []int // live roster per the first manifest read
-	var missing []int
-	for w := first; w < first+n; w++ {
-		data, err := os.ReadFile(ckptManifestPath(dir, op, epoch, w))
-		if os.IsNotExist(err) {
-			// Possibly a slot that was dead at the checkpoint epoch; judged
-			// against the recorded live roster once a manifest is in hand.
-			missing = append(missing, w)
+// readManifest reads and parses one worker's manifest.
+func readManifest(dir, op string, epoch Time, worker int) (*Manifest, error) {
+	data, err := os.ReadFile(ckptManifestPath(dir, op, epoch, worker))
+	if err != nil {
+		return nil, err
+	}
+	var m Manifest
+	if err := json.Unmarshal(data, &m); err != nil {
+		return nil, err
+	}
+	return &m, nil
+}
+
+// epochManifest returns a manifest of one operator's checkpoint epoch once
+// the epoch is complete: some manifest is readable, it was written by an
+// execution of peers workers, and every worker it records as live committed
+// its own (a slot dead at the epoch owns no bins and wrote none). The error
+// names what is missing.
+func epochManifest(dir, op string, epoch Time, peers int) (*Manifest, error) {
+	m := anyManifest(dir, op, epoch, peers)
+	if m == nil {
+		return nil, fmt.Errorf("megaphone: checkpoint at epoch %d for %q: no manifest present", epoch, op)
+	}
+	if m.Peers != peers {
+		return nil, fmt.Errorf("megaphone: checkpoint was taken with %d workers, recovering with %d: worker counts must match", m.Peers, peers)
+	}
+	for _, w := range m.liveSet(peers) {
+		if _, err := os.Stat(ckptManifestPath(dir, op, epoch, w)); err != nil {
+			return nil, fmt.Errorf("megaphone: checkpoint manifest for worker %d missing but the epoch records it live (incomplete checkpoint)", w)
+		}
+	}
+	return m, nil
+}
+
+// LoadCheckpointBins is the one checkpoint loader. It reads the payloads of
+// the given bins from one operator's checkpoint at epoch, wherever they were
+// written: the checkpoint's own assignment — not the assignment in effect
+// now — names the worker whose file holds each bin, because bins may have
+// migrated since. It verifies that the epoch is complete, that every
+// manifest it reads agrees on the execution (peer count, codec, bin count,
+// assignment), and every digest of each data file it opens; codec names the
+// codec the caller decodes with. Bins that were owned but empty at the
+// checkpoint are absent from the result, and no bins at all reads only the
+// assignment.
+func LoadCheckpointBins(dir, op string, epoch Time, peers int, bins []int, codec string) (*Restore, error) {
+	m0, err := epochManifest(dir, op, epoch, peers)
+	if err != nil {
+		return nil, err
+	}
+	if m0.Codec != codec {
+		return nil, fmt.Errorf("megaphone: checkpoint was encoded with codec %q, recovering with %q: the payload format changed between the two builds", m0.Codec, codec)
+	}
+	if m0.LogBins < 0 || m0.LogBins > MaxLogBins || len(m0.Assignment) != 1<<uint(m0.LogBins) {
+		return nil, fmt.Errorf("megaphone: checkpoint manifest assignment has %d bins, log_bins says 2^%d", len(m0.Assignment), m0.LogBins)
+	}
+	for b, owner := range m0.Assignment {
+		if owner < 0 || owner >= peers {
+			return nil, fmt.Errorf("megaphone: checkpoint assigns bin %d to worker %d, outside the execution's %d workers", b, owner, peers)
+		}
+	}
+	out := &Restore{LogBins: m0.LogBins, Assignment: m0.Assignment, Bins: make(map[int][]byte, len(bins))}
+	wanted := make([]bool, len(m0.Assignment))
+	read := make([]bool, peers) // the workers whose files hold a wanted bin
+	for _, b := range bins {
+		if b < 0 || b >= len(wanted) {
+			return nil, fmt.Errorf("megaphone: restore bin %d out of range for checkpoint with %d bins", b, len(wanted))
+		}
+		wanted[b], read[m0.Assignment[b]] = true, true
+	}
+	for w := range read {
+		if !read[w] {
 			continue
 		}
-		if err != nil {
-			return nil, fmt.Errorf("megaphone: checkpoint manifest for worker %d: %w", w, err)
+		m := m0
+		if w != m0.Worker {
+			if m, err = readManifest(dir, op, epoch, w); err != nil {
+				return nil, fmt.Errorf("megaphone: checkpoint manifest for worker %d: %w", w, err)
+			}
 		}
-		var m Manifest
-		if err := json.Unmarshal(data, &m); err != nil {
-			return nil, fmt.Errorf("megaphone: checkpoint manifest for worker %d: %w", w, err)
-		}
-		if m.Op != op || m.Epoch != uint64(epoch) || m.Worker != w {
+		switch {
+		case m.Op != op || m.Epoch != uint64(epoch) || m.Worker != w:
 			return nil, fmt.Errorf("megaphone: checkpoint manifest identity mismatch (op %q epoch %d worker %d)", m.Op, m.Epoch, m.Worker)
+		case m.Peers != peers || m.Codec != codec || m.LogBins != m0.LogBins || !slices.Equal(m.Assignment, m0.Assignment):
+			return nil, fmt.Errorf("megaphone: checkpoint manifests disagree on the execution or the bin assignment (worker %d)", w)
 		}
-		if m.Peers != peers {
-			return nil, fmt.Errorf("megaphone: checkpoint was taken with %d workers, recovering with %d: worker counts must match", m.Peers, peers)
-		}
-		if m.Codec != codec {
-			return nil, fmt.Errorf("megaphone: checkpoint was encoded with codec %q, recovering with %q: the payload format changed between the two builds", m.Codec, codec)
-		}
-		if r.Assignment == nil {
-			r.LogBins = m.LogBins
-			r.Assignment = m.Assignment
-			live = m.liveSet(peers)
-		} else if m.LogBins != r.LogBins || !equalInts(m.Assignment, r.Assignment) {
-			return nil, fmt.Errorf("megaphone: checkpoint manifests disagree on the bin assignment (worker %d)", w)
-		}
-		if len(m.Assignment) != 1<<uint(m.LogBins) {
-			return nil, fmt.Errorf("megaphone: checkpoint manifest assignment has %d bins, log_bins says %d", len(m.Assignment), 1<<uint(m.LogBins))
-		}
-		if err := loadBins(dir, op, epoch, w, &m, r); err != nil {
+		if err := loadBins(dir, op, epoch, w, m, wanted, out); err != nil {
 			return nil, err
 		}
 	}
-	if len(missing) > 0 {
-		if r.Assignment == nil {
-			// Every requested worker's manifest is absent: consult any other
-			// worker's to learn the roster and assignment (a joiner reviving
-			// a slot that was dead at the epoch lands here).
-			m := anyManifest(dir, op, epoch, peers)
-			if m == nil {
-				return nil, fmt.Errorf("megaphone: checkpoint manifest for worker %d: no manifest present at epoch %d", missing[0], epoch)
-			}
-			if m.Peers != peers {
-				return nil, fmt.Errorf("megaphone: checkpoint was taken with %d workers, recovering with %d: worker counts must match", m.Peers, peers)
-			}
-			if m.Codec != codec {
-				return nil, fmt.Errorf("megaphone: checkpoint was encoded with codec %q, recovering with %q: the payload format changed between the two builds", m.Codec, codec)
-			}
-			r.LogBins = m.LogBins
-			r.Assignment = m.Assignment
-			live = m.liveSet(peers)
-		}
-		for _, w := range missing {
-			if containsInt(live, w) {
-				return nil, fmt.Errorf("megaphone: checkpoint manifest for worker %d missing but the epoch records it live (incomplete checkpoint)", w)
-			}
-			for b, owner := range r.Assignment {
-				if owner == w {
-					return nil, fmt.Errorf("megaphone: checkpoint assigns bin %d to worker %d, which wrote no manifest (incomplete checkpoint)", b, w)
-				}
-			}
-		}
-	}
-	return r, nil
+	return out, nil
 }
 
 // loadBins reads one worker's data file, verifying each bin's digest against
 // both the in-file digest and the manifest, and checks each payload's format
 // tag: a bin in the retired gob format, under the same codec name, is
-// refused by name.
-func loadBins(dir, op string, epoch Time, worker int, m *Manifest, r *Restore) error {
+// refused by name. The payloads of wanted bins go into r.
+func loadBins(dir, op string, epoch Time, worker int, m *Manifest, wanted []bool, r *Restore) error {
 	want := make(map[int]*BinManifest, len(m.Bins))
 	for i := range m.Bins {
 		bm := &m.Bins[i]
@@ -480,8 +472,10 @@ func loadBins(dir, op string, epoch Time, worker int, m *Manifest, r *Restore) e
 		if len(payload) == 0 || payload[0] != binFormatBinary {
 			return fmt.Errorf("megaphone: checkpoint of operator %q: bin %d is not in the binary format; the gob format of earlier builds no longer loads", op, bin)
 		}
-		// Detach the payload from the file buffer.
-		r.Bins[bin] = append([]byte(nil), payload...)
+		if wanted[bin] {
+			// Detach the payload from the file buffer.
+			r.Bins[bin] = append([]byte(nil), payload...)
+		}
 	}
 	for bin := range want {
 		if !seen[bin] {
@@ -491,70 +485,6 @@ func loadBins(dir, op string, epoch Time, worker int, m *Manifest, r *Restore) e
 	return nil
 }
 
-// LoadCheckpointBins reads the payloads of a specific set of bins from one
-// operator's checkpoint at epoch, wherever they were written: the
-// checkpoint's own assignment — not the assignment in effect now — names
-// the worker whose file holds each bin, because bins may have migrated
-// since. Crash-leave restore uses it to rebuild a dead member's bins on
-// their new owners without loading the whole checkpoint. Bins that were
-// owned but empty at the checkpoint are absent from the result (recovery
-// recreates them lazily), exactly as with LoadRestore.
-func LoadCheckpointBins(dir, op string, epoch Time, peers int, bins []int, codec string) (*Restore, error) {
-	// Any present manifest carries the checkpoint's assignment; worker 0
-	// itself may have been dead at the epoch and written none.
-	m0 := anyManifest(dir, op, epoch, peers)
-	if m0 == nil {
-		return nil, fmt.Errorf("megaphone: checkpoint at epoch %d for %q: no manifest present", epoch, op)
-	}
-	out := &Restore{Epoch: epoch, LogBins: m0.LogBins, Assignment: m0.Assignment, Bins: make(map[int][]byte)}
-	wanted := make(map[int]bool, len(bins))
-	byOwner := make(map[int][]int)
-	for _, b := range bins {
-		if b < 0 || b >= len(m0.Assignment) {
-			return nil, fmt.Errorf("megaphone: restore bin %d out of range for checkpoint with %d bins", b, len(m0.Assignment))
-		}
-		wanted[b] = true
-		owner := m0.Assignment[b]
-		byOwner[owner] = append(byOwner[owner], b)
-	}
-	for w := range byOwner {
-		r, err := LoadRestore(dir, op, epoch, peers, w, 1, codec)
-		if err != nil {
-			return nil, err
-		}
-		if !equalInts(r.Assignment, out.Assignment) {
-			return nil, fmt.Errorf("megaphone: checkpoint manifests disagree on the bin assignment (worker %d)", w)
-		}
-		for b, p := range r.Bins {
-			if wanted[b] {
-				out.Bins[b] = p
-			}
-		}
-	}
-	return out, nil
-}
-
 func recordErr(worker int, err error) error {
 	return fmt.Errorf("megaphone: checkpoint data for worker %d: corrupt record: %w", worker, err)
-}
-
-func containsInt(s []int, v int) bool {
-	for _, x := range s {
-		if x == v {
-			return true
-		}
-	}
-	return false
-}
-
-func equalInts(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

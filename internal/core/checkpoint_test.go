@@ -1,9 +1,11 @@
 package core
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -24,7 +26,7 @@ func mkBin(seed uint64, n int) *BinState[KV[uint64, uint64], MapState[uint64, ui
 
 // writeTestCheckpoint drains bins (bin id -> state) for one worker at the
 // given epoch and commits the manifest.
-func writeTestCheckpoint(t *testing.T, dir string, epoch Time, worker, peers, logBins int,
+func writeTestCheckpoint(t testing.TB, dir string, epoch Time, worker, peers, logBins int,
 	assignment []int, binStates map[int]*BinState[KV[uint64, uint64], MapState[uint64, uint64]]) {
 	t.Helper()
 	writeLiveCheckpoint(t, dir, epoch, worker, peers, logBins, assignment, nil, binStates)
@@ -32,7 +34,7 @@ func writeTestCheckpoint(t *testing.T, dir string, epoch Time, worker, peers, lo
 
 // writeLiveCheckpoint is writeTestCheckpoint with an explicit live roster
 // recorded in the manifest (a shrunk-roster checkpoint).
-func writeLiveCheckpoint(t *testing.T, dir string, epoch Time, worker, peers, logBins int,
+func writeLiveCheckpoint(t testing.TB, dir string, epoch Time, worker, peers, logBins int,
 	assignment, live []int, binStates map[int]*BinState[KV[uint64, uint64], MapState[uint64, uint64]]) {
 	t.Helper()
 	w, err := NewCheckpointWriter(dir, "test-op", epoch, worker)
@@ -58,8 +60,8 @@ func writeLiveCheckpoint(t *testing.T, dir string, epoch Time, worker, peers, lo
 }
 
 // TestCheckpointRoundTrip: bins written through the checkpoint writer, one
-// record per bin, come back bit-identical through LoadRestore, and the
-// recorded assignment survives.
+// record per bin, come back bit-identical through LoadCheckpointBins, with
+// their pending records, and the recorded assignment survives.
 func TestCheckpointRoundTrip(t *testing.T) {
 	t.Run("record-per-bin", testCheckpointRoundTrip)
 }
@@ -87,13 +89,20 @@ func testCheckpointRoundTrip(t *testing.T) {
 		t.Fatalf("LatestCheckpoint = (%d, %v)", epoch, ops)
 	}
 
-	// Each worker's process view holds exactly the bins it owned.
+	// Each worker's bins come back from its own file, all but the never
+	// written bin 3.
 	for w, want := range [][]int{{1}, {0, 2}} {
-		r, err := LoadRestore(dir, "test-op", 5, peers, w, 1, TransferBinary.Name())
+		var owned []int
+		for b, owner := range assignment {
+			if owner == w {
+				owned = append(owned, b)
+			}
+		}
+		r, err := LoadCheckpointBins(dir, "test-op", 5, peers, owned, TransferBinary.Name())
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(r.Assignment, assignment) || r.LogBins != logBins || r.Epoch != 5 {
+		if !reflect.DeepEqual(r.Assignment, assignment) || r.LogBins != logBins {
 			t.Fatalf("restore metadata mismatch: %+v", r)
 		}
 		if len(r.Bins) != len(want) {
@@ -145,9 +154,9 @@ func TestLatestCheckpointSkipsIncomplete(t *testing.T) {
 }
 
 // TestShrunkRosterCheckpoint: an epoch whose manifests record a shrunk live
-// roster is complete without the dead slot's manifest, restores for the dead
-// slot's worker range come back empty instead of erroring, and the
-// bin-targeted loader works even when worker 0 is the dead one.
+// roster is complete without the dead slot's manifest, the loader reads its
+// assignment and bins even though worker 0 is the dead one, and an epoch
+// missing a live worker's manifest is incomplete to the loader too.
 func TestShrunkRosterCheckpoint(t *testing.T) {
 	dir := t.TempDir()
 	const peers, logBins = 2, 1
@@ -162,22 +171,17 @@ func TestShrunkRosterCheckpoint(t *testing.T) {
 		t.Fatalf("shrunk-roster epoch not complete: epoch=%d ok=%v err=%v", epoch, ok, err)
 	}
 
-	// The dead slot's worker range: no manifest, no bins, no error.
-	r, err := LoadRestore(dir, "test-op", 30, peers, 0, 1, TransferBinary.Name())
+	// The assignment alone: no manifest-w0, no bins, no error.
+	r, err := LoadCheckpointBins(dir, "test-op", 30, peers, nil, TransferBinary.Name())
 	if err != nil {
-		t.Fatalf("restore of a checkpoint-dead slot errored: %v", err)
+		t.Fatalf("assignment of a shrunk-roster checkpoint errored: %v", err)
 	}
 	if len(r.Bins) != 0 || !reflect.DeepEqual(r.Assignment, assignment) {
-		t.Fatalf("dead-slot restore: bins=%d assignment=%v", len(r.Bins), r.Assignment)
+		t.Fatalf("assignment read: bins=%d assignment=%v", len(r.Bins), r.Assignment)
 	}
 
-	// The survivor's range holds everything.
-	r, err = LoadRestore(dir, "test-op", 30, peers, 1, 1, TransferBinary.Name())
-	if err != nil || len(r.Bins) != 2 {
-		t.Fatalf("survivor restore: bins=%d err=%v", len(r.Bins), err)
-	}
-
-	// Targeted bin load must not insist on manifest-w0.
+	// The survivor's file holds every bin; the load must not insist on
+	// manifest-w0.
 	r, err = LoadCheckpointBins(dir, "test-op", 30, peers, []int{0, 1}, TransferBinary.Name())
 	if err != nil || len(r.Bins) != 2 {
 		t.Fatalf("LoadCheckpointBins without worker 0: bins=%d err=%v", len(r.Bins), err)
@@ -189,15 +193,17 @@ func TestShrunkRosterCheckpoint(t *testing.T) {
 	if epoch, _, ok, err := LatestCheckpoint(dir, peers); err != nil || !ok || epoch != 30 {
 		t.Fatalf("incomplete live epoch not skipped: epoch=%d ok=%v err=%v", epoch, ok, err)
 	}
-	if _, err := LoadRestore(dir, "test-op", 40, peers, 0, 1, TransferBinary.Name()); err == nil {
-		t.Fatal("restore of a live worker with a missing manifest did not error")
+	if _, err := LoadCheckpointBins(dir, "test-op", 40, peers, []int{0, 1}, TransferBinary.Name()); err == nil ||
+		!strings.Contains(err.Error(), "incomplete") {
+		t.Fatalf("load of an epoch missing a live worker's manifest: %v, want an incomplete-checkpoint error", err)
 	}
 }
 
-// TestLoadRestoreDetectsCorruption: flipped payload bytes fail the digest
-// check, a truncated data file fails the completeness check, a data file of
-// the older split-record layout is refused as bad magic, and a bin in the
-// retired gob format is refused by name.
+// TestLoadRestoreDetectsCorruption: LoadCheckpointBins fails the digest
+// check on flipped payload bytes and the completeness check on a truncated
+// data file, refuses a record length beyond the file, a data file of the
+// older split-record layout as bad magic, a codec mismatch, and a bin in the
+// retired gob format by name.
 func TestLoadRestoreDetectsCorruption(t *testing.T) {
 	t.Run("record-per-bin", testLoadRestoreDetectsCorruption)
 }
@@ -218,7 +224,7 @@ func testLoadRestoreDetectsCorruption(t *testing.T) {
 	if err := os.WriteFile(path, flipped, 0o666); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadRestore(dir, "test-op", 7, 1, 0, 1, TransferBinary.Name()); err == nil ||
+	if _, err := LoadCheckpointBins(dir, "test-op", 7, 1, []int{0, 1}, TransferBinary.Name()); err == nil ||
 		!strings.Contains(err.Error(), "corrupt") && !strings.Contains(err.Error(), "digest") {
 		t.Fatalf("corrupted payload not detected: %v", err)
 	}
@@ -226,7 +232,7 @@ func testLoadRestoreDetectsCorruption(t *testing.T) {
 	if err := os.WriteFile(path, data[:len(data)/2], 0o666); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadRestore(dir, "test-op", 7, 1, 0, 1, TransferBinary.Name()); err == nil {
+	if _, err := LoadCheckpointBins(dir, "test-op", 7, 1, []int{0, 1}, TransferBinary.Name()); err == nil {
 		t.Fatal("truncated data file not detected")
 	}
 
@@ -236,7 +242,7 @@ func testLoadRestoreDetectsCorruption(t *testing.T) {
 	if err := os.WriteFile(path, append(huge, make([]byte, 16)...), 0o666); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadRestore(dir, "test-op", 7, 1, 0, 1, TransferBinary.Name()); err == nil ||
+	if _, err := LoadCheckpointBins(dir, "test-op", 7, 1, []int{0, 1}, TransferBinary.Name()); err == nil ||
 		!strings.Contains(err.Error(), "corrupt record") {
 		t.Fatalf("record length beyond the file not detected: %v", err)
 	}
@@ -245,7 +251,7 @@ func testLoadRestoreDetectsCorruption(t *testing.T) {
 	if err := os.WriteFile(path, old, 0o666); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadRestore(dir, "test-op", 7, 1, 0, 1, TransferBinary.Name()); err == nil ||
+	if _, err := LoadCheckpointBins(dir, "test-op", 7, 1, []int{0, 1}, TransferBinary.Name()); err == nil ||
 		!strings.Contains(err.Error(), "bad magic") {
 		t.Fatalf("split-record layout not refused as bad magic: %v", err)
 	}
@@ -254,7 +260,7 @@ func testLoadRestoreDetectsCorruption(t *testing.T) {
 	if err := os.WriteFile(path, data, 0o666); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadRestore(dir, "test-op", 7, 1, 0, 1, "gob"); err == nil ||
+	if _, err := LoadCheckpointBins(dir, "test-op", 7, 1, []int{0, 1}, "gob"); err == nil ||
 		!strings.Contains(err.Error(), "codec") {
 		t.Fatalf("codec mismatch not detected: %v", err)
 	}
@@ -272,12 +278,98 @@ func testLoadRestoreDetectsCorruption(t *testing.T) {
 	if err := w.Finish(1, 1, TransferBinary.Name(), assignment, nil); err != nil {
 		t.Fatal(err)
 	}
-	_, err = LoadRestore(dir, "test-op", 8, 1, 0, 1, TransferBinary.Name())
-	_, err2 := LoadCheckpointBins(dir, "test-op", 8, 1, []int{1}, TransferBinary.Name())
-	for _, err := range []error{err, err2} {
-		if err == nil || !strings.Contains(err.Error(), `"test-op"`) || !strings.Contains(err.Error(), "bin 1") ||
-			!strings.Contains(err.Error(), "gob") {
-			t.Fatalf("gob-format bin not refused by name: %v", err)
-		}
+	_, err = LoadCheckpointBins(dir, "test-op", 8, 1, []int{1}, TransferBinary.Name())
+	if err == nil || !strings.Contains(err.Error(), `"test-op"`) || !strings.Contains(err.Error(), "bin 1") ||
+		!strings.Contains(err.Error(), "gob") {
+		t.Fatalf("gob-format bin not refused by name: %v", err)
 	}
+}
+
+// FuzzCheckpointLoad mutates worker 0's data file and manifest of a small
+// two-worker checkpoint: LoadCheckpointBins returns an error or bins whose
+// payloads match the digests their owners' manifests list, and never
+// panics.
+func FuzzCheckpointLoad(f *testing.F) {
+	const peers, logBins = 2, 2
+	assignment := []int{0, 1, 0, 1}
+	bins := map[int]*BinState[KV[uint64, uint64], MapState[uint64, uint64]]{
+		0: mkBin(1, 3),
+		1: mkBin(2, 5),
+		2: mkBin(3, 2),
+	}
+	bins[0].PushPending(9, KV[uint64, uint64]{Key: 7, Val: 7})
+	src := f.TempDir()
+	for w := 0; w < peers; w++ {
+		writeTestCheckpoint(f, src, 5, w, peers, logBins, assignment, bins)
+	}
+	// A worker 0 whose one bin is tagged as the retired gob format, with a
+	// digest to match.
+	gob := f.TempDir()
+	w, err := NewCheckpointWriter(gob, "test-op", 5, 0)
+	if err != nil {
+		f.Fatal(err)
+	}
+	if err := w.WriteBin(0, append([]byte{0x00}, make([]byte, 16)...)); err != nil {
+		f.Fatal(err)
+	}
+	if err := w.Finish(peers, logBins, TransferBinary.Name(), assignment, nil); err != nil {
+		f.Fatal(err)
+	}
+	read := func(dir, name string) []byte {
+		data, err := os.ReadFile(filepath.Join(dir, "test-op", "epoch-5", name))
+		if err != nil {
+			f.Fatal(err)
+		}
+		return data
+	}
+	data0, man0 := read(src, "bins-w0.dat"), read(src, "manifest-w0.json")
+	data1, man1 := read(src, "bins-w1.dat"), read(src, "manifest-w1.json")
+	f.Add(data0, man0)
+	f.Add(data0[:len(data0)/2], man0)
+	f.Add(data0[:len(ckptMagic)+1], man0)
+	f.Add(data0, man0[:len(man0)/2])
+	f.Add(append([]byte("MPCK1\n"), data0[len(ckptMagic):]...), man0)
+	f.Add(read(gob, "bins-w0.dat"), read(gob, "manifest-w0.json"))
+	all := []int{0, 1, 2, 3}
+	if r, err := LoadCheckpointBins(src, "test-op", 5, peers, all, TransferBinary.Name()); err != nil || len(r.Bins) != len(bins) {
+		f.Fatalf("the unmutated checkpoint loads %v, err %v", r, err)
+	}
+	f.Fuzz(func(t *testing.T, data, manifest []byte) {
+		dir := t.TempDir()
+		ed := filepath.Join(dir, "test-op", "epoch-5")
+		if err := os.MkdirAll(ed, 0o777); err != nil {
+			t.Fatal(err)
+		}
+		for name, b := range map[string][]byte{"bins-w0.dat": data, "manifest-w0.json": manifest, "bins-w1.dat": data1, "manifest-w1.json": man1} {
+			if err := os.WriteFile(filepath.Join(ed, name), b, 0o666); err != nil {
+				t.Fatal(err)
+			}
+		}
+		r, err := LoadCheckpointBins(dir, "test-op", 5, peers, all, TransferBinary.Name())
+		if err != nil {
+			return
+		}
+		manifests := [][]byte{manifest, man1}
+		for b, payload := range r.Bins {
+			var m Manifest
+			if err := json.Unmarshal(manifests[r.Assignment[b]], &m); err != nil {
+				t.Fatalf("bin %d loaded from worker %d, whose manifest does not parse: %v", b, r.Assignment[b], err)
+			}
+			listed := false
+			for _, bm := range m.Bins {
+				if bm.Bin == b {
+					listed = true
+					if d := strconv.FormatUint(payloadDigest(payload), 16); d != bm.Digest {
+						t.Fatalf("bin %d loaded with digest %s, its manifest lists %s", b, d, bm.Digest)
+					}
+				}
+			}
+			if !listed {
+				t.Fatalf("bin %d loaded, but worker %d's manifest does not list it", b, r.Assignment[b])
+			}
+			if payload[0] != binFormatBinary {
+				t.Fatalf("bin %d loaded with format tag %#x", b, payload[0])
+			}
+		}
+	})
 }

@@ -32,14 +32,15 @@ const None = dataflow.None
 type Move struct {
 	Bin    int
 	Worker int
-	// RestoreEpoch, when non-zero, marks a restore command: the bin's
-	// previous owner is declared dead, so instead of receiving the state
-	// over the wire, the NEW owner rebuilds it from the checkpoint taken at
-	// this epoch (wherever in the checkpoint the bin was written — the
-	// checkpoint's own assignment names the file). The command still changes
-	// ownership exactly like a plain move; it only replaces the state's
-	// source. Zero is unambiguous because checkpoints are only ever
-	// commanded at epochs > 0 (a command at 0 could never become final).
+	// RestoreEpoch, when non-zero, marks a restore command: instead of
+	// receiving the state over the wire, the new owner rebuilds it from the
+	// checkpoint taken at this epoch (wherever in the checkpoint the bin was
+	// written — the checkpoint's own assignment names the file), and every
+	// worker holding the bin, the new owner included, drops its copy. The
+	// command still changes ownership exactly like a plain move; it only
+	// replaces the state's source. Zero is unambiguous because checkpoints
+	// are only ever commanded at epochs > 0 (a command at 0 could never
+	// become final).
 	RestoreEpoch Time
 }
 
@@ -60,10 +61,11 @@ func CheckpointMove() Move { return Move{Bin: CheckpointBin} }
 // IsCheckpoint reports whether m is a checkpoint command.
 func (m Move) IsCheckpoint() bool { return m.Bin == CheckpointBin }
 
-// RestoreMove returns the command that reassigns bin to worker and rebuilds
+// RestoreMove returns the command that assigns bin to worker and rebuilds
 // its state from the checkpoint at epoch ckpt. Crash-leave issues one per
-// bin the dead member owned; the replay of inputs since ckpt is the
-// driver's job (see harness), the command only recovers the bin as of ckpt.
+// bin it lost, and a recovering run one per bin, at the epoch before ckpt;
+// the replay of inputs since ckpt is the driver's job (see harness), the
+// command only recovers the bin as of ckpt.
 func RestoreMove(bin, worker int, ckpt Time) Move {
 	return Move{Bin: bin, Worker: worker, RestoreEpoch: ckpt}
 }

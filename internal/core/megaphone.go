@@ -30,12 +30,6 @@ type Config struct {
 	// command's epoch — a migration to disk, with the same frontier
 	// alignment. nil ignores checkpoint commands.
 	Checkpoint *CheckpointConfig
-	// Restore, when set, installs a loaded checkpoint before the execution
-	// starts: the recorded assignment seeds every F's routing history and
-	// the bins owned by this process's workers are decoded and installed
-	// through the migration install path. Drivers must resume input at
-	// Restore.Epoch. See LoadRestore.
-	Restore *Restore
 }
 
 // MaxLogBins is the largest LogBins the keycount and nexmark runs accept:
@@ -156,7 +150,7 @@ func Operator[R, S, O any](
 	handle *Handle[R, S, O],
 ) dataflow.Stream[O] {
 	cfg.defaults()
-	if (w.InMesh() || cfg.Checkpoint != nil || cfg.Restore != nil) && !stateCapable[S]() {
+	if (w.InMesh() || cfg.Checkpoint != nil) && !stateCapable[S]() {
 		panic(fmt.Sprintf("megaphone: operator %q: state type %T has no binary encoding (a capable BinaryState), so its bins cannot cross processes or be checkpointed",
 			cfg.Name, new(S)))
 	}
@@ -183,9 +177,6 @@ func Operator[R, S, O any](
 		probe: func() *dataflow.Probe { return probe },
 		hist:  make([][]assign, 1<<uint(cfg.LogBins)),
 		h:     handle,
-	}
-	if cfg.Restore != nil {
-		installRestore(w, cfg, ops, f, bins)
 	}
 
 	fb := w.NewOp(cfg.Name+"-F", 2)
@@ -222,22 +213,6 @@ func Operator[R, S, O any](
 	sb := w.NewOp(cfg.Name+"-S", 1)
 	dataflow.Connect(sb, routedData, dataflow.ExchangeTo[routed[R]]{To: func(r routed[R]) int { return int(r.To) }})
 	dataflow.Connect(sb, stateOut, dataflow.ExchangeTo[binMsg[R, S]]{To: func(m binMsg[R, S]) int { return m.To }})
-	if cfg.Restore != nil {
-		// Restored bins can carry pending post-dated records (all at times
-		// >= the checkpoint epoch: earlier ones were replayed before the
-		// checkpoint's frontier). Re-index them in S's notification queue and
-		// pin the output capability at the epoch until S's first scheduling
-		// recomputes its holds — without the initial hold, the frontier
-		// could pass a restored notification before S ever runs.
-		sb.InitialHold(0, cfg.Restore.Epoch)
-		for b, bs := range bins.data {
-			if bs != nil {
-				if ht, ok := bs.headPending(); ok {
-					s.notify.Push(ht, b)
-				}
-			}
-		}
-	}
 	sb.OnPurge(s.purge)
 	sb.OnBound(s.appliedBound)
 	souts := sb.Build(s.schedule)
@@ -249,39 +224,6 @@ func Operator[R, S, O any](
 	// a migration is staged.
 	w.WatchFrontier(fouts[0], probe)
 	return out
-}
-
-// installRestore applies a loaded checkpoint to one worker's operator
-// instance at build time: the recorded assignment becomes the F routing
-// history (so records at times >= the checkpoint epoch route exactly as
-// they did when the checkpoint was taken) and this worker's bins are
-// decoded and installed — the same decode-and-install a migration's
-// receiving side performs, just fed from disk instead of the wire.
-func installRestore[R, S, O any](w *dataflow.Worker, cfg Config, ops Ops[R, S, O], f *fOp[R, S, O], bins *binsHolder[R, S]) {
-	r := cfg.Restore
-	if r.LogBins != cfg.LogBins {
-		panic(fmt.Sprintf("megaphone: operator %q: checkpoint has 2^%d bins, config says 2^%d", cfg.Name, r.LogBins, cfg.LogBins))
-	}
-	if len(r.Assignment) != 1<<uint(cfg.LogBins) {
-		panic(fmt.Sprintf("megaphone: operator %q: restore assignment covers %d bins, want %d", cfg.Name, len(r.Assignment), 1<<uint(cfg.LogBins)))
-	}
-	for b, owner := range r.Assignment {
-		if owner != InitialWorker(b, w.Peers()) {
-			f.hist[b] = append(f.hist[b], assign{From: 0, Worker: owner})
-		}
-		if owner != w.Index() {
-			continue
-		}
-		payload, ok := r.Bins[b]
-		if !ok {
-			continue // bin was owned but empty at the checkpoint
-		}
-		bin := &BinState[R, S]{State: ops.NewState()}
-		if err := cfg.Transfer.DecodeBin(bin, payload); err != nil {
-			panic(fmt.Sprintf("megaphone: operator %q: restoring bin %d: %v", cfg.Name, b, err))
-		}
-		bins.install(b, bin)
-	}
 }
 
 // canonMoves sorts moves by (bin, worker) and keeps one move per bin (the
@@ -475,12 +417,19 @@ func (f *fOp[R, S, O]) execute(c *dataflow.OpCtx, mg installedConfig) {
 		}
 		moves = moves[1:]
 	}
-	// Restore commands first, batched: one checkpoint read serves every bin
-	// this worker must rebuild (a crash reassigns many bins at one epoch).
+	// Restore commands first. The checkpoint is a restored bin's one source:
+	// whichever worker holds the bin now, its target or a live previous
+	// owner, drops it, and the target rebuilds it. One checkpoint read serves
+	// every bin this worker rebuilds (a crash or a recovery restores many
+	// bins at one epoch).
 	var restoreBins []int
 	var restoreEpoch Time
 	for _, m := range moves {
-		if m.IsRestore() && m.Worker == f.index && f.ownerBefore(m.Bin, mg.time) != f.index {
+		if !m.IsRestore() {
+			continue
+		}
+		f.bins.take(m.Bin)
+		if m.Worker == f.index {
 			if restoreEpoch != 0 && restoreEpoch != m.RestoreEpoch {
 				panic(fmt.Sprintf("megaphone: operator %q: restore commands at epoch %d name different checkpoints (%d and %d)",
 					f.cfg.Name, mg.time, restoreEpoch, m.RestoreEpoch))
@@ -494,8 +443,8 @@ func (f *fOp[R, S, O]) execute(c *dataflow.OpCtx, mg installedConfig) {
 	}
 	for _, m := range moves {
 		if m.IsRestore() {
-			// Ownership already changed in step 2; the dead previous owner
-			// ships nothing, and the new owner's state was synthesized above.
+			// Ownership already changed in step 2; no previous owner ships
+			// anything, and the new owner's state was rebuilt above.
 			f.compact(m.Bin, mg.time)
 			continue
 		}
@@ -523,15 +472,16 @@ func (f *fOp[R, S, O]) ship(c *dataflow.OpCtx, t Time, bin, to int, b *BinState[
 	dataflow.SendOwned(c, fOutState, t, msg)
 }
 
-// restoreFromCheckpoint rebuilds the given bins — reassigned to this worker
+// restoreFromCheckpoint rebuilds the given bins — assigned to this worker
 // by restore commands taking effect at time `at` — from the checkpoint at
 // epoch ckpt, and ships them to this worker's own S instance at `at`, like
 // any move. Riding the normal migration install path (rather than poking the
 // shared bins holder directly) re-indexes S's notification queue and fires
-// OnInstall exactly as a migration would. Pending records
-// that came due while the owner was dead are clamped up to `at` (see
-// clampPending). Failure to read the checkpoint is fatal: the dead member's
-// state exists nowhere else.
+// OnInstall exactly as a migration would. A bin empty at the checkpoint
+// ships nothing: S creates it afresh when its first record arrives. Pending
+// records that came due while the owner was dead are clamped up to `at`
+// (see clampPending). Failure to read the checkpoint is fatal: the state
+// exists nowhere else.
 func (f *fOp[R, S, O]) restoreFromCheckpoint(c *dataflow.OpCtx, bins []int, ckpt, at Time) {
 	if f.cfg.Checkpoint == nil {
 		panic(fmt.Sprintf("megaphone: operator %q: restore command at epoch %d but no Config.Checkpoint to read from", f.cfg.Name, at))

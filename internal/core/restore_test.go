@@ -2,6 +2,7 @@ package core
 
 import (
 	"reflect"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -31,7 +32,7 @@ func TestLoadCheckpointBinsSubset(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(r.Assignment, assignment) || r.LogBins != logBins || r.Epoch != 5 {
+	if !reflect.DeepEqual(r.Assignment, assignment) || r.LogBins != logBins {
 		t.Fatalf("restore metadata mismatch: %+v", r)
 	}
 	for _, b := range []int{0, 1} {
@@ -92,16 +93,18 @@ func TestClampPending(t *testing.T) {
 	}
 }
 
-// TestRestoreMoveRebuildsState pins the crash-leave state path end to end
-// in one process: execution A checkpoints at epoch 5 and exits; execution B
-// starts empty (modeling the cluster continuing after a member died with
-// its bins), and at epoch 7 restore commands reassign the "dead" worker 1's
-// bins to worker 0, rebuilt from A's checkpoint. Records fed after the
-// restore must observe the checkpointed counts, and the rebuilt bins must
-// arrive through the normal install path (OnInstall fires on the new
-// owner).
+// TestRestoreMoveRebuildsState pins the restore move end to end in one
+// process: execution A checkpoints at epoch 5 and exits; execution B starts
+// empty, optionally folds live state into worker 1's bins (round-robin: the
+// odd bins) at their initial owner, and at epoch 7 restore commands assign
+// those bins to a target, rebuilt from A's checkpoint. Records fed after the
+// restore must observe the checkpointed counts and nothing of B's live state,
+// a rebuilt bin must arrive through the normal install path (OnInstall fires
+// on its target), and no other worker's holder may keep the bin. The rows:
+// the crash-leave case (dead owner, fresh target), a restore onto the live
+// owner with and without a checkpoint payload, and a restore away from a
+// live owner.
 func TestRestoreMoveRebuildsState(t *testing.T) {
-	dir := t.TempDir()
 	const workers, logBins = 2, 2
 
 	// One key per bin, so per-key counts map 1:1 to per-bin state.
@@ -112,12 +115,23 @@ func TestRestoreMoveRebuildsState(t *testing.T) {
 			keyOf[b] = k
 		}
 	}
+	var even, odd []int
+	for b := 0; b < 1<<logBins; b++ {
+		if InitialWorker(b, workers) == 0 {
+			even = append(even, b)
+		} else {
+			odd = append(odd, b)
+		}
+	}
 
 	type KVr = KV[uint64, int64]
-	run := func(restoreAt Time, feed func(data []*dataflow.InputHandle[KVr], ctl []*dataflow.InputHandle[Move]), onInstall func(t Time, bin, worker int)) map[uint64]int64 {
+	type handleT = Handle[KVr, MapState[uint64, int64], KVr]
+	// run returns each key's latest count: its highest value at the latest
+	// time it was emitted.
+	run := func(dir string, handle *handleT, feed func(data []*dataflow.InputHandle[KVr], ctl []*dataflow.InputHandle[Move])) map[uint64]int64 {
 		var mu sync.Mutex
 		finals := make(map[uint64]int64)
-		handle := &Handle[KVr, MapState[uint64, int64], KVr]{OnInstall: onInstall}
+		at := make(map[uint64]Time)
 		exec := dataflow.NewExecution(dataflow.Config{Workers: workers})
 		var dataIns []*dataflow.InputHandle[KVr]
 		var ctlIns []*dataflow.InputHandle[Move]
@@ -139,11 +153,11 @@ func TestRestoreMoveRebuildsState(t *testing.T) {
 			sink := w.NewOp("sink", 0)
 			dataflow.Connect(sink, counts, dataflow.Pipeline[KVr]{})
 			sink.Build(func(c *dataflow.OpCtx) {
-				dataflow.ForEachBatch(c, 0, func(_ Time, out []KVr) {
+				dataflow.ForEachBatch(c, 0, func(t Time, out []KVr) {
 					mu.Lock()
 					for _, kv := range out {
-						if kv.Val > finals[kv.Key] {
-							finals[kv.Key] = kv.Val
+						if t > at[kv.Key] || t == at[kv.Key] && kv.Val > finals[kv.Key] {
+							finals[kv.Key], at[kv.Key] = kv.Val, t
 						}
 					}
 					mu.Unlock()
@@ -152,6 +166,14 @@ func TestRestoreMoveRebuildsState(t *testing.T) {
 		})
 		exec.Start()
 		feed(dataIns, ctlIns)
+		for e := Time(0); e <= 10; e++ {
+			for _, h := range ctlIns {
+				h.AdvanceTo(e + 1)
+			}
+			for _, h := range dataIns {
+				h.AdvanceTo(e + 1)
+			}
+		}
 		for _, h := range ctlIns {
 			h.Close()
 		}
@@ -162,74 +184,75 @@ func TestRestoreMoveRebuildsState(t *testing.T) {
 		return finals
 	}
 
-	// Execution A: 3 units per key at epochs 1, 2, 3; checkpoint at 5.
-	run(0, func(data []*dataflow.InputHandle[KVr], ctl []*dataflow.InputHandle[Move]) {
-		for e := Time(1); e <= 3; e++ {
-			for _, k := range keyOf {
-				data[0].SendAt(e, KVr{Key: k, Val: 1})
-			}
-		}
-		ctl[0].SendAt(5, CheckpointMove())
-		for e := Time(0); e <= 6; e++ {
-			for _, h := range ctl {
-				h.AdvanceTo(e + 1)
-			}
-			for _, h := range data {
-				h.AdvanceTo(e + 1)
-			}
-		}
-	}, nil)
+	for _, row := range []struct {
+		name     string
+		ckptBins []int // bins A folds 3 units into: the checkpoint's payloads
+		live     bool  // B folds 7 units into the odd bins before the restore
+		to       int   // restore target of the odd bins
+		want     int64 // each odd key's count after 2 more units
+	}{
+		{"dead-owner", odd, false, 0, 3 + 2},
+		{"in-place", odd, true, 1, 3 + 2},
+		{"in-place-no-payload", even, true, 1, 2},
+		{"away-from-live", odd, true, 0, 3 + 2},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			dir := t.TempDir()
+			run(dir, &handleT{}, func(data []*dataflow.InputHandle[KVr], ctl []*dataflow.InputHandle[Move]) {
+				for e := Time(1); e <= 3; e++ {
+					for _, b := range row.ckptBins {
+						data[0].SendAt(e, KVr{Key: keyOf[b], Val: 1})
+					}
+				}
+				ctl[0].SendAt(5, CheckpointMove())
+			})
 
-	// Execution B: restore worker 1's bins (round-robin: odd bins) onto
-	// worker 0 at epoch 7, then add 2 units per restored key.
-	var mu sync.Mutex
-	installed := make(map[int]int) // bin -> installing worker
-	var deadBins []int
-	for b := 0; b < 1<<logBins; b++ {
-		if InitialWorker(b, workers) == 1 {
-			deadBins = append(deadBins, b)
-		}
-	}
-	finals := run(7, func(data []*dataflow.InputHandle[KVr], ctl []*dataflow.InputHandle[Move]) {
-		var moves []Move
-		for _, b := range deadBins {
-			moves = append(moves, RestoreMove(b, 0, 5))
-		}
-		ctl[0].SendAt(7, moves...)
-		for e := Time(8); e <= 9; e++ {
-			for _, b := range deadBins {
-				data[0].SendAt(e, KVr{Key: keyOf[b], Val: 1})
-			}
-		}
-		for e := Time(0); e <= 10; e++ {
-			for _, h := range ctl {
-				h.AdvanceTo(e + 1)
-			}
-			for _, h := range data {
-				h.AdvanceTo(e + 1)
-			}
-		}
-	}, func(_ Time, bin, worker int) {
-		mu.Lock()
-		installed[bin] = worker
-		mu.Unlock()
-	})
+			var mu sync.Mutex
+			installed := make(map[int]int) // bin -> installing worker
+			handle := &handleT{OnInstall: func(_ Time, bin, worker int) {
+				mu.Lock()
+				installed[bin] = worker
+				mu.Unlock()
+			}}
+			finals := run(dir, handle, func(data []*dataflow.InputHandle[KVr], ctl []*dataflow.InputHandle[Move]) {
+				if row.live {
+					for _, b := range odd {
+						data[0].SendAt(1, KVr{Key: keyOf[b], Val: 7})
+					}
+				}
+				var moves []Move
+				for _, b := range odd {
+					moves = append(moves, RestoreMove(b, row.to, 5))
+				}
+				ctl[0].SendAt(7, moves...)
+				for e := Time(8); e <= 9; e++ {
+					for _, b := range odd {
+						data[0].SendAt(e, KVr{Key: keyOf[b], Val: 1})
+					}
+				}
+			})
 
-	for _, b := range deadBins {
-		k := keyOf[b]
-		if finals[k] != 5 {
-			t.Errorf("bin %d key %d: count %d after restore, want 3 (checkpointed) + 2 (new)", b, k, finals[k])
-		}
-		if w, ok := installed[b]; !ok || w != 0 {
-			t.Errorf("bin %d installed on worker %v, want 0 via the migration install path", b, installed[b])
-		}
-	}
-	// Worker 0's own bins were never restored or fed in B.
-	for b := 0; b < 1<<logBins; b++ {
-		if InitialWorker(b, workers) == 0 {
-			if v, ok := finals[keyOf[b]]; ok && v != 0 {
-				t.Errorf("bin %d key %d: unexpected count %d in execution B", b, keyOf[b], v)
+			payload := slices.Contains(row.ckptBins, odd[0])
+			for _, b := range odd {
+				k := keyOf[b]
+				if finals[k] != row.want {
+					t.Errorf("bin %d key %d: count %d after the restore, want %d", b, k, finals[k], row.want)
+				}
+				if w, ok := installed[b]; payload && (!ok || w != row.to) {
+					t.Errorf("bin %d installed on worker %v (ok=%v), want %d via the migration install path", b, w, ok, row.to)
+				}
+				for w := 0; w < workers; w++ {
+					if w != row.to && handle.bins[w].data[b] != nil {
+						t.Errorf("bin %d: worker %d still holds a copy after the restore onto worker %d", b, w, row.to)
+					}
+				}
 			}
-		}
+			// Worker 0's own bins were never restored or fed in B.
+			for _, b := range even {
+				if v, ok := finals[keyOf[b]]; ok && v != 0 {
+					t.Errorf("bin %d key %d: unexpected count %d in execution B", b, keyOf[b], v)
+				}
+			}
+		})
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"megaphone/internal/core"
+	"megaphone/internal/dataflow"
 	"megaphone/internal/plan"
 )
 
@@ -63,7 +64,11 @@ func (c *CheckpointCollector) Stats() []CheckpointStat {
 // checkpointPlan is a run's resolved checkpoint/recovery configuration —
 // Launch's handling of Config.{CheckpointDir,CheckpointEvery,Recover}.
 // Build it with planCheckpoints; the zero value (startEpoch 1, everything
-// else disabled) is a fresh, non-checkpointing run.
+// else disabled) is a fresh, non-checkpointing run. A recovering run
+// restores its state the way a crash-leave does: sendRestores puts a
+// core.RestoreMove for each of this process's bins on the control stream
+// at the epoch before the checkpoint's, and each operator's F rebuilds the
+// bins from disk.
 type checkpointPlan struct {
 	// every is the checkpoint cadence in epochs (Options.CheckpointEvery;
 	// 0 disables).
@@ -74,9 +79,12 @@ type checkpointPlan struct {
 	// config is the operator-facing checkpoint configuration (nil when
 	// checkpointing is disabled), wired to this plan's collector.
 	config *core.CheckpointConfig
-	// restores maps operator names to their loaded checkpoints (nil when
-	// not recovering).
-	restores map[string]*core.Restore
+	// assignment is the checkpoint's bin assignment, which every operator
+	// shares (nil when not recovering).
+	assignment plan.Assignment
+	// restoreMoves rebuild the bins this process's workers owned at the
+	// checkpoint (nil when not recovering).
+	restoreMoves []core.Move
 
 	collector      *CheckpointCollector
 	recovered      bool
@@ -84,13 +92,17 @@ type checkpointPlan struct {
 }
 
 // planCheckpoints validates a run's checkpoint flags and, when recovering,
-// loads the newest complete checkpoint of every operator named in ops,
-// refusing one that holds no state for some of them. It returns the plan
-// and the run duration to use — trimmed to the schedule remaining after the
-// restore epoch, so a recovered run ends at the same epoch the
+// finds the newest complete checkpoint and reads this process's bins of
+// every operator named in ops through the one loader, so that a checkpoint
+// the run cannot restore is refused before the mesh join: one that holds
+// no state for some operator, a corrupt one, one of another bin count than
+// logBins, or one whose operators' assignments disagree (the loader itself
+// refuses an assignment naming a worker outside the execution). It returns
+// the plan and the run duration to use — trimmed to the schedule remaining
+// after the restore epoch, so a recovered run ends at the same epoch the
 // uninterrupted run would have. workload prefixes errors; Launch checks
 // that the dataflow has migrateable state at all.
-func planCheckpoints(workload string, ops []string, dir string, every time.Duration, recover bool,
+func planCheckpoints(workload string, ops []string, logBins int, dir string, every time.Duration, recover bool,
 	totalWorkers, firstWorker, workers int,
 	epochEvery, duration time.Duration) (*checkpointPlan, time.Duration, error) {
 
@@ -110,16 +122,32 @@ func planCheckpoints(workload string, ops []string, dir string, every time.Durat
 		if !ok {
 			return nil, 0, fmt.Errorf("%s: no complete checkpoint under %s", workload, dir)
 		}
-		p.restores = make(map[string]*core.Restore, len(ops))
+		var own []int // the bins this process's workers owned at the checkpoint
 		for _, op := range ops {
 			if !slices.Contains(held, op) {
 				return nil, 0, fmt.Errorf("%s: the checkpoint under %s holds no state for operator %q (it has %v): was it written by another dataflow?", workload, dir, op, held)
 			}
-			r, err := core.LoadRestore(dir, op, epoch, totalWorkers, firstWorker, workers, core.TransferBinary.Name())
+			r, err := core.LoadCheckpointBins(dir, op, epoch, totalWorkers, nil, core.TransferBinary.Name())
 			if err != nil {
 				return nil, 0, err
 			}
-			p.restores[op] = r
+			switch {
+			case r.LogBins != logBins:
+				return nil, 0, fmt.Errorf("%s: the checkpoint under %s has 2^%d bins, this run has 2^%d", workload, dir, r.LogBins, logBins)
+			case p.assignment == nil:
+				p.assignment = r.Assignment
+				for b, owner := range r.Assignment {
+					if owner >= firstWorker && owner < firstWorker+workers {
+						own = append(own, b)
+						p.restoreMoves = append(p.restoreMoves, core.RestoreMove(b, owner, epoch))
+					}
+				}
+			case !slices.Equal(r.Assignment, p.assignment):
+				return nil, 0, fmt.Errorf("%s: the checkpoint under %s assigns the bins of operators %q and %q differently", workload, dir, ops[0], op)
+			}
+			if _, err := core.LoadCheckpointBins(dir, op, epoch, totalWorkers, own, core.TransferBinary.Name()); err != nil {
+				return nil, 0, err
+			}
 		}
 		p.startEpoch = int64(epoch)
 		p.recovered = true
@@ -144,14 +172,20 @@ func planCheckpoints(workload string, ops []string, dir string, every time.Durat
 }
 
 // initialAssignment returns the bin assignment a recovering run's
-// controllers must start from, or nil for a fresh run. Every operator of a
-// dataflow shares one control stream, so their checkpointed assignments
-// are identical and any one of them serves.
+// controllers must start from, or nil for a fresh run.
 func (p *checkpointPlan) initialAssignment() plan.Assignment {
-	for _, r := range p.restores {
-		return append(plan.Assignment(nil), r.Assignment...)
+	return slices.Clone(p.assignment)
+}
+
+// sendRestores puts this process's restore moves on ctl at the epoch before
+// the checkpoint's. The broadcast pact delivers every process's moves to
+// every F, so each bin is restored once, at its owner at the checkpoint,
+// before the frontier reaches the start epoch: the start alignment's wait
+// for it covers the restore, and the run's clock starts after it.
+func (p *checkpointPlan) sendRestores(ctl *dataflow.InputHandle[core.Move]) {
+	if len(p.restoreMoves) > 0 {
+		ctl.SendAt(core.Time(p.startEpoch-1), p.restoreMoves...)
 	}
-	return nil
 }
 
 // filterMigrations drops scheduled migrations whose epoch precedes the

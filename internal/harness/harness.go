@@ -123,7 +123,9 @@ type Result struct {
 	Checkpoints []CheckpointStat
 	// RestoreEpoch and RestoreSeconds describe a recovery run: the epoch
 	// the run resumed from and the wall-clock cost of loading and
-	// verifying the checkpoint (both zero for fresh runs).
+	// verifying this process's bins of the checkpoint before the mesh join
+	// (both zero for fresh runs). The restore moves read the bins again
+	// inside the start alignment, before the run's clock starts.
 	RestoreEpoch   int64
 	RestoreSeconds float64
 }

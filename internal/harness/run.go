@@ -124,15 +124,14 @@ type Dataflow[T any] struct {
 
 // Env is the resolved run a workload builds its parts for: the config
 // with its defaults applied, this process's place in the worker space, and
-// the checkpoint, restore and meter wiring its megaphone operators take.
+// the checkpoint and meter wiring its megaphone operators take.
 type Env struct {
 	Config
 	Extras
 	FirstWorker  int // global index of this process's first worker
 	TotalWorkers int // workers across every process of the execution
 	Checkpoint   *core.CheckpointConfig
-	Restores     map[string]*core.Restore // by operator name; nil for a fresh run
-	Meter        *core.LoadMeter          // nil unless Auto is set
+	Meter        *core.LoadMeter // nil unless Auto is set
 
 	// schedule holds the scripted migrations' epochs, resolved against the
 	// whole run: the duration a recovered run drives is trimmed to what
@@ -180,13 +179,13 @@ func Launch[T any](cfg Config, x Extras, df Dataflow[T]) (Result, error) {
 		env.TotalWorkers = len(cfg.Cluster.Hosts) * cfg.Workers
 	}
 	env.schedule = env.migrationEpochs()
-	ckpt, duration, err := planCheckpoints(df.Name, df.Ops, cfg.CheckpointDir, cfg.CheckpointEvery,
+	ckpt, duration, err := planCheckpoints(df.Name, df.Ops, df.LogBins, cfg.CheckpointDir, cfg.CheckpointEvery,
 		cfg.Recover, env.TotalWorkers, env.FirstWorker, cfg.Workers, cfg.EpochEvery, cfg.Duration)
 	if err != nil {
 		return Result{}, err
 	}
 	env.Duration = duration
-	env.Checkpoint, env.Restores = ckpt.config, ckpt.restores
+	env.Checkpoint = ckpt.config
 	if cfg.Auto != nil {
 		env.Meter = core.NewLoadMeter(env.TotalWorkers, df.LogBins)
 	}
@@ -270,15 +269,17 @@ func (c Env) validate(name string, migrateable bool) error {
 	return nil
 }
 
-// fixedDriver starts a fixed-roster run and returns its driver: a scripted
+// fixedDriver starts a fixed-roster run, with a recovering run's restore
+// moves on the control stream, and returns its driver: a scripted
 // plan.Controller with the Section 5 migrations, or an AutoController (also
 // returned, for its decisions) when Auto is set.
 func fixedDriver[T any](env Env, exec *dataflow.Execution, mesh *dataflow.Mesh, ckpt *checkpointPlan, parts Parts[T],
 	ctlIns []*dataflow.InputHandle[core.Move], probe *dataflow.Probe, bins int) (Driver, *plan.AutoController, []Migration) {
-	if parts.Preload != nil && env.Restores == nil {
+	if parts.Preload != nil && !ckpt.recovered {
 		parts.Preload(plan.Initial(bins, env.TotalWorkers))
 	}
 	exec.Start()
+	ckpt.sendRestores(ctlIns[0])
 
 	var auto *plan.AutoOptions
 	var migrations []Migration

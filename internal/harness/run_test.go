@@ -337,6 +337,27 @@ func TestRunRejects(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
+	// The same checkpoint with one payload byte flipped in worker 0's file
+	// of every epoch: the last payload byte sits just before the file's
+	// final 8-byte digest.
+	corrupt := t.TempDir()
+	if err := os.CopyFS(corrupt, os.DirFS(foreign)); err != nil {
+		t.Fatal(err)
+	}
+	flipped, _ := filepath.Glob(filepath.Join(corrupt, "*", "epoch-*", "bins-w0.dat"))
+	if len(flipped) == 0 {
+		t.Fatal("the keycount checkpoint wrote no data file for worker 0")
+	}
+	for _, path := range flipped {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data[len(data)-9] ^= 0xff
+		if err := os.WriteFile(path, data, 0o666); err != nil {
+			t.Fatal(err)
+		}
+	}
 	empty := t.TempDir()
 	kc := func(edit func(*keycount.RunConfig)) func(*dataflow.ClusterSpec) error {
 		return func(spec *dataflow.ClusterSpec) error {
@@ -373,6 +394,8 @@ func TestRunRejects(t *testing.T) {
 		{"keycount/native-checkpoint", kc(func(c *keycount.RunConfig) { c.Variant, c.CheckpointDir = keycount.NativeHash, empty }), "migrateable"},
 		{"keycount/recover-without-dir", kc(func(c *keycount.RunConfig) { c.Recover = true }), "-recover needs -checkpoint-dir"},
 		{"keycount/recover-empty-dir", kc(func(c *keycount.RunConfig) { c.Recover, c.CheckpointDir = true, empty }), "no complete checkpoint"},
+		{"keycount/recover-other-bins", kc(func(c *keycount.RunConfig) { c.Recover, c.CheckpointDir, c.LogBins = true, foreign, 6 }), "has 2^4 bins, this run has 2^6"},
+		{"keycount/recover-corrupt", kc(func(c *keycount.RunConfig) { c.Recover, c.CheckpointDir = true, corrupt }), "digest mismatch"},
 		{"keycount/absent", kc(func(c *keycount.RunConfig) { absent(c.Cluster) }), "absent slots"},
 		{"keycount/membership-recover", kc(func(c *keycount.RunConfig) { c.Membership, c.Recover, c.CheckpointDir = true, true, empty }), "cannot be combined"},
 		{"keycount/membership-no-dir", kc(func(c *keycount.RunConfig) { c.Membership = true }), "-checkpoint-dir"},

@@ -62,10 +62,9 @@ type Params struct {
 	// disables.
 	ServiceNanos int64
 	// Checkpoint enables epoch-aligned checkpoints of the migrateable
-	// variants (nil disables); Restore installs a loaded checkpoint before
-	// the run starts. See core.CheckpointConfig / core.LoadRestore.
+	// variants, and the restores that read them back (nil disables). See
+	// core.CheckpointConfig.
 	Checkpoint *core.CheckpointConfig
-	Restore    *core.Restore
 }
 
 // OpName returns the megaphone operator name of a migrateable variant —
@@ -179,7 +178,7 @@ func Build(w *dataflow.Worker, p Params, control dataflow.Stream[core.Move], dat
 	case HashCount:
 		return core.Operator(w,
 			core.Config{Name: "hash-count", LogBins: p.LogBins, Transfer: p.Transfer, Meter: p.Meter,
-				Checkpoint: p.Checkpoint, Restore: p.Restore},
+				Checkpoint: p.Checkpoint},
 			control, data, hashCountOps(svc), h.Hash)
 	case KeyCount:
 		binSpan := p.Domain >> uint(p.LogBins)
@@ -189,7 +188,7 @@ func Build(w *dataflow.Worker, p Params, control dataflow.Stream[core.Move], dat
 		domain := p.Domain
 		return core.Unary(w,
 			core.Config{Name: "key-count", LogBins: p.LogBins, Transfer: p.Transfer, Meter: p.Meter,
-				Checkpoint: p.Checkpoint, Restore: p.Restore},
+				Checkpoint: p.Checkpoint},
 			control, data,
 			denseHasher(domain),
 			func() *ArrayState { return &ArrayState{Counts: make([]uint64, binSpan)} },

@@ -46,7 +46,7 @@ func Run(cfg RunConfig) (harness.Result, error) {
 // function for a resolved run.
 func (cfg RunConfig) parts(env harness.Env) harness.Parts[uint64] {
 	p := cfg.Params
-	p.Checkpoint, p.Restore, p.Meter = env.Checkpoint, env.Restores[p.OpName()], env.Meter
+	p.Checkpoint, p.Meter = env.Checkpoint, env.Meter
 	handles := &Handles{
 		Hash: &core.Handle[uint64, HashState, Out]{},
 		Key:  &core.Handle[uint64, ArrayState, Out]{},

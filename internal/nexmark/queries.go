@@ -53,21 +53,15 @@ type Params struct {
 	Sink func(t Time, lines []string)
 	// Checkpoint enables epoch-aligned checkpoints of every megaphone
 	// stage of the query (each drains into its own subdirectory of
-	// Checkpoint.Dir); Restore maps stage names to their loaded
-	// checkpoints. Native implementations have no migrateable state and
-	// ignore both.
+	// Checkpoint.Dir), and the restores that read them back. Native
+	// implementations have no migrateable state and ignore it.
 	Checkpoint *core.CheckpointConfig
-	Restore    map[string]*core.Restore
 }
 
 // config renders the megaphone operator Config for one of the query's
 // stages.
 func (p Params) config(name string) core.Config {
-	cfg := core.Config{Name: name, LogBins: p.LogBins, Transfer: p.Transfer, Meter: p.Meter, Checkpoint: p.Checkpoint}
-	if p.Restore != nil {
-		cfg.Restore = p.Restore[name]
-	}
-	return cfg
+	return core.Config{Name: name, LogBins: p.LogBins, Transfer: p.Transfer, Meter: p.Meter, Checkpoint: p.Checkpoint}
 }
 
 func (p *Params) defaults() {

@@ -55,7 +55,7 @@ func Run(cfg RunConfig) (harness.Result, error) {
 // differently, and only membership runs need one.
 func (cfg RunConfig) parts(env harness.Env) harness.Parts[Event] {
 	p := cfg.Params
-	p.Checkpoint, p.Restore, p.Meter = env.Checkpoint, env.Restores, env.Meter
+	p.Checkpoint, p.Meter = env.Checkpoint, env.Meter
 	gen := NewGen(cfg.Gen)
 	perEpoch := int(float64(env.Rate) * env.EpochEvery.Seconds())
 	return harness.Parts[Event]{

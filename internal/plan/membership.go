@@ -808,7 +808,7 @@ func (mc *MembershipController) decideCrashLocked(now core.Time, slot int) {
 	after := append([]bool(nil), mc.active...)
 	after[slot] = false
 	tr := &Transition{Kind: TransitionCrash, Slot: slot, Epoch: commit, MemEpoch: mc.memEpoch + 1, Ckpt: ckpt}
-	moves := mc.crashReassignLocked(slot, after, ckpt, commit)
+	moves := mc.crashReassignLocked(slot, after, ckpt)
 	for _, m := range moves {
 		tr.DeadBins = append(tr.DeadBins, m.Bin)
 	}
@@ -822,11 +822,10 @@ func (mc *MembershipController) decideCrashLocked(now core.Time, slot int) {
 // dead slot participated in — restoring from the checkpoint and replaying is
 // always correct, so the classification is deliberately conservative), or a
 // still-pending move targets the dead slot (the ship would land in the
-// void). Restore targets round-robin over the survivors' workers, skipping a
-// bin's owner-at-commit: the engine only executes a restore at a worker that
-// did not already own the bin, so restoring in place would silently keep the
-// live (possibly incomplete) state while the replay double-applied on top.
-func (mc *MembershipController) crashReassignLocked(slot int, after []bool, ckpt, commit core.Time) []core.Move {
+// void). Restore targets round-robin over the survivors' workers; a restore
+// may land on a bin's current owner, which then drops its live state for the
+// checkpoint's.
+func (mc *MembershipController) crashReassignLocked(slot int, after []bool, ckpt core.Time) []core.Move {
 	w := mc.opts.WorkersPerProc
 	lost := make([]bool, len(mc.assign))
 	for b, owner := range mc.resident {
@@ -846,40 +845,12 @@ func (mc *MembershipController) crashReassignLocked(slot int, after []bool, ckpt
 			}
 		}
 	}
-	// Owner at the commit epoch: resident plus every pending move below the
-	// commit (they will have executed by the time the restores do).
-	cur := append(Assignment(nil), mc.resident...)
-	for _, tm := range mc.injections {
-		if tm.epoch >= commit {
-			continue
-		}
-		for _, m := range tm.moves {
-			if !m.IsCheckpoint() && m.Bin >= 0 && m.Bin < len(cur) {
-				cur[m.Bin] = m.Worker
-			}
-		}
-	}
 	lw := mc.liveWorkers(participantsOf(after))
 	var moves []core.Move
-	i := 0
 	for b := range lost {
-		if !lost[b] {
-			continue
+		if lost[b] {
+			moves = append(moves, core.RestoreMove(b, lw[len(moves)%len(lw)], ckpt))
 		}
-		nw := lw[i%len(lw)]
-		i++
-		if nw == cur[b] {
-			if len(lw) < 2 {
-				// A single surviving worker already owning the bin: the
-				// restore could never execute. Leave the bin on its live
-				// state (only reachable in 1-worker-per-process fixtures).
-				mc.det.logf("megaphone: bin %d survives on the only remaining worker %d; skipping its restore", b, nw)
-				continue
-			}
-			nw = lw[i%len(lw)]
-			i++
-		}
-		moves = append(moves, core.RestoreMove(b, nw, ckpt))
 	}
 	return moves
 }
